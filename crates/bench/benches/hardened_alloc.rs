@@ -4,8 +4,8 @@
 //!
 //! This is the `#[global_allocator]` deliverable's analogue of Fig. 8: the
 //! unpatched path should cost one table probe over `System`, and each
-//! defense should price in honestly (guard pages pay an `mmap`+`mprotect`
-//! pair).
+//! defense should price in honestly (a guarded buffer reuses a cached
+//! region and zeroes its body; only a cache miss pays `mmap`+`mprotect`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ht_hardened_alloc::{ccid, HardenedAlloc, PatchEntry};

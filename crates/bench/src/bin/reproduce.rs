@@ -322,35 +322,52 @@ fn run_ablations(opts: &Opts) {
 fn run_scaling(opts: &Opts) {
     header("Scaling — multi-threaded allocation throughput (Mops/s, alloc+free pairs)");
     println!(
-        "{:<8} {:>12} {:>12} {:>14} {:>14} {:>16} {:>15}",
+        "{:<8} {:>12} {:>12} {:>14} {:>14} {:>16} {:>16} {:>15}",
         "threads",
         "native",
         "interpose",
         "hardened(5p)",
         "telemetry(5p)",
         "hardened/native",
+        "hardened/interp",
         "telem/hardened"
     );
-    let rows = scaling::rows(opts.threads, opts.pairs);
+    let rows = scaling::rows(opts.threads, opts.pairs, opts.samples);
     for r in &rows {
         println!(
-            "{:<8} {:>12.3} {:>12.3} {:>14.3} {:>14.3} {:>15.2}x {:>14.2}x",
+            "{:<8} {:>12.3} {:>12.3} {:>14.3} {:>14.3} {:>15.2}x {:>15.2}x {:>14.2}x",
             r.threads,
-            r.native_ops / 1e6,
-            r.interpose_ops / 1e6,
-            r.hardened_ops / 1e6,
-            r.telemetry_ops / 1e6,
+            r.native.median / 1e6,
+            r.interpose.median / 1e6,
+            r.hardened.median / 1e6,
+            r.telemetry.median / 1e6,
             r.hardened_vs_native(),
+            r.hardened_vs_interpose(),
             r.telemetry_vs_hardened()
         );
     }
     println!(
-        "(patched context every {} allocs of {} B; registry/quarantine sharded, patch table frozen)",
+        "\nrange over {} samples (min–max Mops/s):",
+        opts.samples.max(1)
+    );
+    let range = |s: scaling::Spread| format!("{:.3}–{:.3}", s.min / 1e6, s.max / 1e6);
+    for r in &rows {
+        println!(
+            "{:<8} {:>16} {:>16} {:>16} {:>16}",
+            r.threads,
+            range(r.native),
+            range(r.interpose),
+            range(r.hardened),
+            range(r.telemetry)
+        );
+    }
+    println!(
+        "(medians; patched context every {} allocs of {} B; registry/quarantine sharded, patch table frozen, guarded regions recycled)",
         scaling::PATCHED_EVERY,
         scaling::ALLOC_SIZE
     );
     if let Some(path) = &opts.json {
-        let j = scaling::to_json(&rows, opts.pairs);
+        let j = scaling::to_json(&rows, opts.pairs, opts.samples);
         std::fs::write(path, j.to_pretty() + "\n")
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");

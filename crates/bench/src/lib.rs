@@ -48,14 +48,23 @@ use std::time::Instant;
 /// measured samples.
 pub fn time_median<F: FnMut()>(n: usize, mut f: F) -> f64 {
     f();
-    let mut samples: Vec<f64> = (0..n.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    median(
+        (0..n.max(1))
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
+/// The median of `samples` (0 for none).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.sort_by(f64::total_cmp);
     // True median: even-length samples average the two middle elements
     // (indexing `len / 2` alone would bias toward the slower half).
     let mid = samples.len() / 2;

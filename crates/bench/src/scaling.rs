@@ -22,7 +22,9 @@
 //! Workers start behind a [`Barrier`] and time only their own work loop, so
 //! thread-spawn cost is excluded; a series' wall time is the slowest
 //! worker's. Ops/sec counts allocate–touch–free *pairs* per second summed
-//! over threads.
+//! over threads. Each cell is measured `samples` times and reported as the
+//! median with its min and max: on a small shared box one run of a series
+//! can read half or twice another.
 
 use ht_hardened_alloc::{throughput, HardenedAlloc, PatchEntry};
 use ht_jsonio::Json;
@@ -38,37 +40,72 @@ pub const PATCHED_EVERY: u64 = 64;
 /// The instrumented call sites the 5 patches target.
 pub const PATCHED_SITES: [u64; 5] = [0xA1, 0xA2, 0xA3, 0xA4, 0xA5];
 
-/// Throughput of the three series at one thread count.
+/// One cell's samples (pairs/sec): their median, min and max.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Spread {
+    /// Median sample.
+    pub median: f64,
+    /// Slowest sample.
+    pub min: f64,
+    /// Fastest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples` (all zero for none).
+    pub fn of(samples: Vec<f64>) -> Self {
+        if samples.is_empty() {
+            return Self::default();
+        }
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        Self {
+            median: crate::median(samples),
+            min,
+            max,
+        }
+    }
+}
+
+/// Throughput of the four series at one thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingRow {
     /// Number of concurrent worker threads.
     pub threads: usize,
     /// System-allocator pairs/sec (summed over threads).
-    pub native_ops: f64,
+    pub native: Spread,
     /// Empty-table hardened-allocator pairs/sec.
-    pub interpose_ops: f64,
+    pub interpose: Spread,
     /// 5-patch frozen-table hardened-allocator pairs/sec.
-    pub hardened_ops: f64,
+    pub hardened: Spread,
     /// The hardened series with attack telemetry armed.
-    pub telemetry_ops: f64,
+    pub telemetry: Spread,
+}
+
+/// `x / base`, or 0 when `base` is not positive.
+fn ratio(x: f64, base: f64) -> f64 {
+    if base <= 0.0 {
+        return 0.0;
+    }
+    x / base
 }
 
 impl ScalingRow {
-    /// Hardened throughput relative to this row's native throughput.
+    /// Median hardened throughput relative to median native throughput.
     pub fn hardened_vs_native(&self) -> f64 {
-        if self.native_ops <= 0.0 {
-            return 0.0;
-        }
-        self.hardened_ops / self.native_ops
+        ratio(self.hardened.median, self.native.median)
+    }
+
+    /// Median hardened throughput relative to median interpose throughput:
+    /// what the patched slice costs on top of interposition.
+    pub fn hardened_vs_interpose(&self) -> f64 {
+        ratio(self.hardened.median, self.interpose.median)
     }
 
     /// Telemetry-armed throughput relative to the telemetry-off hardened
-    /// series (1.0 = telemetry is free).
+    /// series (1.0 = telemetry is free), medians.
     pub fn telemetry_vs_hardened(&self) -> f64 {
-        if self.hardened_ops <= 0.0 {
-            return 0.0;
-        }
-        self.telemetry_ops / self.hardened_ops
+        ratio(self.telemetry.median, self.hardened.median)
     }
 }
 
@@ -127,77 +164,78 @@ pub fn patched_alloc() -> Box<HardenedAlloc> {
     a
 }
 
-/// Measures all three series at each thread count in
+/// Measures all four series at each thread count in
 /// [`thread_counts`]`(max_threads)`, `pairs_per_thread` allocate–touch–free
-/// round trips per worker.
-pub fn rows(max_threads: usize, pairs_per_thread: u64) -> Vec<ScalingRow> {
-    let interpose = empty_alloc();
-    let hardened = patched_alloc();
-    let telemetry = patched_alloc();
-    telemetry.set_telemetry(true);
+/// round trips per worker, `samples` times each (interleaved, so a slow
+/// spell of the machine hits every series alike).
+pub fn rows(max_threads: usize, pairs_per_thread: u64, samples: usize) -> Vec<ScalingRow> {
+    let empty = empty_alloc();
+    let patched = patched_alloc();
+    let armed = patched_alloc();
+    armed.set_telemetry(true);
+    let patched_run = |a: &HardenedAlloc, i: usize| {
+        throughput::hardened_pairs(
+            a,
+            pairs_per_thread,
+            ALLOC_SIZE,
+            Some(PATCHED_SITES[i % PATCHED_SITES.len()]),
+            PATCHED_EVERY,
+        )
+        .pairs
+    };
     thread_counts(max_threads)
         .into_iter()
         .map(|n| {
-            let native_ops = run_series(n, |_| {
-                throughput::native_pairs(pairs_per_thread, ALLOC_SIZE)
-            });
-            let interpose_ops = run_series(n, |_| {
-                throughput::hardened_pairs(&interpose, pairs_per_thread, ALLOC_SIZE, None, 1)
-            });
-            let hardened_ops = run_series(n, |i| {
-                throughput::hardened_pairs(
-                    &hardened,
-                    pairs_per_thread,
-                    ALLOC_SIZE,
-                    Some(PATCHED_SITES[i % PATCHED_SITES.len()]),
-                    PATCHED_EVERY,
-                )
-            });
-            let telemetry_ops = run_series(n, |i| {
-                throughput::hardened_pairs(
-                    &telemetry,
-                    pairs_per_thread,
-                    ALLOC_SIZE,
-                    Some(PATCHED_SITES[i % PATCHED_SITES.len()]),
-                    PATCHED_EVERY,
-                )
-            });
-            // Keep the ring from saturating its drop counter across rows.
-            telemetry.drain_events();
+            let mut cells: [Vec<f64>; 4] = Default::default();
+            for _ in 0..samples.max(1) {
+                cells[0].push(run_series(n, |_| {
+                    throughput::native_pairs(pairs_per_thread, ALLOC_SIZE)
+                }));
+                cells[1].push(run_series(n, |_| {
+                    throughput::hardened_pairs(&empty, pairs_per_thread, ALLOC_SIZE, None, 1).pairs
+                }));
+                cells[2].push(run_series(n, |i| patched_run(&patched, i)));
+                cells[3].push(run_series(n, |i| patched_run(&armed, i)));
+                // Keep the ring from saturating its drop counter.
+                armed.drain_events();
+            }
+            let [native, interpose, hardened, telemetry] = cells.map(Spread::of);
             ScalingRow {
                 threads: n,
-                native_ops,
-                interpose_ops,
-                hardened_ops,
-                telemetry_ops,
+                native,
+                interpose,
+                hardened,
+                telemetry,
             }
         })
         .collect()
 }
 
-/// The committed-baseline JSON shape (`BENCH_scaling.json`): ops/sec
-/// rounded to integers, since the wire format is integer-only.
-pub fn to_json(rows: &[ScalingRow], pairs_per_thread: u64) -> Json {
+/// The committed-baseline JSON shape (`BENCH_scaling.json`): per series,
+/// `<series>_ops` is the median pairs/sec and `<series>_ops_min` /
+/// `<series>_ops_max` its range, rounded to integers since the wire format
+/// is integer-only.
+pub fn to_json(rows: &[ScalingRow], pairs_per_thread: u64, samples: usize) -> Json {
+    let cells = |r: &ScalingRow| {
+        let mut fields = vec![("threads".to_string(), Json::U64(r.threads as u64))];
+        for (name, s) in [
+            ("native", r.native),
+            ("interpose", r.interpose),
+            ("hardened", r.hardened),
+            ("telemetry", r.telemetry),
+        ] {
+            fields.push((format!("{name}_ops"), Json::U64(s.median as u64)));
+            fields.push((format!("{name}_ops_min"), Json::U64(s.min as u64)));
+            fields.push((format!("{name}_ops_max"), Json::U64(s.max as u64)));
+        }
+        Json::Obj(fields)
+    };
     Json::Obj(vec![
         ("alloc_size".into(), Json::U64(ALLOC_SIZE as u64)),
         ("pairs_per_thread".into(), Json::U64(pairs_per_thread)),
         ("patched_every".into(), Json::U64(PATCHED_EVERY)),
-        (
-            "rows".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("threads".into(), Json::U64(r.threads as u64)),
-                            ("native_ops".into(), Json::U64(r.native_ops as u64)),
-                            ("interpose_ops".into(), Json::U64(r.interpose_ops as u64)),
-                            ("hardened_ops".into(), Json::U64(r.hardened_ops as u64)),
-                            ("telemetry_ops".into(), Json::U64(r.telemetry_ops as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("samples".into(), Json::U64(samples.max(1) as u64)),
+        ("rows".into(), Json::Arr(rows.iter().map(cells).collect())),
     ])
 }
 
@@ -216,13 +254,13 @@ mod tests {
 
     #[test]
     fn series_produce_positive_throughput() {
-        let rows = rows(2, 500);
+        let rows = rows(2, 500, 3);
         assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert!(r.native_ops > 0.0, "{r:?}");
-            assert!(r.interpose_ops > 0.0, "{r:?}");
-            assert!(r.hardened_ops > 0.0, "{r:?}");
-            assert!(r.telemetry_ops > 0.0, "{r:?}");
+            for s in [r.native, r.interpose, r.hardened, r.telemetry] {
+                assert!(s.min > 0.0, "{r:?}");
+                assert!(s.min <= s.median && s.median <= s.max, "{r:?}");
+            }
         }
     }
 
@@ -255,14 +293,16 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
+        let s = Spread::of(vec![900.9, 880.0, 1234.7]);
+        assert_eq!((s.median, s.min, s.max), (900.9, 880.0, 1234.7));
         let rs = [ScalingRow {
             threads: 2,
-            native_ops: 1234.7,
-            interpose_ops: 1000.2,
-            hardened_ops: 900.9,
-            telemetry_ops: 880.0,
+            native: s,
+            interpose: s,
+            hardened: s,
+            telemetry: s,
         }];
-        let j = to_json(&rs, 500);
+        let j = to_json(&rs, 500, 3);
         let parsed = Json::parse(&j.to_pretty()).expect("self-emitted JSON parses");
         assert_eq!(parsed, j);
     }

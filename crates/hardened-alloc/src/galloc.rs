@@ -217,6 +217,140 @@ fn page_up(n: usize) -> usize {
     (n + PAGE - 1) & !(PAGE - 1)
 }
 
+/// Body page counts the guarded-region cache keeps: a retired region whose
+/// body spans `1..=REGION_CLASSES` pages goes back to that class.
+const REGION_CLASSES: usize = 4;
+/// Retired regions one class holds at most; a region retired into a full
+/// class is unmapped.
+const REGION_CLASS_CAP: usize = 64;
+
+/// `mmap`s a region of `body` bytes followed by a `PROT_NONE` guard page.
+/// Returns its base, or `None` when the kernel refuses.
+///
+/// # Safety
+///
+/// `body` must be a non-zero multiple of [`PAGE`].
+unsafe fn map_region(body: usize) -> Option<usize> {
+    let total = body + PAGE;
+    let region = libc::mmap(
+        std::ptr::null_mut(),
+        total,
+        libc::PROT_READ | libc::PROT_WRITE,
+        libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
+        -1,
+        0,
+    );
+    if region == libc::MAP_FAILED {
+        return None;
+    }
+    if libc::mprotect(region.cast::<u8>().add(body).cast(), PAGE, libc::PROT_NONE) != 0 {
+        libc::munmap(region, total);
+        return None;
+    }
+    Some(region as usize)
+}
+
+/// The stack of one cache class: region bases, the top at `len - 1`.
+struct RegionStack {
+    bases: [usize; REGION_CLASS_CAP],
+    len: usize,
+}
+
+struct RegionClass {
+    lock: crate::registry::SpinLock,
+    stack: std::cell::UnsafeCell<RegionStack>,
+}
+
+// SAFETY: `lock` is a plain atomic flag; `stack` is only read or written
+// while `lock` is held.
+unsafe impl Sync for RegionClass {}
+
+#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
+const EMPTY_REGION_CLASS: RegionClass = RegionClass {
+    lock: crate::registry::SpinLock::new(),
+    stack: std::cell::UnsafeCell::new(RegionStack {
+        bases: [0; REGION_CLASS_CAP],
+        len: 0,
+    }),
+};
+
+/// Retired guarded regions, kept mapped with their guard page still
+/// `PROT_NONE`, so a guarded allocation that finds one makes no syscall.
+///
+/// One fixed-capacity stack of region base addresses per body page count,
+/// each behind its own spin lock. The stacks live here and never in the
+/// regions' own bytes, so a dangling read of a retired buffer cannot see
+/// allocator pointers. A cached region holds its last user's bytes until
+/// [`HardenedAlloc`] zeroes it on reuse. Dropping the cache unmaps every
+/// region it holds.
+struct RegionCache {
+    classes: [RegionClass; REGION_CLASSES],
+}
+
+impl std::fmt::Debug for RegionCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RegionCache").finish_non_exhaustive()
+    }
+}
+
+impl RegionCache {
+    const fn new() -> Self {
+        Self {
+            classes: [EMPTY_REGION_CLASS; REGION_CLASSES],
+        }
+    }
+
+    /// The class of regions with a `body`-byte body, if the cache keeps
+    /// them.
+    fn class(&self, body: usize) -> Option<&RegionClass> {
+        self.classes.get((body / PAGE).checked_sub(1)?)
+    }
+
+    /// Pops a retired region with a `body`-byte body, if one is cached.
+    fn take(&self, body: usize) -> Option<usize> {
+        let class = self.class(body)?;
+        let _g = class.lock.lock();
+        // SAFETY: the class lock is held.
+        let st = unsafe { &mut *class.stack.get() };
+        st.len = st.len.checked_sub(1)?;
+        Some(st.bases[st.len])
+    }
+
+    /// Takes back a region with a `body`-byte body, or unmaps it when its
+    /// class is full or the cache keeps no class for it.
+    ///
+    /// # Safety
+    ///
+    /// `region` must come from [`map_region`]`(body)`, be referenced by no
+    /// live allocation, and be retired once.
+    unsafe fn retire(&self, region: usize, body: usize) {
+        if let Some(class) = self.class(body) {
+            let _g = class.lock.lock();
+            // SAFETY: the class lock is held.
+            let st = &mut *class.stack.get();
+            if st.len < REGION_CLASS_CAP {
+                st.bases[st.len] = region;
+                st.len += 1;
+                return;
+            }
+        }
+        libc::munmap(region as *mut libc::c_void, body + PAGE);
+    }
+}
+
+impl Drop for RegionCache {
+    fn drop(&mut self) {
+        for pages in 1..=REGION_CLASSES {
+            let body = pages * PAGE;
+            while let Some(region) = self.take(body) {
+                // SAFETY: every cached region came from `map_region(body)`
+                // and is referenced by no allocation.
+                unsafe { libc::munmap(region as *mut libc::c_void, body + PAGE) };
+            }
+        }
+    }
+}
+
 /// The HeapTherapy+ hardened allocator over the system allocator.
 ///
 /// Usable as a `static` (all state is fixed-size and allocation-free) and
@@ -228,6 +362,7 @@ pub struct HardenedAlloc {
     patches: PatchSet,
     registry: Registry,
     quarantine: QuarantineRing,
+    regions: RegionCache,
     quota: AtomicUsize,
     interposed_allocs: StripedCounter,
     interposed_frees: StripedCounter,
@@ -269,6 +404,7 @@ impl HardenedAlloc {
             patches: PatchSet::new(),
             registry: Registry::new(),
             quarantine: QuarantineRing::new(),
+            regions: RegionCache::new(),
             quota: AtomicUsize::new(64 * 1024 * 1024),
             interposed_allocs: StripedCounter::new(),
             interposed_frees: StripedCounter::new(),
@@ -526,36 +662,39 @@ impl HardenedAlloc {
         Some(e.region + e.region_len - PAGE)
     }
 
-    /// `mmap` a region with a trailing `PROT_NONE` guard page and place the
-    /// user buffer so its end abuts the guard (modulo alignment).
-    unsafe fn guarded_alloc(&self, layout: Layout, vuln: VulnFlags, slot: u32) -> *mut u8 {
+    /// Takes a region with a trailing `PROT_NONE` guard page — a cached
+    /// one, else a fresh `mmap` — and places the user buffer so its end
+    /// abuts the guard (modulo alignment). The whole body reads zero, as
+    /// fresh `mmap` memory does, which covers UR patches and `calloc`.
+    unsafe fn guarded_alloc(
+        &self,
+        layout: Layout,
+        zeroed: bool,
+        vuln: VulnFlags,
+        slot: u32,
+    ) -> *mut u8 {
         let size = layout.size().max(1);
         let align = layout.align().max(1);
         let body = page_up(size + align);
-        let total = body + PAGE;
-        let region = libc::mmap(
-            std::ptr::null_mut(),
-            total,
-            libc::PROT_READ | libc::PROT_WRITE,
-            libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
-            -1,
-            0,
-        );
-        if region == libc::MAP_FAILED {
-            return std::ptr::null_mut();
-        }
-        let region = region as usize;
+        let region = match self.regions.take(body) {
+            // SAFETY: a cached region's `body` bytes are mapped read-write
+            // and belong to no live allocation.
+            Some(region) => {
+                std::ptr::write_bytes(region as *mut u8, 0, body);
+                region
+            }
+            None => match map_region(body) {
+                Some(region) => region,
+                None => return std::ptr::null_mut(),
+            },
+        };
         let guard = region + body;
-        if libc::mprotect(guard as *mut libc::c_void, PAGE, libc::PROT_NONE) != 0 {
-            libc::munmap(region as *mut libc::c_void, total);
-            return std::ptr::null_mut();
-        }
         let user = (guard - size) & !(align - 1);
         debug_assert!(user >= region);
         let entry = Entry {
             ptr: user,
             region,
-            region_len: total,
+            region_len: body + PAGE,
             vuln: vuln.bits(),
             slot,
             size,
@@ -563,15 +702,20 @@ impl HardenedAlloc {
         };
         if !self.registry.insert(entry) {
             // Fail open: no room to remember the region; fall back to the
-            // system allocator so dealloc stays correct.
-            libc::munmap(region as *mut libc::c_void, total);
+            // system allocator so dealloc stays correct, still zeroed when
+            // the call or the patch asks for zeroed memory.
+            self.regions.retire(region, body);
             self.fail_open.incr();
             self.note(Event::unattributed(
                 EventKind::FailOpen,
                 AllocFn::Malloc,
                 size as u64,
             ));
-            return System.alloc(layout);
+            return if zeroed || vuln.contains(VulnFlags::UNINIT_READ) {
+                System.alloc_zeroed(layout)
+            } else {
+                System.alloc(layout)
+            };
         }
         self.guard_pages.incr();
         user as *mut u8
@@ -589,11 +733,11 @@ impl HardenedAlloc {
             self.note_patch_hit(fun, ccid, vuln, slot, layout.size());
         }
         if vuln.contains(VulnFlags::OVERFLOW) {
-            // mmap memory is already zeroed, which also covers UR.
+            // Guarded bodies always read zero, which also covers UR.
             if vuln.contains(VulnFlags::UNINIT_READ) {
                 self.zero_fills.incr();
             }
-            return self.guarded_alloc(layout, vuln, slot as u32);
+            return self.guarded_alloc(layout, zeroed, vuln, slot as u32);
         }
         let p = if zeroed {
             System.alloc_zeroed(layout)
@@ -629,12 +773,27 @@ impl HardenedAlloc {
         p
     }
 
+    /// Returns a freed block for good: a guarded region to the region
+    /// cache, a system block to [`System`].
     unsafe fn release(&self, e: Entry) {
         if e.region != 0 {
-            libc::munmap(e.region as *mut libc::c_void, e.region_len);
+            self.regions.retire(e.region, e.region_len - PAGE);
         } else {
             let layout = Layout::from_size_align_unchecked(e.size.max(1), e.align.max(1));
             System.dealloc(e.ptr as *mut u8, layout);
+        }
+    }
+}
+
+impl Drop for HardenedAlloc {
+    /// Hands the quarantined blocks back; the region cache's own `Drop`
+    /// then unmaps every retired region. Buffers still live belong to
+    /// their callers and stay as they are.
+    fn drop(&mut self) {
+        while let Some(e) = self.quarantine.pop() {
+            // SAFETY: a quarantined block was freed by its owner, and
+            // popping it out of the quarantine releases it exactly once.
+            unsafe { self.release(e) };
         }
     }
 }
@@ -658,7 +817,7 @@ unsafe impl GlobalAlloc for HardenedAlloc {
                     self.quarantined_bytes.add(e.size as u64);
                     self.note_quarantine(EventKind::QuarantineDefer, &e);
                     let quota = self.quota.load(Ordering::Relaxed);
-                    for evicted in self.quarantine.push(e, quota).into_iter().flatten() {
+                    for evicted in self.quarantine.push(e, quota) {
                         self.evictions.incr();
                         self.evicted_bytes.add(evicted.size as u64);
                         self.note_quarantine(EventKind::QuarantineEvict, &evicted);
@@ -689,7 +848,7 @@ unsafe impl GlobalAlloc for HardenedAlloc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn layout(size: usize, align: usize) -> Layout {
@@ -712,6 +871,172 @@ mod tests {
         None
     }
 
+    /// Serializes the tests that map guarded regions. Tests run on parallel
+    /// threads of one process, so a region another test maps could land
+    /// where a test expects its own retired region to be gone.
+    pub(crate) fn maps_lock() -> std::sync::MutexGuard<'static, ()> {
+        static MAPS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        MAPS.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A fresh allocator with one malloc patch for call site `site`.
+    fn patched(site: u64, vuln: VulnFlags) -> HardenedAlloc {
+        let a = HardenedAlloc::new();
+        let here = ccid::with_site(site, ccid::current);
+        a.install(&[PatchEntry::new(AllocFn::Malloc, here, vuln)]);
+        a
+    }
+
+    /// Allocates `l` inside call site `site`.
+    unsafe fn alloc_at(a: &HardenedAlloc, site: u64, l: Layout) -> *mut u8 {
+        let _site = ccid::CallScope::enter(site);
+        let p = a.alloc(l);
+        assert!(!p.is_null());
+        p
+    }
+
+    #[test]
+    fn recycled_region_keeps_its_guard_and_reads_zero() {
+        let _maps = maps_lock();
+        let a = patched(0xC1, VulnFlags::OVERFLOW);
+        unsafe {
+            let big = layout(3000, 16);
+            let p = alloc_at(&a, 0xC1, big);
+            std::ptr::write_bytes(p, 0xFF, 3000);
+            let guard = a.guard_page_of(p).expect("guarded allocation");
+            a.dealloc(p, big);
+            // 3000 B and 100 B both have a one-page body: same class.
+            let small = layout(100, 8);
+            let q = alloc_at(&a, 0xC1, small);
+            assert_eq!(a.guard_page_of(q), Some(guard), "region reused");
+            assert_eq!(perms_at(guard).as_deref(), Some("---p"));
+            let region = a.registry.get(q as usize).expect("registered").region;
+            let body = std::slice::from_raw_parts(region as *const u8, guard - region);
+            assert!(body.iter().all(|&b| b == 0), "reused body reads zero");
+            a.dealloc(q, small);
+        }
+        assert_eq!(a.stats().guard_pages, 2, "one guard page per allocation");
+    }
+
+    #[test]
+    fn regions_beyond_class_capacity_are_unmapped() {
+        let _maps = maps_lock();
+        let a = patched(0xC2, VulnFlags::OVERFLOW);
+        let l = layout(64, 8);
+        unsafe {
+            let ptrs: Vec<*mut u8> = (0..REGION_CLASS_CAP + 4)
+                .map(|_| alloc_at(&a, 0xC2, l))
+                .collect();
+            let guards: Vec<usize> = ptrs
+                .iter()
+                .map(|&p| a.guard_page_of(p).expect("guarded allocation"))
+                .collect();
+            for p in ptrs {
+                a.dealloc(p, l);
+            }
+            // The first frees fill the class; the last four find it full.
+            for &g in &guards[..REGION_CLASS_CAP] {
+                assert_eq!(perms_at(g).as_deref(), Some("---p"), "cached");
+            }
+            for &g in &guards[REGION_CLASS_CAP..] {
+                assert_ne!(perms_at(g).as_deref(), Some("---p"), "unmapped");
+            }
+        }
+    }
+
+    #[test]
+    fn quota_evicted_overflow_uaf_region_is_reused() {
+        let _maps = maps_lock();
+        let a = patched(0xC3, VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE);
+        a.set_quarantine_quota(0);
+        let l = layout(64, 8);
+        unsafe {
+            let p = alloc_at(&a, 0xC3, l);
+            let guard = a.guard_page_of(p).expect("guarded allocation");
+            a.dealloc(p, l);
+            assert!(!a.is_quarantined(p), "a zero quota evicts at once");
+            let q = alloc_at(&a, 0xC3, l);
+            assert_eq!(a.guard_page_of(q), Some(guard), "evicted region reused");
+            a.dealloc(q, l);
+        }
+        assert_eq!(a.stats().evictions, 2);
+    }
+
+    #[test]
+    fn drop_unmaps_cached_and_quarantined_regions() {
+        let _maps = maps_lock();
+        let a = Box::new(HardenedAlloc::new());
+        let guarded = ccid::with_site(0xC4, ccid::current);
+        let deferred = ccid::with_site(0xC5, ccid::current);
+        a.install(&[
+            PatchEntry::new(AllocFn::Malloc, guarded, VulnFlags::OVERFLOW),
+            PatchEntry::new(
+                AllocFn::Malloc,
+                deferred,
+                VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE,
+            ),
+        ]);
+        let l = layout(64, 8);
+        let mut guards = Vec::new();
+        unsafe {
+            let ptrs: Vec<*mut u8> = (0..8)
+                .map(|i| alloc_at(&a, if i < 6 { 0xC4 } else { 0xC5 }, l))
+                .collect();
+            for p in ptrs {
+                guards.push(a.guard_page_of(p).expect("guarded allocation"));
+                a.dealloc(p, l);
+            }
+        }
+        assert_eq!(a.quarantine_usage().0, 2, "OF|UAF regions held back");
+        for &g in &guards {
+            assert_eq!(perms_at(g).as_deref(), Some("---p"));
+        }
+        drop(a);
+        for &g in &guards {
+            assert_ne!(perms_at(g).as_deref(), Some("---p"), "unmapped on drop");
+        }
+    }
+
+    #[test]
+    fn fail_open_keeps_calloc_and_ur_buffers_zeroed() {
+        let _maps = maps_lock();
+        let a = HardenedAlloc::new();
+        let here = ccid::with_site(0xC6, ccid::current);
+        a.install(&[PatchEntry::new(
+            AllocFn::Calloc,
+            here,
+            VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ,
+        )]);
+        let l = layout(64, 8);
+        let mut live = Vec::with_capacity(crate::registry::REGISTRY_CAP + 1);
+        unsafe {
+            // A full registry has no room for one more guarded buffer.
+            for _ in 0..=crate::registry::REGISTRY_CAP {
+                // Leave a dirty block of this size where the system
+                // allocator hands out its next one.
+                let d = System.alloc(l);
+                std::ptr::write_bytes(d, 0xFF, 64);
+                System.dealloc(d, l);
+                let _site = ccid::CallScope::enter(0xC6);
+                live.push(a.alloc_zeroed(l));
+                if a.stats().fail_open > 0 {
+                    break;
+                }
+            }
+            assert_eq!(a.stats().fail_open, 1, "a registry shard filled up");
+            let p = *live.last().expect("allocated");
+            assert!(a.guard_page_of(p).is_none(), "served by the system");
+            assert!(
+                std::slice::from_raw_parts(p, 64).iter().all(|&b| b == 0),
+                "fail-open buffer reads zero"
+            );
+            for p in live {
+                a.dealloc(p, l);
+            }
+        }
+    }
+
     #[test]
     fn unpatched_allocations_pass_through() {
         let a = HardenedAlloc::new();
@@ -732,6 +1057,7 @@ mod tests {
 
     #[test]
     fn guard_page_is_mapped_inaccessible() {
+        let _maps = maps_lock();
         let a = HardenedAlloc::new();
         let here = ccid::with_site(0x0F, ccid::current);
         a.install(&[PatchEntry::new(AllocFn::Malloc, here, VulnFlags::OVERFLOW)]);
@@ -749,7 +1075,7 @@ mod tests {
             assert!(guard - (p as usize + 1000) < 16, "end abuts the guard");
             assert_eq!(perms_at(guard).as_deref(), Some("---p"));
             a.dealloc(p, l);
-            assert!(a.guard_page_of(p).is_none(), "region unmapped on free");
+            assert!(a.guard_page_of(p).is_none(), "region retired on free");
         }
         assert_eq!(a.stats().guard_pages, 1);
         assert_eq!(a.stats().table_hits, 1);
@@ -835,6 +1161,7 @@ mod tests {
 
     #[test]
     fn realloc_probes_realloc_context() {
+        let _maps = maps_lock();
         let a = HardenedAlloc::new();
         let here = ccid::with_site(0x44, ccid::current);
         a.install(&[PatchEntry::new(AllocFn::Realloc, here, VulnFlags::OVERFLOW)]);
@@ -857,6 +1184,7 @@ mod tests {
 
     #[test]
     fn alloc_zeroed_probes_calloc() {
+        let _maps = maps_lock();
         let a = HardenedAlloc::new();
         let here = ccid::with_site(0x55, ccid::current);
         a.install(&[PatchEntry::new(AllocFn::Calloc, here, VulnFlags::OVERFLOW)]);
@@ -975,6 +1303,7 @@ mod tests {
 
     #[test]
     fn telemetry_disabled_records_nothing() {
+        let _maps = maps_lock();
         let a = HardenedAlloc::new();
         let here = ccid::with_site(0x88, ccid::current);
         a.install(&[PatchEntry::new(AllocFn::Malloc, here, VulnFlags::ALL)]);
@@ -994,6 +1323,7 @@ mod tests {
 
     #[test]
     fn telemetry_records_defenses_and_files_one_report_per_t() {
+        let _maps = maps_lock();
         let a = HardenedAlloc::new();
         a.set_telemetry(true);
         let here = ccid::with_site(0x99, ccid::current);

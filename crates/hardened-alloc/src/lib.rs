@@ -9,8 +9,10 @@
 //!   sites,
 //! * [`HardenedAlloc`] — wraps the system allocator; every allocation probes
 //!   the installed patch set with the current `(FUN, CCID)`:
-//!   * overflow patches allocate via `mmap` with a trailing
-//!     `PROT_NONE` **guard page** (`libc::mprotect`),
+//!   * overflow patches place the buffer against a trailing `PROT_NONE`
+//!     **guard page** (`libc::mprotect`); freed guarded regions are kept,
+//!     guard intact, in a bounded cache and zeroed on reuse, so only a
+//!     cache miss pays the `mmap`,
 //!   * use-after-free patches defer frees through a fixed-capacity
 //!     quarantine ring,
 //!   * uninitialized-read patches zero the buffer.

@@ -364,33 +364,36 @@ impl QuarantineRing {
         (ptr_hash(ptr) >> (usize::BITS as usize - 4 - 8 - 3)) % QUARANTINE_SHARDS
     }
 
-    /// Pushes a block; returns up to two entries that must be released now
-    /// (per-shard quota or capacity overflow), oldest-in-shard first.
-    pub(crate) fn push(&self, e: Entry, quota: usize) -> [Option<Entry>; 2] {
+    /// Pushes a block, then yields, oldest-in-shard first, every block the
+    /// shard must release now: one on capacity overflow, then as many as
+    /// bring the shard back within its slice of `quota`. Each further block
+    /// is popped under its own short lock, so the caller releases it with
+    /// no shard lock held. Consume the iterator, or the shard stays over
+    /// quota until its next push.
+    pub(crate) fn push(&self, e: Entry, quota: usize) -> impl Iterator<Item = Entry> + '_ {
         let si = Self::shard_of(e.ptr);
         let shard = &self.shards[si];
         // Truncating `quota / SHARDS` alone would silently shrink the
         // global quota by up to SHARDS-1 bytes; hand the remainder out one
         // byte per low shard so the per-shard quotas sum to `quota`.
         let shard_quota = quota / QUARANTINE_SHARDS + usize::from(si < quota % QUARANTINE_SHARDS);
-        let _g = shard.lock.lock();
-        let st = unsafe { &mut *shard.state.get() };
-        let mut out = [None, None];
-        let mut n = 0;
-        // Capacity eviction first.
-        if st.len == QUARANTINE_SHARD_CAP {
-            out[n] = Some(Self::pop_locked(st));
-            n += 1;
-        }
-        let tail = (st.head + st.len) % QUARANTINE_SHARD_CAP;
-        st.slots[tail] = e;
-        st.len += 1;
-        st.bytes += e.size;
-        while st.bytes > shard_quota && st.len > 0 && n < 2 {
-            out[n] = Some(Self::pop_locked(st));
-            n += 1;
-        }
-        out
+        let over_capacity = {
+            let _g = shard.lock.lock();
+            // SAFETY: the shard lock is held.
+            let st = unsafe { &mut *shard.state.get() };
+            let oldest = (st.len == QUARANTINE_SHARD_CAP).then(|| Self::pop_locked(st));
+            let tail = (st.head + st.len) % QUARANTINE_SHARD_CAP;
+            st.slots[tail] = e;
+            st.len += 1;
+            st.bytes += e.size;
+            oldest
+        };
+        over_capacity.into_iter().chain(std::iter::from_fn(move || {
+            let _g = shard.lock.lock();
+            // SAFETY: the shard lock is held.
+            let st = unsafe { &mut *shard.state.get() };
+            (st.bytes > shard_quota && st.len > 0).then(|| Self::pop_locked(st))
+        }))
     }
 
     fn pop_locked(st: &mut RingState) -> Entry {
@@ -399,6 +402,16 @@ impl QuarantineRing {
         st.len -= 1;
         st.bytes -= e.size;
         e
+    }
+
+    /// Removes the oldest block of the first non-empty shard, if any.
+    pub(crate) fn pop(&self) -> Option<Entry> {
+        self.shards.iter().find_map(|shard| {
+            let _g = shard.lock.lock();
+            // SAFETY: the shard lock is held.
+            let st = unsafe { &mut *shard.state.get() };
+            (st.len > 0).then(|| Self::pop_locked(st))
+        })
     }
 
     /// Current (blocks, bytes), merged across shards.
@@ -552,11 +565,11 @@ mod tests {
     fn ring_fifo_and_quota() {
         let q = QuarantineRing::new();
         // Per-shard quota is quota/8; give 800 so each shard holds 100.
-        assert_eq!(q.push(e(1, 60), 800), [None, None]);
+        assert_eq!(q.push(e(1, 60), 800).count(), 0);
         assert!(q.contains(1));
         // Same pointer again lands in the same shard and busts its quota.
-        let evicted = q.push(e(1, 60), 800);
-        assert_eq!(evicted[0].map(|x| x.ptr), Some(1));
+        let evicted: Vec<usize> = q.push(e(1, 60), 800).map(|x| x.ptr).collect();
+        assert_eq!(evicted, [1]);
         assert_eq!(q.usage(), (1, 60));
     }
 
@@ -570,7 +583,7 @@ mod tests {
         let quota = 500; // 500 = 8 * 62 + 4: four shards get 63, four get 62
         let q = QuarantineRing::new();
         for i in 1..=4096usize {
-            let _ = q.push(e(i * 8, 1), quota);
+            q.push(e(i * 8, 1), quota).for_each(drop);
         }
         let (_, bytes) = q.usage();
         assert_eq!(bytes, quota, "remainder bytes distributed across shards");
@@ -588,8 +601,7 @@ mod tests {
                 .unwrap()
         };
         for shard in 0..QUARANTINE_SHARDS {
-            let evicted = q.push(e(ptr_in(shard), 1), 7);
-            let held = evicted[0].is_none();
+            let held = q.push(e(ptr_in(shard), 1), 7).count() == 0;
             assert_eq!(held, shard < 7, "shard {shard}");
         }
         assert_eq!(q.usage().1, 7);
@@ -605,13 +617,34 @@ mod tests {
             .take(QUARANTINE_SHARD_CAP + 1)
             .collect();
         for &p in &shard0[..QUARANTINE_SHARD_CAP] {
-            assert_eq!(q.push(e(p, 1), usize::MAX), [None, None]);
+            assert_eq!(q.push(e(p, 1), usize::MAX).count(), 0);
         }
-        let evicted = q.push(e(shard0[QUARANTINE_SHARD_CAP], 1), usize::MAX);
-        assert_eq!(evicted[0].map(|x| x.ptr), Some(shard0[0]), "oldest evicted");
+        let evicted: Vec<usize> = q
+            .push(e(shard0[QUARANTINE_SHARD_CAP], 1), usize::MAX)
+            .map(|x| x.ptr)
+            .collect();
+        assert_eq!(evicted, [shard0[0]], "oldest evicted");
         assert_eq!(q.usage().0, QUARANTINE_SHARD_CAP);
         assert!(!q.contains(shard0[0]));
         assert!(q.contains(shard0[1]));
+    }
+
+    #[test]
+    fn ring_evicts_until_back_within_quota() {
+        // Regression: a push used to release at most two blocks, so a large
+        // block landing in a shard of small ones left it over quota.
+        let q = QuarantineRing::new();
+        let quota = 100 * QUARANTINE_SHARDS; // 100 bytes per shard
+        let shard0: Vec<usize> = (1..)
+            .map(|i| i * 8)
+            .filter(|&p| QuarantineRing::shard_of(p) == 0)
+            .take(11)
+            .collect();
+        for &p in &shard0[..10] {
+            assert_eq!(q.push(e(p, 10), quota).count(), 0);
+        }
+        assert_eq!(q.push(e(shard0[10], 95), quota).count(), 10);
+        assert_eq!(q.usage(), (1, 95), "only the large block is held");
     }
 
     #[test]
@@ -628,7 +661,7 @@ mod tests {
                 for i in 0..2000usize {
                     let ptr = 0x1000 + (t * 2000 + i) * 16;
                     pushed.fetch_add(48, Ordering::Relaxed);
-                    for ev in q.push(e(ptr, 48), 16 * 1024).into_iter().flatten() {
+                    for ev in q.push(e(ptr, 48), 16 * 1024) {
                         evicted.fetch_add(ev.size as u64, Ordering::Relaxed);
                     }
                 }

@@ -33,20 +33,32 @@ pub fn native_pairs(pairs: u64, size: usize) -> u64 {
     pairs
 }
 
+/// What one [`hardened_pairs`] run did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairsRun {
+    /// Round trips completed.
+    pub pairs: u64,
+    /// Guarded (patched OVERFLOW) buffers that did not read all zero when
+    /// handed out. Fresh and recycled guarded regions alike must.
+    pub dirty_guarded: u64,
+}
+
 /// Allocate/touch/free `pairs` times through `a`.
 ///
 /// When `patched_site` is set, every `patched_every`-th pair enters that
 /// instrumented call site first, so the allocation's `(FUN, CCID)` probes
 /// hot in the patch table — the "N-patch" series of Fig. 8, but threaded.
+/// Each patched buffer that turns out guarded is checked to read zero.
 pub fn hardened_pairs(
     a: &HardenedAlloc,
     pairs: u64,
     size: usize,
     patched_site: Option<u64>,
     patched_every: u64,
-) -> u64 {
+) -> PairsRun {
     let l = layout(size);
     let every = patched_every.max(1);
+    let mut dirty_guarded = 0;
     for i in 0..pairs {
         unsafe {
             let patched = patched_site.filter(|_| i % every == 0);
@@ -58,12 +70,23 @@ pub fn hardened_pairs(
                 None => a.alloc(l),
             };
             assert!(!p.is_null());
+            if patched.is_some()
+                && a.guard_page_of(p).is_some()
+                && std::slice::from_raw_parts(p, l.size())
+                    .iter()
+                    .any(|&b| b != 0)
+            {
+                dirty_guarded += 1;
+            }
             p.write((i as u8).wrapping_add(1));
             std::hint::black_box(p.read());
             a.dealloc(p, l);
         }
     }
-    pairs
+    PairsRun {
+        pairs,
+        dirty_guarded,
+    }
 }
 
 /// Allocates `count` buffers of `size` bytes inside patched call site
@@ -113,6 +136,7 @@ mod tests {
 
     #[test]
     fn batch_holds_live_buffers_without_corruption() {
+        let _maps = crate::galloc::tests::maps_lock();
         let a = HardenedAlloc::new();
         a.install(&[PatchEntry::new(
             AllocFn::Malloc,
@@ -129,7 +153,7 @@ mod tests {
     #[test]
     fn hardened_loop_unpatched_is_pass_through() {
         let a = HardenedAlloc::new();
-        assert_eq!(hardened_pairs(&a, 50, 64, None, 1), 50);
+        assert_eq!(hardened_pairs(&a, 50, 64, None, 1).pairs, 50);
         let st = a.stats();
         assert_eq!(st.interposed_allocs, 50);
         assert_eq!(st.interposed_frees, 50);
@@ -138,13 +162,20 @@ mod tests {
 
     #[test]
     fn hardened_loop_hits_the_patched_context() {
+        let _maps = crate::galloc::tests::maps_lock();
         let a = HardenedAlloc::new();
         a.install(&[PatchEntry::new(
             AllocFn::Malloc,
             site_ccid(0x5CA1),
             VulnFlags::OVERFLOW,
         )]);
-        assert_eq!(hardened_pairs(&a, 64, 64, Some(0x5CA1), 16), 64);
+        assert_eq!(
+            hardened_pairs(&a, 64, 64, Some(0x5CA1), 16),
+            PairsRun {
+                pairs: 64,
+                dirty_guarded: 0
+            }
+        );
         let st = a.stats();
         assert_eq!(st.table_hits, 4, "every 16th pair probes hot");
         assert_eq!(st.guard_pages, 4);

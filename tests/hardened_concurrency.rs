@@ -13,31 +13,31 @@ use heaptherapy_plus::hardened_alloc::{throughput, HardenedAlloc, PatchEntry};
 use heaptherapy_plus::patch::{AllocFn, VulnFlags};
 use proptest::prelude::*;
 
-/// Distinct instrumented call sites, one per vulnerability class.
+/// Distinct instrumented call sites, one per patched defense combination.
 const OVERFLOW_SITE: u64 = 0xF100;
 const UAF_SITE: u64 = 0xF200;
 const UR_SITE: u64 = 0xF300;
+const OF_UR_SITE: u64 = 0xF400;
+const OF_UAF_SITE: u64 = 0xF500;
+const SITES: [u64; 5] = [OVERFLOW_SITE, UAF_SITE, UR_SITE, OF_UR_SITE, OF_UAF_SITE];
+
+/// The defenses the patch for `site` asks for.
+fn vuln_of(site: u64) -> VulnFlags {
+    match site {
+        OVERFLOW_SITE => VulnFlags::OVERFLOW,
+        UAF_SITE => VulnFlags::USE_AFTER_FREE,
+        UR_SITE => VulnFlags::UNINIT_READ,
+        OF_UR_SITE => VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ,
+        OF_UAF_SITE => VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE,
+        _ => VulnFlags::NONE,
+    }
+}
 
 fn patched_alloc() -> Box<HardenedAlloc> {
     let a = Box::new(HardenedAlloc::new());
-    let installed = a.install(&[
-        PatchEntry::new(
-            AllocFn::Malloc,
-            throughput::site_ccid(OVERFLOW_SITE),
-            VulnFlags::OVERFLOW,
-        ),
-        PatchEntry::new(
-            AllocFn::Malloc,
-            throughput::site_ccid(UAF_SITE),
-            VulnFlags::USE_AFTER_FREE,
-        ),
-        PatchEntry::new(
-            AllocFn::Malloc,
-            throughput::site_ccid(UR_SITE),
-            VulnFlags::UNINIT_READ,
-        ),
-    ]);
-    assert_eq!(installed, 3);
+    let patches = SITES
+        .map(|site| PatchEntry::new(AllocFn::Malloc, throughput::site_ccid(site), vuln_of(site)));
+    assert_eq!(a.install(&patches), SITES.len());
     a.freeze();
     a
 }
@@ -53,9 +53,10 @@ fn threaded_pairs_conserve_every_counter() {
 
     let sites = [OVERFLOW_SITE, UAF_SITE, UR_SITE];
     ht_par::par_spawn(THREADS, |i| {
-        let done =
+        let run =
             throughput::hardened_pairs(&a, PAIRS, 32 + i * 8, Some(sites[i % sites.len()]), EVERY);
-        assert_eq!(done, PAIRS);
+        assert_eq!(run.pairs, PAIRS);
+        assert_eq!(run.dirty_guarded, 0, "guarded buffers read zero");
     });
 
     let st = a.stats();
@@ -172,12 +173,23 @@ struct Workload {
 }
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
-    (1u64..200, 1usize..512, 0usize..4, 1u64..8).prop_map(|(pairs, size, site, every)| Workload {
-        pairs,
-        size,
-        site: [None, Some(OVERFLOW_SITE), Some(UAF_SITE), Some(UR_SITE)][site],
-        every,
-    })
+    (1u64..200, 1usize..512, 0usize..SITES.len() + 1, 1u64..8).prop_map(
+        |(pairs, size, site, every)| Workload {
+            pairs,
+            size,
+            site: site.checked_sub(1).map(|k| SITES[k]),
+            every,
+        },
+    )
+}
+
+/// Patched allocations `workloads` make whose patch passes `pred`.
+fn patched_where(workloads: &[Workload], pred: impl Fn(VulnFlags) -> bool) -> u64 {
+    workloads
+        .iter()
+        .filter(|w| w.site.is_some_and(|s| pred(vuln_of(s))))
+        .map(|w| w.pairs.div_ceil(w.every))
+        .sum()
 }
 
 proptest! {
@@ -200,36 +212,36 @@ proptest! {
         a.set_quarantine_quota(quota);
         a.set_telemetry(telemetry);
         let expected_allocs: u64 = workloads.iter().map(|w| w.pairs).sum();
-        let expected_hits: u64 = workloads
-            .iter()
-            .filter(|w| w.site.is_some())
-            .map(|w| w.pairs.div_ceil(w.every))
-            .sum();
+        let expected_hits = patched_where(&workloads, |_| true);
         let expected_patched_bytes: u64 = workloads
             .iter()
             .filter(|w| w.site.is_some())
             .map(|w| w.pairs.div_ceil(w.every) * w.size as u64)
             .sum();
-        // UR-only buffers are zeroed in place, never registered.
-        let expected_registered: u64 = workloads
-            .iter()
-            .filter(|w| matches!(w.site, Some(OVERFLOW_SITE) | Some(UAF_SITE)))
-            .map(|w| w.pairs.div_ceil(w.every))
-            .sum();
-
-        ht_par::par_spawn(workloads.len(), |i| {
-            let w = workloads[i];
-            throughput::hardened_pairs(&a, w.pairs, w.size, w.site, w.every);
+        let has = |bit: VulnFlags| patched_where(&workloads, |v| v.contains(bit));
+        // Guarded and quarantine-bound buffers are registered; UR-only
+        // buffers are zeroed in place, never registered.
+        let expected_registered = patched_where(&workloads, |v| {
+            v.contains(VulnFlags::OVERFLOW) || v.contains(VulnFlags::USE_AFTER_FREE)
         });
+
+        // OF|UAF regions cycle through the quarantine back into the region
+        // cache, and from there to whichever thread allocates next.
+        let dirty_guarded: u64 = ht_par::par_spawn(workloads.len(), |i| {
+            let w = workloads[i];
+            throughput::hardened_pairs(&a, w.pairs, w.size, w.site, w.every).dirty_guarded
+        })
+        .into_iter()
+        .sum();
+        prop_assert_eq!(dirty_guarded, 0, "a guarded buffer read nonzero");
 
         let st = a.stats();
         prop_assert_eq!(st.interposed_allocs, expected_allocs);
         prop_assert_eq!(st.interposed_frees, expected_allocs);
         prop_assert_eq!(st.table_hits, expected_hits);
-        prop_assert_eq!(
-            st.guard_pages + st.quarantined + st.zero_fills,
-            expected_hits
-        );
+        prop_assert_eq!(st.guard_pages, has(VulnFlags::OVERFLOW));
+        prop_assert_eq!(st.quarantined, has(VulnFlags::USE_AFTER_FREE));
+        prop_assert_eq!(st.zero_fills, has(VulnFlags::UNINIT_READ));
         prop_assert!(st.evictions <= st.quarantined);
         prop_assert_eq!(st.fail_open, 0);
         // Byte conservation: whatever the quota forced out plus whatever is
