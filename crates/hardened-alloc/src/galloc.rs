@@ -1,9 +1,7 @@
 //! The hardened global allocator.
 
 use crate::ccid;
-use crate::registry::{
-    Entry, QuarantineRing, Registry, RegistryStats, StripedCounter, NO_PATCH_SLOT,
-};
+use crate::tables::{Entry, QuarantineRing, StripedCounter};
 use ht_patch::{AllocFn, Patch, VulnFlags};
 use ht_telemetry::{
     AttackReport, Event, EventKind, EventRing, PatchCounterRow, PatchStripes, TelemetrySnapshot,
@@ -56,8 +54,28 @@ pub struct HardenedStats {
     pub quarantined_bytes: u64,
     /// Bytes evicted from the quarantine back to the system.
     pub evicted_bytes: u64,
-    /// Defenses skipped because a fixed table was full (fail-open).
+    /// Patches the fixed patch table could not take (fail-open).
     pub fail_open: u64,
+    /// Frees refused because the buffer's metadata word did not decode as
+    /// a live buffer of this allocator: double frees and foreign pointers.
+    pub invalid_frees: u64,
+}
+
+/// Counters of tracked buffers: those allocated with a guard page or bound
+/// for the quarantine (an OF or UAF patch), and their frees.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegistryStats {
+    /// Tracked buffers ever allocated.
+    pub inserts: u64,
+    /// Tracked buffers ever freed.
+    pub removes: u64,
+}
+
+impl RegistryStats {
+    /// Tracked buffers currently live (inserts = removes + live).
+    pub fn live(&self) -> u64 {
+        self.inserts - self.removes
+    }
 }
 
 const PATCH_SLOTS: usize = 512;
@@ -101,7 +119,7 @@ const EMPTY_SLOT: PatchSlot = PatchSlot {
 /// [`PatchSlot`]) are the one field that still mutates after freeze; they
 /// are purely observational and masked out of every lookup.
 struct PatchSet {
-    lock: crate::registry::SpinLock,
+    lock: crate::tables::SpinLock,
     frozen: AtomicBool,
     slots: [PatchSlot; PATCH_SLOTS],
 }
@@ -109,7 +127,7 @@ struct PatchSet {
 impl PatchSet {
     const fn new() -> Self {
         Self {
-            lock: crate::registry::SpinLock::new(),
+            lock: crate::tables::SpinLock::new(),
             frozen: AtomicBool::new(false),
             slots: [EMPTY_SLOT; PATCH_SLOTS],
         }
@@ -180,12 +198,6 @@ impl PatchSet {
         None
     }
 
-    #[cfg(test)]
-    fn lookup(&self, fun: AllocFn, ccid: u64) -> VulnFlags {
-        self.lookup_slot(fun, ccid)
-            .map_or(VulnFlags::NONE, |(_, v)| v)
-    }
-
     /// The published patch in slot `s`, if any.
     fn entry_at(&self, s: usize) -> Option<PatchEntry> {
         let slot = self.slots.get(s)?;
@@ -215,6 +227,127 @@ const PAGE: usize = 4096;
 
 fn page_up(n: usize) -> usize {
     (n + PAGE - 1) & !(PAGE - 1)
+}
+
+/// Width of the metadata word that precedes every interposed buffer.
+const WORD: usize = 8;
+const FREED: u64 = 1 << 3;
+const GUARD_SHIFT: u32 = 4;
+const GUARD_MASK: u64 = (1 << 36) - 1;
+const SLOT_SHIFT: u32 = 40;
+const CHECK_SHIFT: u32 = 49;
+
+/// The per-buffer metadata word (paper Fig. 6), as the `WORD` bytes just
+/// before the user pointer hold it, XORed with [`word_key`] of that
+/// pointer:
+///
+/// ```text
+/// bits  0..=2   type: OVERFLOW | USE_AFTER_FREE | UNINIT_READ
+/// bit   3       freed
+/// bits  4..=39  guard-page number (addr >> 12) of a guarded buffer, else 0
+/// bits 40..=48  patch-table slot that matched at allocation time
+/// bits 49..=63  check: bits 0..=48 folded to 15 bits
+/// ```
+///
+/// Only buffers the free path must treat specially carry type bits (OF or
+/// UAF); every other buffer carries the all-zero word. The check field
+/// flips with any single flipped bit, and a guarded word must name the
+/// guard page its buffer abuts, so a word that does not belong to its
+/// pointer practically never decodes as live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MetaWord {
+    vuln: VulnFlags,
+    freed: bool,
+    guard: usize,
+    slot: usize,
+}
+
+/// XOR-folds the 49 payload bits to the 15-bit check field.
+fn fold(payload: u64) -> u64 {
+    (payload ^ payload >> 15 ^ payload >> 30 ^ payload >> 45) & 0x7FFF
+}
+
+impl MetaWord {
+    fn encode(self) -> u64 {
+        debug_assert!(self.guard.is_multiple_of(PAGE) && (self.guard >> 12) as u64 <= GUARD_MASK);
+        debug_assert!(self.slot < PATCH_SLOTS);
+        let payload = u64::from(self.vuln.bits())
+            | if self.freed { FREED } else { 0 }
+            | (self.guard as u64 >> 12) << GUARD_SHIFT
+            | (self.slot as u64) << SLOT_SHIFT;
+        payload | fold(payload) << CHECK_SHIFT
+    }
+
+    fn decode(raw: u64) -> Option<Self> {
+        let payload = raw & ((1 << CHECK_SHIFT) - 1);
+        (raw >> CHECK_SHIFT == fold(payload)).then(|| Self {
+            vuln: VulnFlags::from_bits_truncate(payload as u8 & 0b111),
+            freed: payload & FREED != 0,
+            guard: (((payload >> GUARD_SHIFT) & GUARD_MASK) << 12) as usize,
+            slot: (payload >> SLOT_SHIFT) as usize,
+        })
+    }
+
+    /// Whether this is the word of a live tracked buffer at `ptr` with
+    /// `layout`: not freed, OF or UAF, and a guarded buffer abuts its guard
+    /// exactly as [`HardenedAlloc::guarded_alloc`] placed it.
+    fn is_live_at(self, ptr: usize, layout: Layout) -> bool {
+        let placed = if self.vuln.contains(VulnFlags::OVERFLOW) {
+            self.guard >= layout.size()
+                && (self.guard - layout.size()) & !(layout.align() - 1) == ptr
+        } else {
+            self.guard == 0 && self.vuln.contains(VulnFlags::USE_AFTER_FREE)
+        };
+        !self.freed && placed
+    }
+}
+
+/// Its address is the per-process key of the metadata words; ASLR moves
+/// it from run to run. A `static` because a `HardenedAlloc` can move.
+static KEY_ANCHOR: u8 = 0;
+
+/// The key the word before `ptr` is XORed with: a bijection of the
+/// pointer, so one pointer's word never matches another's.
+#[inline]
+fn word_key(ptr: usize) -> u64 {
+    let x = ((ptr ^ std::ptr::addr_of!(KEY_ANCHOR) as usize) as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ x >> 29
+}
+
+/// The decoded (key-stripped) word before `ptr`.
+///
+/// # Safety
+///
+/// The `WORD` bytes before `ptr` must be readable.
+#[inline]
+unsafe fn load_word(ptr: *mut u8) -> u64 {
+    ptr.sub(WORD).cast::<u64>().read_unaligned() ^ word_key(ptr as usize)
+}
+
+/// Stores the word `raw` before `ptr`, keyed.
+///
+/// # Safety
+///
+/// The `WORD` bytes before `ptr` must be writable.
+#[inline]
+unsafe fn store_word(ptr: *mut u8, raw: u64) {
+    ptr.sub(WORD)
+        .cast::<u64>()
+        .write_unaligned(raw ^ word_key(ptr as usize));
+}
+
+/// Bytes in front of a system-served buffer: the word, padded so the user
+/// pointer keeps the layout's alignment.
+#[inline]
+fn header_len(align: usize) -> usize {
+    align.max(WORD)
+}
+
+/// Body bytes of the guarded region for a buffer of `layout`: room for the
+/// buffer, its alignment slack and its word.
+fn guarded_body(layout: Layout) -> usize {
+    page_up(layout.size() + layout.align() + WORD)
 }
 
 /// Body page counts the guarded-region cache keeps: a retired region whose
@@ -257,7 +390,7 @@ struct RegionStack {
 }
 
 struct RegionClass {
-    lock: crate::registry::SpinLock,
+    lock: crate::tables::SpinLock,
     stack: std::cell::UnsafeCell<RegionStack>,
 }
 
@@ -267,7 +400,7 @@ unsafe impl Sync for RegionClass {}
 
 #[allow(clippy::declare_interior_mutable_const)] // used once per array slot
 const EMPTY_REGION_CLASS: RegionClass = RegionClass {
-    lock: crate::registry::SpinLock::new(),
+    lock: crate::tables::SpinLock::new(),
     stack: std::cell::UnsafeCell::new(RegionStack {
         bases: [0; REGION_CLASS_CAP],
         len: 0,
@@ -285,12 +418,6 @@ const EMPTY_REGION_CLASS: RegionClass = RegionClass {
 /// region it holds.
 struct RegionCache {
     classes: [RegionClass; REGION_CLASSES],
-}
-
-impl std::fmt::Debug for RegionCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegionCache").finish_non_exhaustive()
-    }
 }
 
 impl RegionCache {
@@ -355,12 +482,12 @@ impl Drop for RegionCache {
 ///
 /// Usable as a `static` (all state is fixed-size and allocation-free) and
 /// therefore as `#[global_allocator]`. Defenses are driven by the patch set
-/// installed with [`HardenedAlloc::install`]; unpatched allocations pay one
-/// table probe and otherwise go straight to [`System`].
-#[derive(Debug)]
+/// installed with [`HardenedAlloc::install`]. Every buffer is preceded by
+/// the paper's 8-byte metadata word (Fig. 6); unpatched allocations pay one
+/// table probe and one word store, unpatched frees one word load and
+/// compare, and otherwise go straight to [`System`].
 pub struct HardenedAlloc {
     patches: PatchSet,
-    registry: Registry,
     quarantine: QuarantineRing,
     regions: RegionCache,
     quota: AtomicUsize,
@@ -374,6 +501,9 @@ pub struct HardenedAlloc {
     quarantined_bytes: StripedCounter,
     evicted_bytes: StripedCounter,
     fail_open: StripedCounter,
+    invalid_frees: StripedCounter,
+    tracked_allocs: StripedCounter,
+    tracked_frees: StripedCounter,
     /// Telemetry arm switch. Checked only on defense-relevant paths (table
     /// hit, patched free), never on the unpatched fast path — disabled
     /// telemetry therefore costs zero atomics per ordinary allocation.
@@ -384,9 +514,12 @@ pub struct HardenedAlloc {
     patch_counters: PatchStripes<PATCH_SLOTS>,
 }
 
-impl std::fmt::Debug for PatchSet {
+impl std::fmt::Debug for HardenedAlloc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PatchSet").finish_non_exhaustive()
+        let stats = self.stats();
+        f.debug_struct("HardenedAlloc")
+            .field("stats", &stats)
+            .finish_non_exhaustive()
     }
 }
 
@@ -402,7 +535,6 @@ impl HardenedAlloc {
     pub const fn new() -> Self {
         Self {
             patches: PatchSet::new(),
-            registry: Registry::new(),
             quarantine: QuarantineRing::new(),
             regions: RegionCache::new(),
             quota: AtomicUsize::new(64 * 1024 * 1024),
@@ -416,6 +548,9 @@ impl HardenedAlloc {
             quarantined_bytes: StripedCounter::new(),
             evicted_bytes: StripedCounter::new(),
             fail_open: StripedCounter::new(),
+            invalid_frees: StripedCounter::new(),
+            tracked_allocs: StripedCounter::new(),
+            tracked_frees: StripedCounter::new(),
             telemetry_on: AtomicBool::new(false),
             events: EventRing::new(),
             patch_counters: PatchStripes::new(),
@@ -455,10 +590,14 @@ impl HardenedAlloc {
         self.patches.is_frozen()
     }
 
-    /// Live-pointer registry counters, merged across shards. Conservation
-    /// invariant: `inserts == removes + live()` at any quiescent point.
+    /// Tracked-buffer counters (guarded or quarantine-bound buffers).
+    /// Conservation invariant: `inserts == removes + live()` at any
+    /// quiescent point.
     pub fn registry_stats(&self) -> RegistryStats {
-        self.registry.stats()
+        RegistryStats {
+            inserts: self.tracked_allocs.load(),
+            removes: self.tracked_frees.load(),
+        }
     }
 
     /// Installs patches from a configuration file in the standard text
@@ -497,6 +636,7 @@ impl HardenedAlloc {
             quarantined_bytes: self.quarantined_bytes.load(),
             evicted_bytes: self.evicted_bytes.load(),
             fail_open: self.fail_open.load(),
+            invalid_frees: self.invalid_frees.load(),
         }
     }
 
@@ -509,13 +649,6 @@ impl HardenedAlloc {
     /// Whether telemetry recording is armed.
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry_on.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn note(&self, ev: Event) {
-        if self.telemetry_on.load(Ordering::Relaxed) {
-            self.events.push(ev);
-        }
     }
 
     /// Records a table hit plus the defenses about to be applied, files
@@ -559,11 +692,11 @@ impl HardenedAlloc {
         }
     }
 
-    /// Records a quarantine defer/evict for a registered entry, filing the
+    /// Records a quarantine defer/evict for a tracked entry, filing the
     /// one-time UAF attack report on the first defer of its patch.
     #[inline]
     fn note_quarantine(&self, kind: EventKind, e: &Entry) {
-        if !self.telemetry_on.load(Ordering::Relaxed) || e.slot == NO_PATCH_SLOT {
+        if !self.telemetry_on.load(Ordering::Relaxed) {
             return;
         }
         let slot = e.slot as usize;
@@ -654,28 +787,25 @@ impl HardenedAlloc {
     }
 
     /// The guard-page address of a guarded live allocation, if any.
-    pub fn guard_page_of(&self, ptr: *mut u8) -> Option<usize> {
-        let e = self.registry.get(ptr as usize)?;
-        if e.region == 0 {
-            return None;
-        }
-        Some(e.region + e.region_len - PAGE)
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must come from this allocator, and the word before it must
+    /// still be mapped: a live buffer, or a freed one that is quarantined
+    /// or whose region is cached.
+    pub unsafe fn guard_page_of(&self, ptr: *mut u8) -> Option<usize> {
+        MetaWord::decode(load_word(ptr))
+            .filter(|w| !w.freed && w.vuln.contains(VulnFlags::OVERFLOW))
+            .map(|w| w.guard)
     }
 
     /// Takes a region with a trailing `PROT_NONE` guard page — a cached
     /// one, else a fresh `mmap` — and places the user buffer so its end
     /// abuts the guard (modulo alignment). The whole body reads zero, as
     /// fresh `mmap` memory does, which covers UR patches and `calloc`.
-    unsafe fn guarded_alloc(
-        &self,
-        layout: Layout,
-        zeroed: bool,
-        vuln: VulnFlags,
-        slot: u32,
-    ) -> *mut u8 {
-        let size = layout.size().max(1);
-        let align = layout.align().max(1);
-        let body = page_up(size + align);
+    /// Returns the user pointer and the guard page.
+    unsafe fn guarded_alloc(&self, layout: Layout) -> Option<(*mut u8, usize)> {
+        let body = guarded_body(layout);
         let region = match self.regions.take(body) {
             // SAFETY: a cached region's `body` bytes are mapped read-write
             // and belong to no live allocation.
@@ -683,106 +813,152 @@ impl HardenedAlloc {
                 std::ptr::write_bytes(region as *mut u8, 0, body);
                 region
             }
-            None => match map_region(body) {
-                Some(region) => region,
-                None => return std::ptr::null_mut(),
-            },
+            None => map_region(body)?,
         };
         let guard = region + body;
-        let user = (guard - size) & !(align - 1);
-        debug_assert!(user >= region);
-        let entry = Entry {
-            ptr: user,
-            region,
-            region_len: body + PAGE,
-            vuln: vuln.bits(),
-            slot,
-            size,
-            align,
-        };
-        if !self.registry.insert(entry) {
-            // Fail open: no room to remember the region; fall back to the
-            // system allocator so dealloc stays correct, still zeroed when
-            // the call or the patch asks for zeroed memory.
-            self.regions.retire(region, body);
-            self.fail_open.incr();
-            self.note(Event::unattributed(
-                EventKind::FailOpen,
-                AllocFn::Malloc,
-                size as u64,
-            ));
-            return if zeroed || vuln.contains(VulnFlags::UNINIT_READ) {
-                System.alloc_zeroed(layout)
-            } else {
-                System.alloc(layout)
-            };
-        }
+        let user = (guard - layout.size()) & !(layout.align() - 1);
+        debug_assert!(user >= region + WORD);
         self.guard_pages.incr();
-        user as *mut u8
+        Some((user as *mut u8, guard))
     }
 
+    #[inline]
     unsafe fn alloc_with(&self, fun: AllocFn, layout: Layout, zeroed: bool) -> *mut u8 {
         self.interposed_allocs.incr();
         let ccid = ccid::current();
-        let (slot, vuln) = self
-            .patches
-            .lookup_slot(fun, ccid)
-            .unwrap_or((NO_PATCH_SLOT as usize, VulnFlags::NONE));
-        if !vuln.is_empty() {
-            self.table_hits.incr();
-            self.note_patch_hit(fun, ccid, vuln, slot, layout.size());
+        match self.patches.lookup_slot(fun, ccid) {
+            Some((slot, vuln)) if !vuln.is_empty() => {
+                self.alloc_patched(fun, ccid, layout, zeroed, slot, vuln)
+            }
+            _ => alloc_plain(layout, zeroed),
         }
-        if vuln.contains(VulnFlags::OVERFLOW) {
+    }
+
+    /// The table-hit half of [`Self::alloc_with`], kept out of line so the
+    /// miss path stays a leaf-like call into [`System`].
+    #[cold]
+    #[inline(never)]
+    unsafe fn alloc_patched(
+        &self,
+        fun: AllocFn,
+        ccid: u64,
+        layout: Layout,
+        zeroed: bool,
+        slot: usize,
+        vuln: VulnFlags,
+    ) -> *mut u8 {
+        self.table_hits.incr();
+        self.note_patch_hit(fun, ccid, vuln, slot, layout.size());
+        let (p, guard) = if vuln.contains(VulnFlags::OVERFLOW) {
             // Guarded bodies always read zero, which also covers UR.
             if vuln.contains(VulnFlags::UNINIT_READ) {
                 self.zero_fills.incr();
             }
-            return self.guarded_alloc(layout, zeroed, vuln, slot as u32);
-        }
-        let p = if zeroed {
-            System.alloc_zeroed(layout)
-        } else {
-            System.alloc(layout)
-        };
-        if p.is_null() {
-            return p;
-        }
-        if vuln.contains(VulnFlags::UNINIT_READ) && !zeroed {
-            std::ptr::write_bytes(p, 0, layout.size());
-            self.zero_fills.incr();
-        }
-        if vuln.contains(VulnFlags::USE_AFTER_FREE) {
-            let entry = Entry {
-                ptr: p as usize,
-                region: 0,
-                region_len: 0,
-                vuln: vuln.bits(),
-                slot: slot as u32,
-                size: layout.size(),
-                align: layout.align(),
+            let Some(placed) = self.guarded_alloc(layout) else {
+                return std::ptr::null_mut();
             };
-            if !self.registry.insert(entry) {
-                self.fail_open.incr();
-                self.note(Event::unattributed(
-                    EventKind::FailOpen,
-                    fun,
-                    layout.size() as u64,
-                ));
+            placed
+        } else {
+            let p = alloc_plain(layout, zeroed);
+            if p.is_null() {
+                return p;
             }
+            if vuln.contains(VulnFlags::UNINIT_READ) && !zeroed {
+                std::ptr::write_bytes(p, 0, layout.size());
+                self.zero_fills.incr();
+            }
+            (p, 0)
+        };
+        if vuln.contains(VulnFlags::OVERFLOW) || vuln.contains(VulnFlags::USE_AFTER_FREE) {
+            let word = MetaWord {
+                vuln,
+                freed: false,
+                guard,
+                slot,
+            };
+            store_word(p, word.encode());
+            self.tracked_allocs.incr();
         }
         p
     }
 
-    /// Returns a freed block for good: a guarded region to the region
-    /// cache, a system block to [`System`].
-    unsafe fn release(&self, e: Entry) {
-        if e.region != 0 {
-            self.regions.retire(e.region, e.region_len - PAGE);
+    /// The free path of a buffer whose word is not the plain one: a
+    /// tracked buffer goes to the quarantine or the region cache, anything
+    /// else is refused and counted.
+    #[cold]
+    #[inline(never)]
+    unsafe fn dealloc_patched(&self, ptr: *mut u8, layout: Layout) {
+        let word = MetaWord::decode(load_word(ptr)).filter(|w| w.is_live_at(ptr as usize, layout));
+        let Some(word) = word else {
+            self.invalid_frees.incr();
+            return;
+        };
+        self.tracked_frees.incr();
+        let freed = MetaWord {
+            freed: true,
+            ..word
+        };
+        store_word(ptr, freed.encode());
+        let region = if word.vuln.contains(VulnFlags::OVERFLOW) {
+            word.guard - guarded_body(layout)
         } else {
-            let layout = Layout::from_size_align_unchecked(e.size.max(1), e.align.max(1));
-            System.dealloc(e.ptr as *mut u8, layout);
+            0
+        };
+        let e = Entry {
+            ptr: ptr as usize,
+            region,
+            slot: word.slot as u32,
+            size: layout.size(),
+            align: layout.align(),
+        };
+        if !word.vuln.contains(VulnFlags::USE_AFTER_FREE) {
+            self.release(e);
+            return;
+        }
+        self.quarantined.incr();
+        self.quarantined_bytes.add(e.size as u64);
+        self.note_quarantine(EventKind::QuarantineDefer, &e);
+        let quota = self.quota.load(Ordering::Relaxed);
+        for evicted in self.quarantine.push(e, quota) {
+            self.evictions.incr();
+            self.evicted_bytes.add(evicted.size as u64);
+            self.note_quarantine(EventKind::QuarantineEvict, &evicted);
+            self.release(evicted);
         }
     }
+
+    /// Returns a freed block for good: a guarded region to the region
+    /// cache, a system block with its header to [`System`].
+    unsafe fn release(&self, e: Entry) {
+        let layout = Layout::from_size_align_unchecked(e.size, e.align);
+        if e.region != 0 {
+            self.regions.retire(e.region, guarded_body(layout));
+        } else {
+            let header = header_len(e.align);
+            let block = Layout::from_size_align_unchecked(e.size + header, e.align);
+            System.dealloc((e.ptr - header) as *mut u8, block);
+        }
+    }
+}
+
+/// A [`System`] block with a header in front whose word is the plain one.
+#[inline]
+unsafe fn alloc_plain(layout: Layout, zeroed: bool) -> *mut u8 {
+    let header = header_len(layout.align());
+    let Ok(full) = Layout::from_size_align(layout.size() + header, layout.align()) else {
+        return std::ptr::null_mut();
+    };
+    let base = if zeroed {
+        System.alloc_zeroed(full)
+    } else {
+        System.alloc(full)
+    };
+    if base.is_null() {
+        return base;
+    }
+    let p = base.add(header);
+    store_word(p, 0);
+    p
 }
 
 impl Drop for HardenedAlloc {
@@ -799,36 +975,29 @@ impl Drop for HardenedAlloc {
 }
 
 unsafe impl GlobalAlloc for HardenedAlloc {
+    #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.alloc_with(AllocFn::Malloc, layout, false)
     }
 
+    #[inline]
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.alloc_with(AllocFn::Calloc, layout, true)
     }
 
+    #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         self.interposed_frees.incr();
-        match self.registry.remove(ptr as usize) {
-            Some(e) => {
-                let vuln = VulnFlags::from_bits_truncate(e.vuln);
-                if vuln.contains(VulnFlags::USE_AFTER_FREE) {
-                    self.quarantined.incr();
-                    self.quarantined_bytes.add(e.size as u64);
-                    self.note_quarantine(EventKind::QuarantineDefer, &e);
-                    let quota = self.quota.load(Ordering::Relaxed);
-                    for evicted in self.quarantine.push(e, quota) {
-                        self.evictions.incr();
-                        self.evicted_bytes.add(evicted.size as u64);
-                        self.note_quarantine(EventKind::QuarantineEvict, &evicted);
-                        self.release(evicted);
-                    }
-                } else {
-                    self.release(e);
-                }
-            }
-            None => System.dealloc(ptr, layout),
+        if load_word(ptr) != 0 {
+            return self.dealloc_patched(ptr, layout);
         }
+        // Clear the word, so freeing the buffer again finds no plain word.
+        ptr.sub(WORD).cast::<u64>().write_unaligned(0);
+        let header = header_len(layout.align());
+        System.dealloc(
+            ptr.sub(header),
+            Layout::from_size_align_unchecked(layout.size() + header, layout.align()),
+        );
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -911,9 +1080,11 @@ pub(crate) mod tests {
             let q = alloc_at(&a, 0xC1, small);
             assert_eq!(a.guard_page_of(q), Some(guard), "region reused");
             assert_eq!(perms_at(guard).as_deref(), Some("---p"));
-            let region = a.registry.get(q as usize).expect("registered").region;
+            let region = guard - guarded_body(small);
             let body = std::slice::from_raw_parts(region as *const u8, guard - region);
-            assert!(body.iter().all(|&b| b == 0), "reused body reads zero");
+            let (below, above) = body.split_at(q as usize - WORD - region);
+            let zero = below.iter().chain(&above[WORD..]).all(|&b| b == 0);
+            assert!(zero, "reused body reads zero but for the word");
             a.dealloc(q, small);
         }
         assert_eq!(a.stats().guard_pages, 2, "one guard page per allocation");
@@ -999,46 +1170,146 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fail_open_keeps_calloc_and_ur_buffers_zeroed() {
+    fn more_tracked_buffers_than_any_fixed_table_stay_defended() {
         let _maps = maps_lock();
-        let a = HardenedAlloc::new();
-        let here = ccid::with_site(0xC6, ccid::current);
+        let a = patched(0xC6, VulnFlags::USE_AFTER_FREE);
+        let guarded = ccid::with_site(0xC7, ccid::current);
         a.install(&[PatchEntry::new(
-            AllocFn::Calloc,
-            here,
-            VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ,
+            AllocFn::Malloc,
+            guarded,
+            VulnFlags::OVERFLOW,
         )]);
         let l = layout(64, 8);
-        let mut live = Vec::with_capacity(crate::registry::REGISTRY_CAP + 1);
         unsafe {
-            // A full registry has no room for one more guarded buffer.
-            for _ in 0..=crate::registry::REGISTRY_CAP {
-                // Leave a dirty block of this size where the system
-                // allocator hands out its next one.
-                let d = System.alloc(l);
-                std::ptr::write_bytes(d, 0xFF, 64);
-                System.dealloc(d, l);
-                let _site = ccid::CallScope::enter(0xC6);
-                live.push(a.alloc_zeroed(l));
-                if a.stats().fail_open > 0 {
-                    break;
-                }
+            let uaf: Vec<*mut u8> = (0..5000).map(|_| alloc_at(&a, 0xC6, l)).collect();
+            let of: Vec<*mut u8> = (0..300).map(|_| alloc_at(&a, 0xC7, l)).collect();
+            assert_eq!(a.registry_stats().live(), 5300);
+            for &p in &of {
+                let guard = a.guard_page_of(p).expect("guarded allocation");
+                assert_eq!(guard - (p as usize + 64), 0, "end abuts the guard");
+                assert_eq!(perms_at(guard).as_deref(), Some("---p"));
             }
-            assert_eq!(a.stats().fail_open, 1, "a registry shard filled up");
-            let p = *live.last().expect("allocated");
-            assert!(a.guard_page_of(p).is_none(), "served by the system");
-            assert!(
-                std::slice::from_raw_parts(p, 64).iter().all(|&b| b == 0),
-                "fail-open buffer reads zero"
-            );
-            for p in live {
+            for p in uaf {
                 a.dealloc(p, l);
+                assert!(a.is_quarantined(p), "free deferred");
+            }
+            for p in of {
+                a.dealloc(p, l);
+            }
+        }
+        let st = a.stats();
+        assert_eq!(st.guard_pages, 300);
+        assert_eq!(st.quarantined, 5000);
+        assert_eq!((st.fail_open, st.invalid_frees), (0, 0));
+        let rs = a.registry_stats();
+        assert_eq!((rs.inserts, rs.live()), (5300, 0));
+    }
+
+    #[test]
+    fn double_free_of_a_quarantined_block_is_refused() {
+        let a = patched(0xC8, VulnFlags::USE_AFTER_FREE);
+        let l = layout(256, 16);
+        unsafe {
+            let p = alloc_at(&a, 0xC8, l);
+            a.dealloc(p, l);
+            let held = a.quarantine_usage();
+            a.dealloc(p, l);
+            assert_eq!(a.quarantine_usage(), held, "pushed once");
+            assert!(a.is_quarantined(p));
+        }
+        let st = a.stats();
+        assert_eq!((st.quarantined, st.invalid_frees), (1, 1));
+        assert_eq!(
+            st.quarantined_bytes,
+            st.evicted_bytes + a.quarantine_usage().1 as u64
+        );
+        assert_eq!(a.registry_stats().live(), 0);
+    }
+
+    #[test]
+    fn double_free_of_a_cached_region_retires_it_once() {
+        let _maps = maps_lock();
+        let a = patched(0xC9, VulnFlags::OVERFLOW);
+        let l = layout(64, 8);
+        unsafe {
+            let p = alloc_at(&a, 0xC9, l);
+            let guard = a.guard_page_of(p).expect("guarded allocation");
+            a.dealloc(p, l);
+            a.dealloc(p, l);
+            assert_eq!(a.stats().invalid_frees, 1);
+            // A region retired twice would be handed out twice.
+            let q = alloc_at(&a, 0xC9, l);
+            let r = alloc_at(&a, 0xC9, l);
+            assert_eq!(a.guard_page_of(q), Some(guard), "region reused");
+            assert_ne!(a.guard_page_of(r), Some(guard), "and only once");
+            a.dealloc(q, l);
+            a.dealloc(r, l);
+        }
+        assert_eq!(a.registry_stats().live(), 0);
+    }
+
+    #[test]
+    fn a_word_moved_to_another_buffer_is_refused() {
+        let a = patched(0xCA, VulnFlags::USE_AFTER_FREE);
+        let l = layout(64, 8);
+        unsafe {
+            let p = alloc_at(&a, 0xCA, l);
+            let q = alloc_at(&a, 0xCA, l);
+            let plain = a.alloc(l);
+            std::ptr::copy_nonoverlapping(q.sub(WORD), p.sub(WORD), WORD);
+            a.dealloc(p, l);
+            std::ptr::copy_nonoverlapping(q.sub(WORD), plain.sub(WORD), WORD);
+            a.dealloc(plain, l);
+            assert_eq!(a.stats().invalid_frees, 2);
+            assert!(!a.is_quarantined(p));
+            a.dealloc(q, l);
+            assert!(a.is_quarantined(q));
+        }
+    }
+
+    #[test]
+    fn words_round_trip_and_flipped_or_foreign_words_are_refused() {
+        let l = layout(100, 16);
+        for vuln in (0..8).map(VulnFlags::from_bits_truncate) {
+            for guard in [0, 0x10_0000, 0x7f12_3456_7000, (1 << 48) - PAGE] {
+                // Where `guarded_alloc` puts a buffer of `l` below `guard`.
+                let ptr = guard.max(0x10_0000) - 112;
+                let live = if vuln.contains(VulnFlags::OVERFLOW) {
+                    guard != 0
+                } else {
+                    guard == 0 && vuln.contains(VulnFlags::USE_AFTER_FREE)
+                };
+                for slot in 0..PATCH_SLOTS {
+                    let w = MetaWord {
+                        vuln,
+                        freed: false,
+                        guard,
+                        slot,
+                    };
+                    let freed = MetaWord { freed: true, ..w };
+                    let raw = w.encode();
+                    assert_eq!(MetaWord::decode(raw), Some(w));
+                    assert_eq!(MetaWord::decode(freed.encode()), Some(freed));
+                    assert_eq!(
+                        (w.is_live_at(ptr, l), freed.is_live_at(ptr, l)),
+                        (live, false)
+                    );
+                    for bit in 0..64 {
+                        assert_eq!(MetaWord::decode(raw ^ 1 << bit), None, "{w:?} bit {bit}");
+                    }
+                    // The word stored for `ptr`, read at other pointers.
+                    let stored = raw ^ word_key(ptr);
+                    for other in (1..16).map(|k| ptr + 16 * k) {
+                        let foreign = MetaWord::decode(stored ^ word_key(other));
+                        assert!(!foreign.is_some_and(|f| f.is_live_at(other, l)));
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn unpatched_allocations_pass_through() {
+    fn unpatched_allocations_pass_through_and_free_once() {
         let a = HardenedAlloc::new();
         unsafe {
             let l = layout(128, 8);
@@ -1047,25 +1318,21 @@ pub(crate) mod tests {
             std::ptr::write_bytes(p, 0xAB, 128);
             assert_eq!(*p.add(127), 0xAB);
             a.dealloc(p, l);
+            a.dealloc(p, l);
         }
         let st = a.stats();
-        assert_eq!(st.interposed_allocs, 1);
-        assert_eq!(st.interposed_frees, 1);
-        assert_eq!(st.table_hits, 0);
-        assert_eq!(st.guard_pages, 0);
+        assert_eq!((st.interposed_allocs, st.interposed_frees), (1, 2));
+        assert_eq!(st.invalid_frees, 1, "the double free was refused");
+        assert_eq!((st.table_hits, st.guard_pages), (0, 0));
     }
 
     #[test]
     fn guard_page_is_mapped_inaccessible() {
         let _maps = maps_lock();
-        let a = HardenedAlloc::new();
-        let here = ccid::with_site(0x0F, ccid::current);
-        a.install(&[PatchEntry::new(AllocFn::Malloc, here, VulnFlags::OVERFLOW)]);
+        let a = patched(0x0F, VulnFlags::OVERFLOW);
         unsafe {
-            let _site = ccid::CallScope::enter(0x0F);
             let l = layout(1000, 16);
-            let p = a.alloc(l);
-            assert!(!p.is_null());
+            let p = alloc_at(&a, 0x0F, l);
             // Whole buffer writable.
             std::ptr::write_bytes(p, 0x55, 1000);
             // The guard page directly follows (mod alignment slack) and is
@@ -1083,13 +1350,7 @@ pub(crate) mod tests {
 
     #[test]
     fn ur_patch_zero_fills_real_memory() {
-        let a = HardenedAlloc::new();
-        let here = ccid::with_site(0x11, ccid::current);
-        a.install(&[PatchEntry::new(
-            AllocFn::Malloc,
-            here,
-            VulnFlags::UNINIT_READ,
-        )]);
+        let a = patched(0x11, VulnFlags::UNINIT_READ);
         unsafe {
             // Warm the system allocator with dirty blocks.
             let l = layout(512, 16);
@@ -1098,8 +1359,7 @@ pub(crate) mod tests {
                 std::ptr::write_bytes(p, 0xEE, 512);
                 a.dealloc(p, l);
             }
-            let _site = ccid::CallScope::enter(0x11);
-            let p = a.alloc(l);
+            let p = alloc_at(&a, 0x11, l);
             let buf = std::slice::from_raw_parts(p, 512);
             assert!(buf.iter().all(|&b| b == 0), "patched context zero-filled");
             a.dealloc(p, l);
@@ -1109,19 +1369,10 @@ pub(crate) mod tests {
 
     #[test]
     fn uaf_patch_quarantines_real_frees() {
-        let a = HardenedAlloc::new();
-        let here = ccid::with_site(0x22, ccid::current);
-        a.install(&[PatchEntry::new(
-            AllocFn::Malloc,
-            here,
-            VulnFlags::USE_AFTER_FREE,
-        )]);
+        let a = patched(0x22, VulnFlags::USE_AFTER_FREE);
         unsafe {
             let l = layout(256, 16);
-            let p = {
-                let _site = ccid::CallScope::enter(0x22);
-                a.alloc(l)
-            };
+            let p = alloc_at(&a, 0x22, l);
             std::ptr::write_bytes(p, 0x11, 256);
             a.dealloc(p, l);
             assert!(a.is_quarantined(p), "free deferred");
@@ -1135,22 +1386,12 @@ pub(crate) mod tests {
 
     #[test]
     fn quarantine_quota_evicts_to_system() {
-        let a = HardenedAlloc::new();
+        let a = patched(0x33, VulnFlags::USE_AFTER_FREE);
         a.set_quarantine_quota(600);
-        let here = ccid::with_site(0x33, ccid::current);
-        a.install(&[PatchEntry::new(
-            AllocFn::Malloc,
-            here,
-            VulnFlags::USE_AFTER_FREE,
-        )]);
         unsafe {
             let l = layout(256, 16);
             for _ in 0..4 {
-                let p = {
-                    let _site = ccid::CallScope::enter(0x33);
-                    a.alloc(l)
-                };
-                a.dealloc(p, l);
+                a.dealloc(alloc_at(&a, 0x33, l), l);
             }
         }
         let st = a.stats();
@@ -1227,10 +1468,7 @@ pub(crate) mod tests {
         assert_eq!(a.install_from_config(&text).unwrap(), 1);
         unsafe {
             let l = layout(64, 8);
-            let p = {
-                let _site = ccid::CallScope::enter(0x77);
-                a.alloc(l)
-            };
+            let p = alloc_at(&a, 0x77, l);
             assert!(
                 std::slice::from_raw_parts(p, 64).iter().all(|&b| b == 0),
                 "UR bit from the config applied"
@@ -1258,22 +1496,14 @@ pub(crate) mod tests {
             ]),
             2
         );
-        assert_eq!(
-            a.patches.lookup(AllocFn::Malloc, 9),
-            VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ
-        );
+        let merged = a.patches.lookup_slot(AllocFn::Malloc, 9).map(|(_, v)| v);
+        assert_eq!(merged, Some(VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ));
     }
 
     #[test]
     fn concurrent_allocation_stress() {
         use std::sync::Arc;
-        let a = Arc::new(HardenedAlloc::new());
-        let here = ccid::with_site(0x66, ccid::current);
-        a.install(&[PatchEntry::new(
-            AllocFn::Malloc,
-            here,
-            VulnFlags::USE_AFTER_FREE,
-        )]);
+        let a = Arc::new(patched(0x66, VulnFlags::USE_AFTER_FREE));
         let mut handles = Vec::new();
         for t in 0..4u8 {
             let a = a.clone();
@@ -1304,16 +1534,10 @@ pub(crate) mod tests {
     #[test]
     fn telemetry_disabled_records_nothing() {
         let _maps = maps_lock();
-        let a = HardenedAlloc::new();
-        let here = ccid::with_site(0x88, ccid::current);
-        a.install(&[PatchEntry::new(AllocFn::Malloc, here, VulnFlags::ALL)]);
+        let a = patched(0x88, VulnFlags::ALL);
         unsafe {
             let l = layout(128, 8);
-            let p = {
-                let _site = ccid::CallScope::enter(0x88);
-                a.alloc(l)
-            };
-            a.dealloc(p, l);
+            a.dealloc(alloc_at(&a, 0x88, l), l);
         }
         assert!(!a.telemetry_enabled());
         let snap = a.telemetry_snapshot();
@@ -1324,19 +1548,14 @@ pub(crate) mod tests {
     #[test]
     fn telemetry_records_defenses_and_files_one_report_per_t() {
         let _maps = maps_lock();
-        let a = HardenedAlloc::new();
-        a.set_telemetry(true);
+        let a = patched(0x99, VulnFlags::ALL);
         let here = ccid::with_site(0x99, ccid::current);
-        a.install(&[PatchEntry::new(AllocFn::Malloc, here, VulnFlags::ALL)]);
+        a.set_telemetry(true);
         a.freeze();
         unsafe {
             let l = layout(200, 8);
             for _ in 0..3 {
-                let p = {
-                    let _site = ccid::CallScope::enter(0x99);
-                    a.alloc(l)
-                };
-                a.dealloc(p, l);
+                a.dealloc(alloc_at(&a, 0x99, l), l);
             }
         }
         let snap = a.telemetry_snapshot();
@@ -1380,23 +1599,14 @@ pub(crate) mod tests {
 
     #[test]
     fn telemetry_eviction_events_attribute_the_patch() {
-        let a = HardenedAlloc::new();
+        let a = patched(0xAA, VulnFlags::USE_AFTER_FREE);
+        let here = ccid::with_site(0xAA, ccid::current);
         a.set_telemetry(true);
         a.set_quarantine_quota(600);
-        let here = ccid::with_site(0xAA, ccid::current);
-        a.install(&[PatchEntry::new(
-            AllocFn::Malloc,
-            here,
-            VulnFlags::USE_AFTER_FREE,
-        )]);
         unsafe {
             let l = layout(256, 16);
             for _ in 0..4 {
-                let p = {
-                    let _site = ccid::CallScope::enter(0xAA);
-                    a.alloc(l)
-                };
-                a.dealloc(p, l);
+                a.dealloc(alloc_at(&a, 0xAA, l), l);
             }
         }
         let snap = a.telemetry_snapshot();
@@ -1425,25 +1635,14 @@ pub(crate) mod tests {
         // of the shard count must still be reachable within one block size
         // per shard (the old `quota / 8` truncation lost the remainder and
         // let a saturated shard evict early).
-        let a = HardenedAlloc::new();
+        let a = patched(0xBB, VulnFlags::USE_AFTER_FREE);
         let quota = 2055; // 8 * 256 + 7
         a.set_quarantine_quota(quota);
-        let here = ccid::with_site(0xBB, ccid::current);
-        a.install(&[PatchEntry::new(
-            AllocFn::Malloc,
-            here,
-            VulnFlags::USE_AFTER_FREE,
-        )]);
         unsafe {
             // Hold all allocations live first so 200 *distinct* pointers
             // are pushed, spreading across every quarantine shard.
             let l = layout(64, 8);
-            let ptrs: Vec<*mut u8> = (0..200)
-                .map(|_| {
-                    let _site = ccid::CallScope::enter(0xBB);
-                    a.alloc(l)
-                })
-                .collect();
+            let ptrs: Vec<*mut u8> = (0..200).map(|_| alloc_at(&a, 0xBB, l)).collect();
             for p in ptrs {
                 a.dealloc(p, l);
             }

@@ -7,8 +7,8 @@
 //! * [`ccid`] — a thread-local calling-context encoder (PCC's `V = 3t + c`)
 //!   driven by RAII [`ccid::CallScope`] guards placed at instrumented call
 //!   sites,
-//! * [`HardenedAlloc`] — wraps the system allocator; every allocation probes
-//!   the installed patch set with the current `(FUN, CCID)`:
+//! * [`HardenedAlloc`] — wraps the system allocator; every allocation
+//!   probes the installed patch set with the current `(FUN, CCID)`:
 //!   * overflow patches place the buffer against a trailing `PROT_NONE`
 //!     **guard page** (`libc::mprotect`); freed guarded regions are kept,
 //!     guard intact, in a bounded cache and zeroed on reuse, so only a
@@ -16,6 +16,9 @@
 //!   * use-after-free patches defer frees through a fixed-capacity
 //!     quarantine ring,
 //!   * uninitialized-read patches zero the buffer.
+//!
+//!   The paper's 8-byte metadata word before every buffer tells a free what
+//!   to undo: no lock for unpatched frees, and double frees are refused.
 //!
 //! Everything on the allocation path is allocation-free (fixed-size tables,
 //! a spin lock, atomics) so the type is usable as `#[global_allocator]` —
@@ -47,8 +50,7 @@
 
 pub mod ccid;
 pub mod galloc;
-mod registry;
+mod tables;
 pub mod throughput;
 
-pub use galloc::{HardenedAlloc, HardenedStats, PatchEntry};
-pub use registry::RegistryStats;
+pub use galloc::{HardenedAlloc, HardenedStats, PatchEntry, RegistryStats};

@@ -1,18 +1,15 @@
-//! Allocation-free fixed-capacity tables used on the hot allocation path.
+//! Allocation-free fixed-capacity tables for the patched allocation paths.
 //!
 //! A `#[global_allocator]` must never allocate while servicing an
-//! allocation, so both the live-pointer registry and the quarantine are
-//! fixed-size tables. To scale with cores they are **sharded** by pointer
-//! hash: each shard has its own spin lock, its own open-addressing table (or
-//! FIFO ring), and its own counters. Threads working on different pointers
-//! fall into different shards with high probability and never contend; the
-//! old design funnelled every malloc/free through one global lock.
+//! allocation, so the quarantine is a fixed-size table, **sharded** by
+//! pointer hash: each shard has its own spin lock and FIFO ring, so threads
+//! freeing different pointers rarely contend.
 //!
 //! Lock discipline: exactly one shard lock is ever held at a time, and no
 //! allocator call is made while holding one — so there is no lock ordering
-//! to get wrong and no reentrancy hazard. Cross-shard reads (stats, usage)
-//! take shard locks one at a time and merge; they observe a slightly stale
-//! but per-shard-consistent view, which is all the counters need.
+//! to get wrong and no reentrancy hazard. Cross-shard reads (usage) take
+//! shard locks one at a time and merge; they observe a slightly stale but
+//! per-shard-consistent view, which is all the counters need.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -105,30 +102,16 @@ impl StripedCounter {
     }
 }
 
-/// Number of registry shards (power of two).
-pub(crate) const REGISTRY_SHARDS: usize = 16;
-/// Capacity of one registry shard.
-pub(crate) const REGISTRY_SHARD_CAP: usize = 256;
-/// Total live-pointer capacity across shards.
-#[cfg(test)]
-pub(crate) const REGISTRY_CAP: usize = REGISTRY_SHARDS * REGISTRY_SHARD_CAP;
-
-/// Sentinel for [`Entry::slot`]: the allocation has no patch-table slot.
-pub(crate) const NO_PATCH_SLOT: u32 = u32::MAX;
-
-/// What the registry remembers about one live *patched* allocation.
+/// What the allocator needs to release one freed *patched* allocation,
+/// rebuilt from its metadata word and `Layout` on the free path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Entry {
-    /// User pointer (the registry key; 0 = empty, 1 = tombstone).
+    /// User pointer.
     pub ptr: usize,
     /// `mmap` region base for guarded allocations (0 for system ones).
     pub region: usize,
-    /// `mmap` region length (0 for system allocations).
-    pub region_len: usize,
-    /// The vulnerability bits this allocation was enhanced with.
-    pub vuln: u8,
     /// Patch-table slot that matched at allocation time (telemetry
-    /// attribution on the free path), or [`NO_PATCH_SLOT`].
+    /// attribution on the free path).
     pub slot: u32,
     /// Original layout size (for quarantine accounting / system dealloc).
     pub size: usize,
@@ -136,165 +119,18 @@ pub(crate) struct Entry {
     pub align: usize,
 }
 
-const EMPTY: usize = 0;
-const TOMBSTONE: usize = 1;
-
 const EMPTY_ENTRY: Entry = Entry {
-    ptr: EMPTY,
+    ptr: 0,
     region: 0,
-    region_len: 0,
-    vuln: 0,
-    slot: NO_PATCH_SLOT,
+    slot: 0,
     size: 0,
     align: 0,
 };
 
-/// Fibonacci hash of a pointer; the top bits select the shard, the next
-/// bits the starting slot, so the two choices are independent.
+/// Fibonacci hash of a pointer.
 #[inline]
 fn ptr_hash(ptr: usize) -> usize {
     ptr.wrapping_mul(0x9E3779B97F4A7C15)
-}
-
-#[inline]
-fn shard_of(ptr: usize) -> usize {
-    ptr_hash(ptr) >> (usize::BITS as usize - 4) // log2(16) shard bits
-}
-
-#[inline]
-fn slot_of(ptr: usize) -> usize {
-    (ptr_hash(ptr) >> (usize::BITS as usize - 4 - 8)) % REGISTRY_SHARD_CAP // log2(256) slot bits
-}
-
-struct RegistryShard {
-    lock: SpinLock,
-    entries: std::cell::UnsafeCell<[Entry; REGISTRY_SHARD_CAP]>,
-    /// Successful inserts into this shard (lifetime total).
-    inserts: AtomicU64,
-    /// Successful removes from this shard (lifetime total).
-    removes: AtomicU64,
-}
-
-// Entry access is serialized through the shard's spin lock.
-unsafe impl Sync for RegistryShard {}
-
-impl RegistryShard {
-    const fn new() -> Self {
-        Self {
-            lock: SpinLock::new(),
-            entries: std::cell::UnsafeCell::new([EMPTY_ENTRY; REGISTRY_SHARD_CAP]),
-            inserts: AtomicU64::new(0),
-            removes: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Merged live-pointer registry counters (summed over shards on read).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Entries ever inserted.
-    pub inserts: u64,
-    /// Entries ever removed.
-    pub removes: u64,
-}
-
-impl RegistryStats {
-    /// Entries currently live (conservation: inserts = removes + live).
-    pub fn live(&self) -> u64 {
-        self.inserts - self.removes
-    }
-}
-
-/// Sharded fixed-capacity open-addressing map from user pointer to
-/// [`Entry`]. Each pointer maps to exactly one shard, so per-pointer
-/// operations take exactly one shard lock.
-pub(crate) struct Registry {
-    shards: [RegistryShard; REGISTRY_SHARDS],
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry").finish_non_exhaustive()
-    }
-}
-
-#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
-const EMPTY_REGISTRY_SHARD: RegistryShard = RegistryShard::new();
-
-impl Registry {
-    pub(crate) const fn new() -> Self {
-        Self {
-            shards: [EMPTY_REGISTRY_SHARD; REGISTRY_SHARDS],
-        }
-    }
-
-    /// Inserts an entry. Returns `false` (defense skipped, fail-open) when
-    /// the pointer's shard is full.
-    pub(crate) fn insert(&self, e: Entry) -> bool {
-        debug_assert!(e.ptr > TOMBSTONE);
-        let shard = &self.shards[shard_of(e.ptr)];
-        let _g = shard.lock.lock();
-        let entries = unsafe { &mut *shard.entries.get() };
-        let start = slot_of(e.ptr);
-        for i in 0..REGISTRY_SHARD_CAP {
-            let s = (start + i) % REGISTRY_SHARD_CAP;
-            if entries[s].ptr == EMPTY || entries[s].ptr == TOMBSTONE {
-                entries[s] = e;
-                shard.inserts.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Removes and returns the entry for `ptr`, if present.
-    pub(crate) fn remove(&self, ptr: usize) -> Option<Entry> {
-        let shard = &self.shards[shard_of(ptr)];
-        let _g = shard.lock.lock();
-        let entries = unsafe { &mut *shard.entries.get() };
-        let start = slot_of(ptr);
-        for i in 0..REGISTRY_SHARD_CAP {
-            let s = (start + i) % REGISTRY_SHARD_CAP;
-            match entries[s].ptr {
-                p if p == ptr => {
-                    let e = entries[s];
-                    entries[s].ptr = TOMBSTONE;
-                    shard.removes.fetch_add(1, Ordering::Relaxed);
-                    return Some(e);
-                }
-                EMPTY => return None,
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Looks up the entry for `ptr` without removing it.
-    pub(crate) fn get(&self, ptr: usize) -> Option<Entry> {
-        let shard = &self.shards[shard_of(ptr)];
-        let _g = shard.lock.lock();
-        let entries = unsafe { &*shard.entries.get() };
-        let start = slot_of(ptr);
-        for i in 0..REGISTRY_SHARD_CAP {
-            let s = (start + i) % REGISTRY_SHARD_CAP;
-            match entries[s].ptr {
-                p if p == ptr => return Some(entries[s]),
-                EMPTY => return None,
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Counters merged across shards.
-    pub(crate) fn stats(&self) -> RegistryStats {
-        let mut st = RegistryStats::default();
-        for shard in &self.shards {
-            st.inserts += shard.inserts.load(Ordering::Relaxed);
-            st.removes += shard.removes.load(Ordering::Relaxed);
-        }
-        st
-    }
 }
 
 /// Number of quarantine shards (power of two).
@@ -341,12 +177,6 @@ pub(crate) struct QuarantineRing {
     shards: [QuarantineShard; QUARANTINE_SHARDS],
 }
 
-impl std::fmt::Debug for QuarantineRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QuarantineRing").finish_non_exhaustive()
-    }
-}
-
 #[allow(clippy::declare_interior_mutable_const)] // used once per array slot
 const EMPTY_QUARANTINE_SHARD: QuarantineShard = QuarantineShard::new();
 
@@ -359,8 +189,6 @@ impl QuarantineRing {
 
     #[inline]
     fn shard_of(ptr: usize) -> usize {
-        // Use disjoint hash bits from the registry's so a pointer's registry
-        // shard and quarantine shard are uncorrelated.
         (ptr_hash(ptr) >> (usize::BITS as usize - 4 - 8 - 3)) % QUARANTINE_SHARDS
     }
 
@@ -439,126 +267,16 @@ impl QuarantineRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn e(ptr: usize, size: usize) -> Entry {
         Entry {
             ptr,
             region: 0,
-            region_len: 0,
-            vuln: 0,
-            slot: NO_PATCH_SLOT,
+            slot: 0,
             size,
             align: 8,
         }
-    }
-
-    #[test]
-    fn registry_insert_get_remove() {
-        let r = Registry::new();
-        assert!(r.insert(e(0x1000, 64)));
-        assert_eq!(r.get(0x1000).unwrap().size, 64);
-        assert_eq!(r.remove(0x1000).unwrap().size, 64);
-        assert!(r.get(0x1000).is_none());
-        assert!(r.remove(0x1000).is_none());
-        let st = r.stats();
-        assert_eq!((st.inserts, st.removes, st.live()), (1, 1, 0));
-    }
-
-    #[test]
-    fn registry_handles_collisions_and_tombstones() {
-        let r = Registry::new();
-        // Many pointers; some will collide within a 256-slot shard.
-        for i in 0..1000usize {
-            assert!(r.insert(e(0x10000 + i * 16, i)));
-        }
-        for i in (0..1000usize).step_by(2) {
-            assert_eq!(r.remove(0x10000 + i * 16).unwrap().size, i);
-        }
-        for i in (1..1000usize).step_by(2) {
-            assert_eq!(
-                r.get(0x10000 + i * 16).unwrap().size,
-                i,
-                "survives tombstones"
-            );
-        }
-        assert_eq!(r.stats().live(), 500);
-    }
-
-    #[test]
-    fn registry_shard_full_fails_open_others_keep_working() {
-        let r = Registry::new();
-        // Grossly overfill: sequential pointers spread over all shards, so
-        // overall acceptance stops only when shards fill up.
-        let mut inserted = 0;
-        for i in 0..2 * REGISTRY_CAP {
-            if r.insert(e(0x100000 + i * 8, 1)) {
-                inserted += 1;
-            }
-        }
-        assert!(inserted >= REGISTRY_CAP / 2, "{inserted}");
-        assert!(inserted <= REGISTRY_CAP);
-        assert_eq!(r.stats().inserts, inserted as u64);
-    }
-
-    #[test]
-    fn registry_is_a_map_against_a_model() {
-        // Deterministic pseudo-random op sequence checked against HashMap.
-        let r = Registry::new();
-        let mut model: HashMap<usize, usize> = HashMap::new();
-        let mut x: u64 = 0x1234_5678_9abc_def0;
-        for _ in 0..20_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let ptr = 0x4000 + ((x >> 16) as usize % 512) * 16;
-            match x % 3 {
-                0 => {
-                    if !model.contains_key(&ptr) && r.insert(e(ptr, ptr / 16)) {
-                        model.insert(ptr, ptr / 16);
-                    }
-                }
-                1 => {
-                    assert_eq!(r.remove(ptr).map(|e| e.size), model.remove(&ptr));
-                }
-                _ => {
-                    assert_eq!(r.get(ptr).map(|e| e.size), model.get(&ptr).copied());
-                }
-            }
-        }
-        assert_eq!(r.stats().live() as usize, model.len());
-    }
-
-    #[test]
-    fn registry_concurrent_disjoint_threads_never_lose_entries() {
-        let r = Arc::new(Registry::new());
-        let mut handles = Vec::new();
-        for t in 0..8usize {
-            let r = Arc::clone(&r);
-            handles.push(std::thread::spawn(move || {
-                // Each thread owns a disjoint pointer range; entries cross
-                // all shards because shard choice is hash-based.
-                for round in 0..50 {
-                    for i in 0..64usize {
-                        let ptr = 0x1000000 * (t + 1) + i * 16 + round * 0x10000;
-                        assert!(r.insert(e(ptr, t)), "shard overfull");
-                    }
-                    for i in 0..64usize {
-                        let ptr = 0x1000000 * (t + 1) + i * 16 + round * 0x10000;
-                        assert_eq!(r.get(ptr).unwrap().size, t, "foreign entry seen");
-                        assert_eq!(r.remove(ptr).unwrap().size, t, "entry lost");
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let st = r.stats();
-        assert_eq!(st.inserts, 8 * 50 * 64);
-        assert_eq!(st.removes, 8 * 50 * 64);
-        assert_eq!(st.live(), 0);
     }
 
     #[test]
@@ -721,20 +439,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_slot_hashing_use_disjoint_bits() {
-        // Pointers in one registry shard must still spread over slots, and
-        // registry vs quarantine shard choices must not be lockstep.
-        let ptrs: Vec<usize> = (0..4096).map(|i| 0x1000 + i * 16).collect();
-        let mut reg_shards = [0usize; REGISTRY_SHARDS];
-        let mut q_shards = [0usize; QUARANTINE_SHARDS];
-        for &p in &ptrs {
-            reg_shards[shard_of(p)] += 1;
-            q_shards[QuarantineRing::shard_of(p)] += 1;
+    fn quarantine_hashing_reaches_every_shard() {
+        let mut shards = [0usize; QUARANTINE_SHARDS];
+        for p in (0..4096).map(|i| 0x1000 + i * 16) {
+            shards[QuarantineRing::shard_of(p)] += 1;
         }
-        for (i, &n) in reg_shards.iter().enumerate() {
-            assert!(n > 0, "registry shard {i} never chosen");
-        }
-        for (i, &n) in q_shards.iter().enumerate() {
+        for (i, &n) in shards.iter().enumerate() {
             assert!(n > 0, "quarantine shard {i} never chosen");
         }
     }

@@ -117,6 +117,90 @@ pub fn hardened_batch(a: &HardenedAlloc, count: usize, size: usize, site: u64) -
     corrupt
 }
 
+/// The allocation API a [`checked_round`] goes through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Api {
+    /// `GlobalAlloc::alloc`.
+    Malloc,
+    /// `GlobalAlloc::alloc_zeroed`.
+    Calloc,
+    /// `GlobalAlloc::realloc` of a buffer first malloc'd elsewhere.
+    Realloc {
+        /// The old buffer's size (non-zero).
+        from_size: usize,
+        /// The call site the old buffer was malloc'd in, if any.
+        from_site: Option<u64>,
+    },
+}
+
+/// What [`checked_round`] saw of its buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Round {
+    /// The pointer has the requested alignment.
+    pub aligned: bool,
+    /// Every byte not carried over from the old buffer reads zero.
+    pub reads_zero: bool,
+    /// Bytes between the buffer's end and its guard page, if it is guarded.
+    pub guard_gap: Option<usize>,
+    /// A realloc carried the old buffer's bytes over (always true for the
+    /// other APIs).
+    pub prefix_kept: bool,
+}
+
+/// Allocates one buffer of layout `l` through `api` inside call site `site`
+/// (if any), inspects it, fills it and frees it.
+pub fn checked_round(a: &HardenedAlloc, api: Api, l: Layout, site: Option<u64>) -> Round {
+    let enter = |site: Option<u64>| site.map(ccid::CallScope::enter);
+    let pattern = |i: usize| (i % 251) as u8 + 1;
+    // SAFETY: every layout has a non-zero size; each buffer is freed once
+    // with the layout it has, and only its own bytes are touched.
+    unsafe {
+        let (p, kept) = match api {
+            Api::Malloc => {
+                let _site = enter(site);
+                (a.alloc(l), 0)
+            }
+            Api::Calloc => {
+                let _site = enter(site);
+                (a.alloc_zeroed(l), 0)
+            }
+            Api::Realloc {
+                from_size,
+                from_site,
+            } => {
+                let old =
+                    Layout::from_size_align(from_size, l.align()).expect("valid round layout");
+                let q = {
+                    let _site = enter(from_site);
+                    a.alloc(old)
+                };
+                assert!(!q.is_null());
+                for i in 0..from_size {
+                    q.add(i).write(pattern(i));
+                }
+                let _site = enter(site);
+                (a.realloc(q, old, l.size()), from_size.min(l.size()))
+            }
+        };
+        assert!(!p.is_null());
+        let bytes = std::slice::from_raw_parts(p, l.size());
+        let round = Round {
+            aligned: (p as usize).is_multiple_of(l.align()),
+            reads_zero: bytes[kept..].iter().all(|&b| b == 0),
+            guard_gap: a
+                .guard_page_of(p)
+                .map(|guard| guard - (p as usize + l.size())),
+            prefix_kept: bytes[..kept]
+                .iter()
+                .enumerate()
+                .all(|(i, &b)| b == pattern(i)),
+        };
+        std::ptr::write_bytes(p, 0xA5, l.size());
+        a.dealloc(p, l);
+        round
+    }
+}
+
 /// The CCID observed from inside instrumented site `site` on this thread —
 /// what a patch targeting that site must carry.
 pub fn site_ccid(site: u64) -> u64 {

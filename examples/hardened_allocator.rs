@@ -1,17 +1,19 @@
 //! The defenses on *real* memory: `HardenedAlloc` as this process's
 //! `#[global_allocator]`.
 //!
-//! Every `Box`, `Vec` and `String` in this program flows through the
-//! HeapTherapy+ interposition; the patched allocation site gets a real
-//! `mmap`'d guard page (check `/proc/self/maps` output below), a quarantined
-//! free, and zero-filling.
+//! Every `Box`, `Vec` and `String` in this program, and every thread it
+//! spawns, flows through the HeapTherapy+ interposition and carries its
+//! metadata word; the patched allocation site gets a real `mmap`'d guard
+//! page (check `/proc/self/maps` output below), a quarantined free, and
+//! zero-filling. The program exits non-zero if any check fails.
 //!
 //! ```sh
-//! cargo run --example hardened_allocator
+//! cargo run --release --example hardened_allocator
 //! ```
 
 use heaptherapy_plus::hardened_alloc::{ccid, HardenedAlloc, PatchEntry};
 use heaptherapy_plus::patch::{AllocFn, VulnFlags};
+use std::alloc::Layout;
 
 #[global_allocator]
 static ALLOC: HardenedAlloc = HardenedAlloc::new();
@@ -67,8 +69,8 @@ fn main() {
 
     // The patched context: the Vec's buffer is guarded on real pages.
     let hot = handle_request(4000);
-    let guard = ALLOC
-        .guard_page_of(hot.as_ptr() as *mut u8)
+    // SAFETY: `hot` is a live allocation of `ALLOC`.
+    let guard = unsafe { ALLOC.guard_page_of(hot.as_ptr() as *mut u8) }
         .expect("patched allocation is guarded");
     println!(
         "patched Vec at {:p}: guard page at {:#x} with permissions {:?}",
@@ -86,7 +88,38 @@ fn main() {
         ALLOC.quarantine_usage()
     );
 
+    // A guarded buffer grown by `realloc` outside the patched context moves
+    // to a plain block and keeps its bytes.
+    let mut grown = handle_request(100);
+    grown.resize(10_000, 0x42);
+    assert!(grown[..100].iter().all(|&b| b == 0x41));
+    assert!(grown[100..].iter().all(|&b| b == 0x42));
+    println!("Vec grown by realloc from the patched context: contents kept");
+
+    // An over-aligned layout: its header is padded to the alignment.
+    let page = Layout::from_size_align(10_000, 4096).expect("valid layout");
+    // SAFETY: `page` has a non-zero size; the block is freed once, with it.
+    unsafe {
+        let p = std::alloc::alloc(page);
+        assert!(
+            !p.is_null() && (p as usize).is_multiple_of(4096),
+            "4096-aligned"
+        );
+        for i in 0..page.size() {
+            p.add(i).write(i as u8);
+        }
+        assert!((0..page.size()).all(|i| p.add(i).read() == i as u8));
+        std::alloc::dealloc(p, page);
+    }
+    println!("4096-aligned block: aligned, contents kept");
+
+    let words = std::thread::spawn(|| (0..1000).map(|i| i.to_string()).collect::<Vec<_>>())
+        .join()
+        .expect("worker thread");
+    assert_eq!(words[999], "999");
+
     let stats = ALLOC.stats();
+    assert_eq!(stats.invalid_frees, 0, "every free decoded its word");
     println!(
         "\nallocator stats: {} allocations interposed, {} table hits, \
          {} guard pages, {} zero-fills, {} quarantined",

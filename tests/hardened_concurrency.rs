@@ -1,17 +1,20 @@
-//! Threaded stress and property coverage for the sharded hardened
-//! allocator: with 8 threads hammering patched and unpatched contexts, the
-//! registry never loses or corrupts a live pointer, and the striped
-//! counters conserve (allocs = frees, registry inserts = removes + live,
-//! quarantined bytes = evicted bytes + bytes still held) — including under
-//! eviction-heavy quarantine quotas and with telemetry armed.
+//! Threaded stress and property coverage for the hardened allocator: with
+//! 8 threads hammering patched and unpatched contexts, no live pointer is
+//! lost or corrupted, and the striped counters conserve (allocs = frees,
+//! tracked inserts = removes + live, quarantined bytes = evicted bytes +
+//! bytes still held) — including under eviction-heavy quarantine quotas
+//! and with telemetry armed. A layout property checks the metadata header
+//! against every size, alignment, API and defense combination.
 //!
 //! Everything goes through the public API plus the safe
 //! [`throughput`](heaptherapy_plus::hardened_alloc::throughput) drivers —
 //! no `unsafe` in this file.
 
-use heaptherapy_plus::hardened_alloc::{throughput, HardenedAlloc, PatchEntry};
+use heaptherapy_plus::hardened_alloc::throughput::{self, Api};
+use heaptherapy_plus::hardened_alloc::{HardenedAlloc, PatchEntry};
 use heaptherapy_plus::patch::{AllocFn, VulnFlags};
 use proptest::prelude::*;
+use std::alloc::Layout;
 
 /// Distinct instrumented call sites, one per patched defense combination.
 const OVERFLOW_SITE: u64 = 0xF100;
@@ -71,12 +74,13 @@ fn threaded_pairs_conserve_every_counter() {
     assert_eq!(st.quarantined, 3 * patched_per_thread);
     assert_eq!(st.zero_fills, 2 * patched_per_thread);
     assert!(st.evictions <= st.quarantined);
-    assert_eq!(st.fail_open, 0, "registry/table never filled up");
+    assert_eq!(st.fail_open, 0, "patch table never filled up");
+    assert_eq!(st.invalid_frees, 0);
 
-    // Registry conservation: every guarded or quarantine-bound allocation
-    // was inserted exactly once and removed exactly once (UR-only buffers
-    // are zeroed, not registered; quarantined blocks leave the registry
-    // when their free is deferred).
+    // Tracked-buffer conservation: every guarded or quarantine-bound
+    // allocation was counted once and its free once (UR-only buffers are
+    // zeroed, not tracked; a quarantined block counts as freed when its
+    // free is deferred).
     let rs = a.registry_stats();
     assert_eq!(rs.inserts, rs.removes + rs.live());
     assert_eq!(rs.live(), 0, "no patched pointer leaked");
@@ -87,9 +91,8 @@ fn threaded_pairs_conserve_every_counter() {
     );
 }
 
-/// 8 threads each hold a large batch of patched allocations live at once —
-/// entries from all threads interleave across every registry shard — then
-/// verify their buffers byte-for-byte before freeing.
+/// 8 threads each hold a large batch of patched allocations live at once,
+/// then verify their buffers byte-for-byte before freeing.
 #[test]
 fn threaded_batches_never_lose_or_corrupt_live_pointers() {
     const THREADS: usize = 8;
@@ -219,8 +222,8 @@ proptest! {
             .map(|w| w.pairs.div_ceil(w.every) * w.size as u64)
             .sum();
         let has = |bit: VulnFlags| patched_where(&workloads, |v| v.contains(bit));
-        // Guarded and quarantine-bound buffers are registered; UR-only
-        // buffers are zeroed in place, never registered.
+        // Guarded and quarantine-bound buffers are tracked; UR-only
+        // buffers are zeroed in place, never tracked.
         let expected_registered = patched_where(&workloads, |v| {
             v.contains(VulnFlags::OVERFLOW) || v.contains(VulnFlags::USE_AFTER_FREE)
         });
@@ -274,5 +277,78 @@ proptest! {
         } else {
             prop_assert!(snap.is_empty());
         }
+    }
+}
+
+/// Call sites of the layout property: plain, then one per patched defense.
+const ROUND_SITES: [Option<u64>; 5] = [
+    None,
+    Some(OVERFLOW_SITE),
+    Some(UAF_SITE),
+    Some(UR_SITE),
+    Some(OF_UR_SITE),
+];
+
+fn arb_round() -> impl Strategy<Value = (Api, Layout, Option<u64>)> {
+    let site = || 0usize..ROUND_SITES.len();
+    (
+        (0usize..3, 1usize..9001, 0u32..13),
+        (site(), 1usize..9001, site()),
+    )
+        .prop_map(|((api, size, align_log2), (site, old_size, old_site))| {
+            let api = match api {
+                0 => Api::Malloc,
+                1 => Api::Calloc,
+                _ => Api::Realloc {
+                    from_size: old_size,
+                    from_site: ROUND_SITES[old_site],
+                },
+            };
+            let layout = Layout::from_size_align(size, 1 << align_log2).expect("power of two");
+            (api, layout, ROUND_SITES[site])
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whatever the size, alignment, API and defense, the header keeps
+    /// every pointer aligned, defended buffers read zero and abut their
+    /// guard, realloc carries bytes across plain and patched buffers, and
+    /// the books balance afterwards.
+    #[test]
+    fn every_layout_keeps_alignment_defenses_and_contents(
+        rounds in proptest::collection::vec(arb_round(), 1..48),
+    ) {
+        let a = Box::new(HardenedAlloc::new());
+        let patches: Vec<PatchEntry> = AllocFn::ALL
+            .iter()
+            .flat_map(|&fun| {
+                SITES.map(|site| PatchEntry::new(fun, throughput::site_ccid(site), vuln_of(site)))
+            })
+            .collect();
+        prop_assert_eq!(a.install(&patches), patches.len());
+        a.freeze();
+        for &(api, l, site) in &rounds {
+            let vuln = site.map_or(VulnFlags::NONE, vuln_of);
+            let round = throughput::checked_round(&a, api, l, site);
+            let case = format!("{api:?} {l:?} in {vuln}: {round:?}");
+            prop_assert!(round.aligned && round.prefix_kept, "{}", case);
+            if api == Api::Calloc
+                || vuln.contains(VulnFlags::OVERFLOW)
+                || vuln.contains(VulnFlags::UNINIT_READ)
+            {
+                prop_assert!(round.reads_zero, "{}", case);
+            }
+            match round.guard_gap {
+                Some(gap) => prop_assert!(vuln.contains(VulnFlags::OVERFLOW) && gap < l.align(), "{}", case),
+                None => prop_assert!(!vuln.contains(VulnFlags::OVERFLOW), "{}", case),
+            }
+        }
+        let st = a.stats();
+        prop_assert_eq!(st.interposed_allocs, st.interposed_frees);
+        prop_assert_eq!((st.fail_open, st.invalid_frees), (0, 0));
+        prop_assert_eq!(a.registry_stats().live(), 0);
+        prop_assert_eq!(st.quarantined_bytes, st.evicted_bytes + a.quarantine_usage().1 as u64);
     }
 }
