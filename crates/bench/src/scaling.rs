@@ -27,9 +27,9 @@
 //! median with its min and max: on a small shared box one run of a series
 //! can read half or twice another.
 
-use ht_hardened_alloc::{throughput, HardenedAlloc, PatchEntry};
+use ht_hardened_alloc::{throughput, HardenedAlloc};
 use ht_jsonio::Json;
-use ht_patch::{AllocFn, VulnFlags};
+use ht_patch::{AllocFn, Patch, VulnFlags};
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -149,10 +149,10 @@ fn run_series<F: Fn(usize) -> u64 + Sync>(n: usize, work: F) -> f64 {
 /// occupy a fresh stack slot per temporary.
 pub fn patched_alloc() -> Box<HardenedAlloc> {
     let a = empty_alloc();
-    let patches: Vec<PatchEntry> = PATCHED_SITES
+    let patches: Vec<Patch> = PATCHED_SITES
         .iter()
         .map(|&site| {
-            PatchEntry::new(
+            Patch::new(
                 AllocFn::Malloc,
                 throughput::site_ccid(site),
                 VulnFlags::OVERFLOW,
@@ -283,7 +283,7 @@ mod tests {
         assert!(a.is_frozen());
         // A frozen table rejects further installs.
         assert_eq!(
-            a.install(&[PatchEntry::new(AllocFn::Malloc, 99, VulnFlags::OVERFLOW)]),
+            a.install(&[Patch::new(AllocFn::Malloc, 99, VulnFlags::OVERFLOW)]),
             0
         );
         throughput::hardened_pairs(&a, PATCHED_EVERY, ALLOC_SIZE, Some(PATCHED_SITES[0]), 1);

@@ -12,10 +12,9 @@ use ht_telemetry::{
     AttackReport, Event, EventKind, EventRing, PatchCounterRow, TelemetryConfig, TelemetrySnapshot,
     NO_SLOT,
 };
-use std::collections::HashMap;
 
 /// Online-defense configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DefenseConfig {
     /// The frozen patch table loaded from the configuration file.
     pub table: PatchTable,
@@ -92,22 +91,16 @@ pub struct DefenseStats {
 ///
 /// The sim reuses the allocator's lock-free [`EventRing`] (identical
 /// overflow-and-drop semantics) even though the interpreter is
-/// single-threaded; counters and once-bits are plain vectors keyed by
-/// [`PatchTable::slot_index`] — the dense position of a patch in the sorted
-/// entry list.
+/// single-threaded. Counters are keyed by [`PatchTable`] slot, report
+/// dedup uses the table's once-bits, and frees and evictions find their
+/// slot in the buffer's metadata word and quarantine entry.
 #[derive(Debug)]
 struct Telemetry {
     ring: Box<EventRing>,
     /// `(hits, bytes)` per patch-table slot.
     per_patch: Vec<(u64, u64)>,
-    /// Once-bit mask per slot: which `T` bits already filed a report.
-    reported: Vec<u8>,
     /// Attack reports in first-activation order.
     reports: Vec<AttackReport>,
-    /// Live patched user pointers → slot (free-path attribution).
-    live: HashMap<Addr, u32>,
-    /// Quarantined inner pointers → slot (eviction attribution).
-    deferred: HashMap<Addr, u32>,
 }
 
 impl Telemetry {
@@ -115,21 +108,20 @@ impl Telemetry {
         Self {
             ring: Box::new(EventRing::new()),
             per_patch: vec![(0, 0); patches],
-            reported: vec![0; patches],
             reports: Vec::new(),
-            live: HashMap::new(),
-            deferred: HashMap::new(),
         }
     }
 
-    /// Files the one-time attack report for `(slot, t)` if this is the
-    /// first activation; later activations of the same pair are silent.
-    fn report_once(&mut self, slot: u32, t: VulnFlags, fun: AllocFn, ccid: u64, size: u64) {
-        let s = slot as usize;
-        if self.reported[s] & t.bits() != 0 {
+    /// Files the one-time attack report for `(slot, t)` if `table`'s
+    /// once-bit says this is the first activation; later activations of
+    /// the same pair are silent.
+    fn report_once(&mut self, table: &PatchTable, slot: u32, t: VulnFlags, size: u64) {
+        let Some((fun, ccid, _)) = table.entry(slot as usize) else {
+            return;
+        };
+        if !table.report_once(slot as usize, t) {
             return;
         }
-        self.reported[s] |= t.bits();
         self.ring.push(Event::patched(
             EventKind::AttackReported,
             fun,
@@ -222,43 +214,37 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         StopCause::HeapMisuse(e.to_string())
     }
 
-    /// The vulnerability bits for an allocation about to happen.
-    fn probe(&mut self, fun: AllocFn, ccid: u64) -> VulnFlags {
+    /// The vulnerability bits and the patch-table slot, if any, for an
+    /// allocation about to happen.
+    fn probe(&mut self, fun: AllocFn, ccid: u64) -> (VulnFlags, Option<usize>) {
         self.stats.table_lookups += 1;
-        let mut vuln = self.cfg.table.lookup(fun, ccid).unwrap_or(VulnFlags::NONE);
+        let hit = self.cfg.table.probe(fun, ccid);
+        let mut vuln = hit.map_or(VulnFlags::NONE, |(_, vuln)| vuln);
         if !vuln.is_empty() {
             self.stats.table_hits += 1;
         }
         if self.cfg.guard_all {
             vuln |= VulnFlags::OVERFLOW;
         }
-        vuln
-    }
-
-    /// The `(FUN, CCID)` identity of patch-table slot `slot`, or a
-    /// placeholder for unattributed events (`guard_all` injections).
-    fn patch_identity(table: &PatchTable, slot: u32) -> (AllocFn, u64) {
-        if slot == NO_SLOT {
-            return (AllocFn::Malloc, 0);
-        }
-        table
-            .entry(slot as usize)
-            .map_or((AllocFn::Malloc, 0), |(f, c, _)| (f, c))
+        (vuln, hit.map(|(slot, _)| slot))
     }
 
     /// Records telemetry for one successful defended allocation.
-    fn note_alloc(&mut self, fun: AllocFn, ccid: u64, size: u64, vuln: VulnFlags, user: Addr) {
+    fn note_alloc(
+        &mut self,
+        fun: AllocFn,
+        ccid: u64,
+        size: u64,
+        vuln: VulnFlags,
+        slot: Option<usize>,
+    ) {
         let Some(tel) = &mut self.telemetry else {
             return;
         };
         if vuln.is_empty() {
             return;
         }
-        let slot = self
-            .cfg
-            .table
-            .slot_index(fun, ccid)
-            .map_or(NO_SLOT, |s| s as u32);
+        let slot = slot.map_or(NO_SLOT, |s| s as u32);
         if slot != NO_SLOT {
             let c = &mut tel.per_patch[slot as usize];
             c.0 += 1;
@@ -271,8 +257,6 @@ impl<A: BaseAllocator> DefendedBackend<A> {
                 ccid,
                 size,
             ));
-            // Live-pointer attribution for the free path.
-            tel.live.insert(user, slot);
         }
         for (t, kind) in [
             (VulnFlags::OVERFLOW, EventKind::GuardInstall),
@@ -284,48 +268,28 @@ impl<A: BaseAllocator> DefendedBackend<A> {
                 // Alloc-time defenses count as activations: first one per
                 // `(FUN, CCID, T)` files the attack report.
                 if slot != NO_SLOT {
-                    tel.report_once(slot, t, fun, ccid, size);
+                    tel.report_once(&self.cfg.table, slot, t, size);
                 }
             }
         }
     }
 
-    /// Records a deferred free (quarantine entry) of a UAF-patched block.
-    fn note_defer(&mut self, user: Addr, pi: Addr, size: u64) {
+    /// Records a quarantine defer or evict of a UAF-patched block, filing
+    /// the one-time UAF attack report on the first defer of its patch.
+    fn note_quarantine(&mut self, kind: EventKind, b: &QuarantinedBlock) {
         let Some(tel) = &mut self.telemetry else {
             return;
         };
-        let slot = tel.live.remove(&user).unwrap_or(NO_SLOT);
-        tel.deferred.insert(pi, slot);
-        let (fun, ccid) = Self::patch_identity(&self.cfg.table, slot);
-        tel.ring.push(Event::patched(
-            EventKind::QuarantineDefer,
-            fun,
-            VulnFlags::USE_AFTER_FREE,
-            slot,
-            ccid,
-            size,
-        ));
-        if slot != NO_SLOT {
-            tel.report_once(slot, VulnFlags::USE_AFTER_FREE, fun, ccid, size);
+        let table = &self.cfg.table;
+        let Some((fun, ccid, _)) = table.entry(b.slot as usize) else {
+            return;
+        };
+        let uaf = VulnFlags::USE_AFTER_FREE;
+        tel.ring
+            .push(Event::patched(kind, fun, uaf, b.slot, ccid, b.size));
+        if kind == EventKind::QuarantineDefer {
+            tel.report_once(table, b.slot, uaf, b.size);
         }
-    }
-
-    /// Records a quota eviction out of the quarantine.
-    fn note_evict(&mut self, b: &QuarantinedBlock) {
-        let Some(tel) = &mut self.telemetry else {
-            return;
-        };
-        let slot = tel.deferred.remove(&b.inner_ptr).unwrap_or(NO_SLOT);
-        let (fun, ccid) = Self::patch_identity(&self.cfg.table, slot);
-        tel.ring.push(Event::patched(
-            EventKind::QuarantineEvict,
-            fun,
-            VulnFlags::USE_AFTER_FREE,
-            slot,
-            ccid,
-            b.size,
-        ));
     }
 
     /// Records an access stopped at a guard page. The faulting access does
@@ -375,13 +339,15 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         })
     }
 
-    /// Allocates one defended buffer (Structures 1–4).
+    /// Allocates one defended buffer (Structures 1–4) whose word records
+    /// patch-table slot `slot`.
     fn defended_alloc(
         &mut self,
         fun: AllocFn,
         size: u64,
         align: u64,
         vuln: VulnFlags,
+        slot: Option<usize>,
     ) -> Result<Addr, StopCause> {
         let structure = BufferStructure::select(fun, vuln);
         let layout = Layout::plan(structure, size, align);
@@ -417,7 +383,8 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             MetaWord::guarded(vuln, guard, align_log2)
         } else {
             MetaWord::unguarded(vuln, size, align_log2)
-        };
+        }
+        .with_slot(slot.unwrap_or(0));
         self.space
             .write_u64_raw(user - META_SIZE, meta.0)
             .map_err(Self::misuse)?;
@@ -463,23 +430,21 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         let pi = Layout::inner_ptr(meta.is_aligned(), meta.alignment(), user);
         // (3) defer or release.
         if meta.vuln().contains(VulnFlags::USE_AFTER_FREE) {
-            self.stats.quarantined_blocks += 1;
-            self.note_defer(user, pi, size);
-            let evicted = self.quarantine.push(QuarantinedBlock {
+            let block = QuarantinedBlock {
                 inner_ptr: pi,
                 size,
-            });
-            for b in evicted {
-                self.note_evict(&b);
+                slot: meta.slot() as u32,
+            };
+            self.stats.quarantined_blocks += 1;
+            self.note_quarantine(EventKind::QuarantineDefer, &block);
+            for b in self.quarantine.push(block) {
+                self.note_quarantine(EventKind::QuarantineEvict, &b);
                 self.inner
                     .free(&mut self.space, b.inner_ptr)
                     .map_err(Self::misuse)?;
             }
             Ok(())
         } else {
-            if let Some(tel) = &mut self.telemetry {
-                tel.live.remove(&user);
-            }
             self.inner.free(&mut self.space, pi).map_err(Self::misuse)
         }
     }
@@ -501,7 +466,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
             }
             return Ok(ptr);
         }
-        let vuln = self.probe(req.fun, req.ccid.0);
+        let (vuln, slot) = self.probe(req.fun, req.ccid.0);
         let user = match (req.fun, req.old_ptr) {
             (AllocFn::Realloc, Some(old)) => {
                 // Paper Section V: the buffer's CCID is updated to the
@@ -509,7 +474,8 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
                 // *realloc* patch lookup.
                 let old_meta = self.read_meta(old)?;
                 let old_size = self.user_size(old, old_meta)?;
-                let user = self.defended_alloc(AllocFn::Realloc, req.size, req.align, vuln)?;
+                let user =
+                    self.defended_alloc(AllocFn::Realloc, req.size, req.align, vuln, slot)?;
                 let keep = old_size.min(req.size);
                 if keep > 0 {
                     self.space.copy_raw(old, user, keep).map_err(Self::misuse)?;
@@ -518,9 +484,9 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
                 self.defended_free(old)?;
                 user
             }
-            _ => self.defended_alloc(req.fun, req.size, req.align, vuln)?,
+            _ => self.defended_alloc(req.fun, req.size, req.align, vuln, slot)?,
         };
-        self.note_alloc(req.fun, req.ccid.0, req.size, vuln, user);
+        self.note_alloc(req.fun, req.ccid.0, req.size, vuln, slot);
         Ok(user)
     }
 

@@ -16,7 +16,10 @@
 //! The defense maintains its own metadata word per buffer ([`meta`]) so it
 //! needs nothing from the underlying allocator — the paper's
 //! "no dependency on specific heap allocators" property (exercised against
-//! two different allocators in the tests).
+//! two different allocators in the tests). A patched buffer's word also
+//! records its table slot, the same dense slot the real allocator
+//! (`ht-hardened-alloc`) gives the patch, so telemetry attributes frees and
+//! quarantine evictions without any pointer-to-patch map.
 //!
 //! [`HeapBackend`]: ht_simprog::HeapBackend
 //!

@@ -5,14 +5,17 @@
 //! ```text
 //! bits  0..=3   type field: OVERFLOW | UAF | UNINIT_READ | ALIGNED
 //! bits  4..=39  (guarded buffers)    guard-page number (addr >> 12, 36 bits)
-//! bits  4..=51  (unguarded buffers)  user size (48 bits)
+//! bits  4..=48  (unguarded buffers)  user size (45 bits)
+//! bits 49..=57  (patched buffers)    patch-table slot (9 bits)
 //! bits 58..=63  (aligned buffers)    log2(alignment) (6 bits)
 //! ```
 //!
 //! 36 bits suffice for the guard-page location because 64-bit systems use a
 //! 48-bit virtual address space and a guard page is 2¹²-aligned:
 //! 48 − 12 = 36. For guarded buffers the user size is stored in the first
-//! word of the guard page instead.
+//! word of the guard page instead. The slot is the buffer's
+//! [`ht_patch::PatchTable`] slot, whose capacity of 512 fits 9 bits; the
+//! free path attributes quarantine telemetry through it.
 
 use ht_memsim::Addr;
 use ht_patch::VulnFlags;
@@ -24,7 +27,9 @@ pub const META_SIZE: u64 = 8;
 const ALIGNED_BIT: u64 = 1 << 3;
 const PAYLOAD_SHIFT: u32 = 4;
 const GUARD_MASK: u64 = (1 << 36) - 1;
-const SIZE_MASK: u64 = (1 << 48) - 1;
+const SIZE_MASK: u64 = (1 << 45) - 1;
+const SLOT_SHIFT: u32 = 49;
+const SLOT_MASK: u64 = (1 << 9) - 1;
 const ALIGN_SHIFT: u32 = 58;
 
 /// The decoded/encoded metadata word.
@@ -37,9 +42,9 @@ impl MetaWord {
     ///
     /// # Panics
     ///
-    /// Panics if `size` exceeds 48 bits or `align_log2` exceeds 6 bits.
+    /// Panics if `size` exceeds 45 bits or `align_log2` exceeds 6 bits.
     pub fn unguarded(vuln: VulnFlags, size: u64, align_log2: Option<u8>) -> Self {
-        assert!(size <= SIZE_MASK, "size {size} exceeds 48 bits");
+        assert!(size <= SIZE_MASK, "size {size} exceeds 45 bits");
         let mut w = (vuln.bits() as u64 & 0b111) | ((size & SIZE_MASK) << PAYLOAD_SHIFT);
         if let Some(a) = align_log2 {
             assert!(a < 64, "alignment log2 {a} exceeds 6 bits");
@@ -69,6 +74,23 @@ impl MetaWord {
             "guarded words should carry the overflow bit"
         );
         MetaWord(w)
+    }
+
+    /// The word with its slot field set to `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` does not fit 9 bits.
+    #[must_use]
+    pub fn with_slot(self, slot: usize) -> Self {
+        assert!(slot as u64 <= SLOT_MASK, "slot {slot} exceeds 9 bits");
+        MetaWord(self.0 & !(SLOT_MASK << SLOT_SHIFT) | (slot as u64) << SLOT_SHIFT)
+    }
+
+    /// The patch-table slot that matched at allocation time (0 for a
+    /// buffer no patch matched).
+    pub fn slot(self) -> usize {
+        ((self.0 >> SLOT_SHIFT) & SLOT_MASK) as usize
     }
 
     /// The three vulnerability-type bits.
@@ -159,12 +181,40 @@ mod tests {
         let max_guard = ((1u64 << 48) - 1) & !0xFFF;
         let g = MetaWord::guarded(VulnFlags::OVERFLOW, max_guard, None);
         assert_eq!(g.guard_page(), max_guard);
+        // The slot field sits between the payload and the alignment.
+        let w = w.with_slot(511);
+        assert_eq!(
+            (w.slot(), w.size(), w.alignment()),
+            (511, SIZE_MASK, 1 << 63)
+        );
+        let g = g.with_slot(511);
+        assert_eq!(
+            (g.slot(), g.guard_page(), g.vuln()),
+            (511, max_guard, VulnFlags::OVERFLOW)
+        );
     }
 
     #[test]
-    #[should_panic(expected = "exceeds 48 bits")]
+    fn slot_round_trips_and_defaults_to_zero() {
+        let w = MetaWord::unguarded(VulnFlags::USE_AFTER_FREE, 64, Some(4));
+        assert_eq!(w.slot(), 0);
+        for slot in [0, 1, 300, 511] {
+            let s = w.with_slot(slot);
+            assert_eq!(s.slot(), slot);
+            assert_eq!(s.with_slot(0), w, "the slot field is all it changes");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 9 bits")]
+    fn oversized_slot_panics() {
+        let _ = MetaWord::unguarded(VulnFlags::NONE, 1, None).with_slot(512);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 45 bits")]
     fn oversized_size_panics() {
-        MetaWord::unguarded(VulnFlags::NONE, 1 << 48, None);
+        MetaWord::unguarded(VulnFlags::NONE, 1 << 45, None);
     }
 
     #[test]

@@ -16,6 +16,8 @@ pub struct QuarantinedBlock {
     pub inner_ptr: Addr,
     /// User size (for quota accounting).
     pub size: u64,
+    /// Patch-table slot of the block's patch (eviction attribution).
+    pub slot: u32,
 }
 
 /// FIFO of deferred frees with a byte quota.
@@ -93,7 +95,11 @@ mod tests {
     use super::*;
 
     fn blk(p: Addr, size: u64) -> QuarantinedBlock {
-        QuarantinedBlock { inner_ptr: p, size }
+        QuarantinedBlock {
+            inner_ptr: p,
+            size,
+            slot: 0,
+        }
     }
 
     #[test]

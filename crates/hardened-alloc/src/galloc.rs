@@ -2,36 +2,12 @@
 
 use crate::ccid;
 use crate::tables::{Entry, QuarantineRing, StripedCounter};
-use ht_patch::{AllocFn, Patch, VulnFlags};
+use ht_patch::{AllocFn, Patch, PatchTable, VulnFlags};
 use ht_telemetry::{
     AttackReport, Event, EventKind, EventRing, PatchCounterRow, PatchStripes, TelemetrySnapshot,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-
-/// One installed patch, allocation-free representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PatchEntry {
-    /// Allocation API the patch applies to.
-    pub fun: AllocFn,
-    /// Allocation-time CCID (from [`ccid::current`] at the patched site).
-    pub ccid: u64,
-    /// Defenses to apply.
-    pub vuln: VulnFlags,
-}
-
-impl PatchEntry {
-    /// A new patch entry.
-    pub fn new(fun: AllocFn, ccid: u64, vuln: VulnFlags) -> Self {
-        Self { fun, ccid, vuln }
-    }
-}
-
-impl From<&Patch> for PatchEntry {
-    fn from(p: &Patch) -> Self {
-        Self::new(p.alloc_fn, p.ccid, p.vuln)
-    }
-}
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Snapshot of the allocator's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,151 +51,6 @@ impl RegistryStats {
     /// Tracked buffers currently live (inserts = removes + live).
     pub fn live(&self) -> u64 {
         self.inserts - self.removes
-    }
-}
-
-const PATCH_SLOTS: usize = 512;
-
-/// One published patch slot. `meta` packs
-/// `READY | fun << FUN_SHIFT | reported << REPORTED_SHIFT | vuln`; `ccid`
-/// holds the key's context ID. The `reported` field mirrors the vuln bit
-/// layout and carries the telemetry once-bits: bit `REPORTED_SHIFT + t` is
-/// set the first time the `T = 1 << t` defense of this patch fires, so the
-/// runtime files exactly one attack report per `(FUN, CCID, T)` without a
-/// lock.
-struct PatchSlot {
-    meta: AtomicU64,
-    ccid: AtomicU64,
-}
-
-const READY: u64 = 1 << 63;
-const FUN_SHIFT: u32 = 32;
-const REPORTED_SHIFT: u32 = 8;
-
-#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
-const EMPTY_SLOT: PatchSlot = PatchSlot {
-    meta: AtomicU64::new(0),
-    ccid: AtomicU64::new(0),
-};
-
-/// The online patch table: a fixed open-addressing probe whose **lookups
-/// take no lock and touch no shared mutable state** — the hot path's common
-/// case (table miss) is one Acquire load per probed slot.
-///
-/// Writes (rare: patch installation at startup) serialize on a spin lock
-/// and publish each slot by storing `ccid` first, then the `meta` word with
-/// `READY` set (Release). A reader that observes `READY` (Acquire)
-/// therefore sees the matching `ccid`. Keys are never deleted, so probe
-/// sequences are stable forever; merged vulnerability bits only ever grow
-/// (`fetch_or`), so a racing reader sees a valid past or present value.
-///
-/// [`PatchSet::freeze`] seals the table against further installs — the
-/// moral equivalent of the paper `mprotect`-ing its table read-only after
-/// the configuration file is loaded. The telemetry once-bits (see
-/// [`PatchSlot`]) are the one field that still mutates after freeze; they
-/// are purely observational and masked out of every lookup.
-struct PatchSet {
-    lock: crate::tables::SpinLock,
-    frozen: AtomicBool,
-    slots: [PatchSlot; PATCH_SLOTS],
-}
-
-impl PatchSet {
-    const fn new() -> Self {
-        Self {
-            lock: crate::tables::SpinLock::new(),
-            frozen: AtomicBool::new(false),
-            slots: [EMPTY_SLOT; PATCH_SLOTS],
-        }
-    }
-
-    fn slot_of(fun: AllocFn, ccid: u64) -> usize {
-        let key = ccid ^ ((fun as u64) << 56);
-        (key.wrapping_mul(0x9E3779B97F4A7C15) >> (64 - 9)) as usize // log2(512)
-    }
-
-    fn freeze(&self) {
-        self.frozen.store(true, Ordering::Release);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.frozen.load(Ordering::Acquire)
-    }
-
-    /// Returns whether the entry fit (false: table full or frozen).
-    fn insert(&self, e: PatchEntry) -> bool {
-        let _g = self.lock.lock();
-        if self.is_frozen() {
-            return false;
-        }
-        let start = Self::slot_of(e.fun, e.ccid);
-        for i in 0..PATCH_SLOTS {
-            let s = (start + i) % PATCH_SLOTS;
-            let slot = &self.slots[s];
-            // The lock holder is the only writer, so Relaxed reads suffice
-            // here; publication to readers happens via the Release below.
-            let meta = slot.meta.load(Ordering::Relaxed);
-            if meta & READY == 0 {
-                slot.ccid.store(e.ccid, Ordering::Relaxed);
-                slot.meta.store(
-                    READY | ((e.fun as u64) << FUN_SHIFT) | u64::from(e.vuln.bits()),
-                    Ordering::Release,
-                );
-                return true;
-            }
-            if (meta >> FUN_SHIFT) & 0xFF == e.fun as u64
-                && slot.ccid.load(Ordering::Relaxed) == e.ccid
-            {
-                slot.meta
-                    .fetch_or(u64::from(e.vuln.bits()), Ordering::Release);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Lock-free probe (see the type-level comment for the protocol).
-    /// Returns the vulnerability bits and the slot index of the hit.
-    #[inline]
-    fn lookup_slot(&self, fun: AllocFn, ccid: u64) -> Option<(usize, VulnFlags)> {
-        let start = Self::slot_of(fun, ccid);
-        for i in 0..PATCH_SLOTS {
-            let s = (start + i) % PATCH_SLOTS;
-            let slot = &self.slots[s];
-            let meta = slot.meta.load(Ordering::Acquire);
-            if meta & READY == 0 {
-                return None;
-            }
-            if (meta >> FUN_SHIFT) & 0xFF == fun as u64 && slot.ccid.load(Ordering::Relaxed) == ccid
-            {
-                return Some((s, VulnFlags::from_bits_truncate(meta as u8)));
-            }
-        }
-        None
-    }
-
-    /// The published patch in slot `s`, if any.
-    fn entry_at(&self, s: usize) -> Option<PatchEntry> {
-        let slot = self.slots.get(s)?;
-        let meta = slot.meta.load(Ordering::Acquire);
-        if meta & READY == 0 {
-            return None;
-        }
-        let fun = *AllocFn::ALL.get(((meta >> FUN_SHIFT) & 0xFF) as usize)?;
-        Some(PatchEntry::new(
-            fun,
-            slot.ccid.load(Ordering::Relaxed),
-            VulnFlags::from_bits_truncate(meta as u8),
-        ))
-    }
-
-    /// Sets the once-bit for vulnerability type `t` (a single bit) in slot
-    /// `s`. Returns `true` exactly once per `(slot, t)` — the caller files
-    /// the attack report on `true`.
-    fn report_once(&self, s: usize, t: VulnFlags) -> bool {
-        let bit = u64::from(t.bits()) << REPORTED_SHIFT;
-        let prev = self.slots[s].meta.fetch_or(bit, Ordering::Relaxed);
-        prev & bit == 0
     }
 }
 
@@ -270,7 +101,7 @@ fn fold(payload: u64) -> u64 {
 impl MetaWord {
     fn encode(self) -> u64 {
         debug_assert!(self.guard.is_multiple_of(PAGE) && (self.guard >> 12) as u64 <= GUARD_MASK);
-        debug_assert!(self.slot < PATCH_SLOTS);
+        debug_assert!(self.slot < PatchTable::CAPACITY);
         let payload = u64::from(self.vuln.bits())
             | if self.freed { FREED } else { 0 }
             | (self.guard as u64 >> 12) << GUARD_SHIFT
@@ -481,13 +312,14 @@ impl Drop for RegionCache {
 /// The HeapTherapy+ hardened allocator over the system allocator.
 ///
 /// Usable as a `static` (all state is fixed-size and allocation-free) and
-/// therefore as `#[global_allocator]`. Defenses are driven by the patch set
-/// installed with [`HardenedAlloc::install`]. Every buffer is preceded by
+/// therefore as `#[global_allocator]`. Defenses are driven by the patches
+/// installed with [`HardenedAlloc::install`] into its [`PatchTable`], the
+/// same table type the simulated defense probes. Every buffer is preceded by
 /// the paper's 8-byte metadata word (Fig. 6); unpatched allocations pay one
 /// table probe and one word store, unpatched frees one word load and
 /// compare, and otherwise go straight to [`System`].
 pub struct HardenedAlloc {
-    patches: PatchSet,
+    patches: PatchTable,
     quarantine: QuarantineRing,
     regions: RegionCache,
     quota: AtomicUsize,
@@ -511,7 +343,7 @@ pub struct HardenedAlloc {
     /// Defense-activation events (telemetry; lock-free, allocation-free).
     events: EventRing,
     /// Per-patch-slot hit/byte counters (telemetry).
-    patch_counters: PatchStripes<PATCH_SLOTS>,
+    patch_counters: PatchStripes<{ PatchTable::CAPACITY }>,
 }
 
 impl std::fmt::Debug for HardenedAlloc {
@@ -530,11 +362,11 @@ impl Default for HardenedAlloc {
 }
 
 impl HardenedAlloc {
-    /// A hardened allocator with an empty patch set and a 64 MiB quarantine
+    /// A hardened allocator with an empty patch table and a 64 MiB quarantine
     /// quota.
     pub const fn new() -> Self {
         Self {
-            patches: PatchSet::new(),
+            patches: PatchTable::new(),
             quarantine: QuarantineRing::new(),
             regions: RegionCache::new(),
             quota: AtomicUsize::new(64 * 1024 * 1024),
@@ -557,18 +389,20 @@ impl HardenedAlloc {
         }
     }
 
-    /// Installs patches (idempotent per `(FUN, CCID)`; bits merge).
+    /// Installs patches (idempotent per `(FUN, CCID)`; bits merge). Each
+    /// new key takes the next [`PatchTable`] slot, in slice order.
     ///
-    /// Returns how many entries were accepted (the fixed table holds 512;
-    /// a [frozen](Self::freeze) table accepts none).
-    pub fn install(&self, patches: &[PatchEntry]) -> usize {
+    /// Returns how many entries were accepted. A patch beyond
+    /// [`PatchTable::CAPACITY`] keys is refused and counted in `fail_open`;
+    /// a [frozen](Self::freeze) table accepts none.
+    pub fn install(&self, patches: &[Patch]) -> usize {
         if self.patches.is_frozen() {
             return 0;
         }
         patches
             .iter()
-            .filter(|&&p| {
-                let ok = self.patches.insert(p);
+            .filter(|p| {
+                let ok = self.patches.insert(p).is_some();
                 if !ok {
                     self.fail_open.incr();
                 }
@@ -610,9 +444,7 @@ impl HardenedAlloc {
     ///
     /// Propagates [`ht_patch::ConfigError`] for malformed input.
     pub fn install_from_config(&self, text: &str) -> Result<usize, ht_patch::ConfigError> {
-        let patches = ht_patch::from_config_text(text)?;
-        let entries: Vec<PatchEntry> = patches.iter().map(PatchEntry::from).collect();
-        Ok(self.install(&entries))
+        Ok(self.install(&ht_patch::from_config_text(text)?))
     }
 
     /// Sets the quarantine quota in bytes.
@@ -700,16 +532,16 @@ impl HardenedAlloc {
             return;
         }
         let slot = e.slot as usize;
-        let Some(p) = self.patches.entry_at(slot) else {
+        let Some((fun, ccid, _)) = self.patches.entry(slot) else {
             return;
         };
         let size = e.size as u64;
         self.events.push(Event::patched(
             kind,
-            p.fun,
+            fun,
             VulnFlags::USE_AFTER_FREE,
             e.slot,
-            p.ccid,
+            ccid,
             size,
         ));
         if kind == EventKind::QuarantineDefer
@@ -717,10 +549,10 @@ impl HardenedAlloc {
         {
             self.events.push(Event::patched(
                 EventKind::AttackReported,
-                p.fun,
+                fun,
                 VulnFlags::USE_AFTER_FREE,
                 e.slot,
-                p.ccid,
+                ccid,
                 size,
             ));
         }
@@ -756,12 +588,12 @@ impl HardenedAlloc {
             .enumerate()
             .filter(|(_, c)| c.hits > 0)
             .filter_map(|(slot, c)| {
-                let p = self.patches.entry_at(slot)?;
+                let (fun, ccid, vuln) = self.patches.entry(slot)?;
                 Some(PatchCounterRow {
                     slot,
-                    fun: p.fun,
-                    ccid: p.ccid,
-                    vuln: p.vuln,
+                    fun,
+                    ccid,
+                    vuln,
                     hits: c.hits,
                     bytes: c.bytes,
                 })
@@ -826,7 +658,7 @@ impl HardenedAlloc {
     unsafe fn alloc_with(&self, fun: AllocFn, layout: Layout, zeroed: bool) -> *mut u8 {
         self.interposed_allocs.incr();
         let ccid = ccid::current();
-        match self.patches.lookup_slot(fun, ccid) {
+        match self.patches.probe(fun, ccid) {
             Some((slot, vuln)) if !vuln.is_empty() => {
                 self.alloc_patched(fun, ccid, layout, zeroed, slot, vuln)
             }
@@ -1053,7 +885,7 @@ pub(crate) mod tests {
     fn patched(site: u64, vuln: VulnFlags) -> HardenedAlloc {
         let a = HardenedAlloc::new();
         let here = ccid::with_site(site, ccid::current);
-        a.install(&[PatchEntry::new(AllocFn::Malloc, here, vuln)]);
+        a.install(&[Patch::new(AllocFn::Malloc, here, vuln)]);
         a
     }
 
@@ -1141,8 +973,8 @@ pub(crate) mod tests {
         let guarded = ccid::with_site(0xC4, ccid::current);
         let deferred = ccid::with_site(0xC5, ccid::current);
         a.install(&[
-            PatchEntry::new(AllocFn::Malloc, guarded, VulnFlags::OVERFLOW),
-            PatchEntry::new(
+            Patch::new(AllocFn::Malloc, guarded, VulnFlags::OVERFLOW),
+            Patch::new(
                 AllocFn::Malloc,
                 deferred,
                 VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE,
@@ -1174,11 +1006,7 @@ pub(crate) mod tests {
         let _maps = maps_lock();
         let a = patched(0xC6, VulnFlags::USE_AFTER_FREE);
         let guarded = ccid::with_site(0xC7, ccid::current);
-        a.install(&[PatchEntry::new(
-            AllocFn::Malloc,
-            guarded,
-            VulnFlags::OVERFLOW,
-        )]);
+        a.install(&[Patch::new(AllocFn::Malloc, guarded, VulnFlags::OVERFLOW)]);
         let l = layout(64, 8);
         unsafe {
             let uaf: Vec<*mut u8> = (0..5000).map(|_| alloc_at(&a, 0xC6, l)).collect();
@@ -1279,7 +1107,7 @@ pub(crate) mod tests {
                 } else {
                     guard == 0 && vuln.contains(VulnFlags::USE_AFTER_FREE)
                 };
-                for slot in 0..PATCH_SLOTS {
+                for slot in 0..PatchTable::CAPACITY {
                     let w = MetaWord {
                         vuln,
                         freed: false,
@@ -1405,7 +1233,7 @@ pub(crate) mod tests {
         let _maps = maps_lock();
         let a = HardenedAlloc::new();
         let here = ccid::with_site(0x44, ccid::current);
-        a.install(&[PatchEntry::new(AllocFn::Realloc, here, VulnFlags::OVERFLOW)]);
+        a.install(&[Patch::new(AllocFn::Realloc, here, VulnFlags::OVERFLOW)]);
         unsafe {
             let l = layout(64, 8);
             let p = a.alloc(l);
@@ -1428,7 +1256,7 @@ pub(crate) mod tests {
         let _maps = maps_lock();
         let a = HardenedAlloc::new();
         let here = ccid::with_site(0x55, ccid::current);
-        a.install(&[PatchEntry::new(AllocFn::Calloc, here, VulnFlags::OVERFLOW)]);
+        a.install(&[Patch::new(AllocFn::Calloc, here, VulnFlags::OVERFLOW)]);
         unsafe {
             let l = layout(100, 8);
             let _site = ccid::CallScope::enter(0x55);
@@ -1443,11 +1271,7 @@ pub(crate) mod tests {
     fn different_context_same_site_constant_misses() {
         let a = HardenedAlloc::new();
         let patched = ccid::with_site(1, || ccid::with_site(2, ccid::current));
-        a.install(&[PatchEntry::new(
-            AllocFn::Malloc,
-            patched,
-            VulnFlags::OVERFLOW,
-        )]);
+        a.install(&[Patch::new(AllocFn::Malloc, patched, VulnFlags::OVERFLOW)]);
         unsafe {
             let l = layout(64, 8);
             // Same leaf site (2) under a different caller (3): different
@@ -1479,24 +1303,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn patch_entry_from_patch() {
-        let p = Patch::new(AllocFn::Malloc, 7, VulnFlags::ALL);
-        let e = PatchEntry::from(&p);
-        assert_eq!(e.ccid, 7);
-        assert_eq!(e.vuln, VulnFlags::ALL);
-    }
-
-    #[test]
     fn install_merges_duplicate_keys() {
         let a = HardenedAlloc::new();
         assert_eq!(
             a.install(&[
-                PatchEntry::new(AllocFn::Malloc, 9, VulnFlags::OVERFLOW),
-                PatchEntry::new(AllocFn::Malloc, 9, VulnFlags::UNINIT_READ),
+                Patch::new(AllocFn::Malloc, 9, VulnFlags::OVERFLOW),
+                Patch::new(AllocFn::Malloc, 9, VulnFlags::UNINIT_READ),
             ]),
             2
         );
-        let merged = a.patches.lookup_slot(AllocFn::Malloc, 9).map(|(_, v)| v);
+        let merged = a.patches.lookup(AllocFn::Malloc, 9);
         assert_eq!(merged, Some(VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ));
     }
 

@@ -8,7 +8,8 @@
 //!   driven by RAII [`ccid::CallScope`] guards placed at instrumented call
 //!   sites,
 //! * [`HardenedAlloc`] — wraps the system allocator; every allocation
-//!   probes the installed patch set with the current `(FUN, CCID)`:
+//!   probes its [`ht_patch::PatchTable`], the table the simulated defense
+//!   uses too, with the current `(FUN, CCID)`:
 //!   * overflow patches place the buffer against a trailing `PROT_NONE`
 //!     **guard page** (`libc::mprotect`); freed guarded regions are kept,
 //!     guard intact, in a bounded cache and zeroed on reuse, so only a
@@ -19,6 +20,11 @@
 //!
 //!   The paper's 8-byte metadata word before every buffer tells a free what
 //!   to undo: no lock for unpatched frees, and double frees are refused.
+//!   A patched buffer's word carries the table slot that matched, so a free
+//!   or quarantine eviction is attributed to its patch. Slots are dense
+//!   and given in install order; telemetry rows and attack reports name a
+//!   patch by the same slot the simulated defense would give it for the
+//!   same configuration order.
 //!
 //! Everything on the allocation path is allocation-free (fixed-size tables,
 //! a spin lock, atomics) so the type is usable as `#[global_allocator]` —
@@ -30,15 +36,15 @@
 //! # Example
 //!
 //! ```
-//! use ht_hardened_alloc::{ccid, HardenedAlloc, PatchEntry};
-//! use ht_patch::{AllocFn, VulnFlags};
+//! use ht_hardened_alloc::{ccid, HardenedAlloc};
+//! use ht_patch::{AllocFn, Patch, VulnFlags};
 //! use std::alloc::{GlobalAlloc, Layout};
 //!
 //! static ALLOC: HardenedAlloc = HardenedAlloc::new();
 //!
 //! // "Instrument" a call site, then install a patch for the context.
 //! let _site = ccid::CallScope::enter(0x1234);
-//! ALLOC.install(&[PatchEntry::new(AllocFn::Malloc, ccid::current(), VulnFlags::UNINIT_READ)]);
+//! ALLOC.install(&[Patch::new(AllocFn::Malloc, ccid::current(), VulnFlags::UNINIT_READ)]);
 //!
 //! let layout = Layout::from_size_align(256, 16).unwrap();
 //! let p = unsafe { ALLOC.alloc(layout) };
@@ -53,4 +59,7 @@ pub mod galloc;
 mod tables;
 pub mod throughput;
 
-pub use galloc::{HardenedAlloc, HardenedStats, PatchEntry, RegistryStats};
+pub use galloc::{HardenedAlloc, HardenedStats, RegistryStats};
+/// The former name of [`Patch`](ht_patch::Patch) here, kept because the
+/// benchmark in `perfbench/` still uses it.
+pub use ht_patch::Patch as PatchEntry;

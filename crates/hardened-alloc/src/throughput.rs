@@ -210,8 +210,7 @@ pub fn site_ccid(site: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::galloc::PatchEntry;
-    use ht_patch::{AllocFn, VulnFlags};
+    use ht_patch::{AllocFn, Patch, VulnFlags};
 
     #[test]
     fn native_loop_completes() {
@@ -222,7 +221,7 @@ mod tests {
     fn batch_holds_live_buffers_without_corruption() {
         let _maps = crate::galloc::tests::maps_lock();
         let a = HardenedAlloc::new();
-        a.install(&[PatchEntry::new(
+        a.install(&[Patch::new(
             AllocFn::Malloc,
             site_ccid(0xBA7C),
             VulnFlags::OVERFLOW,
@@ -248,7 +247,7 @@ mod tests {
     fn hardened_loop_hits_the_patched_context() {
         let _maps = crate::galloc::tests::maps_lock();
         let a = HardenedAlloc::new();
-        a.install(&[PatchEntry::new(
+        a.install(&[Patch::new(
             AllocFn::Malloc,
             site_ccid(0x5CA1),
             VulnFlags::OVERFLOW,

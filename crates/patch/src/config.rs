@@ -7,8 +7,9 @@
 //!   presentation, and
 //! * JSON, for tooling.
 
-use crate::{AllocFn, Patch, VulnFlags};
+use crate::{AllocFn, Patch, PatchTable, VulnFlags};
 use ht_jsonio::{FromJson, Json, ToJson};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Error reading a configuration file.
@@ -18,6 +19,13 @@ pub enum ConfigError {
     Line(usize, String),
     /// JSON syntax or shape error.
     Json(String),
+    /// More distinct `(FUN, CCID)` keys than a [`PatchTable`] holds.
+    TooManyPatches {
+        /// Distinct keys in the file.
+        distinct: usize,
+        /// [`PatchTable::CAPACITY`].
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -25,6 +33,10 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::Line(n, msg) => write!(f, "config line {n}: {msg}"),
             ConfigError::Json(msg) => write!(f, "config json: {msg}"),
+            ConfigError::TooManyPatches { distinct, capacity } => write!(
+                f,
+                "config holds {distinct} distinct (FUN, CCID) keys; the patch table holds {capacity}"
+            ),
         }
     }
 }
@@ -51,7 +63,8 @@ pub fn to_config_text(patches: &[Patch]) -> String {
 ///
 /// # Errors
 ///
-/// [`ConfigError::Line`] with the offending 1-based line number.
+/// [`ConfigError::Line`] with the offending 1-based line number;
+/// [`ConfigError::TooManyPatches`] beyond [`PatchTable::CAPACITY`] keys.
 pub fn from_config_text(text: &str) -> Result<Vec<Patch>, ConfigError> {
     let mut patches = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -91,6 +104,26 @@ pub fn from_config_text(text: &str) -> Result<Vec<Patch>, ConfigError> {
         }
         patches.push(p);
     }
+    within_capacity(patches)
+}
+
+/// Refuses patch lists a [`PatchTable`] cannot hold, so that no patch is
+/// dropped after loading.
+fn within_capacity(patches: Vec<Patch>) -> Result<Vec<Patch>, ConfigError> {
+    if patches.len() <= PatchTable::CAPACITY {
+        return Ok(patches);
+    }
+    let distinct = patches
+        .iter()
+        .map(Patch::key)
+        .collect::<BTreeSet<_>>()
+        .len();
+    if distinct > PatchTable::CAPACITY {
+        return Err(ConfigError::TooManyPatches {
+            distinct,
+            capacity: PatchTable::CAPACITY,
+        });
+    }
     Ok(patches)
 }
 
@@ -111,16 +144,18 @@ pub fn to_config_json(patches: &[Patch]) -> String {
 ///
 /// # Errors
 ///
-/// [`ConfigError::Json`] on malformed input.
+/// [`ConfigError::Json`] on malformed input;
+/// [`ConfigError::TooManyPatches`] beyond [`PatchTable::CAPACITY`] keys.
 pub fn from_config_json(json: &str) -> Result<Vec<Patch>, ConfigError> {
     let doc = Json::parse(json).map_err(|e| ConfigError::Json(e.to_string()))?;
     let items = doc
         .as_arr()
         .ok_or_else(|| ConfigError::Json("expected a JSON array of patches".into()))?;
-    items
+    let patches = items
         .iter()
         .map(|item| Patch::from_json(item).map_err(|e| ConfigError::Json(e.to_string())))
-        .collect()
+        .collect::<Result<_, _>>()?;
+    within_capacity(patches)
 }
 
 #[cfg(test)]
@@ -189,6 +224,27 @@ mod tests {
             from_config_json("{not json"),
             Err(ConfigError::Json(_))
         ));
+    }
+
+    #[test]
+    fn both_formats_take_a_full_table_and_refuse_one_more_key() {
+        let keys = |n: u64| -> Vec<Patch> {
+            // Every key twice: duplicates merge, so only distinct keys count.
+            (0..2 * n)
+                .map(|i| Patch::new(AllocFn::Malloc, i % n, VulnFlags::OVERFLOW))
+                .collect()
+        };
+        let cap = PatchTable::CAPACITY as u64;
+        let full = keys(cap);
+        assert_eq!(from_config_text(&to_config_text(&full)).unwrap(), full);
+        assert_eq!(from_config_json(&to_config_json(&full)).unwrap(), full);
+        let over = keys(cap + 1);
+        let refused = Err(ConfigError::TooManyPatches {
+            distinct: 513,
+            capacity: 512,
+        });
+        assert_eq!(from_config_text(&to_config_text(&over)), refused);
+        assert_eq!(from_config_json(&to_config_json(&over)), refused);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! Patches are *code-less*: installing one never alters the program. They
 //! live in a configuration file ([`config`]) that the online defense loads at
 //! startup into a [`PatchTable`] — a frozen hash table probed in O(1) on
-//! every allocation.
+//! every allocation. The simulated defense and the real allocator share this
+//! one table, so a patch's *slot* (its dense index there, the sorted
+//! position of its key for a table loaded from a configuration) names it the
+//! same way in both backends' counters and attack reports.
 //!
 //! # Example
 //!

@@ -1,146 +1,210 @@
-//! The frozen online patch table.
+//! The online patch table, one for both backends.
 
 use crate::{AllocFn, Patch, VulnFlags};
+use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// The hash table the online defense probes on every allocation.
+/// Hash positions of the probe index: twice the capacity, so a full table
+/// stays at 50% load and every probe sequence reaches an empty position.
+const POSITIONS: usize = 2 * PatchTable::CAPACITY;
+const FUN_SHIFT: u32 = 16;
+const REPORTED_SHIFT: u32 = 8;
+
+/// The hash table the online defense probes on every allocation (paper
+/// Section VI), used as is by the simulated defense (`ht-defense`) and the
+/// real allocator (`ht-hardened-alloc`). `const`-constructible and
+/// allocation-free, so a `static` global allocator can embed it.
 ///
-/// Built once at program initialization from the configuration file and then
-/// frozen (the paper `mprotect`s its pages read-only; here immutability is
-/// enforced by the type: there is no mutating method). The backing store is
-/// a flat open-addressing probe array sized to ≤ 50% load — the hot lookup
-/// is a hash, a mask, and a short linear scan over one cache line in the
-/// common case, with no `HashMap` bucket indirection and no SipHash.
-///
-/// Duplicate keys merge their vulnerability bits — an input exploiting
-/// multiple vulnerabilities of one buffer yields one entry with several bits
-/// set (paper Section V, "How to handle multiple vulnerabilities").
-///
-/// [`PatchTable::iter`] yields entries sorted by `(FUN, CCID)`, so every
-/// report or configuration file derived from a table is byte-identical
-/// across runs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Up to [`CAPACITY`](Self::CAPACITY) patches live at dense *slots* handed
+/// out in insertion order; a probe index of hash positions maps each
+/// `(FUN, CCID)` key to its slot. The slot is the one per-patch key of both
+/// backends' telemetry and metadata words. Installs serialize on a lock
+/// and publish each entry with a Release store of its index position;
+/// lookups take no lock, only Acquire loads. Keys are never deleted, and
+/// duplicates merge their bits (paper Section V, multiple
+/// vulnerabilities). [`freeze`](Self::freeze) seals the table, as the paper
+/// `mprotect`s it. The report once-bits are the one field that changes
+/// after that, and no lookup reads them.
 pub struct PatchTable {
-    /// Probe array; `None` = empty slot. Power-of-two length.
-    slots: Vec<Option<((AllocFn, u64), VulnFlags)>>,
-    /// The merged entries, sorted by `(FUN, CCID)`.
-    entries: Vec<(AllocFn, u64, VulnFlags)>,
+    install: Mutex<()>,
+    frozen: AtomicBool,
+    len: AtomicUsize,
+    /// Hash position → slot + 1; 0 marks an empty position.
+    index: [AtomicU16; POSITIONS],
+    /// By slot: `fun << FUN_SHIFT | reported << REPORTED_SHIFT | vuln`,
+    /// where the `reported` byte holds the report once-bits.
+    metas: [AtomicU32; PatchTable::CAPACITY],
+    /// By slot: the CCID of the key.
+    ccids: [AtomicU64; PatchTable::CAPACITY],
 }
 
 #[inline]
-fn key_hash(fun: AllocFn, ccid: u64) -> usize {
-    (ccid ^ ((fun as u64) << 56)).wrapping_mul(0x9E3779B97F4A7C15) as usize
+fn position(fun: AllocFn, ccid: u64) -> usize {
+    let key = ccid ^ ((fun as u64) << 56);
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - POSITIONS.trailing_zeros())) as usize
 }
 
 impl PatchTable {
-    /// An empty table (no buffer is considered vulnerable).
-    pub fn new() -> Self {
-        Self::default()
+    /// Distinct `(FUN, CCID)` keys a table holds: the limit the real
+    /// allocator's 9-bit metadata-word slot field sets.
+    pub const CAPACITY: usize = 512;
+
+    /// An empty, unfrozen table (no buffer is considered vulnerable).
+    pub const fn new() -> Self {
+        Self {
+            install: Mutex::new(()),
+            frozen: AtomicBool::new(false),
+            len: AtomicUsize::new(0),
+            index: [const { AtomicU16::new(0) }; POSITIONS],
+            metas: [const { AtomicU32::new(0) }; PatchTable::CAPACITY],
+            ccids: [const { AtomicU64::new(0) }; PatchTable::CAPACITY],
+        }
     }
 
-    /// Builds a table from patches, merging duplicates.
+    /// A frozen table of `patches`, inserted in `(FUN, CCID)` order so that
+    /// slots are sorted positions and iteration order is deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patches hold more than [`Self::CAPACITY`] distinct
+    /// keys. The configuration loaders refuse such files with
+    /// [`ConfigError::TooManyPatches`](crate::ConfigError::TooManyPatches).
     pub fn from_patches<I: IntoIterator<Item = Patch>>(patches: I) -> Self {
-        let mut entries: Vec<(AllocFn, u64, VulnFlags)> = patches
-            .into_iter()
-            .map(|p| (p.alloc_fn, p.ccid, p.vuln))
-            .collect();
-        entries.sort_by_key(|&(f, c, _)| (f, c));
-        entries.dedup_by(|later, earlier| {
-            if (earlier.0, earlier.1) == (later.0, later.1) {
-                earlier.2 |= later.2;
-                true
-            } else {
-                false
-            }
-        });
-        let mut table = Self {
-            slots: Vec::new(),
-            entries,
-        };
-        table.rebuild_slots();
+        let mut patches: Vec<Patch> = patches.into_iter().collect();
+        patches.sort_by_key(Patch::key);
+        let table = Self::new();
+        for p in &patches {
+            assert!(
+                table.insert(p).is_some(),
+                "patch table capacity is {} distinct (FUN, CCID) keys",
+                Self::CAPACITY
+            );
+        }
+        table.freeze();
         table
     }
 
-    /// Rebuilds the probe array from `self.entries` at ≤ 50% load.
-    fn rebuild_slots(&mut self) {
-        let cap = (self.entries.len() * 2).next_power_of_two().max(8);
-        self.slots.clear();
-        self.slots.resize(cap, None);
-        let mask = cap - 1;
-        for &(fun, ccid, vuln) in &self.entries {
-            let mut s = key_hash(fun, ccid) & mask;
-            while self.slots[s].is_some() {
-                s = (s + 1) & mask;
-            }
-            self.slots[s] = Some(((fun, ccid), vuln));
-        }
-    }
-
-    /// O(1) probe: is a buffer allocated via `fun` under context `ccid`
-    /// vulnerable, and to what?
-    #[inline]
-    pub fn lookup(&self, fun: AllocFn, ccid: u64) -> Option<VulnFlags> {
-        if self.entries.is_empty() {
+    /// Installs `p`, merging its bits into an existing entry of the same
+    /// key. Returns its slot, or `None` when the table is frozen or full.
+    pub fn insert(&self, p: &Patch) -> Option<usize> {
+        let _g = self.install.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.is_frozen() {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut s = key_hash(fun, ccid) & mask;
-        while let Some((key, vuln)) = self.slots[s] {
-            if key == (fun, ccid) {
-                return Some(vuln);
+        let vuln = u32::from(p.vuln.bits());
+        let mut pos = position(p.alloc_fn, p.ccid);
+        // The lock holder is the only writer, so Relaxed reads suffice.
+        while let Some(slot) = usize::from(self.index[pos].load(Ordering::Relaxed)).checked_sub(1) {
+            if self.key_at(slot) == p.key() {
+                self.metas[slot].fetch_or(vuln, Ordering::Release);
+                return Some(slot);
             }
-            s = (s + 1) & mask;
+            pos = (pos + 1) % POSITIONS;
         }
-        None
+        let slot = self.len.load(Ordering::Relaxed);
+        if slot == Self::CAPACITY {
+            return None;
+        }
+        self.ccids[slot].store(p.ccid, Ordering::Relaxed);
+        self.metas[slot].store((p.alloc_fn as u32) << FUN_SHIFT | vuln, Ordering::Relaxed);
+        self.index[pos].store(slot as u16 + 1, Ordering::Release);
+        self.len.store(slot + 1, Ordering::Release);
+        Some(slot)
     }
 
-    /// The slot index of `(fun, ccid)`: its position in the sorted entry
-    /// list. A dense, stable per-patch key — telemetry counters and
-    /// once-bit report masks are keyed by it.
-    pub fn slot_index(&self, fun: AllocFn, ccid: u64) -> Option<usize> {
-        self.entries
-            .binary_search_by_key(&(fun, ccid), |&(f, c, _)| (f, c))
-            .ok()
+    fn key_at(&self, slot: usize) -> (AllocFn, u64) {
+        let fun = AllocFn::ALL[(self.metas[slot].load(Ordering::Relaxed) >> FUN_SHIFT) as usize];
+        (fun, self.ccids[slot].load(Ordering::Relaxed))
     }
 
-    /// The entry at [slot index](Self::slot_index) `i`.
-    pub fn entry(&self, i: usize) -> Option<(AllocFn, u64, VulnFlags)> {
-        self.entries.get(i).copied()
+    /// Seals the table: every later [`Self::insert`] is refused.
+    pub fn freeze(&self) {
+        let _g = self.install.lock().unwrap_or_else(PoisonError::into_inner);
+        self.frozen.store(true, Ordering::Release);
+    }
+
+    /// Whether [`Self::freeze`] has been called.
+    pub fn is_frozen(&self) -> bool {
+        self.frozen.load(Ordering::Acquire)
+    }
+
+    /// The slot and vulnerability bits of `(fun, ccid)`, if patched. Takes
+    /// no lock: one Acquire load per probed position, and a miss usually
+    /// ends at the first.
+    #[inline]
+    pub fn probe(&self, fun: AllocFn, ccid: u64) -> Option<(usize, VulnFlags)> {
+        let mut pos = position(fun, ccid);
+        loop {
+            let slot = usize::from(self.index[pos].load(Ordering::Acquire)).checked_sub(1)?;
+            let meta = self.metas[slot].load(Ordering::Relaxed);
+            if meta >> FUN_SHIFT == fun as u32 && self.ccids[slot].load(Ordering::Relaxed) == ccid {
+                return Some((slot, VulnFlags::from_bits_truncate(meta as u8)));
+            }
+            pos = (pos + 1) % POSITIONS;
+        }
+    }
+
+    /// Is a buffer allocated via `fun` under context `ccid` vulnerable, and
+    /// to what? [`Self::probe`] without the slot.
+    #[inline]
+    pub fn lookup(&self, fun: AllocFn, ccid: u64) -> Option<VulnFlags> {
+        self.probe(fun, ccid).map(|(_, vuln)| vuln)
+    }
+
+    /// The patch at `slot`.
+    pub fn entry(&self, slot: usize) -> Option<(AllocFn, u64, VulnFlags)> {
+        if slot >= self.len() {
+            return None;
+        }
+        let (fun, ccid) = self.key_at(slot);
+        let meta = self.metas[slot].load(Ordering::Relaxed);
+        Some((fun, ccid, VulnFlags::from_bits_truncate(meta as u8)))
+    }
+
+    /// Sets the once-bit of vulnerability type `t` (a single bit) at
+    /// `slot`. Returns `true` exactly once per `(slot, t)`: the caller files
+    /// the attack report then.
+    pub fn report_once(&self, slot: usize, t: VulnFlags) -> bool {
+        let bit = u32::from(t.bits()) << REPORTED_SHIFT;
+        self.metas[slot].fetch_or(bit, Ordering::Relaxed) & bit == 0
     }
 
     /// Number of distinct `(FUN, CCID)` entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// Whether the table holds no patches.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Iterates over entries in ascending `(FUN, CCID)` order — a
-    /// deterministic order, so derived output is stable across runs.
+    /// The entries in slot order: ascending `(FUN, CCID)` for a table built
+    /// by [`Self::from_patches`], insertion order otherwise.
     pub fn iter(&self) -> impl Iterator<Item = (AllocFn, u64, VulnFlags)> + '_ {
-        self.entries.iter().copied()
+        (0..self.len()).filter_map(|slot| self.entry(slot))
+    }
+}
+
+impl Default for PatchTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Debug for PatchTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PatchTable")
+            .field("frozen", &self.is_frozen())
+            .field("entries", &self.iter().collect::<Vec<_>>())
+            .finish()
     }
 }
 
 impl FromIterator<Patch> for PatchTable {
     fn from_iter<I: IntoIterator<Item = Patch>>(iter: I) -> Self {
         Self::from_patches(iter)
-    }
-}
-
-impl Extend<Patch> for PatchTable {
-    fn extend<I: IntoIterator<Item = Patch>>(&mut self, iter: I) {
-        // Rebuild-on-extend: extension happens at configuration-load time,
-        // never on the allocation path, so simplicity wins over speed.
-        let merged = Self::from_patches(
-            self.entries
-                .iter()
-                .map(|&(f, c, v)| Patch::new(f, c, v))
-                .chain(iter),
-        );
-        *self = merged;
     }
 }
 
@@ -182,18 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_extend() {
-        let mut t: PatchTable = [Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW)]
+    fn collect_builds_a_frozen_table() {
+        let t: PatchTable = [Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW)]
             .into_iter()
             .collect();
-        t.extend([Patch::new(AllocFn::Malloc, 1, VulnFlags::USE_AFTER_FREE)]);
-        assert_eq!(
-            t.lookup(AllocFn::Malloc, 1),
-            Some(VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE)
-        );
-        t.extend([Patch::new(AllocFn::Realloc, 7, VulnFlags::OVERFLOW)]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.lookup(AllocFn::Realloc, 7), Some(VulnFlags::OVERFLOW));
+        assert_eq!(t.lookup(AllocFn::Malloc, 1), Some(VulnFlags::OVERFLOW));
+        assert!(t.is_frozen());
+        let late = Patch::new(AllocFn::Realloc, 7, VulnFlags::OVERFLOW);
+        assert_eq!(t.insert(&late), None, "a frozen table takes nothing");
+        assert_eq!(t.lookup(AllocFn::Realloc, 7), None);
     }
 
     #[test]
@@ -216,48 +277,105 @@ mod tests {
     }
 
     #[test]
-    fn slot_index_is_the_sorted_position() {
+    fn from_patches_slots_are_sorted_positions() {
         let t = PatchTable::from_patches([
             Patch::new(AllocFn::Realloc, 2, VulnFlags::ALL),
             Patch::new(AllocFn::Malloc, 5, VulnFlags::USE_AFTER_FREE),
             Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW),
         ]);
-        assert_eq!(t.slot_index(AllocFn::Malloc, 1), Some(0));
-        assert_eq!(t.slot_index(AllocFn::Malloc, 5), Some(1));
-        assert_eq!(t.slot_index(AllocFn::Realloc, 2), Some(2));
-        assert_eq!(t.slot_index(AllocFn::Malloc, 2), None);
+        assert_eq!(t.probe(AllocFn::Malloc, 1), Some((0, VulnFlags::OVERFLOW)));
+        assert_eq!(
+            t.probe(AllocFn::Malloc, 5),
+            Some((1, VulnFlags::USE_AFTER_FREE))
+        );
+        assert_eq!(t.probe(AllocFn::Realloc, 2), Some((2, VulnFlags::ALL)));
+        assert_eq!(t.probe(AllocFn::Malloc, 2), None);
         assert_eq!(
             t.entry(2),
             Some((AllocFn::Realloc, 2, VulnFlags::ALL)),
             "entry() resolves the slot back to the patch"
         );
         assert_eq!(t.entry(3), None);
-        // slot_index and lookup agree on every entry.
-        for (i, (f, c, v)) in t.iter().enumerate() {
-            assert_eq!(t.slot_index(f, c), Some(i));
-            assert_eq!(t.lookup(f, c), Some(v));
-        }
     }
 
     #[test]
-    fn dense_tables_probe_correctly() {
-        // Enough keys to force wraparound probes at 50% load.
-        let patches: Vec<Patch> = (0..300)
-            .map(|i| Patch::new(AllocFn::Malloc, i * 3 + 1, VulnFlags::OVERFLOW))
-            .collect();
-        let t = PatchTable::from_patches(patches);
-        assert_eq!(t.len(), 300);
-        for i in 0..300u64 {
+    fn insert_hands_out_dense_slots_in_insertion_order() {
+        let t = PatchTable::new();
+        let p = |c| Patch::new(AllocFn::Malloc, c, VulnFlags::OVERFLOW);
+        assert_eq!(t.insert(&p(30)), Some(0));
+        assert_eq!(t.insert(&p(10)), Some(1));
+        assert_eq!(t.insert(&p(30)), Some(0), "a known key keeps its slot");
+        assert_eq!(t.insert(&p(20)), Some(2));
+        assert_eq!(t.probe(AllocFn::Malloc, 10), Some((1, VulnFlags::OVERFLOW)));
+        let keys: Vec<u64> = t.iter().map(|(_, c, _)| c).collect();
+        assert_eq!(keys, [30, 10, 20]);
+    }
+
+    #[test]
+    fn capacity_is_enforced_and_full_tables_still_probe() {
+        let t = PatchTable::new();
+        for c in 0..PatchTable::CAPACITY as u64 {
+            let p = Patch::new(AllocFn::Calloc, c * 7, VulnFlags::UNINIT_READ);
+            assert_eq!(t.insert(&p), Some(c as usize));
+        }
+        let extra = Patch::new(AllocFn::Calloc, 1, VulnFlags::UNINIT_READ);
+        assert_eq!(t.insert(&extra), None, "the 513th key is refused");
+        let known = Patch::new(AllocFn::Calloc, 7, VulnFlags::OVERFLOW);
+        assert_eq!(t.insert(&known), Some(1), "a full table still merges bits");
+        for c in 0..PatchTable::CAPACITY as u64 {
             assert_eq!(
-                t.lookup(AllocFn::Malloc, i * 3 + 1),
-                Some(VulnFlags::OVERFLOW)
+                t.probe(AllocFn::Calloc, c * 7).map(|(s, _)| s),
+                Some(c as usize)
             );
-            assert_eq!(t.lookup(AllocFn::Malloc, i * 3 + 2), None);
+            assert_eq!(t.lookup(AllocFn::Calloc, c * 7 + 1), None);
         }
     }
 
     #[test]
-    fn equality_ignores_insertion_order() {
+    #[should_panic(expected = "patch table capacity is 512")]
+    fn from_patches_panics_beyond_capacity() {
+        let patches = (0..=PatchTable::CAPACITY as u64)
+            .map(|c| Patch::new(AllocFn::Malloc, c, VulnFlags::OVERFLOW));
+        let _ = PatchTable::from_patches(patches);
+    }
+
+    #[test]
+    fn once_bits_fire_once_per_slot_and_type_and_hide_from_lookups() {
+        let t = PatchTable::from_patches([
+            Patch::new(AllocFn::Malloc, 1, VulnFlags::ALL),
+            Patch::new(AllocFn::Malloc, 2, VulnFlags::OVERFLOW),
+        ]);
+        assert!(t.report_once(0, VulnFlags::OVERFLOW));
+        assert!(!t.report_once(0, VulnFlags::OVERFLOW));
+        assert!(t.report_once(0, VulnFlags::USE_AFTER_FREE));
+        assert!(t.report_once(1, VulnFlags::OVERFLOW), "per slot");
+        assert_eq!(t.lookup(AllocFn::Malloc, 1), Some(VulnFlags::ALL));
+        assert_eq!(t.entry(1), Some((AllocFn::Malloc, 2, VulnFlags::OVERFLOW)));
+    }
+
+    #[test]
+    fn concurrent_lookups_see_whole_entries() {
+        let t = PatchTable::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for c in 0..PatchTable::CAPACITY as u64 {
+                    t.insert(&Patch::new(AllocFn::Malloc, c, VulnFlags::OVERFLOW));
+                }
+            });
+            s.spawn(|| {
+                for c in (0..PatchTable::CAPACITY as u64).cycle().take(20_000) {
+                    if let Some((slot, vuln)) = t.probe(AllocFn::Malloc, c) {
+                        assert_eq!(slot as u64, c);
+                        assert_eq!(vuln, VulnFlags::OVERFLOW);
+                    }
+                }
+            });
+        });
+        assert_eq!(t.len(), PatchTable::CAPACITY);
+    }
+
+    #[test]
+    fn equal_patch_sets_build_equal_tables() {
         let a = PatchTable::from_patches([
             Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW),
             Patch::new(AllocFn::Calloc, 2, VulnFlags::UNINIT_READ),
@@ -266,6 +384,6 @@ mod tests {
             Patch::new(AllocFn::Calloc, 2, VulnFlags::UNINIT_READ),
             Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW),
         ]);
-        assert_eq!(a, b);
+        assert!(a.iter().eq(b.iter()));
     }
 }

@@ -1,7 +1,7 @@
 //! Per-patch hit/byte counters, striped over cache lines.
 //!
-//! The frozen patch table gives every patch a stable slot index; these
-//! counters are dense arrays keyed by that index. To keep concurrent
+//! The patch table gives every patch a dense, stable slot; these counters
+//! are dense arrays keyed by it. To keep concurrent
 //! increments contention-free the arrays are **striped**: 16 independent
 //! copies (one per cache-line-padded lane), with each thread hashing to one
 //! lane — the same pattern as the hardened allocator's `StripedCounter`,

@@ -10,8 +10,8 @@
 //! w2: size in bytes
 //! ```
 //!
-//! `slot` is the patch-table slot index of the patch involved (shifted by
-//! one so an all-zero word means "no patch"); `vuln` is the single `T` bit
+//! `slot` is the [`ht_patch::PatchTable`] slot of the patch involved
+//! (shifted by one so an all-zero word means "no patch"); `vuln` is the single `T` bit
 //! (or merged bits) relevant to the event.
 
 use ht_jsonio::{obj, Json, ToJson};

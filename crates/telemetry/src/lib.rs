@@ -13,12 +13,17 @@
 //!   safe to feed from inside a `#[global_allocator]`.
 //! - [`PatchStripes`] — per-patch hit/byte counters striped over 16 cache
 //!   lines (the same striping as the allocator's own counters), keyed by
-//!   the frozen patch table's slot index and merged by
-//!   [`PatchStripes::merge`].
+//!   patch slot and merged by [`PatchStripes::merge`].
 //! - [`AttackReport`] — the paper-style structured report, rendered exactly
 //!   once per distinct `(FUN, CCID, T)`; dedup lives with the patch table
-//!   (a lock-free once-bit in the patch meta word) so this crate only
-//!   formats and serializes.
+//!   (a lock-free once-bit per slot) so this crate only formats and
+//!   serializes.
+//!
+//! Every `slot` here — in events, counter rows and reports — is the
+//! patch's slot in the one [`ht_patch::PatchTable`] both backends use: a
+//! dense index in insertion order, the sorted position of the key for a
+//! table loaded from a configuration. The two backends therefore name a
+//! patch the same way.
 //! - [`Timeline`] — wall-clock phase spans for the offline pipeline
 //!   (instrument / analyze / patch-gen), printed by the `reproduce` tables.
 //!
@@ -74,7 +79,7 @@ impl TelemetryConfig {
 /// One merged per-patch counter row, resolved back to the patch identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatchCounterRow {
-    /// Patch-table slot index the counters were keyed by.
+    /// [`ht_patch::PatchTable`] slot the counters were keyed by.
     pub slot: usize,
     /// Allocation API of the patch.
     pub fun: ht_patch::AllocFn,

@@ -11,8 +11,8 @@
 //! cargo run --release --example hardened_allocator
 //! ```
 
-use heaptherapy_plus::hardened_alloc::{ccid, HardenedAlloc, PatchEntry};
-use heaptherapy_plus::patch::{AllocFn, VulnFlags};
+use heaptherapy_plus::hardened_alloc::{ccid, HardenedAlloc};
+use heaptherapy_plus::patch::{AllocFn, Patch, VulnFlags};
 use std::alloc::Layout;
 
 #[global_allocator]
@@ -57,7 +57,7 @@ fn perms_at(addr: usize) -> Option<String> {
 fn main() {
     // Install the patch for the vulnerable calling context, as the online
     // defense generator does at startup from the configuration file.
-    ALLOC.install(&[PatchEntry::new(
+    ALLOC.install(&[Patch::new(
         AllocFn::Malloc,
         vulnerable_ccid(),
         VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE | VulnFlags::UNINIT_READ,

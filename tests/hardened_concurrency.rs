@@ -11,8 +11,8 @@
 //! no `unsafe` in this file.
 
 use heaptherapy_plus::hardened_alloc::throughput::{self, Api};
-use heaptherapy_plus::hardened_alloc::{HardenedAlloc, PatchEntry};
-use heaptherapy_plus::patch::{AllocFn, VulnFlags};
+use heaptherapy_plus::hardened_alloc::HardenedAlloc;
+use heaptherapy_plus::patch::{AllocFn, Patch, VulnFlags};
 use proptest::prelude::*;
 use std::alloc::Layout;
 
@@ -38,8 +38,8 @@ fn vuln_of(site: u64) -> VulnFlags {
 
 fn patched_alloc() -> Box<HardenedAlloc> {
     let a = Box::new(HardenedAlloc::new());
-    let patches = SITES
-        .map(|site| PatchEntry::new(AllocFn::Malloc, throughput::site_ccid(site), vuln_of(site)));
+    let patches =
+        SITES.map(|site| Patch::new(AllocFn::Malloc, throughput::site_ccid(site), vuln_of(site)));
     assert_eq!(a.install(&patches), SITES.len());
     a.freeze();
     a
@@ -321,10 +321,10 @@ proptest! {
         rounds in proptest::collection::vec(arb_round(), 1..48),
     ) {
         let a = Box::new(HardenedAlloc::new());
-        let patches: Vec<PatchEntry> = AllocFn::ALL
+        let patches: Vec<Patch> = AllocFn::ALL
             .iter()
             .flat_map(|&fun| {
-                SITES.map(|site| PatchEntry::new(fun, throughput::site_ccid(site), vuln_of(site)))
+                SITES.map(|site| Patch::new(fun, throughput::site_ccid(site), vuln_of(site)))
             })
             .collect();
         prop_assert_eq!(a.install(&patches), patches.len());
