@@ -350,7 +350,7 @@ fn run_scaling(opts: &Opts) {
         "\nrange over {} samples (min–max Mops/s):",
         opts.samples.max(1)
     );
-    let range = |s: scaling::Spread| format!("{:.3}–{:.3}", s.min / 1e6, s.max / 1e6);
+    let range = |s: ht_bench::Spread| format!("{:.3}–{:.3}", s.min / 1e6, s.max / 1e6);
     for r in &rows {
         println!(
             "{:<8} {:>16} {:>16} {:>16} {:>16}",
@@ -388,15 +388,15 @@ fn run_shadow(opts: &Opts) {
     println!(
         "{:<12} {:>14.0} {:>14.4} {:>9}",
         "reference",
-        report.reference.events_per_sec(),
-        report.reference.secs,
+        report.reference.events_per_sec().median,
+        report.reference.secs.median,
         "1.00x"
     );
     println!(
         "{:<12} {:>14.0} {:>14.4} {:>8.2}x",
         "word",
-        report.word.events_per_sec(),
-        report.word.secs,
+        report.word.events_per_sec().median,
+        report.word.secs.median,
         report.replay_speedup()
     );
     println!(
@@ -411,8 +411,8 @@ fn run_shadow(opts: &Opts) {
         println!(
             "{:<24} {:>14.0} {:>12.0} {:>8.2}x",
             k.name,
-            k.reference_ns,
-            k.word_ns,
+            k.reference_ns.median,
+            k.word_ns.median,
             k.speedup()
         );
     }

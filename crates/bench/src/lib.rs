@@ -39,6 +39,7 @@ pub mod table3;
 pub mod table4;
 pub mod telemetry;
 
+use ht_jsonio::Json;
 use std::time::Instant;
 
 /// Median-of-`n` wall-time measurement of `f`, in seconds.
@@ -46,9 +47,14 @@ use std::time::Instant;
 /// Runs one untimed warm-up iteration first so cold-start effects (page
 /// faults, lazy allocations, branch-predictor training) land outside the
 /// measured samples.
-pub fn time_median<F: FnMut()>(n: usize, mut f: F) -> f64 {
+pub fn time_median<F: FnMut()>(n: usize, f: F) -> f64 {
+    time_spread(n, f).median
+}
+
+/// [`time_median`] with the range of the `n` samples, in seconds.
+pub fn time_spread<F: FnMut()>(n: usize, mut f: F) -> Spread {
     f();
-    median(
+    Spread::of(
         (0..n.max(1))
             .map(|_| {
                 let t0 = Instant::now();
@@ -57,6 +63,52 @@ pub fn time_median<F: FnMut()>(n: usize, mut f: F) -> f64 {
             })
             .collect(),
     )
+}
+
+/// A measurement's samples: their median, min and max.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Spread {
+    /// Median sample.
+    pub median: f64,
+    /// Smallest sample.
+    pub min: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples` (all zero for none).
+    pub fn of(samples: Vec<f64>) -> Self {
+        if samples.is_empty() {
+            return Self::default();
+        }
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        Self {
+            median: median(samples),
+            min,
+            max,
+        }
+    }
+
+    /// JSON fields `name` (the median), `name_min` and `name_max`, rounded
+    /// to integers since the wire format is integer-only.
+    pub fn json_fields(self, name: &str) -> [(String, Json); 3] {
+        [
+            (name.to_string(), Json::U64(self.median as u64)),
+            (format!("{name}_min"), Json::U64(self.min as u64)),
+            (format!("{name}_max"), Json::U64(self.max as u64)),
+        ]
+    }
+
+    /// Every statistic scaled by `k` (`k >= 0`).
+    pub fn scale(self, k: f64) -> Self {
+        Self {
+            median: self.median * k,
+            min: self.min * k,
+            max: self.max * k,
+        }
+    }
 }
 
 /// The median of `samples` (0 for none).

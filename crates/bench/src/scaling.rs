@@ -27,6 +27,7 @@
 //! median with its min and max: on a small shared box one run of a series
 //! can read half or twice another.
 
+use crate::Spread;
 use ht_hardened_alloc::{throughput, HardenedAlloc};
 use ht_jsonio::Json;
 use ht_patch::{AllocFn, Patch, VulnFlags};
@@ -40,33 +41,6 @@ pub const ALLOC_SIZE: usize = 64;
 pub const PATCHED_EVERY: u64 = 64;
 /// The instrumented call sites the 5 patches target.
 pub const PATCHED_SITES: [u64; 5] = [0xA1, 0xA2, 0xA3, 0xA4, 0xA5];
-
-/// One cell's samples (pairs/sec): their median, min and max.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Spread {
-    /// Median sample.
-    pub median: f64,
-    /// Slowest sample.
-    pub min: f64,
-    /// Fastest sample.
-    pub max: f64,
-}
-
-impl Spread {
-    /// The spread of `samples` (all zero for none).
-    pub fn of(samples: Vec<f64>) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Self {
-            median: crate::median(samples),
-            min,
-            max,
-        }
-    }
-}
 
 /// Throughput of the four series at one thread count.
 #[derive(Debug, Clone, Copy)]
@@ -225,9 +199,7 @@ pub fn to_json(rows: &[ScalingRow], pairs_per_thread: u64, samples: usize) -> Js
             ("hardened", r.hardened),
             ("telemetry", r.telemetry),
         ] {
-            fields.push((format!("{name}_ops"), Json::U64(s.median as u64)));
-            fields.push((format!("{name}_ops_min"), Json::U64(s.min as u64)));
-            fields.push((format!("{name}_ops_max"), Json::U64(s.max as u64)));
+            fields.extend(s.json_fields(&format!("{name}_ops")));
         }
         Json::Obj(fields)
     };

@@ -17,6 +17,7 @@
 //! * **per-kernel microbenches** — ns/op of the individual `ShadowBits` /
 //!   `HeapMap` operations the replay is built from, word vs. reference.
 
+use crate::Spread;
 use heaptherapy_core::{HeapTherapy, PipelineConfig};
 use ht_jsonio::Json;
 use ht_memsim::PAGE_SIZE;
@@ -55,38 +56,48 @@ pub fn replay_corpus(reference_kernels: bool) -> (u64, u64) {
 pub struct ReplaySeries {
     /// Shadow events per corpus pass.
     pub events: u64,
-    /// Median wall seconds per corpus pass.
-    pub secs: f64,
+    /// Wall seconds per corpus pass over the samples.
+    pub secs: Spread,
 }
 
 impl ReplaySeries {
-    /// Events per second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.secs <= 0.0 {
-            return 0.0;
+    /// Events per second: the median sample's, and the range from the
+    /// slowest to the fastest sample (0 where a sample took no time).
+    pub fn events_per_sec(&self) -> Spread {
+        let rate = |secs: f64| {
+            if secs <= 0.0 {
+                0.0
+            } else {
+                self.events as f64 / secs
+            }
+        };
+        Spread {
+            median: rate(self.secs.median),
+            min: rate(self.secs.max),
+            max: rate(self.secs.min),
         }
-        self.events as f64 / self.secs
     }
 }
 
-/// One per-kernel microbench row: median ns/op, word vs. reference.
+/// One per-kernel microbench row: ns/op over the samples, word vs.
+/// reference.
 #[derive(Debug, Clone)]
 pub struct KernelRow {
     /// Kernel under test.
     pub name: &'static str,
     /// Reference (byte-at-a-time) ns per operation.
-    pub reference_ns: f64,
+    pub reference_ns: Spread,
     /// Word-kernel ns per operation.
-    pub word_ns: f64,
+    pub word_ns: Spread,
 }
 
 impl KernelRow {
-    /// Reference time over word time.
+    /// Median reference time over median word time.
     pub fn speedup(&self) -> f64 {
-        if self.word_ns <= 0.0 {
+        if self.word_ns.median <= 0.0 {
             return 0.0;
         }
-        self.reference_ns / self.word_ns
+        self.reference_ns.median / self.word_ns.median
     }
 }
 
@@ -105,10 +116,10 @@ impl ShadowBenchReport {
     /// Corpus-replay event-throughput speedup of word over reference
     /// kernels (the ≥ 5× acceptance number).
     pub fn replay_speedup(&self) -> f64 {
-        if self.word.secs <= 0.0 {
+        if self.word.secs.median <= 0.0 {
             return 0.0;
         }
-        self.reference.secs / self.word.secs
+        self.reference.secs.median / self.word.secs.median
     }
 }
 
@@ -128,18 +139,18 @@ fn scan_target(mode: KernelMode) -> ShadowBits {
     s
 }
 
-/// Measures `op` as median-of-`samples` over `iters` iterations, in ns/op.
-fn ns_per_op<F: FnMut()>(samples: usize, iters: u64, mut op: F) -> f64 {
-    let secs = crate::time_median(samples, || {
+/// Measures `op` in ns/op, `samples` times over `iters` iterations each.
+fn ns_per_op<F: FnMut()>(samples: usize, iters: u64, mut op: F) -> Spread {
+    crate::time_spread(samples, || {
         for _ in 0..iters {
             op();
         }
-    });
-    secs * 1e9 / iters as f64
+    })
+    .scale(1e9 / iters as f64)
 }
 
 /// Runs every per-kernel microbench in one mode; row order is fixed.
-fn kernel_ns(mode: KernelMode, samples: usize) -> Vec<(&'static str, f64)> {
+fn kernel_ns(mode: KernelMode, samples: usize) -> Vec<(&'static str, Spread)> {
     let mut out = Vec::new();
 
     // Range set: mark a 16-page span valid, then invalid again.
@@ -239,16 +250,18 @@ pub fn run(samples: usize, repeat: usize) -> ShadowBenchReport {
     assert_eq!(events, events_ref, "modes disagree on replayed events");
     assert_eq!(warn_word, warn_ref, "modes disagree on warnings");
 
-    let word_secs = crate::time_median(samples, || {
+    let word_secs = crate::time_spread(samples, || {
         for _ in 0..repeat {
             replay_corpus(false);
         }
-    }) / repeat as f64;
-    let reference_secs = crate::time_median(samples, || {
+    })
+    .scale(1.0 / repeat as f64);
+    let reference_secs = crate::time_spread(samples, || {
         for _ in 0..repeat {
             replay_corpus(true);
         }
-    }) / repeat as f64;
+    })
+    .scale(1.0 / repeat as f64);
 
     let word_rows = kernel_ns(KernelMode::Word, samples);
     let ref_rows = kernel_ns(KernelMode::Reference, samples);
@@ -278,45 +291,40 @@ pub fn run(samples: usize, repeat: usize) -> ShadowBenchReport {
     }
 }
 
-/// The committed-baseline JSON shape (`BENCH_shadow.json`). The wire format
-/// is integer-only, so ratios are stored ×100.
+/// The committed-baseline JSON shape (`BENCH_shadow.json`): each measured
+/// value is the median of the samples, with `_min` / `_max` its range. The
+/// wire format is integer-only, so ratios (of medians) are stored ×100.
 pub fn to_json(r: &ShadowBenchReport, samples: usize, repeat: usize) -> Json {
-    Json::Obj(vec![
+    let mut fields = vec![
         ("samples".into(), Json::U64(samples as u64)),
         ("repeat".into(), Json::U64(repeat as u64)),
         ("corpus_events".into(), Json::U64(r.word.events)),
-        (
-            "word_events_per_sec".into(),
-            Json::U64(r.word.events_per_sec() as u64),
-        ),
-        (
-            "reference_events_per_sec".into(),
-            Json::U64(r.reference.events_per_sec() as u64),
-        ),
-        (
-            "replay_speedup_x100".into(),
-            Json::U64((r.replay_speedup() * 100.0) as u64),
-        ),
-        (
-            "kernels".into(),
-            Json::Arr(
-                r.kernels
-                    .iter()
-                    .map(|k| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(k.name.into())),
-                            ("reference_ns".into(), Json::U64(k.reference_ns as u64)),
-                            ("word_ns".into(), Json::U64(k.word_ns as u64)),
-                            (
-                                "speedup_x100".into(),
-                                Json::U64((k.speedup() * 100.0) as u64),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    ];
+    fields.extend(r.word.events_per_sec().json_fields("word_events_per_sec"));
+    fields.extend(
+        r.reference
+            .events_per_sec()
+            .json_fields("reference_events_per_sec"),
+    );
+    fields.push((
+        "replay_speedup_x100".into(),
+        Json::U64((r.replay_speedup() * 100.0) as u64),
+    ));
+    let kernel = |k: &KernelRow| {
+        let mut f = vec![("name".to_string(), Json::Str(k.name.into()))];
+        f.extend(k.reference_ns.json_fields("reference_ns"));
+        f.extend(k.word_ns.json_fields("word_ns"));
+        f.push((
+            "speedup_x100".into(),
+            Json::U64((k.speedup() * 100.0) as u64),
+        ));
+        Json::Obj(f)
+    };
+    fields.push((
+        "kernels".into(),
+        Json::Arr(r.kernels.iter().map(kernel).collect()),
+    ));
+    Json::Obj(fields)
 }
 
 #[cfg(test)]
@@ -338,7 +346,11 @@ mod tests {
         assert_eq!(w.len(), r.len());
         for ((wn, wns), (rn, rns)) in w.iter().zip(&r) {
             assert_eq!(wn, rn);
-            assert!(*wns > 0.0 && *rns > 0.0, "{wn}: {wns} / {rns}");
+            assert!(wns.min > 0.0 && rns.min > 0.0, "{wn}: {wns:?} / {rns:?}");
+            assert!(
+                wns.min <= wns.median && wns.median <= wns.max,
+                "{wn}: {wns:?}"
+            );
         }
     }
 
@@ -347,21 +359,31 @@ mod tests {
         let report = ShadowBenchReport {
             word: ReplaySeries {
                 events: 1000,
-                secs: 0.010,
+                secs: Spread::of(vec![0.010, 0.008, 0.020]),
             },
             reference: ReplaySeries {
                 events: 1000,
-                secs: 0.100,
+                secs: Spread::of(vec![0.100]),
             },
             kernels: vec![KernelRow {
                 name: "set_valid_range",
-                reference_ns: 950.5,
-                word_ns: 10.2,
+                reference_ns: Spread::of(vec![950.5]),
+                word_ns: Spread::of(vec![10.2, 9.0, 12.0]),
             }],
         };
         assert!((report.replay_speedup() - 10.0).abs() < 1e-9);
         let j = to_json(&report, 3, 1);
         let parsed = Json::parse(&j.to_pretty()).expect("self-emitted JSON parses");
         assert_eq!(parsed, j);
+        let text = j.to_pretty();
+        for (key, v) in [
+            ("word_events_per_sec", 100_000),
+            ("word_events_per_sec_min", 50_000),
+            ("word_events_per_sec_max", 125_000),
+            ("word_ns_min", 9),
+            ("word_ns_max", 12),
+        ] {
+            assert!(text.contains(&format!("\"{key}\": {v}")), "{key}: {text}");
+        }
     }
 }

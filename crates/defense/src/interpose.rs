@@ -519,7 +519,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     }
 
     fn read(&mut self, addr: Addr, len: u64, _sink: Sink) -> ReadResult {
-        let mut data = vec![0u8; len as usize];
+        let mut data = vec![0u8; self.space.reach(addr, len) as usize];
         match self.space.read(addr, &mut data) {
             Ok(()) => ReadResult {
                 data,
@@ -541,7 +541,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     }
 
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
-        let mut buf = vec![0u8; len as usize];
+        let mut buf = vec![0u8; self.space.reach(src, len) as usize];
         if let Err(f) = self.space.read(src, &mut buf) {
             self.stats.blocked_accesses += 1;
             self.note_trip(len);

@@ -417,21 +417,32 @@ impl AddressSpace {
     }
 
     /// First unmapped page in `[addr, addr+len)`, as the fault `read_raw`
-    /// (src) or `write_raw` (dst) would report for that range.
+    /// (src) or `write_raw` (dst) would report for that range. Probes one
+    /// page at a time, so it stops after the mapped prefix whatever `len`.
     fn find_unmapped(&self, addr: Addr, len: u64) -> Option<MemFault> {
-        let mut a = addr;
-        let end = addr + len;
-        while a < end {
+        let mut done = 0;
+        while done < len {
+            let a = addr.wrapping_add(done);
             if !self.pages.contains_key(&(a / PAGE_SIZE)) {
                 return Some(MemFault {
                     addr: a,
                     kind: FaultKind::Unmapped,
-                    completed: a - addr,
+                    completed: done,
                 });
             }
-            a += PAGE_SIZE - a % PAGE_SIZE;
+            done += PAGE_SIZE - a % PAGE_SIZE;
         }
         None
+    }
+
+    /// How many bytes of `[addr, addr+len)` an access can reach: all `len`
+    /// if the range is mapped, else the mapped prefix plus the first
+    /// unmapped byte, where any access faults. A buffer of this size serves
+    /// an access of `len` bytes with the same bytes and the same fault, and
+    /// a hostile `len` costs no more than the memory that exists.
+    pub fn reach(&self, addr: Addr, len: u64) -> u64 {
+        self.find_unmapped(addr, len)
+            .map_or(len, |f| f.completed + 1)
     }
 
     /// Copies `len` bytes between (possibly overlapping) mapped ranges with
@@ -647,6 +658,22 @@ mod tests {
         assert_eq!(err.kind, FaultKind::Unmapped);
         assert_eq!(err.completed, PAGE_SIZE);
         assert_eq!(err.addr, a + 2 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn reach_stops_at_the_first_unmapped_byte() {
+        let mut s = AddressSpace::new();
+        let a = s.map(2 * PAGE_SIZE, Perm::ReadWrite);
+        s.protect(a, PAGE_SIZE, Perm::None).unwrap();
+        assert_eq!(s.reach(a, 0), 0);
+        assert_eq!(
+            s.reach(a + 8, PAGE_SIZE),
+            PAGE_SIZE,
+            "guard pages are mapped"
+        );
+        assert_eq!(s.reach(a + 8, 1 << 50), 2 * PAGE_SIZE - 8 + 1);
+        assert_eq!(s.reach(a - 1, 1 << 50), 1, "starts unmapped");
+        assert_eq!(s.reach(u64::MAX - 3, u64::MAX), 1, "wraps without panic");
     }
 
     #[test]

@@ -190,10 +190,11 @@ impl ShadowBackend {
     }
 
     /// Scans `[addr, addr+len)` for accessibility violations, classifying
-    /// and recording each (deduplicated), then resumes.
+    /// and recording each (deduplicated), then resumes. The scan ends at
+    /// the first unmapped byte (reported as wild), where the access faults.
     fn check_accessible(&mut self, addr: Addr, len: u64, write: bool) {
         let mut a = addr;
-        let end = addr + len;
+        let end = addr.saturating_add(self.space.reach(addr, len));
         while a < end {
             match self.bits.first_inaccessible(a, end - a) {
                 None => break,
@@ -409,7 +410,7 @@ impl HeapBackend for ShadowBackend {
         // check, validity and origins just flow along (paper Fig. 4).
         self.check_accessible(src, len, false);
         self.check_accessible(dst, len, true);
-        let mut buf = vec![0u8; len as usize];
+        let mut buf = vec![0u8; self.space.reach(src, len) as usize];
         if let Err(f) = self.space.read_raw(src, &mut buf) {
             self.warn(WarningKind::Wild, f.addr, false, None);
             return AccessOutcome::Stop(StopCause::Segfault {
@@ -431,7 +432,7 @@ impl HeapBackend for ShadowBackend {
 
     fn read(&mut self, addr: Addr, len: u64, sink: Sink) -> ReadResult {
         self.check_accessible(addr, len, false);
-        let mut data = vec![0u8; len as usize];
+        let mut data = vec![0u8; self.space.reach(addr, len) as usize];
         if let Err(f) = self.space.read_raw(addr, &mut data) {
             data.truncate(f.completed as usize);
             self.warn(WarningKind::Wild, f.addr, false, None);

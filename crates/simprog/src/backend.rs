@@ -203,7 +203,7 @@ impl<A: BaseAllocator> HeapBackend for PlainBackend<A> {
     }
 
     fn read(&mut self, addr: Addr, len: u64, _sink: crate::Sink) -> ReadResult {
-        let mut data = vec![0u8; len as usize];
+        let mut data = vec![0u8; self.space.reach(addr, len) as usize];
         match self.space.read(addr, &mut data) {
             Ok(()) => ReadResult {
                 data,
@@ -223,7 +223,7 @@ impl<A: BaseAllocator> HeapBackend for PlainBackend<A> {
     }
 
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
-        let mut buf = vec![0u8; len as usize];
+        let mut buf = vec![0u8; self.space.reach(src, len) as usize];
         if let Err(f) = self.space.read(src, &mut buf) {
             return AccessOutcome::Stop(StopCause::Segfault {
                 addr: f.addr,

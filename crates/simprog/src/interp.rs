@@ -336,8 +336,8 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                     let off = offset.eval(st.input);
                     let len = len.eval(st.input);
                     if len > 0 {
-                        st.report.bytes_written += len;
-                        match self.backend.write(ptr + off, len, *byte) {
+                        st.report.bytes_written = st.report.bytes_written.saturating_add(len);
+                        match self.backend.write(ptr.wrapping_add(off), len, *byte) {
                             AccessOutcome::Ok => {}
                             AccessOutcome::Stop(c) => return Err(c),
                         }
@@ -356,9 +356,12 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                     let do_ = dst_off.eval(st.input);
                     let len = len.eval(st.input);
                     if len > 0 {
-                        st.report.bytes_read += len;
-                        st.report.bytes_written += len;
-                        match self.backend.copy(s + so, d + do_, len) {
+                        st.report.bytes_read = st.report.bytes_read.saturating_add(len);
+                        st.report.bytes_written = st.report.bytes_written.saturating_add(len);
+                        match self
+                            .backend
+                            .copy(s.wrapping_add(so), d.wrapping_add(do_), len)
+                        {
                             AccessOutcome::Ok => {}
                             AccessOutcome::Stop(c) => return Err(c),
                         }
@@ -375,8 +378,8 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                     let off = offset.eval(st.input);
                     let len = len.eval(st.input);
                     if len > 0 {
-                        st.report.bytes_read += len;
-                        let r = self.backend.read(ptr + off, len, *sink);
+                        st.report.bytes_read = st.report.bytes_read.saturating_add(len);
+                        let r = self.backend.read(ptr.wrapping_add(off), len, *sink);
                         if *sink == Sink::Leak {
                             st.report.leaked.extend_from_slice(&r.data);
                         }
