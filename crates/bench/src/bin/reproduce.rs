@@ -4,15 +4,21 @@
 //! reproduce [all|fig2|table1|table2|lint|table3|table4|encoding|fig8|fig9|services|ablations|scaling|shadow|telemetry]
 //!           [--allocs N] [--samples N] [--requests N] [--threads N]
 //!           [--pairs N] [--repeat N] [--reference-kernels] [--json PATH]
+//! reproduce check-baselines [--scaling PATH] [--telemetry PATH] [--shadow PATH]
 //! ```
+//!
+//! `check-baselines` applies the CI guards to the JSON that `scaling`,
+//! `telemetry` and `shadow` wrote (the scaling guard against
+//! `BENCH_scaling.json` in the working directory) and exits 1 on the first
+//! bound that fails.
 //!
 //! Paper-reported numbers are printed beside the measured ones. Absolute
 //! values differ (simulated substrate); the shape is what reproduces. Run
 //! with `--release` for meaningful timings.
 
 use ht_bench::{
-    ablation, encoding, fig2, fig8, fig9, lint, scaling, services, shadow, table1, table2, table3,
-    table4, telemetry,
+    ablation, baselines, encoding, fig2, fig8, fig9, lint, scaling, services, shadow, table1,
+    table2, table3, table4, telemetry,
 };
 
 struct Opts {
@@ -31,6 +37,8 @@ struct Opts {
     reference_kernels: bool,
     /// Optional path to write the scaling/shadow rows as JSON.
     json: Option<String>,
+    /// `check-baselines`: the reports to check, by the flag naming them.
+    checks: Vec<(String, String)>,
 }
 
 fn parse_args() -> Opts {
@@ -45,6 +53,7 @@ fn parse_args() -> Opts {
         repeat: 1,
         reference_kernels: false,
         json: None,
+        checks: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -74,6 +83,11 @@ fn parse_args() -> Opts {
             }
             "--reference-kernels" => opts.reference_kernels = true,
             "--json" => opts.json = args.next(),
+            "--scaling" | "--telemetry" | "--shadow" => {
+                if let Some(path) = args.next() {
+                    opts.checks.push((a[2..].to_string(), path));
+                }
+            }
             other if !other.starts_with("--") => opts.what = other.to_string(),
             other => eprintln!("ignoring unknown flag {other}"),
         }
@@ -490,6 +504,33 @@ fn run_extras() {
     print!("{}", incident_report(&ip, &analysis, "CVE-2014-0160"));
 }
 
+fn read_json(path: &str) -> ht_jsonio::Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    ht_jsonio::Json::parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
+}
+
+fn run_check_baselines(opts: &Opts) {
+    if opts.checks.is_empty() {
+        eprintln!("check-baselines: name a report with --scaling, --telemetry or --shadow");
+        std::process::exit(2);
+    }
+    for (kind, path) in &opts.checks {
+        let report = read_json(path);
+        let checked = match kind.as_str() {
+            "scaling" => baselines::check_scaling(&report, &read_json("BENCH_scaling.json")),
+            "telemetry" => baselines::check_telemetry(&report),
+            _ => baselines::check_shadow(&report),
+        };
+        match checked {
+            Ok(lines) => lines.iter().for_each(|l| println!("{l}")),
+            Err(e) => {
+                eprintln!("check-baselines: {kind} report {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+}
+
 fn run_extras_silently_ok() {
     run_extras();
 }
@@ -515,6 +556,7 @@ fn main() {
         "shadow" => run_shadow(&opts),
         "telemetry" => run_telemetry(&opts),
         "extras" => run_extras(),
+        "check-baselines" => run_check_baselines(&opts),
         "all" => {
             run_fig2();
             run_extras_silently_ok();
@@ -533,7 +575,7 @@ fn main() {
             eprintln!(
                 "unknown target `{other}`; expected one of all, fig2, table1, table2, \
                  table3, table4, encoding, fig8, fig9, services, ablations, lint, scaling, \
-                 shadow, telemetry"
+                 shadow, telemetry, check-baselines"
             );
             std::process::exit(2);
         }

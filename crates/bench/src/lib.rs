@@ -23,8 +23,11 @@
 //! | [`scaling`] | multi-threaded allocation-throughput scaling (not in the paper) |
 //! | [`shadow`] | offline-replay kernel throughput, word vs. reference (not in the paper) |
 //! | [`telemetry`] | §VII — one-time attack reports across the Table II corpus |
+//!
+//! [`baselines`] holds the CI guards over the JSON the last three write.
 
 pub mod ablation;
+pub mod baselines;
 pub mod encoding;
 pub mod fig2;
 pub mod fig8;

@@ -14,8 +14,9 @@
 //!     **guard page** (`libc::mprotect`); freed guarded regions are kept,
 //!     guard intact, in a bounded cache and zeroed on reuse, so only a
 //!     cache miss pays the `mmap`,
-//!   * use-after-free patches defer frees through a fixed-capacity
-//!     quarantine ring,
+//!   * use-after-free patches defer frees through a quarantine bounded by
+//!     a byte quota alone, whose FIFO links live in the freed buffers'
+//!     headers,
 //!   * uninitialized-read patches zero the buffer.
 //!
 //!   The paper's 8-byte metadata word before every buffer tells a free what

@@ -145,6 +145,12 @@ pub struct Round {
     /// A realloc carried the old buffer's bytes over (always true for the
     /// other APIs).
     pub prefix_kept: bool,
+    /// The free was deferred: the buffer sits in the quarantine.
+    pub quarantined: bool,
+    /// The buffer still reads the bytes written just before its free,
+    /// unless its memory was handed back (a quarantined buffer keeps its
+    /// FIFO link in its header, never in its bytes).
+    pub freed_bytes_kept: bool,
 }
 
 /// Allocates one buffer of layout `l` through `api` inside call site `site`
@@ -184,20 +190,31 @@ pub fn checked_round(a: &HardenedAlloc, api: Api, l: Layout, site: Option<u64>) 
         };
         assert!(!p.is_null());
         let bytes = std::slice::from_raw_parts(p, l.size());
-        let round = Round {
-            aligned: (p as usize).is_multiple_of(l.align()),
-            reads_zero: bytes[kept..].iter().all(|&b| b == 0),
-            guard_gap: a
-                .guard_page_of(p)
-                .map(|guard| guard - (p as usize + l.size())),
-            prefix_kept: bytes[..kept]
-                .iter()
-                .enumerate()
-                .all(|(i, &b)| b == pattern(i)),
-        };
+        let aligned = (p as usize).is_multiple_of(l.align());
+        let reads_zero = bytes[kept..].iter().all(|&b| b == 0);
+        let guard_gap = a
+            .guard_page_of(p)
+            .map(|guard| guard - (p as usize + l.size()));
+        let prefix_kept = bytes[..kept]
+            .iter()
+            .enumerate()
+            .all(|(i, &b)| b == pattern(i));
         std::ptr::write_bytes(p, 0xA5, l.size());
         a.dealloc(p, l);
-        round
+        // A quarantined buffer's memory is still the allocator's to read.
+        let quarantined = a.is_quarantined(p);
+        let freed_bytes_kept = !quarantined
+            || std::slice::from_raw_parts(p, l.size())
+                .iter()
+                .all(|&b| b == 0xA5);
+        Round {
+            aligned,
+            reads_zero,
+            guard_gap,
+            prefix_kept,
+            quarantined,
+            freed_bytes_kept,
+        }
     }
 }
 

@@ -128,6 +128,25 @@ impl Default for Limits {
     }
 }
 
+/// The largest size or alignment a program may ask an allocation for:
+/// 256 MiB. The interpreter refuses a larger request before any arithmetic
+/// on it, stopping the run with [`StopCause::HeapMisuse`], so an input-sized
+/// request cannot make a backend map pages without end, overflow or panic.
+/// The largest requests `reproduce` and the test suite make are 256 KiB
+/// and an alignment of 1 KiB.
+pub const MAX_ALLOC_BYTES: u64 = 1 << 28;
+
+/// Refuses an allocation request whose size or alignment exceeds
+/// [`MAX_ALLOC_BYTES`].
+fn bounded_request(fun: AllocFn, size: u64, align: u64) -> Result<(), StopCause> {
+    if size <= MAX_ALLOC_BYTES && align <= MAX_ALLOC_BYTES {
+        return Ok(());
+    }
+    Err(StopCause::HeapMisuse(format!(
+        "{fun} of {size} bytes aligned to {align} exceeds the {MAX_ALLOC_BYTES}-byte bound"
+    )))
+}
+
 /// Executes a [`Program`] against a [`HeapBackend`], driving an
 /// [`Encoder`] so every allocation carries its CCID.
 #[derive(Debug)]
@@ -266,7 +285,9 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                 align,
             } => {
                 let size = size.eval(st.input);
-                let align = align.eval(st.input).max(1).next_power_of_two();
+                let align = align.eval(st.input);
+                bounded_request(*fun, size, align)?;
+                let align = align.max(1).next_power_of_two();
                 let target = self.prog.graph().edge(*edge).callee;
                 enc.on_call(*edge);
                 let ccid = enc.current();
@@ -291,6 +312,7 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                 new_size,
             } => {
                 let size = new_size.eval(st.input);
+                bounded_request(AllocFn::Realloc, size, 16)?;
                 let old_ptr = st.slots[slot.index()];
                 let target = self.prog.graph().edge(*edge).callee;
                 enc.on_call(*edge);

@@ -58,5 +58,5 @@ pub mod spec;
 
 pub use backend::{AccessOutcome, AllocRequest, HeapBackend, PlainBackend, ReadResult, StopCause};
 pub use builder::{BodyBuilder, ProgramBuilder};
-pub use interp::{AllocCallCounts, Interpreter, Limits, RunOutcome, RunReport};
+pub use interp::{AllocCallCounts, Interpreter, Limits, RunOutcome, RunReport, MAX_ALLOC_BYTES};
 pub use program::{Expr, Program, Sink, SlotId, Stmt};

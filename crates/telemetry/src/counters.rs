@@ -105,9 +105,11 @@ impl<const SLOTS: usize> PatchStripes<SLOTS> {
         c
     }
 
-    /// Merges all lanes into one dense per-slot vector.
-    pub fn merge(&self) -> Vec<PatchCounts> {
-        let mut out = vec![PatchCounts::default(); SLOTS];
+    /// Merges all lanes of the first `slots` slots (at most `SLOTS`) into
+    /// one dense per-slot vector. Pass the number of slots in use: every
+    /// lane of every slot is a separate cache line to read.
+    pub fn merge(&self, slots: usize) -> Vec<PatchCounts> {
+        let mut out = vec![PatchCounts::default(); slots.min(SLOTS)];
         for lane in &self.lanes {
             for (slot, c) in out.iter_mut().enumerate() {
                 c.hits += lane.hits[slot].load(Ordering::Relaxed);
@@ -130,10 +132,14 @@ mod tests {
         s.record(0, 32);
         s.record(7, 1);
         assert_eq!(s.counts(0), PatchCounts { hits: 2, bytes: 96 });
-        let merged = s.merge();
+        let merged = s.merge(8);
         assert_eq!(merged[0], PatchCounts { hits: 2, bytes: 96 });
         assert_eq!(merged[7], PatchCounts { hits: 1, bytes: 1 });
         assert_eq!(merged[3], PatchCounts::default());
+        // A shorter merge is a prefix of the full one; a longer one is
+        // capped at `SLOTS`.
+        assert_eq!(s.merge(4), merged[..4]);
+        assert_eq!(s.merge(99), merged);
     }
 
     #[test]
@@ -141,7 +147,7 @@ mod tests {
         let s: PatchStripes<4> = PatchStripes::new();
         s.record(4, 100);
         s.record(usize::MAX, 100);
-        assert!(s.merge().iter().all(|c| c.hits == 0));
+        assert!(s.merge(4).iter().all(|c| c.hits == 0));
         assert_eq!(s.counts(99), PatchCounts::default());
     }
 
@@ -160,7 +166,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let merged = s.merge();
+        let merged = s.merge(4);
         for (slot, c) in merged.iter().enumerate() {
             assert_eq!(c.hits, 20_000, "slot {slot}");
             assert_eq!(c.bytes, 160_000, "slot {slot}");

@@ -6,6 +6,7 @@
 //!
 //! Both backends load the file through their public configuration entry
 //! points, so the oracle holds for whatever table each of them builds.
+//! Their quarantines agree too: only the byte quota evicts.
 
 use heaptherapy_plus::callgraph::FuncId;
 use heaptherapy_plus::defense::{DefendedBackend, DefenseConfig};
@@ -150,4 +151,74 @@ fn both_backends_account_for_one_trace_identically() {
         defense_events(&real),
         "defense events"
     );
+}
+
+/// UAF frees of the quarantine oracle, and their size.
+const UAF_FREES: usize = 5000;
+const UAF_SIZE: usize = 64;
+
+/// `UAF_FREES` frees of `UAF_SIZE`-byte UAF-patched buffers through the
+/// simulated defense, under `quota` or its default: (evicted, held) blocks.
+fn simulated_uaf_frees(quota: Option<u64>) -> (u64, usize) {
+    let patches = from_config_text(&config()).expect("config parses");
+    let mut cfg = DefenseConfig::with_table(PatchTable::from_patches(patches));
+    if let Some(quota) = quota {
+        cfg.quarantine_quota = quota;
+    }
+    let mut d = DefendedBackend::new(cfg);
+    for _ in 0..UAF_FREES {
+        let req = AllocRequest {
+            fun: AllocFn::Malloc,
+            size: UAF_SIZE as u64,
+            align: 16,
+            ccid: Ccid(site_ccid(0xAF)),
+            target: FuncId(0),
+            old_ptr: None,
+        };
+        let p = d.alloc(&req).expect("simulated allocation");
+        assert!(d.free(p).is_ok());
+    }
+    (d.quarantine().evictions(), d.quarantine().len())
+}
+
+/// The same frees through `HardenedAlloc`.
+fn real_uaf_frees(quota: Option<usize>) -> (u64, usize) {
+    let a = Box::new(HardenedAlloc::new());
+    a.install_from_config(&config()).expect("config parses");
+    if let Some(quota) = quota {
+        a.set_quarantine_quota(quota);
+    }
+    let layout = Layout::from_size_align(UAF_SIZE, 16).unwrap();
+    for _ in 0..UAF_FREES {
+        let _scope = ccid::CallScope::enter(0xAF);
+        // SAFETY: the layout has a non-zero size; the buffer is freed once
+        // with the layout it was allocated with.
+        unsafe {
+            let p = a.alloc(layout);
+            assert!(!p.is_null());
+            a.dealloc(p, layout);
+        }
+    }
+    let st = a.stats();
+    assert_eq!(st.invalid_frees, 0);
+    assert_eq!(st.quarantined, UAF_FREES as u64);
+    (st.evictions, a.quarantine_usage().0)
+}
+
+#[test]
+fn both_quarantines_evict_by_bytes_alone() {
+    let all_held = (0, UAF_FREES);
+    assert_eq!(
+        simulated_uaf_frees(None),
+        all_held,
+        "simulated, default quota"
+    );
+    assert_eq!(real_uaf_frees(None), all_held, "real, default quota");
+    let none_held = (UAF_FREES as u64, 0);
+    assert_eq!(
+        simulated_uaf_frees(Some(0)),
+        none_held,
+        "simulated, quota 0"
+    );
+    assert_eq!(real_uaf_frees(Some(0)), none_held, "real, quota 0");
 }

@@ -195,22 +195,36 @@ fn patched_where(workloads: &[Workload], pred: impl Fn(VulnFlags) -> bool) -> u6
         .sum()
 }
 
+/// A quota whose per-shard slice (1 MiB) exceeds all the bytes one case
+/// of the conservation property defers, so nothing may evict under it.
+const ROOMY_QUOTA: usize = 8 << 20;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Whatever mix of patched/unpatched workloads runs on however many
-    /// threads — under the default quota or an eviction-heavy tiny one,
-    /// with telemetry armed or off — the allocator's books balance
-    /// afterwards, down to the byte.
+    /// threads, next to a thread of more small UAF frees than the old
+    /// fixed 8 × 64 quarantine slots — under an unlimited, a roomy or an
+    /// eviction-heavy tiny quota, with telemetry armed or off — the
+    /// allocator's books balance afterwards, down to the byte.
     #[test]
     fn stats_conservation_holds_for_arbitrary_threaded_workloads(
-        workloads in proptest::collection::vec(arb_workload(), 1..6),
+        mut workloads in proptest::collection::vec(arb_workload(), 1..6),
+        uaf_frees in 600u64..1000,
+        uaf_size in 16usize..65,
         quota in prop_oneof![
             Just(usize::MAX),    // effectively unlimited: nothing evicts
+            Just(ROOMY_QUOTA),   // holds every block: nothing evicts
             512usize..4096,      // eviction-heavy: most deferred frees cycle out
         ],
         telemetry in any::<bool>(),
     ) {
+        workloads.push(Workload {
+            pairs: uaf_frees,
+            size: uaf_size,
+            site: Some(UAF_SITE),
+            every: 1,
+        });
         let a = patched_alloc();
         a.set_quarantine_quota(quota);
         a.set_telemetry(telemetry);
@@ -249,12 +263,14 @@ proptest! {
         prop_assert_eq!(st.fail_open, 0);
         // Byte conservation: whatever the quota forced out plus whatever is
         // still held is exactly what was deferred.
-        let (_, held_bytes) = a.quarantine_usage();
+        let (held_blocks, held_bytes) = a.quarantine_usage();
         prop_assert_eq!(st.quarantined_bytes, st.evicted_bytes + held_bytes as u64);
-        if quota != usize::MAX {
-            prop_assert!(held_bytes <= quota);
-        } else {
+        prop_assert!(held_bytes <= quota);
+        if quota >= ROOMY_QUOTA {
+            prop_assert!(st.quarantined_bytes < (ROOMY_QUOTA / 8) as u64);
             prop_assert_eq!(st.evictions, 0);
+            prop_assert_eq!(held_blocks as u64, st.quarantined);
+            prop_assert!(held_blocks > 512, "{} blocks held", held_blocks);
         }
 
         let rs = a.registry_stats();
@@ -281,12 +297,13 @@ proptest! {
 }
 
 /// Call sites of the layout property: plain, then one per patched defense.
-const ROUND_SITES: [Option<u64>; 5] = [
+const ROUND_SITES: [Option<u64>; 6] = [
     None,
     Some(OVERFLOW_SITE),
     Some(UAF_SITE),
     Some(UR_SITE),
     Some(OF_UR_SITE),
+    Some(OF_UAF_SITE),
 ];
 
 fn arb_round() -> impl Strategy<Value = (Api, Layout, Option<u64>)> {
@@ -314,8 +331,9 @@ proptest! {
 
     /// Whatever the size, alignment, API and defense, the header keeps
     /// every pointer aligned, defended buffers read zero and abut their
-    /// guard, realloc carries bytes across plain and patched buffers, and
-    /// the books balance afterwards.
+    /// guard, UAF buffers are quarantined with their bytes intact, realloc
+    /// carries bytes across plain and patched buffers, and the books
+    /// balance afterwards.
     #[test]
     fn every_layout_keeps_alignment_defenses_and_contents(
         rounds in proptest::collection::vec(arb_round(), 1..48),
@@ -334,6 +352,10 @@ proptest! {
             let round = throughput::checked_round(&a, api, l, site);
             let case = format!("{api:?} {l:?} in {vuln}: {round:?}");
             prop_assert!(round.aligned && round.prefix_kept, "{}", case);
+            // The default quota holds every deferred free, and the FIFO's
+            // links never land in the freed buffer's bytes.
+            prop_assert_eq!(round.quarantined, vuln.contains(VulnFlags::USE_AFTER_FREE), "{}", case);
+            prop_assert!(round.freed_bytes_kept, "{}", case);
             if api == Api::Calloc
                 || vuln.contains(VulnFlags::OVERFLOW)
                 || vuln.contains(VulnFlags::UNINIT_READ)

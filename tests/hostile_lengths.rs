@@ -5,6 +5,10 @@
 //! scanning or looping over the requested length, and must behave exactly
 //! as it does for the length that ends at that fault: same outcome, same
 //! leaked bytes, same memory and analyzer state.
+//!
+//! Allocation sizes and alignments come from the input too: a request
+//! beyond [`MAX_ALLOC_BYTES`] stops the run the same way on every backend,
+//! before any backend maps, overflows or panics.
 
 use heaptherapy_plus::callgraph::Strategy;
 use heaptherapy_plus::defense::{DefendedBackend, DefenseConfig};
@@ -14,7 +18,7 @@ use heaptherapy_plus::patch::AllocFn;
 use heaptherapy_plus::shadow::ShadowBackend;
 use heaptherapy_plus::simprog::{
     Expr, HeapBackend, Interpreter, PlainBackend, Program, ProgramBuilder, RunOutcome, RunReport,
-    Sink, StopCause,
+    Sink, StopCause, MAX_ALLOC_BYTES,
 };
 use std::fmt::Debug;
 
@@ -106,4 +110,44 @@ fn defended_backend_stops_hostile_accesses_at_the_fault() {
         || DefendedBackend::new(DefenseConfig::default()),
         |b| (b.mem_stats(), b.stats()),
     );
+}
+
+/// `main` asks for one buffer of size `input[0]` aligned to `input[1]`.
+fn alloc_program() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let main = pb.entry();
+    let a = pb.slot();
+    pb.define(main, |f| f.memalign(a, Expr::Input(1), Expr::Input(0)));
+    pb.build()
+}
+
+fn run_alloc<B: HeapBackend>(backend: B, size: u64, align: u64) -> RunOutcome {
+    let prog = alloc_program();
+    let plan = InstrumentationPlan::build(prog.graph(), Strategy::Tcs, Scheme::Pcc);
+    Interpreter::new(&prog, &plan, backend)
+        .run(&[size, align])
+        .outcome
+}
+
+#[test]
+fn hostile_allocation_sizes_and_alignments_stop_every_backend() {
+    for (size, align) in [
+        (1 << 40, 16),
+        (u64::MAX - 16, 16),
+        (64, (1 << 63) + 1),
+        (MAX_ALLOC_BYTES + 1, 16),
+    ] {
+        let outcomes = [
+            run_alloc(PlainBackend::new(), size, align),
+            run_alloc(ShadowBackend::new(), size, align),
+            run_alloc(DefendedBackend::new(DefenseConfig::default()), size, align),
+        ];
+        for outcome in &outcomes {
+            assert!(
+                matches!(outcome, RunOutcome::Stopped(StopCause::HeapMisuse(_))),
+                "size {size:#x} align {align:#x}: {outcome:?}"
+            );
+        }
+        assert!(outcomes.iter().all(|o| *o == outcomes[0]), "{outcomes:?}");
+    }
 }
