@@ -4,7 +4,7 @@
 //! The dynamic pipeline needs a concrete attack input before it can patch
 //! anything. This crate adds the static complement, two engines:
 //!
-//! 1. **Vulnerability triage** ([`triage`]) — an abstract interpreter over
+//! 1. **Vulnerability triage** ([`triage()`]) — an abstract interpreter over
 //!    the modeled-program IR. Expressions evaluate to [`Interval`]s under an
 //!    adversarial [`InputDomain`] (each `Input(i)` ranges over the caller's
 //!    bound, or all of `u64`); slot liveness and buffer initialization flow

@@ -17,7 +17,7 @@
 //!   one patched context exercised every 64th allocation (guard page +
 //!   quarantine traffic on the patched slice),
 //! * **hardened+telemetry** — the same configuration with attack telemetry
-//!   armed (event ring + striped per-patch counters), probing the claim
+//!   armed (event ring + attack-report log), probing the claim
 //!   that telemetry-off costs nothing and telemetry-on stays within noise.
 //!
 //! Workers start behind a [`Barrier`] and time only their own work loop, so
@@ -119,7 +119,7 @@ fn run_series<F: Fn(usize) -> u64 + Sync>(n: usize, work: F) -> f64 {
 /// frozen (the configuration the "hardened" series runs against).
 ///
 /// Boxed: a `HardenedAlloc` embeds its fixed tables, event ring, and
-/// striped counters (~240 KiB), which in unoptimized builds would otherwise
+/// counter block (~217 KiB), which in unoptimized builds would otherwise
 /// occupy a fresh stack slot per temporary.
 pub fn patched_alloc() -> Box<HardenedAlloc> {
     let a = empty_alloc();

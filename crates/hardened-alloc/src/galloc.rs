@@ -1,11 +1,9 @@
 //! The hardened global allocator.
 
 use crate::ccid;
-use crate::tables::{Entry, QuarantineRing, ReportLog, StripedCounter};
+use crate::tables::{Counters, Entry, QuarantineRing, ReportLog, Total};
 use ht_patch::{AllocFn, Patch, PatchTable, VulnFlags};
-use ht_telemetry::{
-    AttackReport, Event, EventKind, EventRing, PatchCounterRow, PatchStripes, TelemetrySnapshot,
-};
+use ht_telemetry::{AttackReport, Event, EventKind, EventRing, PatchCounterRow, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -16,7 +14,8 @@ pub struct HardenedStats {
     pub interposed_allocs: u64,
     /// Deallocations intercepted.
     pub interposed_frees: u64,
-    /// Patch-table hits (vulnerable buffers recognized).
+    /// Patch-table hits whose buffer was placed: the sum of the per-slot
+    /// hits.
     pub table_hits: u64,
     /// Guard pages installed.
     pub guard_pages: u64,
@@ -466,19 +465,9 @@ pub struct HardenedAlloc {
     quarantine: QuarantineRing,
     regions: RegionCache,
     quota: AtomicUsize,
-    interposed_allocs: StripedCounter,
-    interposed_frees: StripedCounter,
-    table_hits: StripedCounter,
-    guard_pages: StripedCounter,
-    zero_fills: StripedCounter,
-    quarantined: StripedCounter,
-    evictions: StripedCounter,
-    quarantined_bytes: StripedCounter,
-    evicted_bytes: StripedCounter,
-    fail_open: StripedCounter,
-    invalid_frees: StripedCounter,
-    tracked_allocs: StripedCounter,
-    tracked_frees: StripedCounter,
+    /// Every count behind [`Self::stats`], [`Self::registry_stats`] and
+    /// the per-patch rows of [`Self::telemetry_snapshot`].
+    counters: Counters,
     /// Telemetry arm switch. Checked only on defense-relevant paths (table
     /// hit, patched free), never on the unpatched fast path — disabled
     /// telemetry therefore costs zero atomics per ordinary allocation.
@@ -487,8 +476,6 @@ pub struct HardenedAlloc {
     events: EventRing,
     /// Attack reports, in filing order (telemetry).
     reports: ReportLog,
-    /// Per-patch-slot hit/byte counters (telemetry).
-    patch_counters: PatchStripes<{ PatchTable::CAPACITY }>,
 }
 
 impl std::fmt::Debug for HardenedAlloc {
@@ -515,23 +502,10 @@ impl HardenedAlloc {
             quarantine: QuarantineRing::new(),
             regions: RegionCache::new(),
             quota: AtomicUsize::new(64 * 1024 * 1024),
-            interposed_allocs: StripedCounter::new(),
-            interposed_frees: StripedCounter::new(),
-            table_hits: StripedCounter::new(),
-            guard_pages: StripedCounter::new(),
-            zero_fills: StripedCounter::new(),
-            quarantined: StripedCounter::new(),
-            evictions: StripedCounter::new(),
-            quarantined_bytes: StripedCounter::new(),
-            evicted_bytes: StripedCounter::new(),
-            fail_open: StripedCounter::new(),
-            invalid_frees: StripedCounter::new(),
-            tracked_allocs: StripedCounter::new(),
-            tracked_frees: StripedCounter::new(),
+            counters: Counters::new(),
             telemetry_on: AtomicBool::new(false),
             events: EventRing::new(),
             reports: ReportLog::new(),
-            patch_counters: PatchStripes::new(),
         }
     }
 
@@ -550,7 +524,7 @@ impl HardenedAlloc {
             .filter(|p| {
                 let ok = self.patches.insert(p).is_some();
                 if !ok {
-                    self.fail_open.incr();
+                    self.counters.incr(Total::FailOpen);
                 }
                 ok
             })
@@ -575,8 +549,8 @@ impl HardenedAlloc {
     /// quiescent point.
     pub fn registry_stats(&self) -> RegistryStats {
         RegistryStats {
-            inserts: self.tracked_allocs.load(),
-            removes: self.tracked_frees.load(),
+            inserts: self.counters.total(Total::TrackedAllocs),
+            removes: self.counters.total(Total::TrackedFrees),
         }
     }
 
@@ -603,23 +577,26 @@ impl HardenedAlloc {
     /// deferred either went back to the system (eviction) or are still
     /// held.
     pub fn stats(&self) -> HardenedStats {
+        let total = |t| self.counters.total(t);
         HardenedStats {
-            interposed_allocs: self.interposed_allocs.load(),
-            interposed_frees: self.interposed_frees.load(),
-            table_hits: self.table_hits.load(),
-            guard_pages: self.guard_pages.load(),
-            zero_fills: self.zero_fills.load(),
-            quarantined: self.quarantined.load(),
-            evictions: self.evictions.load(),
-            quarantined_bytes: self.quarantined_bytes.load(),
-            evicted_bytes: self.evicted_bytes.load(),
-            fail_open: self.fail_open.load(),
-            invalid_frees: self.invalid_frees.load(),
+            interposed_allocs: total(Total::InterposedAllocs),
+            interposed_frees: total(Total::InterposedFrees),
+            table_hits: self.counters.hits(self.patches.len()),
+            guard_pages: total(Total::GuardPages),
+            zero_fills: total(Total::ZeroFills),
+            quarantined: total(Total::Quarantined),
+            evictions: total(Total::Evictions),
+            quarantined_bytes: total(Total::QuarantinedBytes),
+            evicted_bytes: total(Total::EvictedBytes),
+            fail_open: total(Total::FailOpen),
+            invalid_frees: total(Total::InvalidFrees),
         }
     }
 
-    /// Arms or disarms telemetry recording. Off by default; switching is
-    /// safe at any time (events race benignly around the flip).
+    /// Arms or disarms telemetry recording: the event ring and the attack
+    /// reports. Off by default; switching is safe at any time (events race
+    /// benignly around the flip). Per-patch hits and bytes are counted
+    /// either way, and listed by [`Self::telemetry_snapshot`] while armed.
     pub fn set_telemetry(&self, on: bool) {
         self.telemetry_on.store(on, Ordering::Relaxed);
     }
@@ -629,17 +606,15 @@ impl HardenedAlloc {
         self.telemetry_on.load(Ordering::Relaxed)
     }
 
-    /// Records a table hit plus the defenses about to be applied, files
-    /// one-time attack reports per newly fired `(FUN, CCID, T)` with
-    /// `T != UAF` (the UAF report files on the free path, where the
+    /// Records the event of a placed table hit and of the defenses it got,
+    /// and files one-time attack reports per newly fired `(FUN, CCID, T)`
+    /// with `T != UAF` (the UAF report files on the free path, where the
     /// quarantine defense actually runs).
-    #[inline]
     fn note_patch_hit(&self, fun: AllocFn, ccid: u64, vuln: VulnFlags, slot: usize, size: usize) {
         if !self.telemetry_on.load(Ordering::Relaxed) {
             return;
         }
         let size = size as u64;
-        self.patch_counters.record(slot, size);
         let slot32 = slot as u32;
         self.events.push(Event::patched(
             EventKind::PatchHit,
@@ -702,11 +677,12 @@ impl HardenedAlloc {
         self.events.drain_vec()
     }
 
-    /// Drains the ring and merges the per-patch counters of the installed
-    /// patches into a full telemetry snapshot. Attack reports are every
-    /// report filed so far, in filing order, whether or not the ring had
-    /// room for their events (call chains stay undecoded here — the
-    /// allocator has no encoding plan; `heaptherapy-core` decodes).
+    /// Drains the ring and, while telemetry is armed, merges the per-patch
+    /// counters of the installed patches into a full telemetry snapshot.
+    /// Attack reports are every report filed so far, in filing order,
+    /// whether or not the ring had room for their events (call chains stay
+    /// undecoded here — the allocator has no encoding plan;
+    /// `heaptherapy-core` decodes).
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let events = self.drain_events();
         let reports = self
@@ -724,20 +700,24 @@ impl HardenedAlloc {
                 })
             })
             .collect();
-        let merged = self.patch_counters.merge(self.patches.len());
-        let per_patch = merged
-            .iter()
+        let per_slot = if self.telemetry_enabled() {
+            self.counters.per_slot(self.patches.len())
+        } else {
+            Vec::new()
+        };
+        let per_patch = per_slot
+            .into_iter()
             .enumerate()
-            .filter(|(_, c)| c.hits > 0)
-            .filter_map(|(slot, c)| {
+            .filter(|&(_, (hits, _))| hits > 0)
+            .filter_map(|(slot, (hits, bytes))| {
                 let (fun, ccid, vuln) = self.patches.entry(slot)?;
                 Some(PatchCounterRow {
                     slot,
                     fun,
                     ccid,
                     vuln,
-                    hits: c.hits,
-                    bytes: c.bytes,
+                    hits,
+                    bytes,
                 })
             })
             .collect();
@@ -793,13 +773,12 @@ impl HardenedAlloc {
         let guard = region + body;
         let user = (guard - layout.size()) & !(layout.align() - 1);
         debug_assert!(user >= region + guarded_header(vuln));
-        self.guard_pages.incr();
         Some((user as *mut u8, guard))
     }
 
     #[inline]
     unsafe fn alloc_with(&self, fun: AllocFn, layout: Layout, zeroed: bool) -> *mut u8 {
-        self.interposed_allocs.incr();
+        self.counters.incr(Total::InterposedAllocs);
         let ccid = ccid::current();
         match self.patches.probe(fun, ccid) {
             Some((slot, vuln)) if !vuln.is_empty() => {
@@ -810,7 +789,9 @@ impl HardenedAlloc {
     }
 
     /// The table-hit half of [`Self::alloc_with`], kept out of line so the
-    /// miss path stays a leaf-like call into [`System`].
+    /// miss path stays a leaf-like call into [`System`]. A hit is counted,
+    /// and its events and reports recorded, only once its buffer is
+    /// placed: a refused request leaves no trace.
     #[cold]
     #[inline(never)]
     unsafe fn alloc_patched(
@@ -822,20 +803,19 @@ impl HardenedAlloc {
         slot: usize,
         vuln: VulnFlags,
     ) -> *mut u8 {
-        self.table_hits.incr();
-        self.note_patch_hit(fun, ccid, vuln, slot, layout.size());
         let uaf = vuln.contains(VulnFlags::USE_AFTER_FREE);
         if uaf && layout.size() >= NODE_SIZE_LIMIT {
             return std::ptr::null_mut();
         }
         let (p, guard) = if vuln.contains(VulnFlags::OVERFLOW) {
-            // Guarded bodies always read zero, which also covers UR.
-            if vuln.contains(VulnFlags::UNINIT_READ) {
-                self.zero_fills.incr();
-            }
             let Some(placed) = self.guarded_alloc(layout, vuln) else {
                 return std::ptr::null_mut();
             };
+            self.counters.incr(Total::GuardPages);
+            // Guarded bodies always read zero, which also covers UR.
+            if vuln.contains(VulnFlags::UNINIT_READ) {
+                self.counters.incr(Total::ZeroFills);
+            }
             placed
         } else {
             let header = if uaf {
@@ -849,7 +829,7 @@ impl HardenedAlloc {
             }
             if vuln.contains(VulnFlags::UNINIT_READ) && !zeroed {
                 std::ptr::write_bytes(p, 0, layout.size());
-                self.zero_fills.incr();
+                self.counters.incr(Total::ZeroFills);
             }
             (p, 0)
         };
@@ -861,8 +841,10 @@ impl HardenedAlloc {
                 slot,
             };
             store_word(p, word.encode());
-            self.tracked_allocs.incr();
+            self.counters.incr(Total::TrackedAllocs);
         }
+        self.counters.hit(slot, layout.size() as u64);
+        self.note_patch_hit(fun, ccid, vuln, slot, layout.size());
         p
     }
 
@@ -874,10 +856,10 @@ impl HardenedAlloc {
     unsafe fn dealloc_patched(&self, ptr: *mut u8, layout: Layout) {
         let word = MetaWord::decode(load_word(ptr)).filter(|w| w.is_live_at(ptr as usize, layout));
         let Some(word) = word else {
-            self.invalid_frees.incr();
+            self.counters.incr(Total::InvalidFrees);
             return;
         };
-        self.tracked_frees.incr();
+        self.counters.incr(Total::TrackedFrees);
         let freed = MetaWord {
             freed: true,
             ..word
@@ -895,19 +877,20 @@ impl HardenedAlloc {
             align: layout.align(),
         };
         node.store(ptr as usize);
-        self.quarantined.incr();
-        self.quarantined_bytes.add(layout.size() as u64);
+        self.counters.incr(Total::Quarantined);
+        self.counters
+            .add(Total::QuarantinedBytes, layout.size() as u64);
         self.note_quarantine(EventKind::QuarantineDefer, word.slot, layout.size());
         let quota = self.quota.load(Ordering::Relaxed);
         // SAFETY: `ptr` is a freed UAF buffer with its word and node
         // written, and its free was not deferred before: its word was live.
         for popped in self.quarantine.push(ptr as usize, layout.size(), quota) {
             let Ok(evicted) = popped else {
-                self.invalid_frees.incr();
+                self.counters.incr(Total::InvalidFrees);
                 continue;
             };
-            self.evictions.incr();
-            self.evicted_bytes.add(evicted.size as u64);
+            self.counters.incr(Total::Evictions);
+            self.counters.add(Total::EvictedBytes, evicted.size as u64);
             self.note_quarantine(
                 EventKind::QuarantineEvict,
                 evicted.slot as usize,
@@ -981,7 +964,7 @@ unsafe impl GlobalAlloc for HardenedAlloc {
 
     #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.interposed_frees.incr();
+        self.counters.incr(Total::InterposedFrees);
         if load_word(ptr) != 0 {
             return self.dealloc_patched(ptr, layout);
         }
@@ -1666,6 +1649,48 @@ pub(crate) mod tests {
         let reports: Vec<(u32, u64)> = snap.reports.iter().map(|r| (r.slot, r.ccid)).collect();
         assert_eq!(reports, [(0, first), (1, second)], "filing order");
         assert_eq!(a.telemetry_snapshot().reports, snap.reports);
+    }
+
+    #[test]
+    fn a_refused_patched_allocation_counts_emits_and_reports_nothing() {
+        // Regression: the hit was counted, its events pushed and its OF
+        // report filed before the request was placed, so a refused request
+        // burnt the patch's once-bit on a size it never served.
+        let _maps = maps_lock();
+        let uaf = VulnFlags::USE_AFTER_FREE;
+        for (site, vuln) in [(0xE1, uaf), (0xE2, VulnFlags::OVERFLOW | uaf)] {
+            let a = patched(site, vuln);
+            a.set_telemetry(true);
+            let huge = layout(1 << 43, 8);
+            let p = {
+                let _site = ccid::CallScope::enter(site);
+                unsafe { a.alloc(huge) }
+            };
+            assert!(p.is_null(), "{vuln:?}: a node cannot record 2^43 B");
+            let refused = HardenedStats {
+                interposed_allocs: 1,
+                ..HardenedStats::default()
+            };
+            assert_eq!(a.stats(), refused, "{vuln:?}");
+            let snap = a.telemetry_snapshot();
+            assert!(snap.is_empty(), "{vuln:?}: {snap:?}");
+            // The patch still files its reports for the first buffer it
+            // serves.
+            let l = layout(64, 8);
+            unsafe { a.dealloc(alloc_at(&a, site, l), l) };
+            let reports: Vec<(VulnFlags, u64)> = a
+                .telemetry_snapshot()
+                .reports
+                .iter()
+                .map(|r| (r.vuln, r.size))
+                .collect();
+            let mut want = vec![(uaf, 64)];
+            if vuln.contains(VulnFlags::OVERFLOW) {
+                want.insert(0, (VulnFlags::OVERFLOW, 64));
+            }
+            assert_eq!(reports, want, "{vuln:?}");
+            assert_eq!(a.stats().table_hits, 1);
+        }
     }
 
     #[test]

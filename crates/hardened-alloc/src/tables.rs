@@ -1,10 +1,11 @@
-//! Allocation-free tables for the patched allocation paths.
+//! Allocation-free tables of the hardened allocator: its one counter
+//! block, its attack-report log and its quarantine.
 //!
 //! A `#[global_allocator]` must never allocate while servicing an
-//! allocation, so the quarantine keeps its FIFO links in the freed
-//! buffers' own headers and is **sharded** by pointer hash: each shard has
-//! its own spin lock and FIFO, so threads freeing different pointers rarely
-//! contend.
+//! allocation, so every table here is fixed-size, and the quarantine keeps
+//! its FIFO links in the freed buffers' own headers. The quarantine is
+//! **sharded** by pointer hash: each shard has its own spin lock and FIFO,
+//! so threads freeing different pointers rarely contend.
 //!
 //! Lock discipline: exactly one shard lock is ever held at a time, and no
 //! allocator call is made while holding one — so there is no lock ordering
@@ -50,57 +51,133 @@ impl Drop for SpinGuard<'_> {
     }
 }
 
-/// A cache-line-padded atomic counter cell, so neighbouring cells of a
-/// striped counter never false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-const COUNTER_STRIPES: usize = 16;
-
-/// A statistics counter striped over cache lines: increments from different
-/// threads land on (probably) different cells, reads sum all cells. Counts
-/// are exact; only the read is momentarily racy, as with any relaxed
-/// counter.
-#[derive(Debug)]
-pub(crate) struct StripedCounter {
-    cells: [PaddedU64; COUNTER_STRIPES],
-}
-
-#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
-const ZERO_CELL: PaddedU64 = PaddedU64(AtomicU64::new(0));
+/// Counter lanes: threads hash to one each, so concurrent increments
+/// rarely share a cache line.
+const LANES: usize = 16;
 
 thread_local! {
-    /// Per-thread stripe index, derived once from the thread id.
-    static STRIPE: usize = {
+    /// Per-thread lane index, derived once from the thread id.
+    static LANE: usize = {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         std::hash::Hash::hash(&std::thread::current().id(), &mut h);
-        (std::hash::Hasher::finish(&h) as usize) % COUNTER_STRIPES
+        (std::hash::Hasher::finish(&h) as usize) % LANES
     };
 }
 
-impl StripedCounter {
+/// The allocator-wide totals a [`Counters`] block keeps.
+#[derive(Clone, Copy)]
+pub(crate) enum Total {
+    InterposedAllocs,
+    InterposedFrees,
+    GuardPages,
+    ZeroFills,
+    Quarantined,
+    Evictions,
+    QuarantinedBytes,
+    EvictedBytes,
+    FailOpen,
+    InvalidFrees,
+    /// Guarded or quarantine-bound buffers allocated, and freed.
+    TrackedAllocs,
+    TrackedFrees,
+}
+
+/// One past the last [`Total`].
+const TOTALS: usize = Total::TrackedFrees as usize + 1;
+
+#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
+const ZERO: AtomicU64 = AtomicU64::new(0);
+
+/// One lane: its own copy of every total and of the per-slot hit and byte
+/// counts, starting on its own cache line.
+#[repr(align(64))]
+struct Lane {
+    totals: [AtomicU64; TOTALS],
+    hits: [AtomicU64; PatchTable::CAPACITY],
+    bytes: [AtomicU64; PatchTable::CAPACITY],
+}
+
+#[allow(clippy::declare_interior_mutable_const)] // used once per lane
+const EMPTY_LANE: Lane = Lane {
+    totals: [ZERO; TOTALS],
+    hits: [ZERO; PatchTable::CAPACITY],
+    bytes: [ZERO; PatchTable::CAPACITY],
+};
+
+/// Every counter of the allocator, striped over [`LANES`] lanes: the
+/// [`Total`]s, and the hits and requested bytes of each patch-table slot.
+///
+/// An increment is one `Relaxed` `fetch_add` on the calling thread's lane;
+/// a read sums the lanes. Counts are exact; only a read concurrent with
+/// increments is momentarily stale.
+pub(crate) struct Counters {
+    lanes: [Lane; LANES],
+}
+
+impl Counters {
     pub(crate) const fn new() -> Self {
         Self {
-            cells: [ZERO_CELL; COUNTER_STRIPES],
+            lanes: [EMPTY_LANE; LANES],
         }
     }
 
     #[inline]
-    pub(crate) fn add(&self, n: u64) {
+    fn lane(&self) -> &Lane {
         // `try_with` so counting keeps working during thread teardown, when
         // the thread-local may already be destroyed.
-        let stripe = STRIPE.try_with(|&s| s).unwrap_or(0);
-        self.cells[stripe].0.fetch_add(n, Ordering::Relaxed);
+        &self.lanes[LANE.try_with(|&l| l).unwrap_or(0)]
     }
 
     #[inline]
-    pub(crate) fn incr(&self) {
-        self.add(1);
+    pub(crate) fn add(&self, t: Total, n: u64) {
+        self.lane().totals[t as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn load(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+    #[inline]
+    pub(crate) fn incr(&self, t: Total) {
+        self.add(t, 1);
+    }
+
+    pub(crate) fn total(&self, t: Total) -> u64 {
+        self.lanes
+            .iter()
+            .map(|l| l.totals[t as usize].load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Records one hit of `bytes` requested bytes against patch `slot`;
+    /// an out-of-range slot is ignored.
+    #[inline]
+    pub(crate) fn hit(&self, slot: usize, bytes: u64) {
+        let lane = self.lane();
+        if let (Some(h), Some(b)) = (lane.hits.get(slot), lane.bytes.get(slot)) {
+            h.fetch_add(1, Ordering::Relaxed);
+            b.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// The hits of the first `slots` slots, summed without allocating.
+    pub(crate) fn hits(&self, slots: usize) -> u64 {
+        let slots = slots.min(PatchTable::CAPACITY);
+        self.lanes
+            .iter()
+            .flat_map(|l| &l.hits[..slots])
+            .map(|h| h.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// `(hits, bytes)` of each of the first `slots` slots (at most
+    /// [`PatchTable::CAPACITY`]). Pass the number of slots in use: every
+    /// lane of every slot is a separate word to read.
+    pub(crate) fn per_slot(&self, slots: usize) -> Vec<(u64, u64)> {
+        let mut out = vec![(0, 0); slots.min(PatchTable::CAPACITY)];
+        for lane in &self.lanes {
+            for (slot, (hits, bytes)) in out.iter_mut().enumerate() {
+                *hits += lane.hits[slot].load(Ordering::Relaxed);
+                *bytes += lane.bytes[slot].load(Ordering::Relaxed);
+            }
+        }
+        out
     }
 }
 
@@ -590,21 +667,50 @@ mod tests {
     }
 
     #[test]
-    fn striped_counter_is_exact_across_threads() {
-        let c = Arc::new(StripedCounter::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    c.incr();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.load(), 80_000);
+    fn counters_are_exact_across_threads() {
+        let c = Box::new(Counters::new());
+        std::thread::scope(|s| {
+            for t in 0..8usize {
+                let c = &c;
+                s.spawn(move || {
+                    for _ in 0..10_000 {
+                        c.incr(Total::InterposedAllocs);
+                        c.add(Total::QuarantinedBytes, 3);
+                        c.hit(t % 4, 8);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.total(Total::InterposedAllocs), 80_000);
+        assert_eq!(c.total(Total::QuarantinedBytes), 240_000);
+        assert_eq!(c.total(Total::InterposedFrees), 0);
+        assert_eq!(c.per_slot(4), [(20_000, 160_000); 4]);
+        assert_eq!(c.hits(4), 80_000);
+    }
+
+    #[test]
+    fn an_out_of_range_slot_is_ignored() {
+        let c = Box::new(Counters::new());
+        c.hit(PatchTable::CAPACITY, 100);
+        c.hit(usize::MAX, 100);
+        let all = c.per_slot(PatchTable::CAPACITY);
+        assert!(all.iter().all(|&s| s == (0, 0)));
+    }
+
+    #[test]
+    fn per_slot_merges_a_prefix_capped_at_capacity() {
+        let c = Box::new(Counters::new());
+        c.hit(0, 64);
+        c.hit(0, 32);
+        c.hit(7, 1);
+        c.hit(PatchTable::CAPACITY - 1, 5);
+        let all = c.per_slot(PatchTable::CAPACITY);
+        assert_eq!((all[0], all[3], all[7]), ((2, 96), (0, 0), (1, 1)));
+        assert_eq!(all[PatchTable::CAPACITY - 1], (1, 5));
+        assert_eq!(c.per_slot(4), all[..4]);
+        assert_eq!(c.per_slot(8), all[..8]);
+        assert_eq!(c.per_slot(usize::MAX), all);
+        assert_eq!((c.hits(7), c.hits(8), c.hits(usize::MAX)), (2, 3, 4));
     }
 
     #[test]

@@ -11,36 +11,35 @@
 //!   cache-line-padded, sequence-numbered slots. Producers never block and
 //!   never allocate (a full ring counts a drop instead), so the ring is
 //!   safe to feed from inside a `#[global_allocator]`.
-//! - [`PatchStripes`] — per-patch hit/byte counters striped over 16 cache
-//!   lines (the same striping as the allocator's own counters), keyed by
-//!   patch slot and merged by [`PatchStripes::merge`].
+//! - [`PatchCounterRow`] — one patch's hits and requested bytes. Each
+//!   backend keeps its own per-slot counts (the hardened allocator in its
+//!   one striped counter block) and resolves them to rows here.
 //! - [`AttackReport`] — the paper-style structured report, rendered exactly
 //!   once per distinct `(FUN, CCID, T)`; dedup lives with the patch table
 //!   (a lock-free once-bit per slot) so this crate only formats and
 //!   serializes.
+//! - [`Timeline`] — wall-clock phase spans for the offline pipeline
+//!   (instrument / analyze / patch-gen), printed by the `reproduce` tables.
 //!
 //! Every `slot` here — in events, counter rows and reports — is the
 //! patch's slot in the one [`ht_patch::PatchTable`] both backends use: a
 //! dense index in insertion order, the sorted position of the key for a
 //! table loaded from a configuration. The two backends therefore name a
 //! patch the same way.
-//! - [`Timeline`] — wall-clock phase spans for the offline pipeline
-//!   (instrument / analyze / patch-gen), printed by the `reproduce` tables.
 //!
 //! Everything exports as JSON through `ht-jsonio`. Telemetry is strictly
 //! observational: enabling it must not change any allocation decision, and
-//! [`TelemetryConfig::disabled`] is a zero-cost opt-out — disabled paths
-//! hold no telemetry state at all and touch no atomics.
+//! [`TelemetryConfig::disabled`] is a zero-cost opt-out — a disabled
+//! simulated defense holds no telemetry state at all, and a disarmed
+//! hardened allocator pushes no event and files no report.
 
 #![forbid(unsafe_code)]
 
-mod counters;
 mod event;
 mod report;
 mod ring;
 mod spans;
 
-pub use counters::{PatchCounts, PatchStripes, TELEMETRY_STRIPES};
 pub use event::{Event, EventKind, NO_SLOT};
 pub use report::{defense_for, AttackReport};
 pub use ring::{EventRing, RING_CAPACITY};
@@ -50,22 +49,24 @@ use ht_jsonio::{obj, Json, ToJson};
 
 /// Whether the observability layer is armed.
 ///
-/// The default is [disabled](Self::disabled): recording telemetry costs a
-/// few relaxed atomics per defended allocation, and the scaling benchmark
-/// verifies the disabled mode stays within noise of a build that never
-/// heard of telemetry.
+/// The default is [disabled](Self::disabled): recording telemetry costs an
+/// event-ring push or two per defended allocation, and the scaling
+/// benchmark verifies the disabled mode stays within noise of a build that
+/// never heard of telemetry. Armed or not, the hardened allocator counts
+/// each patch's hits; arming lists them in its snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     enabled: bool,
 }
 
 impl TelemetryConfig {
-    /// Telemetry off: no ring, no counters, no atomics on the hot path.
+    /// Telemetry off: no events, no reports, no per-patch rows in a
+    /// snapshot.
     pub const fn disabled() -> Self {
         Self { enabled: false }
     }
 
-    /// Telemetry on: events, per-patch counters, and one-time reports.
+    /// Telemetry on: events, per-patch rows, and one-time reports.
     pub const fn enabled() -> Self {
         Self { enabled: true }
     }

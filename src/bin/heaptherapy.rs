@@ -28,14 +28,6 @@ fn find_app(name: &str) -> Option<VulnApp> {
         .find(|a| a.name == name || a.name.starts_with(name))
 }
 
-fn parse_scheme(s: &str) -> Option<Scheme> {
-    Scheme::ALL.into_iter().find(|x| x.name() == s)
-}
-
-fn parse_strategy(s: &str) -> Option<Strategy> {
-    Strategy::ALL.into_iter().find(|x| x.name() == s)
-}
-
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, String)>,
@@ -65,20 +57,43 @@ impl Args {
     }
 }
 
-fn pipeline(args: &Args) -> HeapTherapy {
-    let scheme = args
-        .flag("scheme")
-        .and_then(parse_scheme)
-        .unwrap_or(Scheme::Additive);
-    let strategy = args
-        .flag("strategy")
-        .and_then(parse_strategy)
-        .unwrap_or(Strategy::Incremental);
-    HeapTherapy::new(PipelineConfig {
+/// The value of `--flag` among `all`, found by `name`, or `default`
+/// without the flag. An unknown value prints the valid names and yields
+/// `None`.
+fn choice<T: Copy>(
+    args: &Args,
+    flag: &str,
+    all: &[T],
+    name: fn(T) -> &'static str,
+    default: T,
+) -> Option<T> {
+    let Some(value) = args.flag(flag) else {
+        return Some(default);
+    };
+    let found = all.iter().copied().find(|&x| name(x) == value);
+    if found.is_none() {
+        let names: Vec<&str> = all.iter().map(|&x| name(x)).collect();
+        eprintln!("unknown --{flag} {value:?}; one of: {}", names.join(", "));
+    }
+    found
+}
+
+/// The pipeline the `--scheme` and `--strategy` flags select, or `None`
+/// when either flag has an unknown value.
+fn pipeline(args: &Args) -> Option<HeapTherapy> {
+    let scheme = choice(args, "scheme", &Scheme::ALL, Scheme::name, Scheme::Additive)?;
+    let strategy = choice(
+        args,
+        "strategy",
+        &Strategy::ALL,
+        Strategy::name,
+        Strategy::Incremental,
+    )?;
+    Some(HeapTherapy::new(PipelineConfig {
         strategy,
         scheme,
         ..PipelineConfig::default()
-    })
+    }))
 }
 
 fn cmd_list() -> ExitCode {
@@ -101,7 +116,9 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         eprintln!("unknown app; try `heaptherapy list`");
         return ExitCode::from(2);
     };
-    let ht = pipeline(args);
+    let Some(ht) = pipeline(args) else {
+        return ExitCode::from(2);
+    };
     let ip = ht.instrument(&app.program);
     let analysis = ht.analyze_attack(&ip, app.patching_input(), &app.reference);
     print!("{}", incident_report(&ip, &analysis, &app.name));
@@ -142,7 +159,9 @@ fn cmd_protect(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ht = pipeline(args);
+    let Some(ht) = pipeline(args) else {
+        return ExitCode::from(2);
+    };
     let ip = ht.instrument(&app.program);
     let attack_idx: usize = args
         .flag("attack")
@@ -177,7 +196,9 @@ fn cmd_demo(args: &Args) -> ExitCode {
         eprintln!("unknown app; try `heaptherapy list`");
         return ExitCode::from(2);
     };
-    let ht = pipeline(args);
+    let Some(ht) = pipeline(args) else {
+        return ExitCode::from(2);
+    };
     if args.flag("iterative").is_some() {
         // §IX: keep cycling until every attack input is defeated (needed
         // for vulnerabilities exploitable through multiple contexts).
@@ -219,7 +240,9 @@ fn cmd_report(args: &Args) -> ExitCode {
         eprintln!("unknown app; try `heaptherapy list`");
         return ExitCode::from(2);
     };
-    let ht = pipeline(args);
+    let Some(ht) = pipeline(args) else {
+        return ExitCode::from(2);
+    };
     match ht.attack_telemetry(&app) {
         Ok(tel) => {
             if args.flag("json").is_some() {
@@ -255,7 +278,9 @@ fn cmd_decode(args: &Args) -> ExitCode {
         return ExitCode::from(2);
     };
     let fun = args.flag("fun").unwrap_or("malloc");
-    let ht = pipeline(args);
+    let Some(ht) = pipeline(args) else {
+        return ExitCode::from(2);
+    };
     let ip = ht.instrument(&app.program);
     let graph = app.program.graph();
     let Some(target) = graph.func_by_name(fun) else {
@@ -293,7 +318,9 @@ fn cmd_lint(args: &Args) -> ExitCode {
         eprintln!("usage: heaptherapy lint <app|spec-bench> [--strategy S] [--scheme S]");
         return ExitCode::from(2);
     };
-    let ht = pipeline(args);
+    let Some(ht) = pipeline(args) else {
+        return ExitCode::from(2);
+    };
     if let Some(app) = find_app(name) {
         let ip = ht.instrument(&app.program);
         let report = ht.lint(&app);

@@ -1,17 +1,18 @@
 //! Backend parity: the simulated defense (`DefendedBackend`) and the real
 //! allocator (`HardenedAlloc`), loaded from one configuration file and
 //! driven by one allocation trace, must account for it identically — the
-//! same per-patch rows and the same attack reports, down to the slot that
-//! names each patch.
+//! same per-patch rows, the same attack reports, down to the slot that
+//! names each patch, and the same totals of table hits, guard pages and
+//! quarantined blocks.
 //!
 //! Both backends load the file through their public configuration entry
 //! points, so the oracle holds for whatever table each of them builds.
 //! Their quarantines agree too: only the byte quota evicts.
 
 use heaptherapy_plus::callgraph::FuncId;
-use heaptherapy_plus::defense::{DefendedBackend, DefenseConfig};
+use heaptherapy_plus::defense::{DefendedBackend, DefenseConfig, DefenseStats};
 use heaptherapy_plus::encoding::Ccid;
-use heaptherapy_plus::hardened_alloc::{ccid, HardenedAlloc};
+use heaptherapy_plus::hardened_alloc::{ccid, HardenedAlloc, HardenedStats};
 use heaptherapy_plus::patch::{
     from_config_text, to_config_text, AllocFn, Patch, PatchTable, VulnFlags,
 };
@@ -61,7 +62,7 @@ fn config() -> String {
     to_config_text(&patches)
 }
 
-fn simulated(config: &str) -> TelemetrySnapshot {
+fn simulated(config: &str) -> (TelemetrySnapshot, DefenseStats) {
     let patches = from_config_text(config).expect("config parses");
     let mut d = DefendedBackend::new(DefenseConfig {
         telemetry: TelemetryConfig::enabled(),
@@ -79,10 +80,11 @@ fn simulated(config: &str) -> TelemetrySnapshot {
         let p = d.alloc(&req).expect("simulated allocation");
         assert!(d.free(p).is_ok());
     }
-    d.telemetry_snapshot().expect("telemetry armed")
+    let snap = d.telemetry_snapshot().expect("telemetry armed");
+    (snap, d.stats())
 }
 
-fn real(config: &str) -> TelemetrySnapshot {
+fn real(config: &str) -> (TelemetrySnapshot, HardenedStats) {
     let a = Box::new(HardenedAlloc::new());
     assert_eq!(a.install_from_config(config).expect("config parses"), 4);
     a.freeze();
@@ -100,7 +102,8 @@ fn real(config: &str) -> TelemetrySnapshot {
     }
     let snap = a.telemetry_snapshot();
     assert_eq!(a.stats().invalid_frees, 0);
-    snap
+    assert_eq!(a.registry_stats().live(), 0, "every tracked buffer freed");
+    (snap, a.stats())
 }
 
 type ReportKey = (AllocFn, u64, VulnFlags, u32);
@@ -129,7 +132,7 @@ fn defense_events(s: &TelemetrySnapshot) -> Vec<(u8, AllocFn, u64, VulnFlags, u3
 #[test]
 fn both_backends_account_for_one_trace_identically() {
     let config = config();
-    let (sim, real) = (simulated(&config), real(&config));
+    let ((sim, sim_stats), (real, real_stats)) = (simulated(&config), real(&config));
     assert_eq!((sim.dropped, real.dropped), (0, 0), "no event lost");
 
     let slots: Vec<usize> = sim.per_patch.iter().map(|r| r.slot).collect();
@@ -150,6 +153,14 @@ fn both_backends_account_for_one_trace_identically() {
         defense_events(&sim),
         defense_events(&real),
         "defense events"
+    );
+
+    let r = real_stats;
+    let s = sim_stats;
+    assert_eq!(
+        (r.table_hits, r.guard_pages, r.quarantined),
+        (s.table_hits, s.guard_pages, s.quarantined_blocks),
+        "table hits, guard pages, quarantined blocks"
     );
 }
 

@@ -120,6 +120,25 @@ fn lint_respects_strategy_and_scheme_flags() {
 }
 
 #[test]
+fn unknown_scheme_or_strategy_is_a_usage_error() {
+    let decode = ["decode", "heartbleed", "--fun", "malloc", "--ccid", "0x1"];
+    for (flag, names) in [
+        ("--scheme", "pcc, positional, additive"),
+        ("--strategy", "fcs, tcs, slim, incremental"),
+    ] {
+        let out = bin()
+            .args(decode)
+            .args([flag, "bogus"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        assert!(out.stdout.is_empty(), "{flag}: no chain printed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(names), "{flag}: {stderr}");
+    }
+}
+
+#[test]
 fn lint_unknown_app_errors() {
     let out = bin().args(["lint", "no-such-app"]).output().expect("runs");
     assert_eq!(out.status.code(), Some(2));

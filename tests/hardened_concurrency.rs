@@ -278,7 +278,7 @@ proptest! {
         prop_assert_eq!(rs.live(), 0);
         prop_assert_eq!(rs.inserts, expected_registered);
 
-        // Telemetry's striped counters are exact (the ring may drop under
+        // The per-slot counters are exact (the ring may drop under
         // load; the counters never do), and disabled telemetry sees nothing.
         let snap = a.telemetry_snapshot();
         if telemetry {
