@@ -6,7 +6,7 @@ use ht_encoding::{InstrumentationPlan, Scheme};
 use ht_patch::{from_config_text, to_config_text, AllocFn, Patch, PatchTable, VulnFlags};
 use ht_shadow::{ShadowBackend, ShadowConfig, Warning};
 use ht_simprog::{Interpreter, Limits, PlainBackend, Program, RunReport};
-use ht_telemetry::{AttackReport, PatchCounterRow, TelemetryConfig, TelemetrySnapshot, Timeline};
+use ht_telemetry::{AttackReport, PatchCounterRow, TelemetrySnapshot, Timeline};
 use ht_vulnapps::VulnApp;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -27,7 +27,7 @@ pub struct PipelineConfig {
     pub limits: Limits,
     /// Runtime attack telemetry for protected runs (disabled by default —
     /// the online hot path pays nothing when off).
-    pub telemetry: TelemetryConfig,
+    pub telemetry: bool,
 }
 
 impl Default for PipelineConfig {
@@ -38,7 +38,7 @@ impl Default for PipelineConfig {
             shadow: ShadowConfig::default(),
             defense_quota: 2 * 1024 * 1024 * 1024,
             limits: Limits::default(),
-            telemetry: TelemetryConfig::disabled(),
+            telemetry: false,
         }
     }
 }
@@ -294,7 +294,7 @@ impl HeapTherapy {
         let mut interp =
             Interpreter::new(ip.program, &ip.plan, backend).with_limits(self.cfg.limits);
         let report = interp.run(input);
-        let mut backend = interp.into_backend();
+        let backend = interp.into_backend();
         ProtectedRun {
             report,
             stats: backend.stats(),
@@ -444,7 +444,7 @@ impl HeapTherapy {
             .map_err(|e| PipelineError::ConfigRoundTrip(e.to_string()))?;
 
         let mut armed = self.clone();
-        armed.cfg.telemetry = TelemetryConfig::enabled();
+        armed.cfg.telemetry = true;
         let mut reports: Vec<AttackReport> = Vec::new();
         let mut per_patch: BTreeMap<usize, PatchCounterRow> = BTreeMap::new();
         let (mut delivered, mut dropped) = (0u64, 0u64);
@@ -816,7 +816,7 @@ mod tests {
         let app = ht_vulnapps::heartbleed();
         let plain = ht().full_cycle(&app).unwrap();
         let armed = HeapTherapy::new(PipelineConfig {
-            telemetry: ht_telemetry::TelemetryConfig::enabled(),
+            telemetry: true,
             ..PipelineConfig::default()
         })
         .full_cycle(&app)

@@ -8,10 +8,7 @@ use ht_memsim::{
 };
 use ht_patch::{AllocFn, PatchTable, VulnFlags};
 use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, ReadResult, Sink, StopCause};
-use ht_telemetry::{
-    AttackReport, Event, EventKind, EventRing, PatchCounterRow, TelemetryConfig, TelemetrySnapshot,
-    NO_SLOT,
-};
+use ht_telemetry::{Recorder, TelemetrySnapshot};
 
 /// Online-defense configuration.
 #[derive(Debug)]
@@ -28,10 +25,10 @@ pub struct DefenseConfig {
     /// table — the prohibitively expensive policy HeapTherapy+'s targeting
     /// avoids (paper Section VI).
     pub guard_all: bool,
-    /// Attack telemetry (paper Section VII's diagnosis report). Disabled by
-    /// default: a disabled backend allocates no telemetry state and the hot
-    /// path pays nothing beyond one `Option` check on defended branches.
-    pub telemetry: TelemetryConfig,
+    /// Attack telemetry (paper Section VII's diagnosis report). Off by
+    /// default: a backend without it holds no recorder, and the hot path
+    /// pays nothing beyond one `Option` check on defended branches.
+    pub telemetry: bool,
 }
 
 impl Default for DefenseConfig {
@@ -41,7 +38,7 @@ impl Default for DefenseConfig {
             maintain_metadata: true,
             quarantine_quota: 2 * 1024 * 1024 * 1024,
             guard_all: false,
-            telemetry: TelemetryConfig::disabled(),
+            telemetry: false,
         }
     }
 }
@@ -86,61 +83,6 @@ pub struct DefenseStats {
     pub blocked_accesses: u64,
 }
 
-/// Telemetry state of a defended backend. Allocated only when the
-/// configuration enables telemetry, so the disabled mode carries no state.
-///
-/// The sim reuses the allocator's lock-free [`EventRing`] (identical
-/// overflow-and-drop semantics) even though the interpreter is
-/// single-threaded. Counters are keyed by [`PatchTable`] slot, report
-/// dedup uses the table's once-bits, and frees and evictions find their
-/// slot in the buffer's metadata word and quarantine entry.
-#[derive(Debug)]
-struct Telemetry {
-    ring: Box<EventRing>,
-    /// `(hits, bytes)` per patch-table slot.
-    per_patch: Vec<(u64, u64)>,
-    /// Attack reports in first-activation order.
-    reports: Vec<AttackReport>,
-}
-
-impl Telemetry {
-    fn new(patches: usize) -> Self {
-        Self {
-            ring: Box::new(EventRing::new()),
-            per_patch: vec![(0, 0); patches],
-            reports: Vec::new(),
-        }
-    }
-
-    /// Files the one-time attack report for `(slot, t)` if `table`'s
-    /// once-bit says this is the first activation; later activations of
-    /// the same pair are silent.
-    fn report_once(&mut self, table: &PatchTable, slot: u32, t: VulnFlags, size: u64) {
-        let Some((fun, ccid, _)) = table.entry(slot as usize) else {
-            return;
-        };
-        if !table.report_once(slot as usize, t) {
-            return;
-        }
-        self.ring.push(Event::patched(
-            EventKind::AttackReported,
-            fun,
-            t,
-            slot,
-            ccid,
-            size,
-        ));
-        self.reports.push(AttackReport {
-            fun,
-            ccid,
-            vuln: t,
-            slot,
-            size,
-            call_chain: Vec::new(),
-        });
-    }
-}
-
 /// The online defense generator over an arbitrary inner allocator.
 ///
 /// All heap traffic flows through this backend; buffers whose
@@ -153,7 +95,13 @@ pub struct DefendedBackend<A: BaseAllocator = FreeListAllocator> {
     cfg: DefenseConfig,
     quarantine: Quarantine,
     stats: DefenseStats,
-    telemetry: Option<Telemetry>,
+    /// `(hits, bytes)` per patch-table slot, counted on every placed
+    /// table hit, armed or not.
+    per_slot: Vec<(u64, u64)>,
+    /// The recorder, present only when the configuration enables
+    /// telemetry. Frees and evictions find their slot in the buffer's
+    /// metadata word and quarantine entry.
+    telemetry: Option<Box<Recorder>>,
 }
 
 impl DefendedBackend<FreeListAllocator> {
@@ -180,18 +128,14 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             cfg.maintain_metadata || (cfg.table.is_empty() && !cfg.guard_all),
             "defenses require metadata maintenance"
         );
-        let quota = cfg.quarantine_quota;
-        let telemetry = cfg
-            .telemetry
-            .is_enabled()
-            .then(|| Telemetry::new(cfg.table.len()));
         Self {
             space: AddressSpace::new(),
             inner,
-            cfg,
-            quarantine: Quarantine::new(quota),
+            quarantine: Quarantine::new(cfg.quarantine_quota),
             stats: DefenseStats::default(),
-            telemetry,
+            per_slot: vec![(0, 0); cfg.table.len()],
+            telemetry: cfg.telemetry.then(|| Box::new(Recorder::new(true))),
+            cfg,
         }
     }
 
@@ -214,129 +158,44 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         StopCause::HeapMisuse(e.to_string())
     }
 
-    /// The vulnerability bits and the patch-table slot, if any, for an
-    /// allocation about to happen.
+    /// The vulnerability bits and the slot of the patch-table hit, if any,
+    /// for an allocation about to happen.
     fn probe(&mut self, fun: AllocFn, ccid: u64) -> (VulnFlags, Option<usize>) {
         self.stats.table_lookups += 1;
         let hit = self.cfg.table.probe(fun, ccid);
+        let hit = hit.filter(|(_, vuln)| !vuln.is_empty());
+        self.stats.table_hits += u64::from(hit.is_some());
         let mut vuln = hit.map_or(VulnFlags::NONE, |(_, vuln)| vuln);
-        if !vuln.is_empty() {
-            self.stats.table_hits += 1;
-        }
         if self.cfg.guard_all {
             vuln |= VulnFlags::OVERFLOW;
         }
         (vuln, hit.map(|(slot, _)| slot))
     }
 
-    /// Records telemetry for one successful defended allocation.
-    fn note_alloc(
-        &mut self,
-        fun: AllocFn,
-        ccid: u64,
-        size: u64,
-        vuln: VulnFlags,
-        slot: Option<usize>,
-    ) {
-        let Some(tel) = &mut self.telemetry else {
-            return;
-        };
-        if vuln.is_empty() {
-            return;
-        }
-        let slot = slot.map_or(NO_SLOT, |s| s as u32);
-        if slot != NO_SLOT {
-            let c = &mut tel.per_patch[slot as usize];
-            c.0 += 1;
-            c.1 += size;
-            tel.ring.push(Event::patched(
-                EventKind::PatchHit,
-                fun,
-                vuln,
-                slot,
-                ccid,
-                size,
-            ));
-        }
-        for (t, kind) in [
-            (VulnFlags::OVERFLOW, EventKind::GuardInstall),
-            (VulnFlags::UNINIT_READ, EventKind::ZeroInit),
-        ] {
-            if vuln.contains(t) {
-                tel.ring
-                    .push(Event::patched(kind, fun, t, slot, ccid, size));
-                // Alloc-time defenses count as activations: first one per
-                // `(FUN, CCID, T)` files the attack report.
-                if slot != NO_SLOT {
-                    tel.report_once(&self.cfg.table, slot, t, size);
-                }
-            }
+    /// Counts a placed table hit of `slot` and records its events.
+    fn note_hit(&mut self, slot: usize, vuln: VulnFlags, size: u64) {
+        let c = &mut self.per_slot[slot];
+        *c = (c.0 + 1, c.1 + size);
+        if let Some(rec) = &self.telemetry {
+            rec.hit(&self.cfg.table, slot, vuln, size);
         }
     }
 
-    /// Records a quarantine defer or evict of a UAF-patched block, filing
-    /// the one-time UAF attack report on the first defer of its patch.
-    fn note_quarantine(&mut self, kind: EventKind, b: &QuarantinedBlock) {
-        let Some(tel) = &mut self.telemetry else {
-            return;
-        };
-        let table = &self.cfg.table;
-        let Some((fun, ccid, _)) = table.entry(b.slot as usize) else {
-            return;
-        };
-        let uaf = VulnFlags::USE_AFTER_FREE;
-        tel.ring
-            .push(Event::patched(kind, fun, uaf, b.slot, ccid, b.size));
-        if kind == EventKind::QuarantineDefer {
-            tel.report_once(table, b.slot, uaf, b.size);
-        }
-    }
-
-    /// Records an access stopped at a guard page. The faulting access does
-    /// not identify its buffer, so the event is unattributed (the paper's
-    /// SIGSEGV handler recovers the context from the fault address; the sim
-    /// keeps only the count and the attempted length).
-    fn note_trip(&mut self, len: u64) {
-        if let Some(tel) = &mut self.telemetry {
-            tel.ring.push(Event::unattributed(
-                EventKind::GuardTrip,
-                AllocFn::Malloc,
-                len,
-            ));
+    /// Counts an access of `len` bytes stopped at a guard page, and
+    /// records its trip.
+    fn blocked(&mut self, len: u64) {
+        self.stats.blocked_accesses += 1;
+        if let Some(rec) = &self.telemetry {
+            rec.trip(len);
         }
     }
 
     /// Drains and returns everything telemetry observed so far, or `None`
     /// when the configuration disabled telemetry. Ring events drain
     /// destructively; per-patch counters and reports are cumulative.
-    pub fn telemetry_snapshot(&mut self) -> Option<TelemetrySnapshot> {
-        let tel = self.telemetry.as_mut()?;
-        let events = tel.ring.drain_vec();
-        let table = &self.cfg.table;
-        let per_patch = tel
-            .per_patch
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(hits, _))| hits > 0)
-            .map(|(s, &(hits, bytes))| {
-                let (fun, ccid, vuln) = table.entry(s).expect("counter slot within table");
-                PatchCounterRow {
-                    slot: s,
-                    fun,
-                    ccid,
-                    vuln,
-                    hits,
-                    bytes,
-                }
-            })
-            .collect();
-        Some(TelemetrySnapshot {
-            events,
-            delivered: tel.ring.delivered(),
-            dropped: tel.ring.dropped(),
-            per_patch,
-            reports: tel.reports.clone(),
-        })
+    pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+        let rec = self.telemetry.as_ref()?;
+        Some(rec.snapshot(&self.cfg.table, &self.per_slot))
     }
 
     /// Allocates one defended buffer (Structures 1–4) whose word records
@@ -436,9 +295,13 @@ impl<A: BaseAllocator> DefendedBackend<A> {
                 slot: meta.slot() as u32,
             };
             self.stats.quarantined_blocks += 1;
-            self.note_quarantine(EventKind::QuarantineDefer, &block);
+            if let Some(rec) = &self.telemetry {
+                rec.defer(&self.cfg.table, block.slot as usize, size);
+            }
             for b in self.quarantine.push(block) {
-                self.note_quarantine(EventKind::QuarantineEvict, &b);
+                if let Some(rec) = &self.telemetry {
+                    rec.evict(&self.cfg.table, b.slot as usize, b.size);
+                }
                 self.inner
                     .free(&mut self.space, b.inner_ptr)
                     .map_err(Self::misuse)?;
@@ -486,7 +349,9 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
             }
             _ => self.defended_alloc(req.fun, req.size, req.align, vuln, slot)?,
         };
-        self.note_alloc(req.fun, req.ccid.0, req.size, vuln, slot);
+        if let Some(slot) = slot {
+            self.note_hit(slot, vuln, req.size);
+        }
         Ok(user)
     }
 
@@ -508,8 +373,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
         match self.space.fill(addr, len, byte) {
             Ok(()) => AccessOutcome::Ok,
             Err(f) => {
-                self.stats.blocked_accesses += 1;
-                self.note_trip(len);
+                self.blocked(len);
                 AccessOutcome::Stop(StopCause::Segfault {
                     addr: f.addr,
                     write: true,
@@ -526,8 +390,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
                 outcome: AccessOutcome::Ok,
             },
             Err(f) => {
-                self.stats.blocked_accesses += 1;
-                self.note_trip(len);
+                self.blocked(len);
                 data.truncate(f.completed as usize);
                 ReadResult {
                     data,
@@ -543,8 +406,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
         let mut buf = vec![0u8; self.space.reach(src, len) as usize];
         if let Err(f) = self.space.read(src, &mut buf) {
-            self.stats.blocked_accesses += 1;
-            self.note_trip(len);
+            self.blocked(len);
             return AccessOutcome::Stop(StopCause::Segfault {
                 addr: f.addr,
                 write: false,
@@ -553,8 +415,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
         match self.space.write(dst, &buf) {
             Ok(()) => AccessOutcome::Ok,
             Err(f) => {
-                self.stats.blocked_accesses += 1;
-                self.note_trip(len);
+                self.blocked(len);
                 AccessOutcome::Stop(StopCause::Segfault {
                     addr: f.addr,
                     write: true,
@@ -575,6 +436,7 @@ mod tests {
     use ht_encoding::Ccid;
     use ht_memsim::BumpAllocator;
     use ht_patch::Patch;
+    use ht_telemetry::EventKind;
 
     fn req(fun: AllocFn, size: u64, ccid: u64) -> AllocRequest {
         AllocRequest {
@@ -902,7 +764,7 @@ mod tests {
 
     fn telemetry_cfg(table: PatchTable) -> DefenseConfig {
         DefenseConfig {
-            telemetry: TelemetryConfig::enabled(),
+            telemetry: true,
             ..DefenseConfig::with_table(table)
         }
     }
@@ -1018,7 +880,7 @@ mod tests {
         // The same workload with telemetry on and off must produce identical
         // allocation results, stats, and quarantine state (observation only;
         // the cross-crate proptest widens this to random workloads).
-        let run = |telemetry: TelemetryConfig| {
+        let run = |telemetry: bool| {
             let mut cfg = DefenseConfig::with_table(table(AllocFn::Malloc, VULN, VulnFlags::ALL));
             cfg.telemetry = telemetry;
             cfg.quarantine_quota = 200;
@@ -1035,10 +897,7 @@ mod tests {
             }
             (log, d.stats(), d.quarantine().len())
         };
-        assert_eq!(
-            run(TelemetryConfig::disabled()),
-            run(TelemetryConfig::enabled()),
-        );
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

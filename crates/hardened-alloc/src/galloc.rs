@@ -1,11 +1,11 @@
 //! The hardened global allocator.
 
 use crate::ccid;
-use crate::tables::{Counters, Entry, QuarantineRing, ReportLog, Total};
+use crate::tables::{Counters, Entry, QuarantineRing, Total};
 use ht_patch::{AllocFn, Patch, PatchTable, VulnFlags};
-use ht_telemetry::{AttackReport, Event, EventKind, EventRing, PatchCounterRow, TelemetrySnapshot};
+use ht_telemetry::{Event, Recorder, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Snapshot of the allocator's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -468,14 +468,10 @@ pub struct HardenedAlloc {
     /// Every count behind [`Self::stats`], [`Self::registry_stats`] and
     /// the per-patch rows of [`Self::telemetry_snapshot`].
     counters: Counters,
-    /// Telemetry arm switch. Checked only on defense-relevant paths (table
-    /// hit, patched free), never on the unpatched fast path — disabled
-    /// telemetry therefore costs zero atomics per ordinary allocation.
-    telemetry_on: AtomicBool,
-    /// Defense-activation events (telemetry; lock-free, allocation-free).
-    events: EventRing,
-    /// Attack reports, in filing order (telemetry).
-    reports: ReportLog,
+    /// Events and attack reports. Called only on defense-relevant paths
+    /// (table hit, patched free), never on the unpatched fast path, so
+    /// disarmed telemetry costs an ordinary allocation nothing.
+    telemetry: Recorder,
 }
 
 impl std::fmt::Debug for HardenedAlloc {
@@ -503,9 +499,7 @@ impl HardenedAlloc {
             regions: RegionCache::new(),
             quota: AtomicUsize::new(64 * 1024 * 1024),
             counters: Counters::new(),
-            telemetry_on: AtomicBool::new(false),
-            events: EventRing::new(),
-            reports: ReportLog::new(),
+            telemetry: Recorder::new(false),
         }
     }
 
@@ -598,136 +592,27 @@ impl HardenedAlloc {
     /// benignly around the flip). Per-patch hits and bytes are counted
     /// either way, and listed by [`Self::telemetry_snapshot`] while armed.
     pub fn set_telemetry(&self, on: bool) {
-        self.telemetry_on.store(on, Ordering::Relaxed);
+        self.telemetry.arm(on);
     }
 
     /// Whether telemetry recording is armed.
     pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry_on.load(Ordering::Relaxed)
-    }
-
-    /// Records the event of a placed table hit and of the defenses it got,
-    /// and files one-time attack reports per newly fired `(FUN, CCID, T)`
-    /// with `T != UAF` (the UAF report files on the free path, where the
-    /// quarantine defense actually runs).
-    fn note_patch_hit(&self, fun: AllocFn, ccid: u64, vuln: VulnFlags, slot: usize, size: usize) {
-        if !self.telemetry_on.load(Ordering::Relaxed) {
-            return;
-        }
-        let size = size as u64;
-        let slot32 = slot as u32;
-        self.events.push(Event::patched(
-            EventKind::PatchHit,
-            fun,
-            vuln,
-            slot32,
-            ccid,
-            size,
-        ));
-        for (t, kind) in [
-            (VulnFlags::OVERFLOW, EventKind::GuardInstall),
-            (VulnFlags::UNINIT_READ, EventKind::ZeroInit),
-        ] {
-            if vuln.contains(t) {
-                self.events
-                    .push(Event::patched(kind, fun, t, slot32, ccid, size));
-                self.report_once(fun, ccid, t, slot, size);
-            }
-        }
-    }
-
-    /// Files the attack report of `(slot, t)` unless it already has one:
-    /// into the report log, and as an `attack-reported` event.
-    fn report_once(&self, fun: AllocFn, ccid: u64, t: VulnFlags, slot: usize, size: u64) {
-        if self.patches.report_once(slot, t) {
-            self.reports.file(slot, t, size);
-            self.events.push(Event::patched(
-                EventKind::AttackReported,
-                fun,
-                t,
-                slot as u32,
-                ccid,
-                size,
-            ));
-        }
-    }
-
-    /// Records a quarantine defer/evict of a buffer of `size` bytes
-    /// patched at `slot`, filing the one-time UAF attack report on the
-    /// first defer of its patch.
-    #[inline]
-    fn note_quarantine(&self, kind: EventKind, slot: usize, size: usize) {
-        if !self.telemetry_on.load(Ordering::Relaxed) {
-            return;
-        }
-        let Some((fun, ccid, _)) = self.patches.entry(slot) else {
-            return;
-        };
-        let (t, size) = (VulnFlags::USE_AFTER_FREE, size as u64);
-        self.events
-            .push(Event::patched(kind, fun, t, slot as u32, ccid, size));
-        if kind == EventKind::QuarantineDefer {
-            self.report_once(fun, ccid, t, slot, size);
-        }
+        self.telemetry.is_armed()
     }
 
     /// Drains the event ring (observer API — allocates, so never call it
     /// from inside an allocation).
     pub fn drain_events(&self) -> Vec<Event> {
-        self.events.drain_vec()
+        self.telemetry.drain_events()
     }
 
-    /// Drains the ring and, while telemetry is armed, merges the per-patch
-    /// counters of the installed patches into a full telemetry snapshot.
-    /// Attack reports are every report filed so far, in filing order,
-    /// whether or not the ring had room for their events (call chains stay
-    /// undecoded here — the allocator has no encoding plan;
-    /// `heaptherapy-core` decodes).
+    /// Drains the ring into a telemetry snapshot: every report filed so
+    /// far, and while armed the per-patch rows of the installed patches
+    /// (call chains stay undecoded here — the allocator has no encoding
+    /// plan; `heaptherapy-core` decodes).
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let events = self.drain_events();
-        let reports = self
-            .reports
-            .filed()
-            .filter_map(|(slot, vuln, size)| {
-                let (fun, ccid, _) = self.patches.entry(slot)?;
-                Some(AttackReport {
-                    fun,
-                    ccid,
-                    vuln,
-                    slot: slot as u32,
-                    size,
-                    call_chain: Vec::new(),
-                })
-            })
-            .collect();
-        let per_slot = if self.telemetry_enabled() {
-            self.counters.per_slot(self.patches.len())
-        } else {
-            Vec::new()
-        };
-        let per_patch = per_slot
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, (hits, _))| hits > 0)
-            .filter_map(|(slot, (hits, bytes))| {
-                let (fun, ccid, vuln) = self.patches.entry(slot)?;
-                Some(PatchCounterRow {
-                    slot,
-                    fun,
-                    ccid,
-                    vuln,
-                    hits,
-                    bytes,
-                })
-            })
-            .collect();
-        TelemetrySnapshot {
-            events,
-            delivered: self.events.delivered(),
-            dropped: self.events.dropped(),
-            per_patch,
-            reports,
-        }
+        let per_slot = self.counters.per_slot(self.patches.len());
+        self.telemetry.snapshot(&self.patches, &per_slot)
     }
 
     /// Whether `ptr` is currently in the deferred-free quarantine.
@@ -782,7 +667,7 @@ impl HardenedAlloc {
         let ccid = ccid::current();
         match self.patches.probe(fun, ccid) {
             Some((slot, vuln)) if !vuln.is_empty() => {
-                self.alloc_patched(fun, ccid, layout, zeroed, slot, vuln)
+                self.alloc_patched(layout, zeroed, slot, vuln)
             }
             _ => alloc_system(layout, header_len(layout.align()), zeroed),
         }
@@ -796,8 +681,6 @@ impl HardenedAlloc {
     #[inline(never)]
     unsafe fn alloc_patched(
         &self,
-        fun: AllocFn,
-        ccid: u64,
         layout: Layout,
         zeroed: bool,
         slot: usize,
@@ -844,7 +727,8 @@ impl HardenedAlloc {
             self.counters.incr(Total::TrackedAllocs);
         }
         self.counters.hit(slot, layout.size() as u64);
-        self.note_patch_hit(fun, ccid, vuln, slot, layout.size());
+        self.telemetry
+            .hit(&self.patches, slot, vuln, layout.size() as u64);
         p
     }
 
@@ -880,7 +764,8 @@ impl HardenedAlloc {
         self.counters.incr(Total::Quarantined);
         self.counters
             .add(Total::QuarantinedBytes, layout.size() as u64);
-        self.note_quarantine(EventKind::QuarantineDefer, word.slot, layout.size());
+        self.telemetry
+            .defer(&self.patches, word.slot, layout.size() as u64);
         let quota = self.quota.load(Ordering::Relaxed);
         // SAFETY: `ptr` is a freed UAF buffer with its word and node
         // written, and its free was not deferred before: its word was live.
@@ -891,11 +776,8 @@ impl HardenedAlloc {
             };
             self.counters.incr(Total::Evictions);
             self.counters.add(Total::EvictedBytes, evicted.size as u64);
-            self.note_quarantine(
-                EventKind::QuarantineEvict,
-                evicted.slot as usize,
-                evicted.size,
-            );
+            let (slot, size) = (evicted.slot as usize, evicted.size as u64);
+            self.telemetry.evict(&self.patches, slot, size);
             self.release(evicted);
         }
     }
@@ -996,6 +878,7 @@ unsafe impl GlobalAlloc for HardenedAlloc {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use ht_telemetry::EventKind;
 
     fn layout(size: usize, align: usize) -> Layout {
         Layout::from_size_align(size, align).unwrap()

@@ -1,5 +1,5 @@
 //! Allocation-free tables of the hardened allocator: its one counter
-//! block, its attack-report log and its quarantine.
+//! block and its quarantine.
 //!
 //! A `#[global_allocator]` must never allocate while servicing an
 //! allocation, so every table here is fixed-size, and the quarantine keeps
@@ -13,8 +13,8 @@
 //! shard locks one at a time and merge; they observe a slightly stale but
 //! per-shard-consistent view, which is all the counters need.
 
-use ht_patch::{PatchTable, VulnFlags};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use ht_patch::PatchTable;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Minimal spin lock (no parking, no allocation).
 #[derive(Debug, Default)]
@@ -178,62 +178,6 @@ impl Counters {
             }
         }
         out
-    }
-}
-
-/// Attack reports that can be filed at most: one per patch slot and
-/// defended type (OF, UAF, UR).
-const REPORT_CELLS: usize = 3 * PatchTable::CAPACITY;
-const REPORT_SLOT_SHIFT: u32 = 3;
-const REPORT_SIZE_SHIFT: u32 = 12;
-
-/// The attack reports filed so far, in filing order, in a fixed array.
-///
-/// Every `(slot, T)` files once, under its patch table once-bit, so the
-/// array cannot fill up. A cell holds `T`'s bit in bits 0..=2, the slot in
-/// bits 3..=11 and the size of the buffer that filed it above (saturated);
-/// 0 marks a cell whose filing is still being written. A cell publishes
-/// nothing but itself, so every access is `Relaxed`.
-pub(crate) struct ReportLog {
-    cells: [AtomicU64; REPORT_CELLS],
-    filed: AtomicUsize,
-}
-
-#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
-const EMPTY_REPORT_CELL: AtomicU64 = AtomicU64::new(0);
-
-impl ReportLog {
-    pub(crate) const fn new() -> Self {
-        Self {
-            cells: [EMPTY_REPORT_CELL; REPORT_CELLS],
-            filed: AtomicUsize::new(0),
-        }
-    }
-
-    /// Files the report of type `t` (one bit) for patch `slot`, raised by a
-    /// buffer of `size` bytes. Call it once per `(slot, t)`.
-    pub(crate) fn file(&self, slot: usize, t: VulnFlags, size: u64) {
-        let size = size.min(u64::MAX >> REPORT_SIZE_SHIFT);
-        let cell =
-            u64::from(t.bits()) | (slot as u64) << REPORT_SLOT_SHIFT | size << REPORT_SIZE_SHIFT;
-        let i = self.filed.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = self.cells.get(i) {
-            c.store(cell, Ordering::Relaxed);
-        }
-    }
-
-    /// The reports filed so far as `(slot, T, size)`, in filing order.
-    pub(crate) fn filed(&self) -> impl Iterator<Item = (usize, VulnFlags, u64)> + '_ {
-        let n = self.filed.load(Ordering::Relaxed).min(REPORT_CELLS);
-        self.cells[..n]
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .filter(|&c| c != 0)
-            .map(|c| {
-                let t = VulnFlags::from_bits_truncate(c as u8 & 0b111);
-                let slot = (c >> REPORT_SLOT_SHIFT) as usize & (PatchTable::CAPACITY - 1);
-                (slot, t, c >> REPORT_SIZE_SHIFT)
-            })
     }
 }
 
@@ -624,23 +568,6 @@ mod tests {
             "bytes pushed = bytes evicted + bytes held"
         );
         assert!(held <= 16 * 1024);
-    }
-
-    #[test]
-    fn report_log_lists_filings_in_order() {
-        let log = ReportLog::new();
-        log.file(511, VulnFlags::UNINIT_READ, 40);
-        log.file(0, VulnFlags::OVERFLOW, u64::MAX);
-        log.file(7, VulnFlags::USE_AFTER_FREE, 0);
-        let filed: Vec<_> = log.filed().collect();
-        assert_eq!(
-            filed,
-            [
-                (511, VulnFlags::UNINIT_READ, 40),
-                (0, VulnFlags::OVERFLOW, u64::MAX >> REPORT_SIZE_SHIFT),
-                (7, VulnFlags::USE_AFTER_FREE, 0),
-            ]
-        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub const NO_SLOT: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A patched allocation matched the table (defense about to apply).
+    /// A patched allocation was placed with its defenses.
     PatchHit = 1,
     /// A guard page was installed behind an overflow-patched buffer.
     GuardInstall = 2,
@@ -36,25 +36,19 @@ pub enum EventKind {
     QuarantineEvict = 5,
     /// An access was stopped at a guard page (overflow attack blocked).
     GuardTrip = 6,
-    /// An access hit a quarantined block (use-after-free caught).
-    UafCaught = 7,
-    /// A defense was skipped because a fixed table was full (fail-open).
-    FailOpen = 8,
     /// First activation of a `(FUN, CCID, T)` — an attack report was filed.
     AttackReported = 9,
 }
 
 impl EventKind {
     /// All kinds, for iteration in tests and decoding.
-    pub const ALL: [EventKind; 9] = [
+    pub const ALL: [EventKind; 7] = [
         EventKind::PatchHit,
         EventKind::GuardInstall,
         EventKind::ZeroInit,
         EventKind::QuarantineDefer,
         EventKind::QuarantineEvict,
         EventKind::GuardTrip,
-        EventKind::UafCaught,
-        EventKind::FailOpen,
         EventKind::AttackReported,
     ];
 
@@ -67,8 +61,6 @@ impl EventKind {
             EventKind::QuarantineDefer => "quarantine-defer",
             EventKind::QuarantineEvict => "quarantine-evict",
             EventKind::GuardTrip => "guard-trip",
-            EventKind::UafCaught => "uaf-caught",
-            EventKind::FailOpen => "fail-open",
             EventKind::AttackReported => "attack-reported",
         }
     }
@@ -223,7 +215,7 @@ mod tests {
 
     #[test]
     fn unattributed_round_trips_no_slot() {
-        let ev = Event::unattributed(EventKind::FailOpen, AllocFn::Malloc, 64);
+        let ev = Event::unattributed(EventKind::GuardTrip, AllocFn::Malloc, 64);
         let back = Event::unpack(0, ev.pack()).unwrap();
         assert_eq!(back.slot, NO_SLOT);
         assert_eq!(back, ev);
@@ -234,6 +226,10 @@ mod tests {
     fn corrupt_kind_rejected() {
         assert!(Event::unpack(0, [0, 0, 0]).is_none());
         assert!(Event::unpack(0, [0xFF, 0, 0]).is_none());
+        // 7 and 8 are retired kinds; `attack-reported` keeps 9.
+        assert!(Event::unpack(0, [7, 0, 0]).is_none());
+        assert!(Event::unpack(0, [8, 0, 0]).is_none());
+        assert_eq!(EventKind::AttackReported as u8, 9);
     }
 
     #[test]

@@ -7,17 +7,20 @@
 //! is the machinery, shared by the simulated defense (`ht-defense`) and the
 //! real hardened allocator (`ht-hardened-alloc`):
 //!
+//! - [`Recorder`] — the one recorder both backends call: the arm flag,
+//!   the event ring and the attack-report log. It alone decides which
+//!   events a defense activation emits, when a report files, and how a
+//!   [`TelemetrySnapshot`] is assembled.
 //! - [`EventRing`] — a bounded lock-free multi-producer event queue with
 //!   cache-line-padded, sequence-numbered slots. Producers never block and
 //!   never allocate (a full ring counts a drop instead), so the ring is
 //!   safe to feed from inside a `#[global_allocator]`.
 //! - [`PatchCounterRow`] — one patch's hits and requested bytes. Each
 //!   backend keeps its own per-slot counts (the hardened allocator in its
-//!   one striped counter block) and resolves them to rows here.
-//! - [`AttackReport`] — the paper-style structured report, rendered exactly
+//!   one striped counter block) and the recorder resolves them to rows.
+//! - [`AttackReport`] — the paper-style structured report, filed exactly
 //!   once per distinct `(FUN, CCID, T)`; dedup lives with the patch table
-//!   (a lock-free once-bit per slot) so this crate only formats and
-//!   serializes.
+//!   (a lock-free once-bit per slot).
 //! - [`Timeline`] — wall-clock phase spans for the offline pipeline
 //!   (instrument / analyze / patch-gen), printed by the `reproduce` tables.
 //!
@@ -29,53 +32,25 @@
 //!
 //! Everything exports as JSON through `ht-jsonio`. Telemetry is strictly
 //! observational: enabling it must not change any allocation decision, and
-//! [`TelemetryConfig::disabled`] is a zero-cost opt-out — a disabled
-//! simulated defense holds no telemetry state at all, and a disarmed
-//! hardened allocator pushes no event and files no report.
+//! it is off by default — a simulated defense without telemetry holds no
+//! recorder at all, and a disarmed recorder pushes no event and files no
+//! report.
 
 #![forbid(unsafe_code)]
 
 mod event;
+mod recorder;
 mod report;
 mod ring;
 mod spans;
 
 pub use event::{Event, EventKind, NO_SLOT};
+pub use recorder::Recorder;
 pub use report::{defense_for, AttackReport};
 pub use ring::{EventRing, RING_CAPACITY};
 pub use spans::{PhaseSpan, Timeline};
 
 use ht_jsonio::{obj, Json, ToJson};
-
-/// Whether the observability layer is armed.
-///
-/// The default is [disabled](Self::disabled): recording telemetry costs an
-/// event-ring push or two per defended allocation, and the scaling
-/// benchmark verifies the disabled mode stays within noise of a build that
-/// never heard of telemetry. Armed or not, the hardened allocator counts
-/// each patch's hits; arming lists them in its snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    enabled: bool,
-}
-
-impl TelemetryConfig {
-    /// Telemetry off: no events, no reports, no per-patch rows in a
-    /// snapshot.
-    pub const fn disabled() -> Self {
-        Self { enabled: false }
-    }
-
-    /// Telemetry on: events, per-patch rows, and one-time reports.
-    pub const fn enabled() -> Self {
-        Self { enabled: true }
-    }
-
-    /// Whether recording is armed.
-    pub const fn is_enabled(self) -> bool {
-        self.enabled
-    }
-}
 
 /// One merged per-patch counter row, resolved back to the patch identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,13 +128,6 @@ impl ToJson for TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_defaults_to_disabled() {
-        assert!(!TelemetryConfig::default().is_enabled());
-        assert!(!TelemetryConfig::disabled().is_enabled());
-        assert!(TelemetryConfig::enabled().is_enabled());
-    }
 
     #[test]
     fn snapshot_json_shape() {

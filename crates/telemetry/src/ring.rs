@@ -40,22 +40,20 @@ const EMPTY_SLOT: Slot = Slot {
     w2: AtomicU64::new(0),
 };
 
-/// A cache-line-padded atomic word (head/tail each get their own line).
+/// A ticket word and a word written by the same side, on a private cache
+/// line (head and tail each get their own).
 #[repr(align(64))]
-struct PaddedWord(AtomicU64);
+struct Line<T>(AtomicU64, T);
 
 /// Bounded lock-free multi-producer event queue with a single drainer.
 pub struct EventRing {
     slots: [Slot; RING_CAPACITY],
-    /// Next enqueue ticket (= events ever accepted).
-    tail: PaddedWord,
-    /// Next drain ticket (mutated only under `drain_lock`).
-    head: PaddedWord,
-    /// Events lost to overflow.
-    dropped: AtomicU64,
-    /// Serializes drainers (draining is an observer operation, never on the
-    /// allocation path, so a spin lock is fine).
-    drain_lock: AtomicBool,
+    /// Next enqueue ticket (= events ever accepted), then the events lost
+    /// to overflow.
+    tail: Line<AtomicU64>,
+    /// Next drain ticket, then the lock it is mutated under: a spin lock
+    /// serializing drainers, fine for a call never on the allocation path.
+    head: Line<AtomicBool>,
 }
 
 impl std::fmt::Debug for EventRing {
@@ -78,10 +76,8 @@ impl EventRing {
     pub const fn new() -> Self {
         Self {
             slots: [EMPTY_SLOT; RING_CAPACITY],
-            tail: PaddedWord(AtomicU64::new(0)),
-            head: PaddedWord(AtomicU64::new(0)),
-            dropped: AtomicU64::new(0),
-            drain_lock: AtomicBool::new(false),
+            tail: Line(AtomicU64::new(0), AtomicU64::new(0)),
+            head: Line(AtomicU64::new(0), AtomicBool::new(false)),
         }
     }
 
@@ -129,7 +125,7 @@ impl EventRing {
                 }
             } else if dif < 0 {
                 // The consumer has not freed this slot yet: ring full.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+                self.tail.1.fetch_add(1, Ordering::Relaxed);
                 return false;
             } else {
                 // Another producer claimed this ticket; chase the tail.
@@ -144,7 +140,8 @@ impl EventRing {
     pub fn drain(&self, mut f: impl FnMut(Event)) -> usize {
         // One drainer at a time; drains are rare observer calls.
         while self
-            .drain_lock
+            .head
+            .1
             .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
@@ -177,7 +174,7 @@ impl EventRing {
             }
         }
         self.head.0.store(head, Ordering::Relaxed);
-        self.drain_lock.store(false, Ordering::Release);
+        self.head.1.store(false, Ordering::Release);
         n
     }
 
@@ -195,7 +192,7 @@ impl EventRing {
 
     /// Events lost to overflow.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.tail.1.load(Ordering::Relaxed)
     }
 }
 

@@ -2,8 +2,9 @@
 //! allocator (`HardenedAlloc`), loaded from one configuration file and
 //! driven by one allocation trace, must account for it identically — the
 //! same per-patch rows, the same attack reports, down to the slot that
-//! names each patch, and the same totals of table hits, guard pages and
-//! quarantined blocks.
+//! names each patch, the same defense events in the same order, and the
+//! same totals of table hits, guard pages and quarantined blocks. One
+//! recorder, `ht_telemetry::Recorder`, emits for both.
 //!
 //! Both backends load the file through their public configuration entry
 //! points, so the oracle holds for whatever table each of them builds.
@@ -17,7 +18,7 @@ use heaptherapy_plus::patch::{
     from_config_text, to_config_text, AllocFn, Patch, PatchTable, VulnFlags,
 };
 use heaptherapy_plus::simprog::{AllocRequest, HeapBackend};
-use heaptherapy_plus::telemetry::{EventKind, TelemetryConfig, TelemetrySnapshot};
+use heaptherapy_plus::telemetry::{EventKind, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout};
 use std::collections::BTreeSet;
 
@@ -62,10 +63,12 @@ fn config() -> String {
     to_config_text(&patches)
 }
 
-fn simulated(config: &str) -> (TelemetrySnapshot, DefenseStats) {
+/// The trace through the simulated defense, with telemetry `armed` or
+/// not.
+fn simulated(config: &str, armed: bool) -> (Option<TelemetrySnapshot>, DefenseStats) {
     let patches = from_config_text(config).expect("config parses");
     let mut d = DefendedBackend::new(DefenseConfig {
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: armed,
         ..DefenseConfig::with_table(PatchTable::from_patches(patches))
     });
     for (site, size) in trace() {
@@ -80,15 +83,15 @@ fn simulated(config: &str) -> (TelemetrySnapshot, DefenseStats) {
         let p = d.alloc(&req).expect("simulated allocation");
         assert!(d.free(p).is_ok());
     }
-    let snap = d.telemetry_snapshot().expect("telemetry armed");
-    (snap, d.stats())
+    (d.telemetry_snapshot(), d.stats())
 }
 
-fn real(config: &str) -> (TelemetrySnapshot, HardenedStats) {
+/// The trace through `HardenedAlloc`, with telemetry `armed` or not.
+fn real(config: &str, armed: bool) -> (TelemetrySnapshot, HardenedStats) {
     let a = Box::new(HardenedAlloc::new());
     assert_eq!(a.install_from_config(config).expect("config parses"), 4);
     a.freeze();
-    a.set_telemetry(true);
+    a.set_telemetry(armed);
     for (site, size) in trace() {
         let layout = Layout::from_size_align(size as usize, 16).unwrap();
         let _scope = ccid::CallScope::enter(SITES[site].0);
@@ -115,24 +118,22 @@ fn report_keys(s: &TelemetrySnapshot) -> BTreeSet<ReportKey> {
         .collect()
 }
 
-/// The defense events of one snapshot, as sorted `(kind, fun, ccid, vuln,
-/// slot, size)` tuples. Evictions are left out: the two quarantines split
-/// their quota differently.
+/// The defense events of one snapshot in delivery order, as `(kind, fun,
+/// ccid, vuln, slot, size)` tuples. Evictions are left out: the two
+/// quarantines split their quota differently.
 fn defense_events(s: &TelemetrySnapshot) -> Vec<(u8, AllocFn, u64, VulnFlags, u32, u64)> {
-    let mut events: Vec<_> = s
-        .events
+    s.events
         .iter()
         .filter(|e| e.kind != EventKind::QuarantineEvict)
         .map(|e| (e.kind as u8, e.fun, e.ccid, e.vuln, e.slot, e.size))
-        .collect();
-    events.sort_unstable();
-    events
+        .collect()
 }
 
 #[test]
 fn both_backends_account_for_one_trace_identically() {
     let config = config();
-    let ((sim, sim_stats), (real, real_stats)) = (simulated(&config), real(&config));
+    let ((sim, sim_stats), (real, real_stats)) = (simulated(&config, true), real(&config, true));
+    let sim = sim.expect("telemetry armed");
     assert_eq!((sim.dropped, real.dropped), (0, 0), "no event lost");
 
     let slots: Vec<usize> = sim.per_patch.iter().map(|r| r.slot).collect();
@@ -145,9 +146,11 @@ fn both_backends_account_for_one_trace_identically() {
     };
     assert_eq!(rows(&sim), rows(&real), "per-patch rows");
 
-    // One report per (FUN, CCID, T): OF, UAF, UR, and OF + UR.
+    // One report per (FUN, CCID, T): OF, UAF, UR, and OF + UR, filed in
+    // the same order with the same slots and sizes.
     assert_eq!(report_keys(&sim).len(), 5);
-    assert_eq!(report_keys(&sim), report_keys(&real), "attack reports");
+    assert_eq!(sim.reports.len(), 5);
+    assert_eq!(sim.reports, real.reports, "attack reports");
 
     assert_eq!(
         defense_events(&sim),
@@ -162,6 +165,24 @@ fn both_backends_account_for_one_trace_identically() {
         (s.table_hits, s.guard_pages, s.quarantined_blocks),
         "table hits, guard pages, quarantined blocks"
     );
+}
+
+#[test]
+fn a_never_armed_run_records_nothing_and_defends_alike() {
+    let config = config();
+    let (sim_snap, sim_stats) = simulated(&config, false);
+    assert!(
+        sim_snap.is_none(),
+        "a simulator without telemetry has no snapshot"
+    );
+    let (real_snap, real_stats) = real(&config, false);
+    assert!(
+        real_snap.is_empty(),
+        "a disarmed allocator observed {real_snap:?}"
+    );
+    assert_eq!(real_snap.delivered, 0);
+    assert_eq!(sim_stats, simulated(&config, true).1, "simulated stats");
+    assert_eq!(real_stats, real(&config, true).1, "real stats");
 }
 
 /// UAF frees of the quarantine oracle, and their size.

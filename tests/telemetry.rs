@@ -14,7 +14,7 @@ use heaptherapy_plus::callgraph::Strategy;
 use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
 use heaptherapy_plus::encoding::Scheme;
 use heaptherapy_plus::patch::AllocFn;
-use heaptherapy_plus::telemetry::{Event, EventKind, EventRing, TelemetryConfig, RING_CAPACITY};
+use heaptherapy_plus::telemetry::{Event, EventKind, EventRing, RING_CAPACITY};
 use heaptherapy_plus::vulnapps;
 use proptest::prelude::*;
 
@@ -22,11 +22,7 @@ fn pipeline(strategy: Strategy, scheme: Scheme, telemetry: bool) -> HeapTherapy 
     HeapTherapy::new(PipelineConfig {
         strategy,
         scheme,
-        telemetry: if telemetry {
-            TelemetryConfig::enabled()
-        } else {
-            TelemetryConfig::disabled()
-        },
+        telemetry,
         ..PipelineConfig::default()
     })
 }
