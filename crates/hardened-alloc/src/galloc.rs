@@ -34,6 +34,11 @@ pub struct HardenedStats {
     /// Frees refused because the buffer's metadata word did not decode as
     /// a live buffer of this allocator: double frees and foreign pointers.
     pub invalid_frees: u64,
+    /// Counter increments made with atomic adds on the shared lanes
+    /// because the calling thread had no counter cell: the pool of
+    /// [`HardenedAlloc::COUNTER_CELLS`] cells was full, or the thread was
+    /// claiming a cell or exiting.
+    pub lane_fallbacks: u64,
 }
 
 /// Counters of tracked buffers: those allocated with a guard page or bound
@@ -457,9 +462,13 @@ impl Drop for RegionCache {
 /// therefore as `#[global_allocator]`. Defenses are driven by the patches
 /// installed with [`HardenedAlloc::install`] into its [`PatchTable`], the
 /// same table type the simulated defense probes. Every buffer is preceded by
-/// the paper's 8-byte metadata word (Fig. 6); unpatched allocations pay one
-/// table probe and one word store, unpatched frees one word load and
-/// compare, and otherwise go straight to [`System`].
+/// the paper's 8-byte metadata word (Fig. 6). An unpatched allocation pays
+/// one count, one CCID read, one table probe and one word store; an
+/// unpatched free one count and one word load and compare; both otherwise
+/// go straight to [`System`]. A count is a plain load and store on the
+/// calling thread's own counter cell, no atomic read-modify-write, once
+/// the thread's first count has claimed the cell (see
+/// [`Self::COUNTER_CELLS`]).
 pub struct HardenedAlloc {
     patches: PatchTable,
     quarantine: QuarantineRing,
@@ -490,6 +499,15 @@ impl Default for HardenedAlloc {
 }
 
 impl HardenedAlloc {
+    /// Threads that can count at once with a cell of their own, across
+    /// every allocator of the process. A thread claims a cell at its first
+    /// count for an allocator, gives it up when it counts for another one
+    /// or exits, and a later thread of the same allocator takes it back
+    /// with its counts. A thread that finds every cell taken counts on
+    /// shared lanes with atomic adds instead, for the rest of its life;
+    /// [`HardenedStats::lane_fallbacks`] counts those increments.
+    pub const COUNTER_CELLS: usize = crate::tables::CELLS;
+
     /// A hardened allocator with an empty patch table and a 64 MiB quarantine
     /// quota.
     pub const fn new() -> Self {
@@ -506,6 +524,12 @@ impl HardenedAlloc {
     /// Installs patches (idempotent per `(FUN, CCID)`; bits merge). Each
     /// new key takes the next [`PatchTable`] slot, in slice order.
     ///
+    /// [`GlobalAlloc::alloc`] serves `malloc` and `memalign` alike, so a
+    /// memalign patch is keyed under [`AllocFn::Malloc`], where `alloc`
+    /// probes, and its slot names `memalign`. It then also defends a malloc
+    /// at its CCID; a malloc and a memalign patch of one CCID share one
+    /// slot, their bits merged, named by the first installed.
+    ///
     /// Returns how many entries were accepted. A patch beyond
     /// [`PatchTable::CAPACITY`] keys is refused and counted in `fail_open`;
     /// a [frozen](Self::freeze) table accepts none.
@@ -516,7 +540,11 @@ impl HardenedAlloc {
         patches
             .iter()
             .filter(|p| {
-                let ok = self.patches.insert(p).is_some();
+                let key = match p.alloc_fn {
+                    AllocFn::Memalign => AllocFn::Malloc,
+                    fun => fun,
+                };
+                let ok = self.patches.insert_as(p, key).is_some();
                 if !ok {
                     self.counters.incr(Total::FailOpen);
                 }
@@ -542,9 +570,10 @@ impl HardenedAlloc {
     /// Conservation invariant: `inserts == removes + live()` at any
     /// quiescent point.
     pub fn registry_stats(&self) -> RegistryStats {
+        let totals = self.counters.totals();
         RegistryStats {
-            inserts: self.counters.total(Total::TrackedAllocs),
-            removes: self.counters.total(Total::TrackedFrees),
+            inserts: totals[Total::TrackedAllocs as usize],
+            removes: totals[Total::TrackedFrees as usize],
         }
     }
 
@@ -571,7 +600,8 @@ impl HardenedAlloc {
     /// deferred either went back to the system (eviction) or are still
     /// held.
     pub fn stats(&self) -> HardenedStats {
-        let total = |t| self.counters.total(t);
+        let totals = self.counters.totals();
+        let total = |t: Total| totals[t as usize];
         HardenedStats {
             interposed_allocs: total(Total::InterposedAllocs),
             interposed_frees: total(Total::InterposedFrees),
@@ -584,6 +614,7 @@ impl HardenedAlloc {
             evicted_bytes: total(Total::EvictedBytes),
             fail_open: total(Total::FailOpen),
             invalid_frees: total(Total::InvalidFrees),
+            lane_fallbacks: self.counters.fallbacks(),
         }
     }
 
@@ -1354,6 +1385,36 @@ pub(crate) mod tests {
             assert!(std::slice::from_raw_parts(p, 100).iter().all(|&b| b == 0));
             a.dealloc(p, l);
         }
+    }
+
+    #[test]
+    fn a_memalign_patch_guards_alloc_at_any_alignment_and_names_memalign() {
+        let _maps = maps_lock();
+        let a = HardenedAlloc::new();
+        let here = ccid::with_site(0x56, ccid::current);
+        let patch = Patch::new(AllocFn::Memalign, here, VulnFlags::OVERFLOW);
+        assert_eq!(a.install(&[patch]), 1);
+        a.set_telemetry(true);
+        unsafe {
+            for align in [16, 64, 4096] {
+                let l = layout(64, align);
+                let p = alloc_at(&a, 0x56, l);
+                assert!(a.guard_page_of(p).is_some(), "align {align}");
+                a.dealloc(p, l);
+            }
+            // `alloc_zeroed` (calloc) keeps its own key.
+            let l = layout(64, 16);
+            let _site = ccid::CallScope::enter(0x56);
+            let p = a.alloc_zeroed(l);
+            assert!(a.guard_page_of(p).is_none(), "calloc misses");
+            a.dealloc(p, l);
+        }
+        let st = a.stats();
+        assert_eq!((st.table_hits, st.guard_pages, st.fail_open), (3, 3, 0));
+        let snap = a.telemetry_snapshot();
+        let funs: Vec<AllocFn> = snap.reports.iter().map(|r| r.fun).collect();
+        assert_eq!(funs, [AllocFn::Memalign]);
+        assert_eq!(snap.per_patch[0].fun, AllocFn::Memalign);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! per-shard-consistent view, which is all the counters need.
 
 use ht_patch::PatchTable;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Minimal spin lock (no parking, no allocation).
@@ -88,11 +89,13 @@ const TOTALS: usize = Total::TrackedFrees as usize + 1;
 #[allow(clippy::declare_interior_mutable_const)] // used once per array slot
 const ZERO: AtomicU64 = AtomicU64::new(0);
 
-/// One lane: its own copy of every total and of the per-slot hit and byte
-/// counts, starting on its own cache line.
+/// One lane: its own copy of every total, of the per-slot hit and byte
+/// counts and of the count of increments that fell back to it, starting
+/// on its own cache line.
 #[repr(align(64))]
 struct Lane {
     totals: [AtomicU64; TOTALS],
+    fallbacks: AtomicU64,
     hits: [AtomicU64; PatchTable::CAPACITY],
     bytes: [AtomicU64; PatchTable::CAPACITY],
 }
@@ -100,23 +103,109 @@ struct Lane {
 #[allow(clippy::declare_interior_mutable_const)] // used once per lane
 const EMPTY_LANE: Lane = Lane {
     totals: [ZERO; TOTALS],
+    fallbacks: ZERO,
     hits: [ZERO; PatchTable::CAPACITY],
     bytes: [ZERO; PatchTable::CAPACITY],
 };
 
-/// Every counter of the allocator, striped over [`LANES`] lanes: the
-/// [`Total`]s, and the hits and requested bytes of each patch-table slot.
+/// Cells in the process-wide [`POOL`]: threads counting at once, across
+/// every allocator, before the rest fall back to the lanes.
+pub(crate) const CELLS: usize = 64;
+
+/// [`CounterCell::tag`] bit set while a thread owns the cell.
+const OWNED: u64 = 1;
+
+/// One thread's copy of the [`Total`]s of one allocator, on cache lines of
+/// its own.
+#[repr(align(64))]
+struct CounterCell {
+    /// The key of the allocator it counts for, shifted left by one (0:
+    /// none), and [`OWNED`].
+    tag: AtomicU64,
+    totals: [AtomicU64; TOTALS],
+}
+
+impl CounterCell {
+    /// Adds `n` to total `t`. Only the owner calls it, so a load and a
+    /// store suffice: no other thread writes the cell.
+    #[inline]
+    fn bump(&self, t: Total, n: u64) {
+        let c = &self.totals[t as usize];
+        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// Gives up ownership, leaving the counts and the key. `Release`,
+    /// paired with the `Acquire` of the claim that takes the cell next,
+    /// so its next owner adds to the counts this one stored.
+    fn release(&self) {
+        self.tag.fetch_and(!OWNED, Ordering::Release);
+    }
+}
+
+/// The thread-owned cells every [`Counters`] block counts its totals in.
+static POOL: [CounterCell; CELLS] = [const {
+    CounterCell {
+        tag: AtomicU64::new(0),
+        totals: [ZERO; TOTALS],
+    }
+}; CELLS];
+
+/// Hands out the allocator keys; 0 is "no key yet".
+static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
+
+// What [`MINE`] holds in place of an allocator key when the thread owns no
+// cell: it has claimed none yet, is claiming one, has run its exit hook,
+// or found the pool full. No key reaches these values.
+const UNCLAIMED: u64 = u64::MAX;
+const CLAIMING: u64 = u64::MAX - 1;
+const EXITED: u64 = u64::MAX - 2;
+const FULL: u64 = u64::MAX - 3;
+
+thread_local! {
+    /// The key of the allocator this thread's cell counts for, and the
+    /// cell's index in [`POOL`]. No destructor, so reading it never
+    /// registers one and it stays readable through thread teardown.
+    static MINE: Cell<(u64, usize)> = const { Cell::new((UNCLAIMED, 0)) };
+    /// Releases the thread's cell when the thread exits.
+    static EXIT: ExitHook = const { ExitHook };
+}
+
+struct ExitHook;
+
+impl Drop for ExitHook {
+    fn drop(&mut self) {
+        let (key, cell) = MINE.replace((EXITED, 0));
+        if key < FULL {
+            POOL[cell].release();
+        }
+    }
+}
+
+/// Every counter of the allocator: the [`Total`]s, and the hits and
+/// requested bytes of each patch-table slot.
 ///
-/// An increment is one `Relaxed` `fetch_add` on the calling thread's lane;
-/// a read sums the lanes. Counts are exact; only a read concurrent with
+/// A total is counted in the calling thread's cell of the process-wide
+/// [`POOL`]: the thread claims one (by CAS) at its first count for this
+/// allocator and owns it from then on, so an increment is one `Relaxed`
+/// load and store, no atomic read-modify-write. A thread with no cell (the
+/// pool is full, it is claiming one, or it is exiting) counts with a
+/// `Relaxed` `fetch_add` on its lane of [`LANES`] instead, and the
+/// fallback is counted. Per-slot hits and bytes, counted only on the
+/// patched path, always go to the lanes. A read sums the lanes and every
+/// cell keyed to this block. Counts are exact; only a read concurrent with
 /// increments is momentarily stale.
 pub(crate) struct Counters {
+    /// The key the cells counting for this block carry: taken from
+    /// [`NEXT_KEY`] at the first claim, not the block's address, because a
+    /// [`crate::HardenedAlloc`] can move.
+    key: AtomicU64,
     lanes: [Lane; LANES],
 }
 
 impl Counters {
     pub(crate) const fn new() -> Self {
         Self {
+            key: AtomicU64::new(0),
             lanes: [EMPTY_LANE; LANES],
         }
     }
@@ -130,7 +219,13 @@ impl Counters {
 
     #[inline]
     pub(crate) fn add(&self, t: Total, n: u64) {
-        self.lane().totals[t as usize].fetch_add(n, Ordering::Relaxed);
+        let (key, cell) = MINE.get();
+        if key == self.key.load(Ordering::Relaxed) {
+            // `% CELLS` (a mask) spares the bounds check.
+            POOL[cell % CELLS].bump(t, n);
+        } else {
+            self.add_unowned(t, n);
+        }
     }
 
     #[inline]
@@ -138,10 +233,95 @@ impl Counters {
         self.add(t, 1);
     }
 
-    pub(crate) fn total(&self, t: Total) -> u64 {
+    /// [`Self::add`] for a thread that owns no cell of this block: claim
+    /// one, or count on the lane.
+    #[cold]
+    #[inline(never)]
+    fn add_unowned(&self, t: Total, n: u64) {
+        match self.claim() {
+            Some(cell) => POOL[cell].bump(t, n),
+            None => {
+                let lane = self.lane();
+                lane.totals[t as usize].fetch_add(n, Ordering::Relaxed);
+                lane.fallbacks.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Makes the calling thread the owner of a cell keyed to this block,
+    /// giving up the cell it owns for another block: an unowned cell
+    /// already keyed to it (an exited thread's) first, else a free one.
+    /// `None` while claiming or exiting, and for good once the pool has
+    /// been found full.
+    fn claim(&self) -> Option<usize> {
+        let (mine, cell) = MINE.get();
+        if (FULL..UNCLAIMED).contains(&mine) {
+            return None;
+        }
+        MINE.set((CLAIMING, 0));
+        if mine != UNCLAIMED {
+            POOL[cell].release();
+        }
+        // The first claim registers the exit hook, which may allocate (glibc
+        // `calloc`s a record for it, and this allocator may be serving C's
+        // heap too): counts nested in it see `CLAIMING` and use the lanes.
+        if EXIT.try_with(|_| ()).is_err() {
+            MINE.set((EXITED, 0));
+            return None;
+        }
+        let key = self.key();
+        let take = |from: u64| {
+            POOL.iter().position(|c| {
+                c.tag
+                    .compare_exchange(from, key << 1 | OWNED, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            })
+        };
+        let found = take(key << 1).or_else(|| take(0));
+        MINE.set(found.map_or((FULL, 0), |cell| (key, cell)));
+        found
+    }
+
+    /// This block's key, taken on first use.
+    fn key(&self) -> u64 {
+        let key = self.key.load(Ordering::Relaxed);
+        if key != 0 {
+            return key;
+        }
+        let new = NEXT_KEY.fetch_add(1, Ordering::Relaxed);
+        match self
+            .key
+            .compare_exchange(0, new, Ordering::Relaxed, Ordering::Relaxed)
+        {
+            Ok(_) => new,
+            Err(won) => won,
+        }
+    }
+
+    /// The cells keyed to this block.
+    fn cells(&self) -> impl Iterator<Item = &'static CounterCell> {
+        let key = self.key.load(Ordering::Relaxed);
+        POOL.iter()
+            .filter(move |c| key != 0 && c.tag.load(Ordering::Acquire) >> 1 == key)
+    }
+
+    /// Every total, in [`Total`] order.
+    pub(crate) fn totals(&self) -> [u64; TOTALS] {
+        let mut out = [0; TOTALS];
+        let words = self.lanes.iter().map(|l| &l.totals);
+        for totals in words.chain(self.cells().map(|c| &c.totals)) {
+            for (sum, v) in out.iter_mut().zip(totals) {
+                *sum += v.load(Ordering::Relaxed);
+            }
+        }
+        out
+    }
+
+    /// Increments that found no cell and went to the lanes.
+    pub(crate) fn fallbacks(&self) -> u64 {
         self.lanes
             .iter()
-            .map(|l| l.totals[t as usize].load(Ordering::Relaxed))
+            .map(|l| l.fallbacks.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -178,6 +358,22 @@ impl Counters {
             }
         }
         out
+    }
+}
+
+impl Drop for Counters {
+    /// Zeroes and un-keys this block's cells, so a later block that
+    /// claims one starts from zero. A cell a live thread still owns stays
+    /// owned until that thread claims another or exits.
+    fn drop(&mut self) {
+        for c in self.cells() {
+            for v in &c.totals {
+                v.store(0, Ordering::Relaxed);
+            }
+            // `Release`, paired with a claim's `Acquire`: the next owner
+            // sees the zeros.
+            c.tag.fetch_and(OWNED, Ordering::Release);
+        }
     }
 }
 
@@ -608,11 +804,29 @@ mod tests {
                 });
             }
         });
-        assert_eq!(c.total(Total::InterposedAllocs), 80_000);
-        assert_eq!(c.total(Total::QuarantinedBytes), 240_000);
-        assert_eq!(c.total(Total::InterposedFrees), 0);
+        let totals = c.totals();
+        assert_eq!(totals[Total::InterposedAllocs as usize], 80_000);
+        assert_eq!(totals[Total::QuarantinedBytes as usize], 240_000);
+        assert_eq!(totals[Total::InterposedFrees as usize], 0);
         assert_eq!(c.per_slot(4), [(20_000, 160_000); 4]);
         assert_eq!(c.hits(4), 80_000);
+    }
+
+    #[test]
+    fn a_count_nested_in_a_claim_falls_back_to_the_lanes() {
+        std::thread::spawn(|| {
+            let c = Box::new(Counters::new());
+            MINE.set((CLAIMING, 0));
+            c.incr(Total::InterposedAllocs);
+            MINE.set((UNCLAIMED, 0));
+            c.incr(Total::InterposedAllocs);
+            c.incr(Total::InterposedAllocs);
+            assert_eq!(c.totals()[Total::InterposedAllocs as usize], 3);
+            assert_eq!(c.fallbacks(), 1, "only the nested count");
+            assert_eq!(MINE.get().0, c.key(), "the thread owns a cell");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

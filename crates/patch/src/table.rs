@@ -10,6 +10,7 @@ use std::sync::{Mutex, PoisonError};
 const POSITIONS: usize = 2 * PatchTable::CAPACITY;
 const FUN_SHIFT: u32 = 16;
 const REPORTED_SHIFT: u32 = 8;
+const NAME_SHIFT: u32 = 4;
 
 /// The hash table the online defense probes on every allocation (paper
 /// Section VI), used as is by the simulated defense (`ht-defense`) and the
@@ -19,7 +20,9 @@ const REPORTED_SHIFT: u32 = 8;
 /// Up to [`CAPACITY`](Self::CAPACITY) patches live at dense *slots* handed
 /// out in insertion order; a probe index of hash positions maps each
 /// `(FUN, CCID)` key to its slot. The slot is the one per-patch key of both
-/// backends' telemetry and metadata words. Installs serialize on a lock
+/// backends' telemetry and metadata words. An entry names the FUN of its
+/// patch, which is its key's FUN unless it was installed with
+/// [`insert_as`](Self::insert_as). Installs serialize on a lock
 /// and publish each entry with a Release store of its index position;
 /// lookups take no lock, only Acquire loads. Keys are never deleted, and
 /// duplicates merge their bits (paper Section V, multiple
@@ -32,8 +35,9 @@ pub struct PatchTable {
     len: AtomicUsize,
     /// Hash position → slot + 1; 0 marks an empty position.
     index: [AtomicU16; POSITIONS],
-    /// By slot: `fun << FUN_SHIFT | reported << REPORTED_SHIFT | vuln`,
-    /// where the `reported` byte holds the report once-bits.
+    /// By slot: `fun << FUN_SHIFT | reported << REPORTED_SHIFT | name <<
+    /// NAME_SHIFT | vuln`, where `fun` is the key's FUN, `name` the
+    /// patch's, and the `reported` byte holds the report once-bits.
     metas: [AtomicU32; PatchTable::CAPACITY],
     /// By slot: the CCID of the key.
     ccids: [AtomicU64; PatchTable::CAPACITY],
@@ -88,15 +92,25 @@ impl PatchTable {
     /// Installs `p`, merging its bits into an existing entry of the same
     /// key. Returns its slot, or `None` when the table is frozen or full.
     pub fn insert(&self, p: &Patch) -> Option<usize> {
+        self.insert_as(p, p.alloc_fn)
+    }
+
+    /// Installs `p` under the key `(fun, p.ccid)`, a new entry naming
+    /// `p.alloc_fn`: for a backend whose `fun` entry point also serves
+    /// `p.alloc_fn`'s calls, so a probe of `fun` must find the patch. Its
+    /// bits merge into an existing entry of the key, which keeps the name
+    /// it has. Returns its slot, or `None` when the table is frozen or
+    /// full.
+    pub fn insert_as(&self, p: &Patch, fun: AllocFn) -> Option<usize> {
         let _g = self.install.lock().unwrap_or_else(PoisonError::into_inner);
         if self.is_frozen() {
             return None;
         }
         let vuln = u32::from(p.vuln.bits());
-        let mut pos = position(p.alloc_fn, p.ccid);
+        let mut pos = position(fun, p.ccid);
         // The lock holder is the only writer, so Relaxed reads suffice.
         while let Some(slot) = usize::from(self.index[pos].load(Ordering::Relaxed)).checked_sub(1) {
-            if self.key_at(slot) == p.key() {
+            if self.key_at(slot) == (fun, p.ccid) {
                 self.metas[slot].fetch_or(vuln, Ordering::Release);
                 return Some(slot);
             }
@@ -106,8 +120,9 @@ impl PatchTable {
         if slot == Self::CAPACITY {
             return None;
         }
+        let meta = (fun as u32) << FUN_SHIFT | (p.alloc_fn as u32) << NAME_SHIFT | vuln;
         self.ccids[slot].store(p.ccid, Ordering::Relaxed);
-        self.metas[slot].store((p.alloc_fn as u32) << FUN_SHIFT | vuln, Ordering::Relaxed);
+        self.metas[slot].store(meta, Ordering::Relaxed);
         self.index[pos].store(slot as u16 + 1, Ordering::Release);
         self.len.store(slot + 1, Ordering::Release);
         Some(slot)
@@ -152,14 +167,15 @@ impl PatchTable {
         self.probe(fun, ccid).map(|(_, vuln)| vuln)
     }
 
-    /// The patch at `slot`.
+    /// The patch at `slot`, with the FUN it names.
     pub fn entry(&self, slot: usize) -> Option<(AllocFn, u64, VulnFlags)> {
         if slot >= self.len() {
             return None;
         }
-        let (fun, ccid) = self.key_at(slot);
         let meta = self.metas[slot].load(Ordering::Relaxed);
-        Some((fun, ccid, VulnFlags::from_bits_truncate(meta as u8)))
+        let name = AllocFn::ALL[(meta >> NAME_SHIFT & 3) as usize];
+        let ccid = self.ccids[slot].load(Ordering::Relaxed);
+        Some((name, ccid, VulnFlags::from_bits_truncate(meta as u8)))
     }
 
     /// Sets the once-bit of vulnerability type `t` (a single bit) at
@@ -309,6 +325,32 @@ mod tests {
         assert_eq!(t.probe(AllocFn::Malloc, 10), Some((1, VulnFlags::OVERFLOW)));
         let keys: Vec<u64> = t.iter().map(|(_, c, _)| c).collect();
         assert_eq!(keys, [30, 10, 20]);
+    }
+
+    #[test]
+    fn insert_as_keys_under_one_fun_and_names_another() {
+        let t = PatchTable::new();
+        let memalign = |c, v| Patch::new(AllocFn::Memalign, c, v);
+        let of = VulnFlags::OVERFLOW;
+        assert_eq!(t.insert_as(&memalign(5, of), AllocFn::Malloc), Some(0));
+        let ur = memalign(5, VulnFlags::UNINIT_READ);
+        assert_eq!(t.insert_as(&ur, AllocFn::Malloc), Some(0), "merges");
+        let both = of | VulnFlags::UNINIT_READ;
+        assert_eq!(t.probe(AllocFn::Malloc, 5), Some((0, both)));
+        assert_eq!(t.probe(AllocFn::Memalign, 5), None);
+        assert_eq!(t.entry(0), Some((AllocFn::Memalign, 5, both)));
+        // A patch of another name merges into the key's entry, which keeps
+        // its first name.
+        let uaf = VulnFlags::USE_AFTER_FREE;
+        assert_eq!(t.insert(&Patch::new(AllocFn::Malloc, 5, uaf)), Some(0));
+        let all = VulnFlags::ALL;
+        assert_eq!(t.entry(0), Some((AllocFn::Memalign, 5, all)));
+        assert_eq!(t.insert(&Patch::new(AllocFn::Malloc, 6, of)), Some(1));
+        assert_eq!(t.insert_as(&memalign(6, uaf), AllocFn::Malloc), Some(1));
+        assert_eq!(t.entry(1), Some((AllocFn::Malloc, 6, of | uaf)));
+        assert_eq!(t.len(), 2);
+        assert!(t.report_once(0, VulnFlags::OVERFLOW));
+        assert_eq!(t.entry(0), Some((AllocFn::Memalign, 5, all)), "once-bits");
     }
 
     #[test]

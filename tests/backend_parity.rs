@@ -8,9 +8,12 @@
 //!
 //! Both backends load the file through their public configuration entry
 //! points, so the oracle holds for whatever table each of them builds.
-//! Their quarantines agree too: only the byte quota evicts.
+//! Their quarantines agree too: only the byte quota evicts. Memalign
+//! patches fire on both, though the real allocator keys them under
+//! malloc, and the SAMATE memalign cases' own patches guard real memory.
 
 use heaptherapy_plus::callgraph::FuncId;
+use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
 use heaptherapy_plus::defense::{DefendedBackend, DefenseConfig, DefenseStats};
 use heaptherapy_plus::encoding::Ccid;
 use heaptherapy_plus::hardened_alloc::{ccid, HardenedAlloc, HardenedStats};
@@ -19,24 +22,29 @@ use heaptherapy_plus::patch::{
 };
 use heaptherapy_plus::simprog::{AllocRequest, HeapBackend};
 use heaptherapy_plus::telemetry::{EventKind, TelemetrySnapshot};
+use heaptherapy_plus::vulnapps;
 use std::alloc::{GlobalAlloc, Layout};
 use std::collections::BTreeSet;
 
-/// Call sites of the trace with the bits of their patch: four patched
-/// (OF, UAF, UR, OF|UR) and two that no patch names.
-const SITES: [(u64, u8); 6] = [
-    (0x0F, 0b001),
-    (0xAF, 0b010),
-    (0x0B, 0b100),
-    (0xFB, 0b101),
-    (0x01, 0),
-    (0x02, 0),
+/// Call sites of the trace: the API each calls, its alignment and the bits
+/// of its patch. Four patched malloc sites (OF, UAF, UR, OF|UR), three
+/// patched memalign sites (OF, UAF, UR), and two that no patch names.
+const SITES: [(u64, AllocFn, u64, u8); 9] = [
+    (0x0F, AllocFn::Malloc, 16, 0b001),
+    (0xAF, AllocFn::Malloc, 16, 0b010),
+    (0x0B, AllocFn::Malloc, 16, 0b100),
+    (0xFB, AllocFn::Malloc, 16, 0b101),
+    (0x1F, AllocFn::Memalign, 64, 0b001),
+    (0x1A, AllocFn::Memalign, 4096, 0b010),
+    (0x1B, AllocFn::Memalign, 32, 0b100),
+    (0x01, AllocFn::Malloc, 16, 0),
+    (0x02, AllocFn::Malloc, 16, 0),
 ];
 
 /// The allocation trace: `(site index, size)`, each buffer freed at once.
 fn trace() -> Vec<(usize, u64)> {
     (0..120u64)
-        .map(|i| ((i * 7 % 6) as usize, 16 + (i * 37) % 3000))
+        .map(|i| ((i * 7 % 9) as usize, 16 + (i * 37) % 3000))
         .collect()
 }
 
@@ -50,13 +58,9 @@ fn site_ccid(site: u64) -> u64 {
 fn config() -> String {
     let mut patches: Vec<Patch> = SITES
         .iter()
-        .filter(|&&(_, bits)| bits != 0)
-        .map(|&(site, bits)| {
-            Patch::new(
-                AllocFn::Malloc,
-                site_ccid(site),
-                VulnFlags::from_bits_truncate(bits),
-            )
+        .filter(|&&(.., bits)| bits != 0)
+        .map(|&(site, fun, _, bits)| {
+            Patch::new(fun, site_ccid(site), VulnFlags::from_bits_truncate(bits))
         })
         .collect();
     patches.sort_by_key(Patch::key);
@@ -72,11 +76,12 @@ fn simulated(config: &str, armed: bool) -> (Option<TelemetrySnapshot>, DefenseSt
         ..DefenseConfig::with_table(PatchTable::from_patches(patches))
     });
     for (site, size) in trace() {
+        let (site, fun, align, _) = SITES[site];
         let req = AllocRequest {
-            fun: AllocFn::Malloc,
+            fun,
             size,
-            align: 16,
-            ccid: Ccid(site_ccid(SITES[site].0)),
+            align,
+            ccid: Ccid(site_ccid(site)),
             target: FuncId(0),
             old_ptr: None,
         };
@@ -89,12 +94,13 @@ fn simulated(config: &str, armed: bool) -> (Option<TelemetrySnapshot>, DefenseSt
 /// The trace through `HardenedAlloc`, with telemetry `armed` or not.
 fn real(config: &str, armed: bool) -> (TelemetrySnapshot, HardenedStats) {
     let a = Box::new(HardenedAlloc::new());
-    assert_eq!(a.install_from_config(config).expect("config parses"), 4);
+    assert_eq!(a.install_from_config(config).expect("config parses"), 7);
     a.freeze();
     a.set_telemetry(armed);
     for (site, size) in trace() {
-        let layout = Layout::from_size_align(size as usize, 16).unwrap();
-        let _scope = ccid::CallScope::enter(SITES[site].0);
+        let (site, _, align, _) = SITES[site];
+        let layout = Layout::from_size_align(size as usize, align as usize).unwrap();
+        let _scope = ccid::CallScope::enter(site);
         // SAFETY: the layout has a non-zero size; the buffer is freed once
         // with the layout it was allocated with.
         unsafe {
@@ -137,7 +143,11 @@ fn both_backends_account_for_one_trace_identically() {
     assert_eq!((sim.dropped, real.dropped), (0, 0), "no event lost");
 
     let slots: Vec<usize> = sim.per_patch.iter().map(|r| r.slot).collect();
-    assert_eq!(slots, [0, 1, 2, 3], "every patch fired, at its line's slot");
+    assert_eq!(
+        slots,
+        [0, 1, 2, 3, 4, 5, 6],
+        "every patch fired, at its line's slot"
+    );
     let rows = |s: &TelemetrySnapshot| -> Vec<_> {
         s.per_patch
             .iter()
@@ -146,10 +156,13 @@ fn both_backends_account_for_one_trace_identically() {
     };
     assert_eq!(rows(&sim), rows(&real), "per-patch rows");
 
-    // One report per (FUN, CCID, T): OF, UAF, UR, and OF + UR, filed in
-    // the same order with the same slots and sizes.
-    assert_eq!(report_keys(&sim).len(), 5);
-    assert_eq!(sim.reports.len(), 5);
+    // One report per (FUN, CCID, T): malloc OF, UAF, UR, and OF + UR, and
+    // memalign OF, UAF and UR, filed in the same order with the same slots
+    // and sizes.
+    assert_eq!(report_keys(&sim).len(), 8);
+    assert_eq!(sim.reports.len(), 8);
+    let memalign = sim.reports.iter().filter(|r| r.fun == AllocFn::Memalign);
+    assert_eq!(memalign.count(), 3, "memalign reports name memalign");
     assert_eq!(sim.reports, real.reports, "attack reports");
 
     assert_eq!(
@@ -253,4 +266,84 @@ fn both_quarantines_evict_by_bytes_alone() {
         "simulated, quota 0"
     );
     assert_eq!(real_uaf_frees(Some(0)), none_held, "real, quota 0");
+}
+
+/// The memalign cases of Table II: each app's own patch, generated from
+/// its attack, installed into `HardenedAlloc`, guards one placed buffer at
+/// every alignment, and its reports name memalign.
+#[test]
+fn samate_memalign_patches_fire_on_real_memory() {
+    let ht = HeapTherapy::new(PipelineConfig::default());
+    let apps: Vec<_> = vulnapps::table2_suite()
+        .into_iter()
+        .filter(|app| app.name.contains("memalign"))
+        .collect();
+    let names: Vec<&str> = apps.iter().map(|app| &app.name[..9]).collect();
+    assert_eq!(
+        names,
+        [
+            "samate-03",
+            "samate-07",
+            "samate-11",
+            "samate-15",
+            "samate-18"
+        ]
+    );
+    for app in &apps {
+        let ip = ht.instrument(&app.program);
+        let patches = ht
+            .analyze_attack(&ip, app.patching_input(), &app.name)
+            .patches;
+        let config = to_config_text(&patches);
+        let [patch] = &patches[..] else {
+            panic!("{}: one patch expected, got {config}", app.name)
+        };
+        assert_eq!(patch.alloc_fn, AllocFn::Memalign, "{}: {config}", app.name);
+        let a = Box::new(HardenedAlloc::new());
+        assert_eq!(a.install_from_config(&config).expect("config parses"), 1);
+        a.set_telemetry(true);
+        for (n, align) in [16, 64, 4096].into_iter().enumerate() {
+            let layout = Layout::from_size_align(64, align).unwrap();
+            // Entered from the thread's entry context, the scope's CCID is
+            // the patch's.
+            let _scope = ccid::CallScope::enter(patch.ccid);
+            assert_eq!(ccid::current(), patch.ccid);
+            // SAFETY: the layout has a non-zero size; the buffer is freed
+            // once with the layout it was allocated with.
+            unsafe {
+                let p = a.alloc(layout);
+                assert!(!p.is_null() && (p as usize).is_multiple_of(align));
+                assert_eq!(
+                    a.stats().table_hits,
+                    n as u64 + 1,
+                    "{} at alignment {align}",
+                    app.name
+                );
+                a.dealloc(p, layout);
+            }
+        }
+        let st = a.stats();
+        let defended = |t: VulnFlags| u64::from(patch.vuln.contains(t)) * 3;
+        assert_eq!(
+            (st.guard_pages, st.quarantined, st.zero_fills, st.fail_open),
+            (
+                defended(VulnFlags::OVERFLOW),
+                defended(VulnFlags::USE_AFTER_FREE),
+                defended(VulnFlags::UNINIT_READ),
+                0
+            ),
+            "{}",
+            app.name
+        );
+        let snap = a.telemetry_snapshot();
+        assert!(!snap.reports.is_empty(), "{}: no report", app.name);
+        assert!(
+            snap.reports.iter().all(|r| r.fun == AllocFn::Memalign),
+            "{}: {:?}",
+            app.name,
+            snap.reports
+        );
+        let rows: Vec<_> = snap.per_patch.iter().map(|r| (r.fun, r.hits)).collect();
+        assert_eq!(rows, [(AllocFn::Memalign, 3)], "{}", app.name);
+    }
 }
