@@ -17,8 +17,15 @@ pub struct HardenedStats {
     /// Patch-table hits whose buffer was placed: the sum of the per-slot
     /// hits.
     pub table_hits: u64,
-    /// Guard pages installed.
+    /// Guard pages installed: one per guarded allocation, whether its
+    /// region came from the region cache or was mapped fresh.
     pub guard_pages: u64,
+    /// Guarded regions mapped fresh (`mmap` + `mprotect`) because the
+    /// region cache held none of their body size; the rest of
+    /// `guard_pages` reused a cached region. Once a run's guarded buffers
+    /// live or quarantined at once have reached their peak per body size
+    /// (of at most four pages), this stops moving.
+    pub region_maps: u64,
     /// Buffers zero-filled for UR defenses.
     pub zero_fills: u64,
     /// Blocks pushed into the quarantine.
@@ -331,9 +338,26 @@ pub(crate) unsafe fn take(ptr: usize) -> Option<(Entry, usize)> {
 /// Body page counts the guarded-region cache keeps: a retired region whose
 /// body spans `1..=REGION_CLASSES` pages goes back to that class.
 const REGION_CLASSES: usize = 4;
-/// Retired regions one class holds at most; a region retired into a full
-/// class is unmapped.
-const REGION_CLASS_CAP: usize = 64;
+/// Region bases a class's first array holds: one page of them.
+const FIRST_SLOTS: usize = PAGE / std::mem::size_of::<usize>();
+
+/// `mmap`s `len` bytes of private read-write memory. Returns its base, or
+/// `None` when the kernel refuses.
+///
+/// # Safety
+///
+/// `len` must be a non-zero multiple of [`PAGE`].
+unsafe fn map_anon(len: usize) -> Option<usize> {
+    let base = libc::mmap(
+        std::ptr::null_mut(),
+        len,
+        libc::PROT_READ | libc::PROT_WRITE,
+        libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
+        -1,
+        0,
+    );
+    (base != libc::MAP_FAILED).then_some(base as usize)
+}
 
 /// `mmap`s a region of `body` bytes followed by a `PROT_NONE` guard page.
 /// Returns its base, or `None` when the kernel refuses.
@@ -343,28 +367,51 @@ const REGION_CLASS_CAP: usize = 64;
 /// `body` must be a non-zero multiple of [`PAGE`].
 unsafe fn map_region(body: usize) -> Option<usize> {
     let total = body + PAGE;
-    let region = libc::mmap(
-        std::ptr::null_mut(),
-        total,
-        libc::PROT_READ | libc::PROT_WRITE,
-        libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
-        -1,
-        0,
-    );
-    if region == libc::MAP_FAILED {
+    let region = map_anon(total)?;
+    if libc::mprotect((region + body) as *mut libc::c_void, PAGE, libc::PROT_NONE) != 0 {
+        libc::munmap(region as *mut libc::c_void, total);
         return None;
     }
-    if libc::mprotect(region.cast::<u8>().add(body).cast(), PAGE, libc::PROT_NONE) != 0 {
-        libc::munmap(region, total);
-        return None;
-    }
-    Some(region as usize)
+    Some(region)
 }
 
-/// The stack of one cache class: region bases, the top at `len - 1`.
+/// The stack of one cache class: region bases in an array of `cap` slots
+/// with a mapping of its own (none while `cap` is 0), the top at
+/// `len - 1`.
 struct RegionStack {
-    bases: [usize; REGION_CLASS_CAP],
+    bases: *mut usize,
+    cap: usize,
     len: usize,
+}
+
+impl RegionStack {
+    /// Bytes of the array's mapping.
+    fn array_len(&self) -> usize {
+        self.cap * std::mem::size_of::<usize>()
+    }
+
+    /// Doubles the array, the first one holding [`FIRST_SLOTS`] bases:
+    /// maps the new one, copies the bases over and unmaps the old one.
+    /// Returns `false`, the stack unchanged, when the kernel refuses the
+    /// new mapping.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds the class lock.
+    unsafe fn grow(&mut self) -> bool {
+        let cap = (2 * self.cap).max(FIRST_SLOTS);
+        let Some(bases) = map_anon(cap * std::mem::size_of::<usize>()) else {
+            return false;
+        };
+        let bases = bases as *mut usize;
+        if self.cap != 0 {
+            std::ptr::copy_nonoverlapping(self.bases, bases, self.len);
+            libc::munmap(self.bases.cast(), self.array_len());
+        }
+        self.bases = bases;
+        self.cap = cap;
+        true
+    }
 }
 
 struct RegionClass {
@@ -372,15 +419,19 @@ struct RegionClass {
     stack: std::cell::UnsafeCell<RegionStack>,
 }
 
-// SAFETY: `lock` is a plain atomic flag; `stack` is only read or written
-// while `lock` is held.
+// SAFETY: `lock` is a plain atomic flag; `stack` and the array it points to
+// are only read or written while `lock` is held, and the array belongs to
+// this class alone.
 unsafe impl Sync for RegionClass {}
+// SAFETY: as above; the array is not tied to the thread that mapped it.
+unsafe impl Send for RegionClass {}
 
 #[allow(clippy::declare_interior_mutable_const)] // used once per array slot
 const EMPTY_REGION_CLASS: RegionClass = RegionClass {
     lock: crate::tables::SpinLock::new(),
     stack: std::cell::UnsafeCell::new(RegionStack {
-        bases: [0; REGION_CLASS_CAP],
+        bases: std::ptr::null_mut(),
+        cap: 0,
         len: 0,
     }),
 };
@@ -388,12 +439,18 @@ const EMPTY_REGION_CLASS: RegionClass = RegionClass {
 /// Retired guarded regions, kept mapped with their guard page still
 /// `PROT_NONE`, so a guarded allocation that finds one makes no syscall.
 ///
-/// One fixed-capacity stack of region base addresses per body page count,
-/// each behind its own spin lock. The stacks live here and never in the
-/// regions' own bytes, so a dangling read of a retired buffer cannot see
-/// allocator pointers. A cached region holds its last user's bytes until
-/// [`HardenedAlloc`] zeroes it on reuse. Dropping the cache unmaps every
-/// region it holds.
+/// One stack of region base addresses per body page count, each behind
+/// its own spin lock. A stack's array has an anonymous mapping of its own:
+/// it starts empty, takes one page of bases when first needed and doubles
+/// under the class lock when full (map the new array, copy, unmap the old
+/// one). So a retired region is always kept, unless that mapping is
+/// refused, and the regions a class holds mapped never exceed the peak
+/// number of its buffers live or quarantined at once. The arrays live
+/// neither in the regions' own bytes nor behind any allocator, so a
+/// dangling read of a retired buffer cannot see allocator pointers and
+/// growing a stack never re-enters the allocator. A cached region holds
+/// its last user's bytes until [`HardenedAlloc`] zeroes it on reuse.
+/// Dropping the cache unmaps every region it holds, then the arrays.
 struct RegionCache {
     classes: [RegionClass; REGION_CLASSES],
 }
@@ -411,18 +468,23 @@ impl RegionCache {
         self.classes.get((body / PAGE).checked_sub(1)?)
     }
 
-    /// Pops a retired region with a `body`-byte body, if one is cached.
+    /// Pops the region with a `body`-byte body retired last, if one is
+    /// cached.
     fn take(&self, body: usize) -> Option<usize> {
         let class = self.class(body)?;
         let _g = class.lock.lock();
-        // SAFETY: the class lock is held.
-        let st = unsafe { &mut *class.stack.get() };
-        st.len = st.len.checked_sub(1)?;
-        Some(st.bases[st.len])
+        // SAFETY: the class lock is held, and the `len` slots below the top
+        // of the array hold bases.
+        unsafe {
+            let st = &mut *class.stack.get();
+            st.len = st.len.checked_sub(1)?;
+            Some(st.bases.add(st.len).read())
+        }
     }
 
-    /// Takes back a region with a `body`-byte body, or unmaps it when its
-    /// class is full or the cache keeps no class for it.
+    /// Takes back a region with a `body`-byte body, growing its class's
+    /// array when full. Unmaps it when the cache keeps no class for it or
+    /// the array cannot grow.
     ///
     /// # Safety
     ///
@@ -433,8 +495,8 @@ impl RegionCache {
             let _g = class.lock.lock();
             // SAFETY: the class lock is held.
             let st = &mut *class.stack.get();
-            if st.len < REGION_CLASS_CAP {
-                st.bases[st.len] = region;
+            if st.len < st.cap || st.grow() {
+                st.bases.add(st.len).write(region);
                 st.len += 1;
                 return;
             }
@@ -445,12 +507,20 @@ impl RegionCache {
 
 impl Drop for RegionCache {
     fn drop(&mut self) {
-        for pages in 1..=REGION_CLASSES {
+        for (pages, class) in (1..).zip(&mut self.classes) {
             let body = pages * PAGE;
-            while let Some(region) = self.take(body) {
-                // SAFETY: every cached region came from `map_region(body)`
-                // and is referenced by no allocation.
-                unsafe { libc::munmap(region as *mut libc::c_void, body + PAGE) };
+            let st = class.stack.get_mut();
+            // SAFETY: every cached region came from `map_region(body)` and
+            // is referenced by no allocation; the array came from
+            // `map_anon(st.array_len())`, and nothing uses it after this.
+            unsafe {
+                for i in 0..st.len {
+                    let region = st.bases.add(i).read();
+                    libc::munmap(region as *mut libc::c_void, body + PAGE);
+                }
+                if st.cap != 0 {
+                    libc::munmap(st.bases.cast(), st.array_len());
+                }
             }
         }
     }
@@ -458,8 +528,10 @@ impl Drop for RegionCache {
 
 /// The HeapTherapy+ hardened allocator over the system allocator.
 ///
-/// Usable as a `static` (all state is fixed-size and allocation-free) and
-/// therefore as `#[global_allocator]`. Defenses are driven by the patches
+/// Usable as a `static` (`new` is `const` and nothing it owns is ever
+/// allocated through an allocator: its tables are fixed-size, and the
+/// region cache's arrays start empty and grow in mappings of their own)
+/// and therefore as `#[global_allocator]`. Defenses are driven by the patches
 /// installed with [`HardenedAlloc::install`] into its [`PatchTable`], the
 /// same table type the simulated defense probes. Every buffer is preceded by
 /// the paper's 8-byte metadata word (Fig. 6). An unpatched allocation pays
@@ -469,6 +541,13 @@ impl Drop for RegionCache {
 /// calling thread's own counter cell, no atomic read-modify-write, once
 /// the thread's first count has claimed the cell (see
 /// [`Self::COUNTER_CELLS`]).
+///
+/// A guarded (OVERFLOW) buffer's region of whole body pages and a trailing
+/// `PROT_NONE` guard page is mapped once and, when the buffer is freed or
+/// leaves the quarantine, kept for the next guarded buffer of its body size
+/// (up to four pages): a run maps as many regions of a size as it ever
+/// holds live or quarantined at once ([`HardenedStats::region_maps`]) and
+/// unmaps them when the allocator is dropped.
 pub struct HardenedAlloc {
     patches: PatchTable,
     quarantine: QuarantineRing,
@@ -607,6 +686,7 @@ impl HardenedAlloc {
             interposed_frees: total(Total::InterposedFrees),
             table_hits: self.counters.hits(self.patches.len()),
             guard_pages: total(Total::GuardPages),
+            region_maps: total(Total::RegionMaps),
             zero_fills: total(Total::ZeroFills),
             quarantined: total(Total::Quarantined),
             evictions: total(Total::Evictions),
@@ -684,7 +764,11 @@ impl HardenedAlloc {
                 std::ptr::write_bytes(region as *mut u8, 0, body);
                 region
             }
-            None => map_region(body)?,
+            None => {
+                let region = map_region(body)?;
+                self.counters.incr(Total::RegionMaps);
+                region
+            }
         };
         let guard = region + body;
         let user = (guard - layout.size()) & !(layout.align() - 1);
@@ -1004,29 +1088,58 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn regions_beyond_class_capacity_are_unmapped() {
+    fn every_retired_region_stays_cached_and_is_reused_newest_first() {
         let _maps = maps_lock();
         let a = patched(0xC2, VulnFlags::OVERFLOW);
         let l = layout(64, 8);
+        let guards_of = |ptrs: &[*mut u8]| -> Vec<usize> {
+            ptrs.iter()
+                .map(|&p| unsafe { a.guard_page_of(p) }.expect("guarded allocation"))
+                .collect()
+        };
         unsafe {
-            let ptrs: Vec<*mut u8> = (0..REGION_CLASS_CAP + 4)
-                .map(|_| alloc_at(&a, 0xC2, l))
-                .collect();
-            let guards: Vec<usize> = ptrs
-                .iter()
-                .map(|&p| a.guard_page_of(p).expect("guarded allocation"))
-                .collect();
+            let ptrs: Vec<*mut u8> = (0..300).map(|_| alloc_at(&a, 0xC2, l)).collect();
+            let guards = guards_of(&ptrs);
             for p in ptrs {
                 a.dealloc(p, l);
             }
-            // The first frees fill the class; the last four find it full.
-            for &g in &guards[..REGION_CLASS_CAP] {
+            for &g in &guards {
                 assert_eq!(perms_at(g).as_deref(), Some("---p"), "cached");
             }
-            for &g in &guards[REGION_CLASS_CAP..] {
-                assert_ne!(perms_at(g).as_deref(), Some("---p"), "unmapped");
+            let again: Vec<*mut u8> = (0..300).map(|_| alloc_at(&a, 0xC2, l)).collect();
+            let newest_first: Vec<usize> = guards.iter().rev().copied().collect();
+            assert_eq!(guards_of(&again), newest_first);
+            for p in again {
+                a.dealloc(p, l);
             }
         }
+        let st = a.stats();
+        assert_eq!((st.guard_pages, st.region_maps), (600, 300));
+    }
+
+    #[test]
+    fn region_maps_count_the_peak_of_live_guarded_buffers() {
+        let _maps = maps_lock();
+        let a = patched(0xCC, VulnFlags::OVERFLOW);
+        let l = layout(64, 8);
+        let mut live: Vec<*mut u8> = Vec::new();
+        let alloc = |live: &mut Vec<*mut u8>, n: usize| {
+            live.extend((0..n).map(|_| unsafe { alloc_at(&a, 0xCC, l) }));
+        };
+        let free = |live: &mut Vec<*mut u8>, n: usize| {
+            for p in live.drain(..n) {
+                unsafe { a.dealloc(p, l) };
+            }
+        };
+        alloc(&mut live, 100);
+        free(&mut live, 60);
+        alloc(&mut live, 90);
+        assert_eq!(live.len(), 130, "the peak");
+        free(&mut live, 130);
+        alloc(&mut live, 50);
+        let st = a.stats();
+        assert_eq!((st.guard_pages, st.region_maps), (240, 130));
+        free(&mut live, 50);
     }
 
     #[test]
@@ -1061,24 +1174,39 @@ pub(crate) mod tests {
                 VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE,
             ),
         ]);
+        // Both kinds have a one-page body: one class, and more of them
+        // than its first page-sized array holds.
+        let (cached, held) = (FIRST_SLOTS + 100, 2);
         let l = layout(64, 8);
         let mut guards = Vec::new();
         unsafe {
-            let ptrs: Vec<*mut u8> = (0..8)
-                .map(|i| alloc_at(&a, if i < 6 { 0xC4 } else { 0xC5 }, l))
+            let ptrs: Vec<*mut u8> = (0..cached + held)
+                .map(|i| alloc_at(&a, if i < cached { 0xC4 } else { 0xC5 }, l))
                 .collect();
             for p in ptrs {
                 guards.push(a.guard_page_of(p).expect("guarded allocation"));
                 a.dealloc(p, l);
             }
         }
-        assert_eq!(a.quarantine_usage().0, 2, "OF|UAF regions held back");
+        assert_eq!(a.quarantine_usage().0, held, "OF|UAF regions held back");
         for &g in &guards {
             assert_eq!(perms_at(g).as_deref(), Some("---p"));
         }
+        // The class's array, as the quarantined regions will find it on
+        // drop: grown past its first page, with room for them.
+        let (array, array_len) = {
+            // SAFETY: no other thread uses `a`.
+            let st = unsafe { &*a.regions.classes[0].stack.get() };
+            assert_eq!(st.len, cached);
+            assert!(st.cap > FIRST_SLOTS && st.cap >= cached + held);
+            (st.bases as usize, st.array_len())
+        };
         drop(a);
         for &g in &guards {
             assert_ne!(perms_at(g).as_deref(), Some("---p"), "unmapped on drop");
+        }
+        for page in (array..array + array_len).step_by(PAGE) {
+            assert_eq!(perms_at(page), None, "array unmapped on drop");
         }
     }
 

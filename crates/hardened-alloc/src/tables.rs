@@ -71,6 +71,8 @@ pub(crate) enum Total {
     InterposedAllocs,
     InterposedFrees,
     GuardPages,
+    /// Guarded regions mapped fresh rather than taken from the cache.
+    RegionMaps,
     ZeroFills,
     Quarantined,
     Evictions,

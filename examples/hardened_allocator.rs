@@ -5,7 +5,9 @@
 //! spawns, flows through the HeapTherapy+ interposition and carries its
 //! metadata word; the patched allocation site gets a real `mmap`'d guard
 //! page (check `/proc/self/maps` output below), a quarantined free, and
-//! zero-filling. The program exits non-zero if any check fails.
+//! zero-filling; a guarded region freed outside the quarantine is kept
+//! mapped and handed to the next guarded buffer. The program exits non-zero
+//! if any check fails.
 //!
 //! ```sh
 //! cargo run --release --example hardened_allocator
@@ -21,6 +23,7 @@ static ALLOC: HardenedAlloc = HardenedAlloc::new();
 /// The site constants the instrumentation pass would assign.
 const SITE_HANDLER: u64 = 0x9A31;
 const SITE_PARSE: u64 = 0x44F7;
+const SITE_REPLY: u64 = 0x5C1E;
 
 fn parse_request(payload: usize) -> Vec<u8> {
     let _site = ccid::CallScope::enter(SITE_PARSE);
@@ -32,6 +35,16 @@ fn parse_request(payload: usize) -> Vec<u8> {
 fn handle_request(payload: usize) -> Vec<u8> {
     let _site = ccid::CallScope::enter(SITE_HANDLER);
     parse_request(payload)
+}
+
+fn build_reply(len: usize) -> Vec<u8> {
+    let _site = ccid::CallScope::enter(SITE_REPLY);
+    vec![0x52; len]
+}
+
+fn reply_ccid() -> u64 {
+    let _site = ccid::CallScope::enter(SITE_REPLY);
+    ccid::current()
 }
 
 fn vulnerable_ccid() -> u64 {
@@ -57,11 +70,14 @@ fn perms_at(addr: usize) -> Option<String> {
 fn main() {
     // Install the patch for the vulnerable calling context, as the online
     // defense generator does at startup from the configuration file.
-    ALLOC.install(&[Patch::new(
-        AllocFn::Malloc,
-        vulnerable_ccid(),
-        VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE | VulnFlags::UNINIT_READ,
-    )]);
+    ALLOC.install(&[
+        Patch::new(
+            AllocFn::Malloc,
+            vulnerable_ccid(),
+            VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE | VulnFlags::UNINIT_READ,
+        ),
+        Patch::new(AllocFn::Malloc, reply_ccid(), VulnFlags::OVERFLOW),
+    ]);
 
     // Ordinary traffic: untouched.
     let plain = vec![1u8; 4096];
@@ -95,6 +111,29 @@ fn main() {
     assert!(grown[..100].iter().all(|&b| b == 0x41));
     assert!(grown[100..].iter().all(|&b| b == 0x42));
     println!("Vec grown by realloc from the patched context: contents kept");
+
+    // An OVERFLOW-only context: a freed buffer skips the quarantine, and
+    // its region, guard page still `PROT_NONE`, serves the next one.
+    let reply = build_reply(2000);
+    // SAFETY: `reply` is a live allocation of `ALLOC`.
+    let reply_guard = unsafe { ALLOC.guard_page_of(reply.as_ptr() as *mut u8) }
+        .expect("patched allocation is guarded");
+    drop(reply);
+    let before = ALLOC.stats();
+    let again = build_reply(2000);
+    let after = ALLOC.stats();
+    // SAFETY: `again` is a live allocation of `ALLOC`.
+    let again_guard = unsafe { ALLOC.guard_page_of(again.as_ptr() as *mut u8) };
+    assert_eq!(again_guard, Some(reply_guard), "region reused");
+    assert_eq!(perms_at(reply_guard).as_deref(), Some("---p"));
+    assert!(again.iter().all(|&b| b == 0x52));
+    assert_eq!(after.guard_pages, before.guard_pages + 1);
+    assert_eq!(after.region_maps, before.region_maps, "no fresh mapping");
+    println!(
+        "second guarded Vec in one context: guard page {reply_guard:#x} reused, \
+         {} regions mapped for {} guard pages",
+        after.region_maps, after.guard_pages
+    );
 
     // An over-aligned layout: its header is padded to the alignment.
     let page = Layout::from_size_align(10_000, 4096).expect("valid layout");
