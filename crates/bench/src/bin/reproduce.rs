@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [all|fig2|table1|table2|lint|table3|table4|encoding|fig8|fig9|services|ablations|scaling|shadow|telemetry]
-//!           [--allocs N] [--samples N] [--requests N] [--threads N]
+//!           [--allocs N] [--fraction F] [--samples N] [--requests N] [--threads N]
 //!           [--pairs N] [--repeat N] [--reference-kernels] [--json PATH]
 //! reproduce check-baselines [--scaling PATH] [--telemetry PATH] [--shadow PATH]
 //! ```
@@ -41,7 +41,14 @@ struct Opts {
     checks: Vec<(String, String)>,
 }
 
-fn parse_args() -> Opts {
+const USAGE: &str = "usage: reproduce [TARGET] [--allocs N] [--fraction F] [--samples N] \
+     [--requests N] [--threads N] [--pairs N] [--repeat N] [--reference-kernels] [--json PATH]\n       \
+     reproduce check-baselines [--scaling PATH] [--telemetry PATH] [--shadow PATH]";
+
+/// The options, or what is wrong with them: an unknown flag, a flag
+/// without its value, or a value that does not parse (or is 0 where at
+/// least 1 is needed).
+fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         what: "all".to_string(),
         allocs: 20_000,
@@ -57,42 +64,40 @@ fn parse_args() -> Opts {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--allocs" => opts.allocs = args.next().and_then(|v| v.parse().ok()).unwrap_or(20_000),
-            "--fraction" => {
-                opts.fraction = args.next().and_then(|v| v.parse().ok()).unwrap_or(2e-4)
-            }
-            "--samples" => opts.samples = args.next().and_then(|v| v.parse().ok()).unwrap_or(5),
-            "--requests" => {
-                opts.requests = args.next().and_then(|v| v.parse().ok()).unwrap_or(2_000)
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or(1)
-            }
-            "--pairs" => opts.pairs = args.next().and_then(|v| v.parse().ok()).unwrap_or(200_000),
-            "--repeat" => {
-                opts.repeat = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or(1)
-            }
+            "--allocs" => opts.allocs = number(&a, &value()?)?,
+            "--fraction" => opts.fraction = number(&a, &value()?)?,
+            "--samples" => opts.samples = number(&a, &value()?)?,
+            "--requests" => opts.requests = number(&a, &value()?)?,
+            "--threads" => opts.threads = at_least_one(&a, &value()?)?,
+            "--pairs" => opts.pairs = number(&a, &value()?)?,
+            "--repeat" => opts.repeat = at_least_one(&a, &value()?)?,
             "--reference-kernels" => opts.reference_kernels = true,
-            "--json" => opts.json = args.next(),
+            "--json" => opts.json = Some(value()?),
             "--scaling" | "--telemetry" | "--shadow" => {
-                if let Some(path) = args.next() {
-                    opts.checks.push((a[2..].to_string(), path));
-                }
+                opts.checks.push((a[2..].to_string(), value()?))
             }
-            other if !other.starts_with("--") => opts.what = other.to_string(),
-            other => eprintln!("ignoring unknown flag {other}"),
+            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+            _ => opts.what = a,
         }
     }
-    opts
+    Ok(opts)
+}
+
+/// `value` of `flag`, parsed.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} {value:?} is not a number"))
+}
+
+/// `value` of `flag`, parsed, and at least 1.
+fn at_least_one(flag: &str, value: &str) -> Result<usize, String> {
+    match number(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 fn header(title: &str) {
@@ -536,7 +541,10 @@ fn run_extras_silently_ok() {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args().unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
     if cfg!(debug_assertions) {
         eprintln!("note: debug build — timings are not meaningful; use --release");
     }

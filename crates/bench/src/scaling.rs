@@ -119,7 +119,7 @@ fn run_series<F: Fn(usize) -> u64 + Sync>(n: usize, work: F) -> f64 {
 /// frozen (the configuration the "hardened" series runs against).
 ///
 /// Boxed: a `HardenedAlloc` embeds its fixed tables, event ring, and
-/// counter block (~217 KiB), which in unoptimized builds would otherwise
+/// counter block (~93 KiB), which in unoptimized builds would otherwise
 /// occupy a fresh stack slot per temporary.
 pub fn patched_alloc() -> Box<HardenedAlloc> {
     let a = empty_alloc();

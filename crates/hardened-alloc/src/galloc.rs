@@ -41,11 +41,11 @@ pub struct HardenedStats {
     /// Frees refused because the buffer's metadata word did not decode as
     /// a live buffer of this allocator: double frees and foreign pointers.
     pub invalid_frees: u64,
-    /// Counter increments made with atomic adds on the shared lanes
-    /// because the calling thread had no counter cell: the pool of
-    /// [`HardenedAlloc::COUNTER_CELLS`] cells was full, or the thread was
-    /// claiming a cell or exiting.
-    pub lane_fallbacks: u64,
+    /// Counter increments made with atomic adds on the allocator's one
+    /// shared counter row because the calling thread had no counter cell:
+    /// the pool of [`HardenedAlloc::COUNTER_CELLS`] cells was full, or the
+    /// thread was claiming a cell or exiting.
+    pub fallback_counts: u64,
 }
 
 /// Counters of tracked buffers: those allocated with a guard page or bound
@@ -582,9 +582,10 @@ impl HardenedAlloc {
     /// every allocator of the process. A thread claims a cell at its first
     /// count for an allocator, gives it up when it counts for another one
     /// or exits, and a later thread of the same allocator takes it back
-    /// with its counts. A thread that finds every cell taken counts on
-    /// shared lanes with atomic adds instead, for the rest of its life;
-    /// [`HardenedStats::lane_fallbacks`] counts those increments.
+    /// with its counts. A thread that finds every cell taken counts on the
+    /// allocator's one shared row with atomic adds instead, for the rest of
+    /// its life; [`HardenedStats::fallback_counts`] counts those
+    /// increments.
     pub const COUNTER_CELLS: usize = crate::tables::CELLS;
 
     /// A hardened allocator with an empty patch table and a 64 MiB quarantine
@@ -694,7 +695,7 @@ impl HardenedAlloc {
             evicted_bytes: total(Total::EvictedBytes),
             fail_open: total(Total::FailOpen),
             invalid_frees: total(Total::InvalidFrees),
-            lane_fallbacks: self.counters.fallbacks(),
+            fallback_counts: self.counters.fallbacks(),
         }
     }
 
@@ -1558,6 +1559,14 @@ pub(crate) mod tests {
             assert!(a.guard_page_of(p).is_none());
             a.dealloc(p, l);
         }
+    }
+
+    #[test]
+    fn the_allocator_fits_in_96_kib() {
+        // The per-slot counts are kept once, in the shared counter row: a
+        // copy per thread (or per lane) of their 512 slots would not fit.
+        let size = std::mem::size_of::<HardenedAlloc>();
+        assert!(size <= 96 * 1024, "HardenedAlloc is {size} bytes");
     }
 
     #[test]

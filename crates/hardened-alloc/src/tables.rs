@@ -52,19 +52,6 @@ impl Drop for SpinGuard<'_> {
     }
 }
 
-/// Counter lanes: threads hash to one each, so concurrent increments
-/// rarely share a cache line.
-const LANES: usize = 16;
-
-thread_local! {
-    /// Per-thread lane index, derived once from the thread id.
-    static LANE: usize = {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        std::hash::Hash::hash(&std::thread::current().id(), &mut h);
-        (std::hash::Hasher::finish(&h) as usize) % LANES
-    };
-}
-
 /// The allocator-wide totals a [`Counters`] block keeps.
 #[derive(Clone, Copy)]
 pub(crate) enum Total {
@@ -91,27 +78,26 @@ const TOTALS: usize = Total::TrackedFrees as usize + 1;
 #[allow(clippy::declare_interior_mutable_const)] // used once per array slot
 const ZERO: AtomicU64 = AtomicU64::new(0);
 
-/// One lane: its own copy of every total, of the per-slot hit and byte
-/// counts and of the count of increments that fell back to it, starting
-/// on its own cache line.
+/// The row of a [`Counters`] block that every thread shares: the totals
+/// of threads that own no cell, the count of their increments, and the
+/// per-slot counts, starting on its own cache line.
 #[repr(align(64))]
-struct Lane {
+struct SharedRow {
     totals: [AtomicU64; TOTALS],
     fallbacks: AtomicU64,
-    hits: [AtomicU64; PatchTable::CAPACITY],
-    bytes: [AtomicU64; PatchTable::CAPACITY],
+    slots: [SlotCounts; PatchTable::CAPACITY],
 }
 
-#[allow(clippy::declare_interior_mutable_const)] // used once per lane
-const EMPTY_LANE: Lane = Lane {
-    totals: [ZERO; TOTALS],
-    fallbacks: ZERO,
-    hits: [ZERO; PatchTable::CAPACITY],
-    bytes: [ZERO; PatchTable::CAPACITY],
-};
+/// One patch-table slot's hits and requested bytes, side by side so that
+/// a hit writes one cache line.
+struct SlotCounts {
+    hits: AtomicU64,
+    bytes: AtomicU64,
+}
 
 /// Cells in the process-wide [`POOL`]: threads counting at once, across
-/// every allocator, before the rest fall back to the lanes.
+/// every allocator, before the rest fall back to their allocator's
+/// [`SharedRow`].
 pub(crate) const CELLS: usize = 64;
 
 /// [`CounterCell::tag`] bit set while a thread owns the cell.
@@ -191,32 +177,34 @@ impl Drop for ExitHook {
 /// allocator and owns it from then on, so an increment is one `Relaxed`
 /// load and store, no atomic read-modify-write. A thread with no cell (the
 /// pool is full, it is claiming one, or it is exiting) counts with a
-/// `Relaxed` `fetch_add` on its lane of [`LANES`] instead, and the
-/// fallback is counted. Per-slot hits and bytes, counted only on the
-/// patched path, always go to the lanes. A read sums the lanes and every
-/// cell keyed to this block. Counts are exact; only a read concurrent with
-/// increments is momentarily stale.
+/// `Relaxed` `fetch_add` on the block's one [`SharedRow`] instead, and the
+/// fallback is counted there too. Per-slot hits and bytes, counted only on
+/// the patched path, always go to that row with `fetch_add`. A read sums
+/// the row and every cell keyed to this block. Counts are exact; only a
+/// read concurrent with increments is momentarily stale.
 pub(crate) struct Counters {
     /// The key the cells counting for this block carry: taken from
     /// [`NEXT_KEY`] at the first claim, not the block's address, because a
     /// [`crate::HardenedAlloc`] can move.
     key: AtomicU64,
-    lanes: [Lane; LANES],
+    shared: SharedRow,
 }
 
 impl Counters {
     pub(crate) const fn new() -> Self {
         Self {
             key: AtomicU64::new(0),
-            lanes: [EMPTY_LANE; LANES],
+            shared: SharedRow {
+                totals: [ZERO; TOTALS],
+                fallbacks: ZERO,
+                slots: [const {
+                    SlotCounts {
+                        hits: ZERO,
+                        bytes: ZERO,
+                    }
+                }; PatchTable::CAPACITY],
+            },
         }
-    }
-
-    #[inline]
-    fn lane(&self) -> &Lane {
-        // `try_with` so counting keeps working during thread teardown, when
-        // the thread-local may already be destroyed.
-        &self.lanes[LANE.try_with(|&l| l).unwrap_or(0)]
     }
 
     #[inline]
@@ -236,16 +224,15 @@ impl Counters {
     }
 
     /// [`Self::add`] for a thread that owns no cell of this block: claim
-    /// one, or count on the lane.
+    /// one, or count on the shared row.
     #[cold]
     #[inline(never)]
     fn add_unowned(&self, t: Total, n: u64) {
         match self.claim() {
             Some(cell) => POOL[cell].bump(t, n),
             None => {
-                let lane = self.lane();
-                lane.totals[t as usize].fetch_add(n, Ordering::Relaxed);
-                lane.fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.shared.totals[t as usize].fetch_add(n, Ordering::Relaxed);
+                self.shared.fallbacks.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -266,7 +253,7 @@ impl Counters {
         }
         // The first claim registers the exit hook, which may allocate (glibc
         // `calloc`s a record for it, and this allocator may be serving C's
-        // heap too): counts nested in it see `CLAIMING` and use the lanes.
+        // heap too): counts nested in it see `CLAIMING` and use the shared row.
         if EXIT.try_with(|_| ()).is_err() {
             MINE.set((EXITED, 0));
             return None;
@@ -310,8 +297,8 @@ impl Counters {
     /// Every total, in [`Total`] order.
     pub(crate) fn totals(&self) -> [u64; TOTALS] {
         let mut out = [0; TOTALS];
-        let words = self.lanes.iter().map(|l| &l.totals);
-        for totals in words.chain(self.cells().map(|c| &c.totals)) {
+        let cells = self.cells().map(|c| &c.totals);
+        for totals in std::iter::once(&self.shared.totals).chain(cells) {
             for (sum, v) in out.iter_mut().zip(totals) {
                 *sum += v.load(Ordering::Relaxed);
             }
@@ -319,47 +306,46 @@ impl Counters {
         out
     }
 
-    /// Increments that found no cell and went to the lanes.
+    /// Increments that found no cell and went to the shared row.
     pub(crate) fn fallbacks(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.fallbacks.load(Ordering::Relaxed))
-            .sum()
+        self.shared.fallbacks.load(Ordering::Relaxed)
     }
 
     /// Records one hit of `bytes` requested bytes against patch `slot`;
     /// an out-of-range slot is ignored.
     #[inline]
     pub(crate) fn hit(&self, slot: usize, bytes: u64) {
-        let lane = self.lane();
-        if let (Some(h), Some(b)) = (lane.hits.get(slot), lane.bytes.get(slot)) {
-            h.fetch_add(1, Ordering::Relaxed);
-            b.fetch_add(bytes, Ordering::Relaxed);
+        if let Some(s) = self.shared.slots.get(slot) {
+            s.hits.fetch_add(1, Ordering::Relaxed);
+            s.bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
     /// The hits of the first `slots` slots, summed without allocating.
     pub(crate) fn hits(&self, slots: usize) -> u64 {
-        let slots = slots.min(PatchTable::CAPACITY);
-        self.lanes
+        self.slots(slots)
             .iter()
-            .flat_map(|l| &l.hits[..slots])
-            .map(|h| h.load(Ordering::Relaxed))
+            .map(|s| s.hits.load(Ordering::Relaxed))
             .sum()
     }
 
     /// `(hits, bytes)` of each of the first `slots` slots (at most
-    /// [`PatchTable::CAPACITY`]). Pass the number of slots in use: every
-    /// lane of every slot is a separate word to read.
+    /// [`PatchTable::CAPACITY`]).
     pub(crate) fn per_slot(&self, slots: usize) -> Vec<(u64, u64)> {
-        let mut out = vec![(0, 0); slots.min(PatchTable::CAPACITY)];
-        for lane in &self.lanes {
-            for (slot, (hits, bytes)) in out.iter_mut().enumerate() {
-                *hits += lane.hits[slot].load(Ordering::Relaxed);
-                *bytes += lane.bytes[slot].load(Ordering::Relaxed);
-            }
-        }
-        out
+        self.slots(slots)
+            .iter()
+            .map(|s| {
+                (
+                    s.hits.load(Ordering::Relaxed),
+                    s.bytes.load(Ordering::Relaxed),
+                )
+            })
+            .collect()
+    }
+
+    /// The counts of the first `slots` slots, at most all of them.
+    fn slots(&self, slots: usize) -> &[SlotCounts] {
+        &self.shared.slots[..slots.min(PatchTable::CAPACITY)]
     }
 }
 
@@ -815,7 +801,7 @@ mod tests {
     }
 
     #[test]
-    fn a_count_nested_in_a_claim_falls_back_to_the_lanes() {
+    fn a_count_nested_in_a_claim_falls_back_to_the_shared_row() {
         std::thread::spawn(|| {
             let c = Box::new(Counters::new());
             MINE.set((CLAIMING, 0));

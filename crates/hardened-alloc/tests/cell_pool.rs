@@ -1,5 +1,6 @@
 //! The process-wide pool of thread-owned counter cells: threads beyond
-//! the pool, one after another and at once; one thread counting for two
+//! the pool, one after another and at once (with patched allocations
+//! counted on the shared row too); one thread counting for two
 //! allocators; an allocator dropped under a live thread; and counting
 //! from thread-local destructors at thread exit. Counts stay exact
 //! throughout, and no cell is lost.
@@ -9,8 +10,9 @@
 //! threads it spawns and joins, and drops every allocator it makes, so
 //! the whole pool is free whenever a test starts.
 
-use ht_hardened_alloc::throughput::hardened_pairs;
+use ht_hardened_alloc::throughput::{hardened_pairs, site_ccid};
 use ht_hardened_alloc::{HardenedAlloc, HardenedStats};
+use ht_patch::{AllocFn, Patch, VulnFlags};
 use std::cell::RefCell;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -25,7 +27,7 @@ fn turn() -> MutexGuard<'static, ()> {
 
 /// Spawns `f` on a thread with a 1 MiB stack: the tests run up to
 /// `CELLS + 8` of them at once, and an unoptimized build moves a
-/// `HardenedAlloc` (217 KiB) through the stack on its way into a `Box`.
+/// `HardenedAlloc` (93 KiB) through the stack on its way to the heap.
 fn spawn(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
     std::thread::Builder::new()
         .stack_size(1024 * 1024)
@@ -38,11 +40,27 @@ fn pairs(a: &HardenedAlloc, n: u64) {
     assert_eq!(hardened_pairs(a, n, 64, None, 1).pairs, n);
 }
 
-/// `threads` threads counting for one fresh allocator at once: one pair
-/// each before a barrier all of them reach, `after` more each past it.
+/// The call site [`at_once`]'s allocator guards.
+const SITE: u64 = 0xCE11;
+
+/// Bytes of a guarded buffer: with its header its body spans five pages,
+/// a size the region cache never keeps, so every one maps a fresh region.
+const GUARDED: usize = 4 * 4096;
+
+/// `n` alloc/free pairs of [`GUARDED`] bytes through `a` in [`SITE`].
+fn guarded_pairs(a: &HardenedAlloc, n: u64) {
+    let run = hardened_pairs(a, n, GUARDED, Some(SITE), 1);
+    assert_eq!((run.pairs, run.dirty_guarded), (n, 0));
+}
+
+/// `threads` threads counting for one fresh allocator that guards
+/// [`SITE`], at once: one unpatched pair each before a barrier all of
+/// them reach, `after` unpatched and `guarded` guarded pairs each past it.
 /// The allocator's stats once every thread has exited.
-fn at_once(threads: usize, after: u64) -> HardenedStats {
+fn at_once(threads: usize, after: u64, guarded: u64) -> HardenedStats {
     let a = Arc::new(HardenedAlloc::new());
+    let patch = Patch::new(AllocFn::Malloc, site_ccid(SITE), VulnFlags::OVERFLOW);
+    assert_eq!(a.install(&[patch]), 1);
     let all_in = Arc::new(Barrier::new(threads));
     let handles: Vec<_> = (0..threads)
         .map(|_| {
@@ -51,6 +69,7 @@ fn at_once(threads: usize, after: u64) -> HardenedStats {
                 pairs(&a, 1);
                 all_in.wait();
                 pairs(&a, after);
+                guarded_pairs(&a, guarded);
             })
         })
         .collect();
@@ -63,7 +82,7 @@ fn at_once(threads: usize, after: u64) -> HardenedStats {
 /// Whether every cell of the pool is free: as many threads as it has
 /// cells, counting at once, all find one.
 fn whole_pool_free() -> bool {
-    at_once(CELLS, 10).lane_fallbacks == 0
+    at_once(CELLS, 10, 0).fallback_counts == 0
 }
 
 #[test]
@@ -83,7 +102,7 @@ fn threads_beyond_the_pool_one_after_another_reuse_its_cells() {
         (threads * 100, threads * 100)
     );
     assert_eq!(
-        st.lane_fallbacks, 0,
+        st.fallback_counts, 0,
         "an exited thread's cell is taken back"
     );
     drop(a);
@@ -95,13 +114,24 @@ fn threads_beyond_the_pool_at_once_fall_back_and_stay_exact() {
     let _turn = turn();
     const EXTRA: usize = 8;
     const AFTER: u64 = 500;
-    let st = at_once(CELLS + EXTRA, AFTER);
-    let per_thread = 1 + AFTER;
-    let total = (CELLS + EXTRA) as u64 * per_thread;
+    const GUARDED_PAIRS: u64 = 20;
+    let threads = (CELLS + EXTRA) as u64;
+    let st = at_once(CELLS + EXTRA, AFTER, GUARDED_PAIRS);
+    let per_thread = 1 + AFTER + GUARDED_PAIRS;
+    let total = threads * per_thread;
     assert_eq!((st.interposed_allocs, st.interposed_frees), (total, total));
+    let guarded = threads * GUARDED_PAIRS;
+    assert_eq!(
+        (st.table_hits, st.guard_pages, st.region_maps),
+        (guarded, guarded, guarded)
+    );
     // Every cell is taken before any thread exits: exactly `EXTRA` threads
-    // find none, and each of their allocs and frees falls back.
-    assert_eq!(st.lane_fallbacks, EXTRA as u64 * per_thread * 2);
+    // find none, and each of their counts falls back. A pair counts its
+    // alloc and free; a guarded one also a region map, a guard page and
+    // the tracked alloc and free. Its hit goes to the shared row from
+    // every thread, and is no fallback.
+    let fallbacks = EXTRA as u64 * (per_thread * 2 + GUARDED_PAIRS * 4);
+    assert_eq!(st.fallback_counts, fallbacks);
     assert!(whole_pool_free());
 }
 
@@ -131,7 +161,7 @@ fn one_thread_alternates_between_two_live_allocators() {
         let st = x.stats();
         let n: u64 = want(parity);
         assert_eq!((st.interposed_allocs, st.interposed_frees), (n, n));
-        assert_eq!(st.lane_fallbacks, 0);
+        assert_eq!(st.fallback_counts, 0);
     }
     drop((a, b));
     assert!(whole_pool_free());
@@ -157,7 +187,7 @@ fn a_fresh_allocator_on_a_thread_that_outlived_its_last_starts_at_zero() {
                 (st.interposed_allocs, st.interposed_frees),
                 (round * 10, round * 10)
             );
-            assert_eq!(st.lane_fallbacks, 0);
+            assert_eq!(st.fallback_counts, 0);
         }
     })
     .join()

@@ -41,10 +41,6 @@ pub struct ShadowConfig {
     pub redzone: u64,
     /// Byte quota of the freed-blocks FIFO (paper default: 2 GB).
     pub quarantine_quota: u64,
-    /// Report each `(kind, buffer)` pair at most once (the paper
-    /// post-processes chained warnings with a script; deduplication here is
-    /// the equivalent).
-    pub dedup: bool,
     /// Optional CCID-subspace partition (paper §IX): only buffers in this
     /// replay's subspace are quarantined; the rest release immediately.
     pub partition: Option<CcidPartition>,
@@ -59,7 +55,6 @@ impl Default for ShadowConfig {
         Self {
             redzone: 16,
             quarantine_quota: 2 * 1024 * 1024 * 1024,
-            dedup: true,
             partition: None,
             reference_kernels: false,
         }
@@ -91,6 +86,9 @@ pub struct ShadowBackend {
     quarantine: VecDeque<BufId>,
     quarantine_bytes: u64,
     warnings: Vec<Warning>,
+    /// The `(kind, buffer)` pairs already reported: each is reported at
+    /// most once (the paper post-processes chained warnings with a script;
+    /// deduplication here is the equivalent).
     seen: HashSet<(WarningKind, u64)>,
     /// Origin tracking through copies (paper §V): for an *invalid* byte that
     /// was `memcpy`'d out of its allocation, the buffer whose
@@ -172,7 +170,7 @@ impl ShadowBackend {
 
     fn warn(&mut self, kind: WarningKind, addr: Addr, write: bool, origin: Option<BufId>) {
         let dedup_key = (kind, origin.map(|b| b.0).unwrap_or(u64::MAX - addr % 4096));
-        if self.cfg.dedup && !self.seen.insert(dedup_key) {
+        if !self.seen.insert(dedup_key) {
             return;
         }
         let (fun, ccid, buf_size) = match origin.and_then(|id| self.map.record(id)) {
@@ -693,18 +691,6 @@ mod tests {
         assert_eq!(s.count(WarningKind::Overflow), 1);
         s.write(p - 2, 2, 1); // underflow
         assert_eq!(s.count(WarningKind::Overflow), 1, "deduped same buffer");
-    }
-
-    #[test]
-    fn dedup_can_be_disabled() {
-        let mut s = ShadowBackend::with_config(ShadowConfig {
-            dedup: false,
-            ..ShadowConfig::default()
-        });
-        let p = s.alloc(&req(AllocFn::Malloc, 16, 1)).unwrap();
-        s.write(p, 20, 1);
-        s.write(p, 20, 1);
-        assert_eq!(s.count(WarningKind::Overflow), 2);
     }
 
     #[test]

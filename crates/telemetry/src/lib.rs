@@ -16,8 +16,9 @@
 //!   never allocate (a full ring counts a drop instead), so the ring is
 //!   safe to feed from inside a `#[global_allocator]`.
 //! - [`PatchCounterRow`] — one patch's hits and requested bytes. Each
-//!   backend keeps its own per-slot counts (the hardened allocator in its
-//!   one striped counter block) and the recorder resolves them to rows.
+//!   backend keeps its own per-slot counts (the hardened allocator in the
+//!   shared row of its counter block) and the recorder resolves them to
+//!   rows.
 //! - [`AttackReport`] — the paper-style structured report, filed exactly
 //!   once per distinct `(FUN, CCID, T)`; dedup lives with the patch table
 //!   (a lock-free once-bit per slot).

@@ -159,6 +159,12 @@ fn main() {
 
     let stats = ALLOC.stats();
     assert_eq!(stats.invalid_frees, 0, "every free decoded its word");
+    // Each thread counts in a cell of its own from its first allocation
+    // on: registering the cell's exit hook never re-enters this allocator.
+    assert_eq!(
+        stats.fallback_counts, 0,
+        "no count fell back to the shared row"
+    );
     println!(
         "\nallocator stats: {} allocations interposed, {} table hits, \
          {} guard pages, {} zero-fills, {} quarantined",

@@ -162,18 +162,22 @@ fn cmd_protect(args: &Args) -> ExitCode {
     let Some(ht) = pipeline(args) else {
         return ExitCode::from(2);
     };
+    let attack = args.flag("attack").unwrap_or("0");
+    let Some(input) = attack
+        .parse()
+        .ok()
+        .and_then(|i: usize| app.attack_inputs.get(i))
+    else {
+        let n = app.attack_inputs.len();
+        eprintln!(
+            "unknown --attack {attack:?}; {} has {n} attack input(s): 0..={}",
+            app.name,
+            n - 1
+        );
+        return ExitCode::from(2);
+    };
     let ip = ht.instrument(&app.program);
-    let attack_idx: usize = args
-        .flag("attack")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let default_input = app.patching_input().to_vec();
-    let input = app
-        .attack_inputs
-        .get(attack_idx)
-        .cloned()
-        .unwrap_or(default_input);
-    let run = ht.run_protected(&ip, &input, &patches);
+    let run = ht.run_protected(&ip, input, &patches);
     println!("outcome           : {:?}", run.report.outcome);
     println!("bytes leaked      : {}", run.report.leaked.len());
     println!("attack succeeded  : {}", app.attack_succeeded(&run.report));

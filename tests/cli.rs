@@ -43,6 +43,26 @@ fn analyze_protect_round_trip_on_disk() {
 }
 
 #[test]
+fn protect_refuses_an_attack_index_the_app_lacks() {
+    let conf = std::env::temp_dir().join("ht_cli_test_attack_index.conf");
+    let conf_s = conf.to_str().unwrap();
+    let (_, stderr, ok) = run(&["analyze", "heartbleed", "--out", conf_s]);
+    assert!(ok, "{stderr}");
+    let protect = ["protect", "heartbleed", "--patches", conf_s, "--attack"];
+    // Heartbleed has two attack inputs.
+    for bad in ["2", "7", "x", "-1"] {
+        let out = bin().args(protect).arg(bad).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "--attack {bad}: {out:?}");
+        assert!(out.stdout.is_empty(), "--attack {bad}: nothing replayed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("0..=1"), "--attack {bad}: {stderr}");
+    }
+    let out = bin().args(protect).arg("1").output().expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    std::fs::remove_file(conf).ok();
+}
+
+#[test]
 fn demo_succeeds_for_single_context_apps() {
     let (stdout, _, ok) = run(&["demo", "wavpack"]);
     assert!(ok, "{stdout}");

@@ -1,9 +1,10 @@
 //! Threaded stress and property coverage for the hardened allocator: with
 //! 8 threads hammering patched and unpatched contexts, no live pointer is
-//! lost or corrupted, and the striped counters conserve (allocs = frees,
-//! tracked inserts = removes + live, quarantined bytes = evicted bytes +
-//! bytes still held) — including under eviction-heavy quarantine quotas
-//! and with telemetry armed. A layout property checks the metadata header
+//! lost or corrupted, and the counters, summed over the threads' own
+//! cells and the one shared row, conserve (allocs = frees, tracked
+//! inserts = removes + live, quarantined bytes = evicted bytes + bytes
+//! still held) — including under eviction-heavy quarantine quotas and
+//! with telemetry armed. A layout property checks the metadata header
 //! against every size, alignment, API and defense combination.
 //!
 //! Everything goes through the public API plus the safe
