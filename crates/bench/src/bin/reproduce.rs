@@ -381,7 +381,7 @@ fn run_scaling(opts: &Opts) {
         );
     }
     println!(
-        "(medians; patched context every {} allocs of {} B; metadata-word frees, quarantine sharded, patch table frozen, guarded regions recycled)",
+        "(medians; patched context every {} allocs of {} B; metadata-word frees, one quarantine FIFO, patch table frozen, guarded regions recycled)",
         scaling::PATCHED_EVERY,
         scaling::ALLOC_SIZE
     );

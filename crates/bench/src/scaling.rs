@@ -3,10 +3,10 @@
 //! Not a paper artifact — the paper evaluates single-threaded SPEC and
 //! multi-process services — but the property it probes is the paper's
 //! central engineering claim: the online defense adds *no global lock* to
-//! the allocation path (the patch table is frozen read-only, an unpatched
-//! free decodes the buffer's own metadata word, and the quarantine is
-//! sharded), so throughput should scale with threads like the native
-//! allocator does.
+//! the unpatched allocation path (the patch table is frozen read-only, and
+//! an unpatched free decodes the buffer's own metadata word; only patched
+//! buffers take the quarantine's or a region class's short spin lock), so
+//! throughput should scale with threads like the native allocator does.
 //!
 //! Four series, each at 1/2/4/8 threads (capped by `--threads`):
 //!

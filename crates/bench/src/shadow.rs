@@ -220,7 +220,6 @@ fn kernel_ns(mode: KernelMode, samples: usize) -> Vec<(&'static str, Spread)> {
             0x10000 + i * 0x1000 - 16,
             ht_patch::AllocFn::Malloc,
             ht_encoding::Ccid(i),
-            16,
         );
     }
     out.push((

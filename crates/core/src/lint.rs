@@ -81,7 +81,7 @@ impl HeapTherapy {
     /// shadow analyzer's red-zone width so "wild" classification agrees.
     pub fn static_triage(&self, ip: &InstrumentedProgram<'_>) -> TriageReport {
         let cfg = TriageConfig {
-            redzone: self.config().shadow.redzone,
+            redzone: ht_shadow::REDZONE,
             ..TriageConfig::default()
         };
         triage(ip.program, &ip.plan, &cfg)

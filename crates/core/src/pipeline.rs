@@ -3,7 +3,7 @@
 use ht_callgraph::Strategy;
 use ht_defense::{DefendedBackend, DefenseConfig, DefenseStats};
 use ht_encoding::{InstrumentationPlan, Scheme};
-use ht_patch::{from_config_text, to_config_text, AllocFn, Patch, PatchTable, VulnFlags};
+use ht_patch::{from_config_text, to_config_text, Patch, PatchTable, VulnFlags};
 use ht_shadow::{ShadowBackend, ShadowConfig, Warning};
 use ht_simprog::{Interpreter, Limits, PlainBackend, Program, RunReport};
 use ht_telemetry::{AttackReport, PatchCounterRow, TelemetrySnapshot, Timeline};
@@ -542,11 +542,6 @@ impl HeapTherapy {
             benign_ok,
         })
     }
-}
-
-/// Re-exported for convenience in harnesses.
-pub fn alloc_fn_name(fun: AllocFn) -> &'static str {
-    fun.name()
 }
 
 #[cfg(test)]

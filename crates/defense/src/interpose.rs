@@ -149,11 +149,6 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         &self.quarantine
     }
 
-    /// The simulated address space (RSS measurements).
-    pub fn space(&self) -> &AddressSpace {
-        &self.space
-    }
-
     fn misuse(e: impl std::fmt::Display) -> StopCause {
         StopCause::HeapMisuse(e.to_string())
     }

@@ -1,7 +1,7 @@
 //! The hardened global allocator.
 
 use crate::ccid;
-use crate::tables::{Counters, Entry, QuarantineRing, Total};
+use crate::tables::{Counters, Entry, Quarantine, Total};
 use ht_patch::{AllocFn, Patch, PatchTable, VulnFlags};
 use ht_telemetry::{Event, Recorder, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -550,7 +550,7 @@ impl Drop for RegionCache {
 /// unmaps them when the allocator is dropped.
 pub struct HardenedAlloc {
     patches: PatchTable,
-    quarantine: QuarantineRing,
+    quarantine: Quarantine,
     regions: RegionCache,
     quota: AtomicUsize,
     /// Every count behind [`Self::stats`], [`Self::registry_stats`] and
@@ -593,7 +593,7 @@ impl HardenedAlloc {
     pub const fn new() -> Self {
         Self {
             patches: PatchTable::new(),
-            quarantine: QuarantineRing::new(),
+            quarantine: Quarantine::new(),
             regions: RegionCache::new(),
             quota: AtomicUsize::new(64 * 1024 * 1024),
             counters: Counters::new(),
@@ -1275,14 +1275,7 @@ pub(crate) mod tests {
             let a = patched(0xCB, VulnFlags::USE_AFTER_FREE);
             let l = layout(48, 8);
             unsafe {
-                let live: Vec<*mut u8> = (0..64).map(|_| alloc_at(&a, 0xCB, l)).collect();
-                let shard = QuarantineRing::shard_of(live[0] as usize);
-                let p: Vec<*mut u8> = live
-                    .iter()
-                    .copied()
-                    .filter(|&p| QuarantineRing::shard_of(p as usize) == shard)
-                    .collect();
-                assert!(p.len() >= 4, "64 buffers put 4 in one shard");
+                let p: Vec<*mut u8> = (0..4).map(|_| alloc_at(&a, 0xCB, l)).collect();
                 for &q in &p[..3] {
                     a.dealloc(q, l);
                 }
@@ -1296,9 +1289,6 @@ pub(crate) mod tests {
                 // The cut blocks stay held and counted.
                 assert_eq!(a.quarantine_usage(), (3, 3 * 48));
                 assert_eq!(st.quarantined_bytes, st.evicted_bytes + 3 * 48);
-                for &q in live.iter().filter(|q| !p[..4].contains(q)) {
-                    a.dealloc(q, l);
-                }
             }
         }
     }
@@ -1472,9 +1462,30 @@ pub(crate) mod tests {
             }
         }
         let st = a.stats();
-        assert_eq!(st.quarantined, 4);
-        assert!(st.evictions >= 2, "quota forces evictions: {st:?}");
-        assert!(a.quarantine_usage().1 <= 600);
+        assert_eq!((st.quarantined, st.evictions), (4, 2), "{st:?}");
+        assert_eq!(a.quarantine_usage(), (2, 512));
+    }
+
+    #[test]
+    fn any_buffer_up_to_the_quota_is_quarantined() {
+        let a = patched(0x34, VulnFlags::USE_AFTER_FREE);
+        a.set_quarantine_quota(64 * 1024);
+        let sizes = [4096, 8192, 8193, 16384, 32768];
+        unsafe {
+            let mut freed = Vec::new();
+            for size in sizes {
+                let l = layout(size, 16);
+                let p = alloc_at(&a, 0x34, l);
+                a.dealloc(p, l);
+                assert!(a.is_quarantined(p), "a {size} B buffer is held");
+                freed.push(p);
+            }
+            let held: Vec<bool> = freed.iter().map(|&p| a.is_quarantined(p)).collect();
+            assert_eq!(held, [false, false, true, true, true], "oldest first");
+        }
+        let st = a.stats();
+        assert_eq!((st.quarantined, st.evictions), (5, 2));
+        assert_eq!(a.quarantine_usage(), (3, 57_345));
     }
 
     #[test]
@@ -1808,29 +1819,22 @@ pub(crate) mod tests {
 
     #[test]
     fn quarantine_quota_is_honored_with_remainder() {
-        // End-to-end satellite regression: a quota that is not a multiple
-        // of the shard count must still be reachable within one block size
-        // per shard (the old `quota / 8` truncation lost the remainder and
-        // let a saturated shard evict early).
+        // A quota that is no multiple of the block size holds as many
+        // whole blocks as fit in it.
         let a = patched(0xBB, VulnFlags::USE_AFTER_FREE);
-        let quota = 2055; // 8 * 256 + 7
+        let quota = 2055; // 32 * 64 + 7
         a.set_quarantine_quota(quota);
         unsafe {
             // Hold all allocations live first so 200 *distinct* pointers
-            // are pushed, spreading across every quarantine shard.
+            // are pushed.
             let l = layout(64, 8);
             let ptrs: Vec<*mut u8> = (0..200).map(|_| alloc_at(&a, 0xBB, l)).collect();
             for p in ptrs {
                 a.dealloc(p, l);
             }
         }
-        let (_, bytes) = a.quarantine_usage();
-        assert!(bytes <= quota);
-        assert!(
-            bytes + 8 * 64 > quota,
-            "usage {bytes} cannot reach quota {quota} within one 64-byte \
-             block per shard"
-        );
+        let (blocks, bytes) = a.quarantine_usage();
+        assert_eq!((blocks, bytes), (32, 2048));
         let st = a.stats();
         assert_eq!(st.quarantined_bytes, 200 * 64);
         assert_eq!(st.quarantined_bytes, st.evicted_bytes + bytes as u64);

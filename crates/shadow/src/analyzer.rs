@@ -37,8 +37,6 @@ impl CcidPartition {
 /// Analyzer tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShadowConfig {
-    /// Red-zone width on each side of every buffer (paper: 16 bytes).
-    pub redzone: u64,
     /// Byte quota of the freed-blocks FIFO (paper default: 2 GB).
     pub quarantine_quota: u64,
     /// Optional CCID-subspace partition (paper §IX): only buffers in this
@@ -53,7 +51,6 @@ pub struct ShadowConfig {
 impl Default for ShadowConfig {
     fn default() -> Self {
         Self {
-            redzone: 16,
             quarantine_quota: 2 * 1024 * 1024 * 1024,
             partition: None,
             reference_kernels: false,
@@ -239,7 +236,7 @@ impl ShadowBackend {
         align: u64,
         ccid: ht_encoding::Ccid,
     ) -> Result<Addr, StopCause> {
-        let rz = self.cfg.redzone;
+        let rz = crate::REDZONE;
         let (inner_ptr, user) = if fun == AllocFn::Memalign {
             let inner = self
                 .heap
@@ -267,7 +264,7 @@ impl ShadowBackend {
         } else {
             self.bits.set_valid(user, size, false);
         }
-        self.map.insert(user, size, inner_ptr, fun, ccid, rz);
+        self.map.insert(user, size, inner_ptr, fun, ccid);
         Ok(user)
     }
 

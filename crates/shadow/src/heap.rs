@@ -48,19 +48,17 @@ pub struct BufRecord {
     pub ccid: Ccid,
     /// Lifecycle state.
     pub state: BufState,
-    /// Red-zone width used for this buffer.
-    pub redzone: u64,
 }
 
 impl BufRecord {
     /// Start of the tracked footprint (left red zone).
     pub fn footprint_start(&self) -> Addr {
-        self.user - self.redzone
+        self.user - crate::REDZONE
     }
 
     /// End (exclusive) of the tracked footprint (right red zone end).
     pub fn footprint_end(&self) -> Addr {
-        self.user + self.size + self.redzone
+        self.user + self.size + crate::REDZONE
     }
 }
 
@@ -150,7 +148,6 @@ impl HeapMap {
         inner_ptr: Addr,
         fun: AllocFn,
         ccid: Ccid,
-        redzone: u64,
     ) -> BufId {
         let id = BufId(self.next_id);
         self.next_id += 1;
@@ -162,7 +159,6 @@ impl HeapMap {
             fun,
             ccid,
             state: BufState::Live,
-            redzone,
         };
         let segments = [
             (rec.footprint_start(), user, Region::LeftRedZone),
@@ -271,7 +267,7 @@ mod tests {
     use super::*;
 
     fn rec(map: &mut HeapMap, user: Addr, size: u64) -> BufId {
-        map.insert(user, size, user - 16, AllocFn::Malloc, Ccid(7), 16)
+        map.insert(user, size, user - 16, AllocFn::Malloc, Ccid(7))
     }
 
     #[test]
@@ -336,7 +332,6 @@ mod tests {
             fun: AllocFn::Malloc,
             ccid: Ccid(0),
             state: BufState::Live,
-            redzone: 16,
         };
         assert_eq!(r.footprint_start(), 84);
         assert_eq!(r.footprint_end(), 126);
@@ -409,7 +404,7 @@ mod tests {
     #[test]
     fn zero_size_buffer_tracked() {
         let mut m = HeapMap::new();
-        let id = m.insert(0x5010, 0, 0x5000, AllocFn::Malloc, Ccid(1), 16);
+        let id = m.insert(0x5010, 0, 0x5000, AllocFn::Malloc, Ccid(1));
         // Only red zones exist; the user region is empty.
         let (r, reg) = m.lookup(0x5010).unwrap();
         assert_eq!((r.id, reg), (id, Region::RightRedZone));

@@ -62,3 +62,6 @@ pub use analyzer::{CcidPartition, ShadowBackend, ShadowConfig};
 pub use bits::{KernelMode, ShadowBits};
 pub use heap::{BufId, BufRecord, BufState, HeapMap, Region};
 pub use warning::{Warning, WarningKind};
+
+/// Red-zone width on each side of every buffer, in bytes (paper: 16).
+pub const REDZONE: u64 = 16;

@@ -155,16 +155,6 @@ impl<A: BaseAllocator> PlainBackend<A> {
             heap,
         }
     }
-
-    /// The underlying address space.
-    pub fn space(&self) -> &AddressSpace {
-        &self.space
-    }
-
-    /// The underlying allocator.
-    pub fn allocator(&self) -> &A {
-        &self.heap
-    }
 }
 
 impl<A: BaseAllocator> HeapBackend for PlainBackend<A> {

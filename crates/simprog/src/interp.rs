@@ -187,11 +187,6 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
         &self.backend
     }
 
-    /// Mutable access to the backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
     /// Consumes the interpreter, returning the backend.
     pub fn into_backend(self) -> B {
         self.backend

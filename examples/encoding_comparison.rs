@@ -14,8 +14,10 @@ fn main() {
     // --- The paper's Figure 2 example graph -------------------------------
     let g = ht_bench_example();
     println!("Figure 2 example graph, instrumented sites per strategy:");
+    let mut sites = Vec::new();
     for strategy in Strategy::ALL {
         let set = strategy.select(&g);
+        sites.push(set.len());
         println!(
             "  {:<12} {:>2} / {} call sites",
             strategy.name(),
@@ -23,6 +25,7 @@ fn main() {
             g.edge_count()
         );
     }
+    assert_non_increasing("Figure 2", &sites);
     let inc = Strategy::Incremental.select(&g);
     println!("\nGraphviz of the Incremental instrumentation (dashed = pruned):");
     println!("{}", to_dot(&g, Some(&inc)));
@@ -39,6 +42,7 @@ fn main() {
         "{:<12} {:>12} {:>14} {:>12} {:>11}",
         "strategy", "static sites", "executed ops", "contexts", "collisions"
     );
+    let mut rows = Vec::new();
     for strategy in Strategy::ALL {
         for scheme in Scheme::ALL {
             if scheme == Scheme::Positional && strategy != Strategy::Slim {
@@ -56,9 +60,27 @@ fn main() {
                 rep.collisions,
                 scheme.name()
             );
+            rows.push((plan.site_count(), rep.contexts, rep.collisions));
         }
     }
+    let sites: Vec<usize> = rows.iter().map(|r| r.0).collect();
+    assert_non_increasing("403.gcc", &sites);
+    let contexts = rows[0].1;
+    assert!(
+        rows.iter().all(|r| r.1 == contexts && r.2 == 0),
+        "403.gcc: every strategy must tell the same {contexts} contexts apart \
+         with no collision: {rows:?}"
+    );
     println!("\nOK: fewer instrumented sites, same distinguishing power.");
+}
+
+/// Checks that `sites`, in [`Strategy::ALL`] order (FCS, TCS, Slim,
+/// Incremental), never grows.
+fn assert_non_increasing(graph: &str, sites: &[usize]) {
+    assert!(
+        sites.windows(2).all(|w| w[0] >= w[1]),
+        "{graph}: instrumented sites grow along FCS → TCS → Slim → Incremental: {sites:?}"
+    );
 }
 
 /// Rebuilds the Fig. 2 example (A→B, A→C, B→F, C→E, C→F, E→T1, F→T1, F→T2,

@@ -8,7 +8,9 @@
 //!
 //! Both backends load the file through their public configuration entry
 //! points, so the oracle holds for whatever table each of them builds.
-//! Their quarantines agree too: only the byte quota evicts. Memalign
+//! Their quarantines agree too: one FIFO each, evicting oldest-first once
+//! the byte quota is passed, so the same quota evicts the same blocks in
+//! the same order. Memalign
 //! patches fire on both, though the real allocator keys them under
 //! malloc, and the SAMATE memalign cases' own patches guard real memory.
 
@@ -68,13 +70,21 @@ fn config() -> String {
 }
 
 /// The trace through the simulated defense, with telemetry `armed` or
-/// not.
-fn simulated(config: &str, armed: bool) -> (Option<TelemetrySnapshot>, DefenseStats) {
+/// not, under `quota` or the default one.
+fn simulated(
+    config: &str,
+    armed: bool,
+    quota: Option<usize>,
+) -> (Option<TelemetrySnapshot>, DefenseStats) {
     let patches = from_config_text(config).expect("config parses");
-    let mut d = DefendedBackend::new(DefenseConfig {
+    let mut cfg = DefenseConfig {
         telemetry: armed,
         ..DefenseConfig::with_table(PatchTable::from_patches(patches))
-    });
+    };
+    if let Some(quota) = quota {
+        cfg.quarantine_quota = quota as u64;
+    }
+    let mut d = DefendedBackend::new(cfg);
     for (site, size) in trace() {
         let (site, fun, align, _) = SITES[site];
         let req = AllocRequest {
@@ -91,12 +101,16 @@ fn simulated(config: &str, armed: bool) -> (Option<TelemetrySnapshot>, DefenseSt
     (d.telemetry_snapshot(), d.stats())
 }
 
-/// The trace through `HardenedAlloc`, with telemetry `armed` or not.
-fn real(config: &str, armed: bool) -> (TelemetrySnapshot, HardenedStats) {
+/// The trace through `HardenedAlloc`, with telemetry `armed` or not,
+/// under `quota` or the default one.
+fn real(config: &str, armed: bool, quota: Option<usize>) -> (TelemetrySnapshot, HardenedStats) {
     let a = Box::new(HardenedAlloc::new());
     assert_eq!(a.install_from_config(config).expect("config parses"), 7);
     a.freeze();
     a.set_telemetry(armed);
+    if let Some(quota) = quota {
+        a.set_quarantine_quota(quota);
+    }
     for (site, size) in trace() {
         let (site, _, align, _) = SITES[site];
         let layout = Layout::from_size_align(size as usize, align as usize).unwrap();
@@ -125,12 +139,10 @@ fn report_keys(s: &TelemetrySnapshot) -> BTreeSet<ReportKey> {
 }
 
 /// The defense events of one snapshot in delivery order, as `(kind, fun,
-/// ccid, vuln, slot, size)` tuples. Evictions are left out: the two
-/// quarantines split their quota differently.
+/// ccid, vuln, slot, size)` tuples.
 fn defense_events(s: &TelemetrySnapshot) -> Vec<(u8, AllocFn, u64, VulnFlags, u32, u64)> {
     s.events
         .iter()
-        .filter(|e| e.kind != EventKind::QuarantineEvict)
         .map(|e| (e.kind as u8, e.fun, e.ccid, e.vuln, e.slot, e.size))
         .collect()
 }
@@ -138,7 +150,8 @@ fn defense_events(s: &TelemetrySnapshot) -> Vec<(u8, AllocFn, u64, VulnFlags, u3
 #[test]
 fn both_backends_account_for_one_trace_identically() {
     let config = config();
-    let ((sim, sim_stats), (real, real_stats)) = (simulated(&config, true), real(&config, true));
+    let ((sim, sim_stats), (real, real_stats)) =
+        (simulated(&config, true, None), real(&config, true, None));
     let sim = sim.expect("telemetry armed");
     assert_eq!((sim.dropped, real.dropped), (0, 0), "no event lost");
 
@@ -180,38 +193,60 @@ fn both_backends_account_for_one_trace_identically() {
     );
 }
 
+/// Under one small quota both quarantines evict the same blocks, in the
+/// same order, each eviction among the other defense events where the
+/// other backend delivers it.
+#[test]
+fn one_small_quota_evicts_alike_on_both_backends() {
+    const QUOTA: usize = 4000;
+    let config = config();
+    let (sim, _) = simulated(&config, true, Some(QUOTA));
+    let (real, real_stats) = real(&config, true, Some(QUOTA));
+    let sim = sim.expect("telemetry armed");
+    assert_eq!((sim.dropped, real.dropped), (0, 0), "no event lost");
+    let events = defense_events(&sim);
+    let evictions = EventKind::QuarantineEvict as u8;
+    let evicted = events.iter().filter(|e| e.0 == evictions).count();
+    assert_eq!(evicted, 24, "the quota evicts");
+    assert_eq!(real_stats.evictions, evicted as u64);
+    assert_eq!(events, defense_events(&real), "defense events");
+}
+
 #[test]
 fn a_never_armed_run_records_nothing_and_defends_alike() {
     let config = config();
-    let (sim_snap, sim_stats) = simulated(&config, false);
+    let (sim_snap, sim_stats) = simulated(&config, false, None);
     assert!(
         sim_snap.is_none(),
         "a simulator without telemetry has no snapshot"
     );
-    let (real_snap, real_stats) = real(&config, false);
+    let (real_snap, real_stats) = real(&config, false, None);
     assert!(
         real_snap.is_empty(),
         "a disarmed allocator observed {real_snap:?}"
     );
     assert_eq!(real_snap.delivered, 0);
-    assert_eq!(sim_stats, simulated(&config, true).1, "simulated stats");
-    assert_eq!(real_stats, real(&config, true).1, "real stats");
+    assert_eq!(
+        sim_stats,
+        simulated(&config, true, None).1,
+        "simulated stats"
+    );
+    assert_eq!(real_stats, real(&config, true, None).1, "real stats");
 }
 
-/// UAF frees of the quarantine oracle, and their size.
-const UAF_FREES: usize = 5000;
+/// The size of the quarantine oracle's UAF frees.
 const UAF_SIZE: usize = 64;
 
-/// `UAF_FREES` frees of `UAF_SIZE`-byte UAF-patched buffers through the
+/// `frees` frees of `UAF_SIZE`-byte UAF-patched buffers through the
 /// simulated defense, under `quota` or its default: (evicted, held) blocks.
-fn simulated_uaf_frees(quota: Option<u64>) -> (u64, usize) {
+fn simulated_uaf_frees(frees: usize, quota: Option<usize>) -> (u64, usize) {
     let patches = from_config_text(&config()).expect("config parses");
     let mut cfg = DefenseConfig::with_table(PatchTable::from_patches(patches));
     if let Some(quota) = quota {
-        cfg.quarantine_quota = quota;
+        cfg.quarantine_quota = quota as u64;
     }
     let mut d = DefendedBackend::new(cfg);
-    for _ in 0..UAF_FREES {
+    for _ in 0..frees {
         let req = AllocRequest {
             fun: AllocFn::Malloc,
             size: UAF_SIZE as u64,
@@ -227,14 +262,14 @@ fn simulated_uaf_frees(quota: Option<u64>) -> (u64, usize) {
 }
 
 /// The same frees through `HardenedAlloc`.
-fn real_uaf_frees(quota: Option<usize>) -> (u64, usize) {
+fn real_uaf_frees(frees: usize, quota: Option<usize>) -> (u64, usize) {
     let a = Box::new(HardenedAlloc::new());
     a.install_from_config(&config()).expect("config parses");
     if let Some(quota) = quota {
         a.set_quarantine_quota(quota);
     }
     let layout = Layout::from_size_align(UAF_SIZE, 16).unwrap();
-    for _ in 0..UAF_FREES {
+    for _ in 0..frees {
         let _scope = ccid::CallScope::enter(0xAF);
         // SAFETY: the layout has a non-zero size; the buffer is freed once
         // with the layout it was allocated with.
@@ -246,26 +281,49 @@ fn real_uaf_frees(quota: Option<usize>) -> (u64, usize) {
     }
     let st = a.stats();
     assert_eq!(st.invalid_frees, 0);
-    assert_eq!(st.quarantined, UAF_FREES as u64);
+    assert_eq!(st.quarantined, frees as u64);
     (st.evictions, a.quarantine_usage().0)
 }
 
 #[test]
 fn both_quarantines_evict_by_bytes_alone() {
-    let all_held = (0, UAF_FREES);
+    const FREES: usize = 5000;
+    let all_held = (0, FREES);
     assert_eq!(
-        simulated_uaf_frees(None),
+        simulated_uaf_frees(FREES, None),
         all_held,
         "simulated, default quota"
     );
-    assert_eq!(real_uaf_frees(None), all_held, "real, default quota");
-    let none_held = (UAF_FREES as u64, 0);
+    assert_eq!(real_uaf_frees(FREES, None), all_held, "real, default quota");
+    let none_held = (FREES as u64, 0);
     assert_eq!(
-        simulated_uaf_frees(Some(0)),
+        simulated_uaf_frees(FREES, Some(0)),
         none_held,
         "simulated, quota 0"
     );
-    assert_eq!(real_uaf_frees(Some(0)), none_held, "real, quota 0");
+    assert_eq!(real_uaf_frees(FREES, Some(0)), none_held, "real, quota 0");
+}
+
+/// The quota sweep of EXPERIMENTS.md: 10 000 frees hold as many whole
+/// blocks as each quota fits, on both backends.
+#[test]
+fn the_quota_sweep_holds_the_same_blocks_on_both_backends() {
+    const FREES: usize = 10_000;
+    for (quota, held) in [
+        (4 << 10, 64),
+        (64 << 10, 1024),
+        (1 << 20, FREES),
+        (16 << 20, FREES),
+    ] {
+        let expected = ((FREES - held) as u64, held);
+        let sim = simulated_uaf_frees(FREES, Some(quota));
+        assert_eq!(sim, expected, "simulated, quota {quota}");
+        assert_eq!(
+            real_uaf_frees(FREES, Some(quota)),
+            expected,
+            "real, quota {quota}"
+        );
+    }
 }
 
 /// The memalign cases of Table II: each app's own patch, generated from

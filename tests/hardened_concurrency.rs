@@ -125,7 +125,7 @@ fn eviction_heavy_quarantine_conserves_bytes_and_reports_once() {
     const THREADS: usize = 8;
     const PAIRS: u64 = 512;
     const SIZE: usize = 128;
-    const QUOTA: usize = 1024; // a handful of 128 B blocks across 8 shards
+    const QUOTA: usize = 1024; // eight 128 B blocks
     let a = patched_alloc();
     a.set_quarantine_quota(QUOTA);
     a.set_telemetry(true);
@@ -147,7 +147,8 @@ fn eviction_heavy_quarantine_conserves_bytes_and_reports_once() {
     );
 
     let snap = a.telemetry_snapshot();
-    // Striped counters are exact even though the 1024-slot ring overflowed.
+    // The per-slot counters are exact even though the 1024-slot ring
+    // overflowed.
     assert_eq!(snap.per_patch.iter().map(|p| p.hits).sum::<u64>(), total);
     assert_eq!(
         snap.per_patch.iter().map(|p| p.bytes).sum::<u64>(),
@@ -196,9 +197,9 @@ fn patched_where(workloads: &[Workload], pred: impl Fn(VulnFlags) -> bool) -> u6
         .sum()
 }
 
-/// A quota whose per-shard slice (1 MiB) exceeds all the bytes one case
-/// of the conservation property defers, so nothing may evict under it.
-const ROOMY_QUOTA: usize = 8 << 20;
+/// A quota above all the bytes one case of the conservation property
+/// defers, so nothing may evict under it.
+const ROOMY_QUOTA: usize = 1 << 20;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -268,7 +269,7 @@ proptest! {
         prop_assert_eq!(st.quarantined_bytes, st.evicted_bytes + held_bytes as u64);
         prop_assert!(held_bytes <= quota);
         if quota >= ROOMY_QUOTA {
-            prop_assert!(st.quarantined_bytes < (ROOMY_QUOTA / 8) as u64);
+            prop_assert!(st.quarantined_bytes < ROOMY_QUOTA as u64);
             prop_assert_eq!(st.evictions, 0);
             prop_assert_eq!(held_blocks as u64, st.quarantined);
             prop_assert!(held_blocks > 512, "{} blocks held", held_blocks);
