@@ -5,8 +5,8 @@ use ht_callgraph::{CallGraphBuilder, Strategy};
 use ht_defense::{DefendedBackend, DefenseConfig};
 use ht_encoding::{Encoder, InstrumentationPlan, Scheme, StackWalker};
 use ht_patch::{AllocFn, Patch, PatchTable, VulnFlags};
-use ht_simprog::spec::{build_spec_workload, spec_bench};
-use ht_simprog::Interpreter;
+use ht_simprog::spec::{build_spec_workload, spec_bench, SpecWorkload};
+use ht_simprog::{Interpreter, PlainBackend};
 
 /// Encoding vs. stack walking: cost of obtaining a context ID at call depth
 /// `depth`, over `iters` allocation events.
@@ -56,13 +56,26 @@ pub fn walk_vs_encode(depth: usize, iters: u64) -> (f64, f64, u64) {
     (enc_time, walk_time, frames)
 }
 
-/// Targeted guard pages vs. guarding *every* buffer (the policy the paper's
-/// targeting makes affordable). Returns
-/// `(targeted_seconds, guard_all_seconds, guard_all_pages)`.
-pub fn guard_all_cost(allocs: u64, samples: usize) -> (f64, f64, u64) {
+/// The 403.gcc model, its plan and its input at `allocs` allocations.
+fn gcc_model(allocs: u64) -> (SpecWorkload, InstrumentationPlan, Vec<u64>) {
     let w = build_spec_workload(spec_bench("403.gcc").expect("gcc model"));
     let plan = InstrumentationPlan::build(w.program.graph(), Strategy::Incremental, Scheme::Pcc);
     let input = w.input_for_allocs(allocs);
+    (w, plan, input)
+}
+
+/// Targeted guard pages vs. guarding *every* buffer (the policy the paper's
+/// targeting makes affordable). "Every buffer" is a patch table holding
+/// `OVERFLOW` on every `(FUN, CCID)` an undefended profiling run saw.
+/// Returns `(targeted_seconds, guard_all_seconds, guard_all_pages)`.
+pub fn guard_all_cost(allocs: u64, samples: usize) -> (f64, f64, u64) {
+    let (w, plan, input) = gcc_model(allocs);
+    let profile = Interpreter::new(&w.program, &plan, PlainBackend::new()).run(&input);
+    let every: Vec<Patch> = profile
+        .ccids_by_frequency()
+        .into_iter()
+        .map(|((fun, ccid), _)| Patch::new(fun, ccid, VulnFlags::OVERFLOW))
+        .collect();
 
     let targeted = time_median(samples, || {
         let backend = DefendedBackend::new(DefenseConfig::default());
@@ -71,10 +84,7 @@ pub fn guard_all_cost(allocs: u64, samples: usize) -> (f64, f64, u64) {
 
     let mut pages = 0;
     let guard_all = time_median(samples, || {
-        let cfg = DefenseConfig {
-            guard_all: true,
-            ..DefenseConfig::default()
-        };
+        let cfg = DefenseConfig::with_table(PatchTable::from_patches(every.clone()));
         let backend = DefendedBackend::new(cfg);
         let mut i = Interpreter::new(&w.program, &plan, backend);
         i.run(&input);
@@ -129,7 +139,7 @@ pub fn shadow_cost(allocs: u64, samples: usize) -> (f64, f64) {
     let plan = InstrumentationPlan::build(w.program.graph(), Strategy::Incremental, Scheme::Pcc);
     let input = w.input_for_allocs(allocs);
     let plain = time_median(samples, || {
-        Interpreter::new(&w.program, &plan, ht_simprog::PlainBackend::new()).run(&input);
+        Interpreter::new(&w.program, &plan, PlainBackend::new()).run(&input);
     });
     let shadow = time_median(samples, || {
         Interpreter::new(&w.program, &plan, ht_shadow::ShadowBackend::new()).run(&input);
@@ -182,9 +192,9 @@ mod tests {
     #[test]
     fn guard_all_installs_a_page_per_buffer() {
         let (_, _, pages) = guard_all_cost(100, 1);
-        // One iteration of the gcc model allocates ~80 buffers; every one
-        // must be guarded.
-        assert!(pages >= 60, "every allocation guarded: {pages}");
+        let (w, plan, input) = gcc_model(100);
+        let run = Interpreter::new(&w.program, &plan, PlainBackend::new()).run(&input);
+        assert_eq!(pages, run.allocs.total(), "every allocation guarded");
     }
 
     #[test]

@@ -62,21 +62,7 @@ pub fn rows(requests: u64, samples: usize) -> Vec<ServiceRow> {
                     .0
                     .peak_rss_bytes
             };
-            let defended_mem = {
-                let cfg = ht_defense::DefenseConfig::with_table(
-                    ht_patch::PatchTable::from_patches(patches.clone()),
-                );
-                let mut i = ht_simprog::Interpreter::new(
-                    &w.program,
-                    &ip.plan,
-                    ht_defense::DefendedBackend::new(cfg),
-                );
-                i.run(&input);
-                ht_simprog::HeapBackend::mem_stats(i.backend())
-                    .unwrap()
-                    .0
-                    .peak_rss_bytes
-            };
+            let defended_mem = ht.run_protected(&ip, &input, &patches).mem.peak_rss_bytes;
 
             ServiceRow {
                 service: kind.name(),

@@ -3,9 +3,10 @@
 use ht_callgraph::Strategy;
 use ht_defense::{DefendedBackend, DefenseConfig, DefenseStats};
 use ht_encoding::{InstrumentationPlan, Scheme};
+use ht_memsim::SpaceStats;
 use ht_patch::{from_config_text, to_config_text, Patch, PatchTable, VulnFlags};
 use ht_shadow::{ShadowBackend, ShadowConfig, Warning};
-use ht_simprog::{Interpreter, Limits, PlainBackend, Program, RunReport};
+use ht_simprog::{HeapBackend, Interpreter, Limits, PlainBackend, Program, RunReport};
 use ht_telemetry::{AttackReport, PatchCounterRow, TelemetrySnapshot, Timeline};
 use ht_vulnapps::VulnApp;
 use std::collections::BTreeMap;
@@ -71,6 +72,9 @@ pub struct ProtectedRun {
     pub report: RunReport,
     /// Defense-side counters.
     pub stats: DefenseStats,
+    /// The backend's memory-system statistics at the end of the run (peak
+    /// RSS proxy, mapped bytes, map and protect calls).
+    pub mem: SpaceStats,
     /// Drained telemetry, when [`PipelineConfig::telemetry`] enabled it.
     pub telemetry: Option<TelemetrySnapshot>,
 }
@@ -248,15 +252,7 @@ impl HeapTherapy {
 
     /// Runs with allocation interposition only (Fig. 8 "interposition").
     pub fn run_interposed(&self, ip: &InstrumentedProgram<'_>, input: &[u64]) -> ProtectedRun {
-        let backend = DefendedBackend::new(DefenseConfig::interpose_only());
-        let mut interp =
-            Interpreter::new(ip.program, &ip.plan, backend).with_limits(self.cfg.limits);
-        let report = interp.run(input);
-        ProtectedRun {
-            report,
-            stats: interp.backend().stats(),
-            telemetry: None,
-        }
+        self.run_defended(ip, input, DefenseConfig::interpose_only())
     }
 
     /// Offline phase: replays `input` under the shadow analyzer and
@@ -290,14 +286,29 @@ impl HeapTherapy {
         let mut cfg = DefenseConfig::with_table(PatchTable::from_patches(patches.to_vec()));
         cfg.quarantine_quota = self.cfg.defense_quota;
         cfg.telemetry = self.cfg.telemetry;
+        self.run_defended(ip, input, cfg)
+    }
+
+    /// Runs `input` under a defended backend configured by `cfg` and reads
+    /// back its counters, memory statistics and telemetry.
+    fn run_defended(
+        &self,
+        ip: &InstrumentedProgram<'_>,
+        input: &[u64],
+        cfg: DefenseConfig,
+    ) -> ProtectedRun {
         let backend = DefendedBackend::new(cfg);
         let mut interp =
             Interpreter::new(ip.program, &ip.plan, backend).with_limits(self.cfg.limits);
         let report = interp.run(input);
         let backend = interp.into_backend();
+        let (mem, _) = backend
+            .mem_stats()
+            .expect("the defended backend tracks memory");
         ProtectedRun {
             report,
             stats: backend.stats(),
+            mem,
             telemetry: backend.telemetry_snapshot(),
         }
     }

@@ -1,13 +1,14 @@
-//! Allocation interposition: the online defense as a [`HeapBackend`].
+//! Allocation interposition: the online defense as a [`HeapBackend`]
+//! layered over the undefended [`PlainBackend`].
 
 use crate::layout::{BufferStructure, Layout};
 use crate::meta::{MetaWord, META_SIZE};
 use crate::quarantine::{Quarantine, QuarantinedBlock};
-use ht_memsim::{
-    Addr, AddressSpace, AllocStats, BaseAllocator, FreeListAllocator, Perm, SpaceStats, PAGE_SIZE,
-};
+use ht_memsim::{Addr, AllocStats, BaseAllocator, FreeListAllocator, Perm, SpaceStats, PAGE_SIZE};
 use ht_patch::{AllocFn, PatchTable, VulnFlags};
-use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, ReadResult, Sink, StopCause};
+use ht_simprog::{
+    AccessOutcome, AllocRequest, HeapBackend, PlainBackend, ReadResult, Sink, StopCause,
+};
 use ht_telemetry::{Recorder, TelemetrySnapshot};
 
 /// Online-defense configuration.
@@ -21,10 +22,6 @@ pub struct DefenseConfig {
     pub maintain_metadata: bool,
     /// Byte quota of the deferred-free FIFO.
     pub quarantine_quota: u64,
-    /// Ablation: append a guard page to *every* buffer regardless of the
-    /// table — the prohibitively expensive policy HeapTherapy+'s targeting
-    /// avoids (paper Section VI).
-    pub guard_all: bool,
     /// Attack telemetry (paper Section VII's diagnosis report). Off by
     /// default: a backend without it holds no recorder, and the hot path
     /// pays nothing beyond one `Option` check on defended branches.
@@ -37,7 +34,6 @@ impl Default for DefenseConfig {
             table: PatchTable::new(),
             maintain_metadata: true,
             quarantine_quota: 2 * 1024 * 1024 * 1024,
-            guard_all: false,
             telemetry: false,
         }
     }
@@ -83,15 +79,17 @@ pub struct DefenseStats {
     pub blocked_accesses: u64,
 }
 
-/// The online defense generator over an arbitrary inner allocator.
+/// The online defense generator: a layer over the undefended
+/// [`PlainBackend`] and its inner allocator.
 ///
 /// All heap traffic flows through this backend; buffers whose
 /// `(FUN, CCID)` hits the patch table are enhanced per paper Section VI,
-/// everything else pays one hash probe plus one metadata word.
+/// everything else pays one hash probe plus one metadata word. Buffer
+/// accesses and interposition-only calls go to the plain backend as they
+/// are; the layer only counts the accesses a guard page stopped.
 #[derive(Debug)]
 pub struct DefendedBackend<A: BaseAllocator = FreeListAllocator> {
-    space: AddressSpace,
-    inner: A,
+    plain: PlainBackend<A>,
     cfg: DefenseConfig,
     quarantine: Quarantine,
     stats: DefenseStats,
@@ -125,12 +123,11 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     /// Panics if `cfg` disables metadata but carries patches.
     pub fn with_allocator(inner: A, cfg: DefenseConfig) -> Self {
         assert!(
-            cfg.maintain_metadata || (cfg.table.is_empty() && !cfg.guard_all),
+            cfg.maintain_metadata || cfg.table.is_empty(),
             "defenses require metadata maintenance"
         );
         Self {
-            space: AddressSpace::new(),
-            inner,
+            plain: PlainBackend::with_allocator(inner),
             quarantine: Quarantine::new(cfg.quarantine_quota),
             stats: DefenseStats::default(),
             per_slot: vec![(0, 0); cfg.table.len()],
@@ -160,11 +157,10 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         let hit = self.cfg.table.probe(fun, ccid);
         let hit = hit.filter(|(_, vuln)| !vuln.is_empty());
         self.stats.table_hits += u64::from(hit.is_some());
-        let mut vuln = hit.map_or(VulnFlags::NONE, |(_, vuln)| vuln);
-        if self.cfg.guard_all {
-            vuln |= VulnFlags::OVERFLOW;
-        }
-        (vuln, hit.map(|(slot, _)| slot))
+        (
+            hit.map_or(VulnFlags::NONE, |(_, vuln)| vuln),
+            hit.map(|(slot, _)| slot),
+        )
     }
 
     /// Counts a placed table hit of `slot` and records its events.
@@ -205,15 +201,13 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     ) -> Result<Addr, StopCause> {
         let structure = BufferStructure::select(fun, vuln);
         let layout = Layout::plan(structure, size, align);
+        let (space, inner) = self.plain.parts_mut();
         let raw = if structure.is_aligned() {
-            self.inner
-                .memalign(&mut self.space, layout.raw_align, layout.raw_size)
-                .map_err(Self::misuse)?
+            inner.memalign(space, layout.raw_align, layout.raw_size)
         } else {
-            self.inner
-                .malloc(&mut self.space, layout.raw_size)
-                .map_err(Self::misuse)?
-        };
+            inner.malloc(space, layout.raw_size)
+        }
+        .map_err(Self::misuse)?;
         let user = layout.user_addr(raw);
         let align_log2 = structure
             .is_aligned()
@@ -222,15 +216,13 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             // Zero the slack between the buffer end and the guard page: an
             // overread is stopped *at* the guard, so the bytes before it
             // must not carry stale data.
-            self.space
+            space
                 .fill(user + size, guard - (user + size), 0)
                 .map_err(Self::misuse)?;
             // User size lives in the first word of the guard page; write it
             // before the page becomes inaccessible.
-            self.space
-                .write_u64_raw(guard, size)
-                .map_err(Self::misuse)?;
-            self.space
+            space.write_u64_raw(guard, size).map_err(Self::misuse)?;
+            space
                 .protect(guard, PAGE_SIZE, Perm::None)
                 .map_err(Self::misuse)?;
             self.stats.guard_pages += 1;
@@ -239,11 +231,11 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             MetaWord::unguarded(vuln, size, align_log2)
         }
         .with_slot(slot.unwrap_or(0));
-        self.space
+        space
             .write_u64_raw(user - META_SIZE, meta.0)
             .map_err(Self::misuse)?;
         if vuln.contains(VulnFlags::UNINIT_READ) || fun == AllocFn::Calloc {
-            self.space.fill(user, size, 0).map_err(Self::misuse)?;
+            space.fill(user, size, 0).map_err(Self::misuse)?;
             self.stats.zero_fill_bytes += size;
         }
         Ok(user)
@@ -251,17 +243,18 @@ impl<A: BaseAllocator> DefendedBackend<A> {
 
     /// Reads the metadata of a previously defended buffer.
     fn read_meta(&self, user: Addr) -> Result<MetaWord, StopCause> {
-        self.space
+        self.plain
+            .space()
             .read_u64_raw(user - META_SIZE)
             .map(MetaWord)
             .map_err(Self::misuse)
     }
 
     /// The user size of a defended buffer.
-    fn user_size(&self, user: Addr, meta: MetaWord) -> Result<u64, StopCause> {
+    fn user_size(&self, meta: MetaWord) -> Result<u64, StopCause> {
         if meta.has_guard() {
-            let _ = user;
-            self.space
+            self.plain
+                .space()
                 .read_u64_raw(meta.guard_page())
                 .map_err(Self::misuse)
         } else {
@@ -272,39 +265,37 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     /// The free-path of paper Fig. 7.
     fn defended_free(&mut self, user: Addr) -> Result<(), StopCause> {
         let meta = self.read_meta(user)?;
-        let size = self.user_size(user, meta)?;
+        let size = self.user_size(meta)?;
+        let (space, inner) = self.plain.parts_mut();
         if meta.has_guard() {
             // (1) make the guard page accessible again so the block can be
             // recycled.
-            self.space
+            space
                 .protect(meta.guard_page(), PAGE_SIZE, Perm::ReadWrite)
                 .map_err(Self::misuse)?;
         }
         // (2) recover the inner pointer.
         let pi = Layout::inner_ptr(meta.is_aligned(), meta.alignment(), user);
         // (3) defer or release.
-        if meta.vuln().contains(VulnFlags::USE_AFTER_FREE) {
-            let block = QuarantinedBlock {
-                inner_ptr: pi,
-                size,
-                slot: meta.slot() as u32,
-            };
-            self.stats.quarantined_blocks += 1;
-            if let Some(rec) = &self.telemetry {
-                rec.defer(&self.cfg.table, block.slot as usize, size);
-            }
-            for b in self.quarantine.push(block) {
-                if let Some(rec) = &self.telemetry {
-                    rec.evict(&self.cfg.table, b.slot as usize, b.size);
-                }
-                self.inner
-                    .free(&mut self.space, b.inner_ptr)
-                    .map_err(Self::misuse)?;
-            }
-            Ok(())
-        } else {
-            self.inner.free(&mut self.space, pi).map_err(Self::misuse)
+        if !meta.vuln().contains(VulnFlags::USE_AFTER_FREE) {
+            return inner.free(space, pi).map_err(Self::misuse);
         }
+        let block = QuarantinedBlock {
+            inner_ptr: pi,
+            size,
+            slot: meta.slot() as u32,
+        };
+        self.stats.quarantined_blocks += 1;
+        if let Some(rec) = &self.telemetry {
+            rec.defer(&self.cfg.table, block.slot as usize, size);
+        }
+        for b in self.quarantine.push(block) {
+            if let Some(rec) = &self.telemetry {
+                rec.evict(&self.cfg.table, b.slot as usize, b.size);
+            }
+            inner.free(space, b.inner_ptr).map_err(Self::misuse)?;
+        }
+        Ok(())
     }
 }
 
@@ -313,16 +304,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
         self.stats.interposed_allocs += 1;
         if !self.cfg.maintain_metadata {
             // Interposition-only: forward untouched.
-            let ptr = match (req.fun, req.old_ptr) {
-                (AllocFn::Realloc, Some(old)) => self.inner.realloc(&mut self.space, old, req.size),
-                (AllocFn::Memalign, _) => self.inner.memalign(&mut self.space, req.align, req.size),
-                _ => self.inner.malloc(&mut self.space, req.size),
-            }
-            .map_err(Self::misuse)?;
-            if req.fun == AllocFn::Calloc {
-                self.space.fill(ptr, req.size, 0).map_err(Self::misuse)?;
-            }
-            return Ok(ptr);
+            return self.plain.alloc(req);
         }
         let (vuln, slot) = self.probe(req.fun, req.ccid.0);
         let user = match (req.fun, req.old_ptr) {
@@ -330,13 +312,16 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
                 // Paper Section V: the buffer's CCID is updated to the
                 // realloc-time context — the new buffer is enhanced per the
                 // *realloc* patch lookup.
-                let old_meta = self.read_meta(old)?;
-                let old_size = self.user_size(old, old_meta)?;
+                let old_size = self.user_size(self.read_meta(old)?)?;
                 let user =
                     self.defended_alloc(AllocFn::Realloc, req.size, req.align, vuln, slot)?;
                 let keep = old_size.min(req.size);
                 if keep > 0 {
-                    self.space.copy_raw(old, user, keep).map_err(Self::misuse)?;
+                    self.plain
+                        .parts_mut()
+                        .0
+                        .copy_raw(old, user, keep)
+                        .map_err(Self::misuse)?;
                 }
                 self.stats.interposed_frees += 1;
                 self.defended_free(old)?;
@@ -353,10 +338,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     fn free(&mut self, ptr: Addr) -> AccessOutcome {
         self.stats.interposed_frees += 1;
         if !self.cfg.maintain_metadata {
-            return match self.inner.free(&mut self.space, ptr) {
-                Ok(()) => AccessOutcome::Ok,
-                Err(e) => AccessOutcome::Stop(Self::misuse(e)),
-            };
+            return self.plain.free(ptr);
         }
         match self.defended_free(ptr) {
             Ok(()) => AccessOutcome::Ok,
@@ -365,62 +347,31 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     }
 
     fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome {
-        match self.space.fill(addr, len, byte) {
-            Ok(()) => AccessOutcome::Ok,
-            Err(f) => {
-                self.blocked(len);
-                AccessOutcome::Stop(StopCause::Segfault {
-                    addr: f.addr,
-                    write: true,
-                })
-            }
+        let outcome = self.plain.write(addr, len, byte);
+        if !outcome.is_ok() {
+            self.blocked(len);
         }
+        outcome
     }
 
-    fn read(&mut self, addr: Addr, len: u64, _sink: Sink) -> ReadResult {
-        let mut data = vec![0u8; self.space.reach(addr, len) as usize];
-        match self.space.read(addr, &mut data) {
-            Ok(()) => ReadResult {
-                data,
-                outcome: AccessOutcome::Ok,
-            },
-            Err(f) => {
-                self.blocked(len);
-                data.truncate(f.completed as usize);
-                ReadResult {
-                    data,
-                    outcome: AccessOutcome::Stop(StopCause::Segfault {
-                        addr: f.addr,
-                        write: false,
-                    }),
-                }
-            }
+    fn read(&mut self, addr: Addr, len: u64, sink: Sink) -> ReadResult {
+        let result = self.plain.read(addr, len, sink);
+        if !result.outcome.is_ok() {
+            self.blocked(len);
         }
+        result
     }
 
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
-        let mut buf = vec![0u8; self.space.reach(src, len) as usize];
-        if let Err(f) = self.space.read(src, &mut buf) {
+        let outcome = self.plain.copy(src, dst, len);
+        if !outcome.is_ok() {
             self.blocked(len);
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: false,
-            });
         }
-        match self.space.write(dst, &buf) {
-            Ok(()) => AccessOutcome::Ok,
-            Err(f) => {
-                self.blocked(len);
-                AccessOutcome::Stop(StopCause::Segfault {
-                    addr: f.addr,
-                    write: true,
-                })
-            }
-        }
+        outcome
     }
 
     fn mem_stats(&self) -> Option<(SpaceStats, AllocStats)> {
-        Some((self.space.stats(), self.inner.stats()))
+        self.plain.mem_stats()
     }
 }
 
@@ -708,11 +659,10 @@ mod tests {
 
     #[test]
     fn guard_all_ablation_guards_everything() {
-        let cfg = DefenseConfig {
-            guard_all: true,
-            ..DefenseConfig::default()
-        };
-        let mut d = DefendedBackend::new(cfg);
+        // "Guard every buffer" is a table with OVERFLOW on every context.
+        let every = (0..10u64).map(|i| Patch::new(AllocFn::Malloc, i, VulnFlags::OVERFLOW));
+        let mut d =
+            DefendedBackend::new(DefenseConfig::with_table(PatchTable::from_patches(every)));
         for i in 0..10u64 {
             let p = d.alloc(&req(AllocFn::Malloc, 64, i)).unwrap();
             assert!(!d.write(p, 10_000, 1).is_ok(), "every buffer guarded");

@@ -21,6 +21,14 @@
 //! (`ht-hardened-alloc`) gives the patch, so telemetry attributes frees and
 //! quarantine evictions without any pointer-to-patch map.
 //!
+//! [`DefendedBackend`] is a layer over the undefended
+//! [`ht_simprog::PlainBackend`], as the paper's library is a layer over an
+//! unchanged allocator: it reaches the address space and the inner
+//! allocator only through the plain backend, and buffer accesses and
+//! interposition-only calls are the plain backend's own. The ablation that
+//! guards every buffer is not a mode of it but a full patch table, one
+//! `OVERFLOW` patch per `(FUN, CCID)` a profiling run saw.
+//!
 //! [`HeapBackend`]: ht_simprog::HeapBackend
 //!
 //! # Example

@@ -91,8 +91,10 @@ pub struct ReadResult {
 ///   leak silently,
 /// * `ht_shadow::ShadowBackend` — the offline analyzer: detects and records
 ///   violations, then *continues* (warning-resume, paper Section V),
-/// * `ht_defense::DefendedBackend` — the online system: patched buffers get
-///   guard pages / deferred free / zero-init.
+/// * `ht_defense::DefendedBackend` — the online system, a layer over a
+///   [`PlainBackend`]: patched buffers get guard pages / deferred free /
+///   zero-init, and every access goes through the plain backend unchanged.
+///   Its "guard every buffer" ablation is a full patch table, not a mode.
 pub trait HeapBackend {
     /// Services an allocation (including `realloc` when
     /// [`AllocRequest::old_ptr`] is set).
@@ -154,6 +156,17 @@ impl<A: BaseAllocator> PlainBackend<A> {
             space: AddressSpace::new(),
             heap,
         }
+    }
+
+    /// The address space, for a layer built over this substrate.
+    pub fn space(&self) -> &AddressSpace {
+        &self.space
+    }
+
+    /// The address space and the allocator at once, so a layer can call
+    /// the allocator on the space.
+    pub fn parts_mut(&mut self) -> (&mut AddressSpace, &mut A) {
+        (&mut self.space, &mut self.heap)
     }
 }
 
