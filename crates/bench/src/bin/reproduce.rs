@@ -509,9 +509,9 @@ fn run_extras() {
     print!("{}", incident_report(&ip, &analysis, "CVE-2014-0160"));
 }
 
-fn read_json(path: &str) -> ht_jsonio::Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    ht_jsonio::Json::parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
+fn read_json(path: &str) -> Result<ht_jsonio::Json, baselines::CheckError> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    ht_jsonio::Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 fn run_check_baselines(opts: &Opts) {
@@ -520,12 +520,11 @@ fn run_check_baselines(opts: &Opts) {
         std::process::exit(2);
     }
     for (kind, path) in &opts.checks {
-        let report = read_json(path);
-        let checked = match kind.as_str() {
-            "scaling" => baselines::check_scaling(&report, &read_json("BENCH_scaling.json")),
+        let checked = read_json(path).and_then(|report| match kind.as_str() {
+            "scaling" => baselines::check_scaling(&report, &read_json("BENCH_scaling.json")?),
             "telemetry" => baselines::check_telemetry(&report),
             _ => baselines::check_shadow(&report),
-        };
+        });
         match checked {
             Ok(lines) => lines.iter().for_each(|l| println!("{l}")),
             Err(e) => {

@@ -1,6 +1,8 @@
 //! `reproduce` refuses a flag it cannot honour instead of measuring
 //! something else: an unknown flag, a missing or malformed value, or 0
-//! threads or repeats all exit 2 before any section runs.
+//! threads or repeats all exit 2 before any section runs. A report
+//! `check-baselines` cannot read or parse fails the check (exit 1) with a
+//! message, not a panic.
 
 use std::process::{Command, Output};
 
@@ -66,4 +68,24 @@ fn every_documented_flag_is_known() {
         "{stderr}"
     );
     assert!(!stderr.contains("usage: reproduce"), "{stderr}");
+}
+
+#[test]
+fn an_unreadable_or_hostile_report_fails_the_check_without_a_panic() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let deep = dir.join("deeply_nested_report.json");
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    let missing = dir.join("no_such_report.json");
+    for (flag, path, why) in [
+        ("--shadow", &deep, "nesting deeper than"),
+        ("--telemetry", &deep, "nesting deeper than"),
+        ("--scaling", &deep, "nesting deeper than"),
+        ("--shadow", &missing, "reading"),
+    ] {
+        let out = reproduce(&["check-baselines", flag, path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {path:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
 }

@@ -152,6 +152,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
 
     /// The vulnerability bits and the slot of the patch-table hit, if any,
     /// for an allocation about to happen.
+    #[inline]
     fn probe(&mut self, fun: AllocFn, ccid: u64) -> (VulnFlags, Option<usize>) {
         self.stats.table_lookups += 1;
         let hit = self.cfg.table.probe(fun, ccid);
@@ -217,7 +218,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             // overread is stopped *at* the guard, so the bytes before it
             // must not carry stale data.
             space
-                .fill(user + size, guard - (user + size), 0)
+                .fill_raw(user + size, guard - (user + size), 0)
                 .map_err(Self::misuse)?;
             // User size lives in the first word of the guard page; write it
             // before the page becomes inaccessible.
@@ -235,13 +236,73 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             .write_u64_raw(user - META_SIZE, meta.0)
             .map_err(Self::misuse)?;
         if vuln.contains(VulnFlags::UNINIT_READ) || fun == AllocFn::Calloc {
-            space.fill(user, size, 0).map_err(Self::misuse)?;
+            space.fill_raw(user, size, 0).map_err(Self::misuse)?;
             self.stats.zero_fill_bytes += size;
         }
         Ok(user)
     }
 
+    /// The miss path of `malloc`, `calloc` and a `realloc` with no old
+    /// pointer: one Structure 1 block whose word has no type bits, zeroed
+    /// for `calloc`. What [`Self::defended_alloc`] does for a miss, in one
+    /// inner call and one word.
+    #[inline]
+    fn unpatched_alloc(&mut self, size: u64, zeroed: bool) -> Result<Addr, StopCause> {
+        let (space, inner) = self.plain.parts_mut();
+        let raw = inner
+            .malloc(space, META_SIZE + size)
+            .map_err(Self::misuse)?;
+        let user = raw + META_SIZE;
+        let meta = MetaWord::unguarded(VulnFlags::NONE, size, None);
+        space.write_u64_raw(raw, meta.0).map_err(Self::misuse)?;
+        if zeroed {
+            space.fill_raw(user, size, 0).map_err(Self::misuse)?;
+            self.stats.zero_fill_bytes += size;
+        }
+        Ok(user)
+    }
+
+    /// Every allocation but a miss of [`Self::unpatched_alloc`]: a table
+    /// hit, `memalign`, or `realloc` of a live pointer.
+    #[cold]
+    #[inline(never)]
+    fn alloc_general(
+        &mut self,
+        req: &AllocRequest,
+        vuln: VulnFlags,
+        slot: Option<usize>,
+    ) -> Result<Addr, StopCause> {
+        let user = match (req.fun, req.old_ptr) {
+            (AllocFn::Realloc, Some(old)) => {
+                // Paper Section V: the buffer's CCID is updated to the
+                // realloc-time context — the new buffer is enhanced per the
+                // *realloc* patch lookup.
+                let old_meta = self.read_meta(old)?;
+                let old_size = self.user_size(old_meta)?;
+                let user =
+                    self.defended_alloc(AllocFn::Realloc, req.size, req.align, vuln, slot)?;
+                let keep = old_size.min(req.size);
+                if keep > 0 {
+                    self.plain
+                        .parts_mut()
+                        .0
+                        .copy_raw(old, user, keep)
+                        .map_err(Self::misuse)?;
+                }
+                self.stats.interposed_frees += 1;
+                self.defended_free(old, old_meta)?;
+                user
+            }
+            _ => self.defended_alloc(req.fun, req.size, req.align, vuln, slot)?,
+        };
+        if let Some(slot) = slot {
+            self.note_hit(slot, vuln, req.size);
+        }
+        Ok(user)
+    }
+
     /// Reads the metadata of a previously defended buffer.
+    #[inline]
     fn read_meta(&self, user: Addr) -> Result<MetaWord, StopCause> {
         self.plain
             .space()
@@ -262,9 +323,11 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         }
     }
 
-    /// The free-path of paper Fig. 7.
-    fn defended_free(&mut self, user: Addr) -> Result<(), StopCause> {
-        let meta = self.read_meta(user)?;
+    /// The free-path of paper Fig. 7, for the buffer at `user` whose word
+    /// is `meta`.
+    #[cold]
+    #[inline(never)]
+    fn defended_free(&mut self, user: Addr, meta: MetaWord) -> Result<(), StopCause> {
         let size = self.user_size(meta)?;
         let (space, inner) = self.plain.parts_mut();
         if meta.has_guard() {
@@ -300,6 +363,9 @@ impl<A: BaseAllocator> DefendedBackend<A> {
 }
 
 impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
+    /// A miss of `malloc`, `calloc` or a `realloc` with no old pointer
+    /// takes the inline miss path; everything else the cold one.
+    #[inline]
     fn alloc(&mut self, req: &AllocRequest) -> Result<Addr, StopCause> {
         self.stats.interposed_allocs += 1;
         if !self.cfg.maintain_metadata {
@@ -307,40 +373,36 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
             return self.plain.alloc(req);
         }
         let (vuln, slot) = self.probe(req.fun, req.ccid.0);
-        let user = match (req.fun, req.old_ptr) {
-            (AllocFn::Realloc, Some(old)) => {
-                // Paper Section V: the buffer's CCID is updated to the
-                // realloc-time context — the new buffer is enhanced per the
-                // *realloc* patch lookup.
-                let old_size = self.user_size(self.read_meta(old)?)?;
-                let user =
-                    self.defended_alloc(AllocFn::Realloc, req.size, req.align, vuln, slot)?;
-                let keep = old_size.min(req.size);
-                if keep > 0 {
-                    self.plain
-                        .parts_mut()
-                        .0
-                        .copy_raw(old, user, keep)
-                        .map_err(Self::misuse)?;
-                }
-                self.stats.interposed_frees += 1;
-                self.defended_free(old)?;
-                user
-            }
-            _ => self.defended_alloc(req.fun, req.size, req.align, vuln, slot)?,
-        };
-        if let Some(slot) = slot {
-            self.note_hit(slot, vuln, req.size);
+        let miss = slot.is_none()
+            && match req.fun {
+                AllocFn::Malloc | AllocFn::Calloc => true,
+                AllocFn::Realloc => req.old_ptr.is_none(),
+                AllocFn::Memalign => false,
+            };
+        if miss {
+            self.unpatched_alloc(req.size, req.fun == AllocFn::Calloc)
+        } else {
+            self.alloc_general(req, vuln, slot)
         }
-        Ok(user)
     }
 
+    /// One word read; a plain word (no type bits, not aligned) frees its
+    /// Structure 1 block straight to the inner allocator.
+    #[inline]
     fn free(&mut self, ptr: Addr) -> AccessOutcome {
         self.stats.interposed_frees += 1;
         if !self.cfg.maintain_metadata {
             return self.plain.free(ptr);
         }
-        match self.defended_free(ptr) {
+        let freed = match self.read_meta(ptr) {
+            Ok(meta) if meta.is_plain() => {
+                let (space, inner) = self.plain.parts_mut();
+                inner.free(space, ptr - META_SIZE).map_err(Self::misuse)
+            }
+            Ok(meta) => self.defended_free(ptr, meta),
+            Err(c) => Err(c),
+        };
+        match freed {
             Ok(()) => AccessOutcome::Ok,
             Err(c) => AccessOutcome::Stop(c),
         }
@@ -418,6 +480,78 @@ mod tests {
         assert_eq!(st.guard_pages, 0);
         assert_eq!(st.table_lookups, 1);
         assert_eq!(st.table_hits, 0);
+    }
+
+    /// The metadata word in front of the buffer at `p`.
+    fn word_before<A: BaseAllocator>(d: &DefendedBackend<A>, p: Addr) -> MetaWord {
+        MetaWord(d.plain.space().read_u64_raw(p - META_SIZE).unwrap())
+    }
+
+    #[test]
+    fn a_miss_writes_the_plain_word_of_its_size() {
+        let mut d = DefendedBackend::new(DefenseConfig::with_table(table(
+            AllocFn::Malloc,
+            VULN,
+            VulnFlags::ALL,
+        )));
+        for (fun, size) in [
+            (AllocFn::Malloc, 1),
+            (AllocFn::Calloc, 100),
+            (AllocFn::Realloc, 4096),
+            (AllocFn::Malloc, 70_000),
+        ] {
+            let p = d.alloc(&req(fun, size, SAFE)).unwrap();
+            let word = word_before(&d, p);
+            assert_eq!(word.0, MetaWord::unguarded(VulnFlags::NONE, size, None).0);
+            assert!(word.is_plain());
+        }
+        let st = d.stats();
+        assert_eq!((st.table_lookups, st.table_hits), (4, 0));
+        assert_eq!(st.zero_fill_bytes, 100, "only the calloc is zeroed");
+    }
+
+    #[test]
+    fn a_double_free_of_a_miss_buffer_stops() {
+        let mut d = DefendedBackend::new(DefenseConfig::default());
+        let p = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
+        assert!(d.free(p).is_ok());
+        match d.free(p) {
+            AccessOutcome::Stop(StopCause::HeapMisuse(m)) => {
+                assert!(m.contains("double free"), "{m}");
+            }
+            other => panic!("expected a heap-misuse stop, got {other:?}"),
+        }
+        assert_eq!(d.stats().interposed_frees, 2);
+    }
+
+    #[test]
+    fn memalign_and_realloc_misses_keep_the_general_path() {
+        let mut d = DefendedBackend::new(DefenseConfig::default());
+        // A memalign miss is Structure 3: aligned, with the aligned bit.
+        let mut r = req(AllocFn::Memalign, 100, SAFE);
+        r.align = 256;
+        let a = d.alloc(&r).unwrap();
+        assert_eq!(a % 256, 0);
+        let word = word_before(&d, a);
+        assert_eq!(word.0, MetaWord::unguarded(VulnFlags::NONE, 100, Some(8)).0);
+        assert!(word.is_aligned() && !word.is_plain());
+        assert!(d.free(a).is_ok(), "pi = p − A on the cold free path");
+        // A realloc of a live pointer copies the prefix and frees the old.
+        let p = d.alloc(&req(AllocFn::Malloc, 48, SAFE)).unwrap();
+        d.write(p, 48, 0x5C);
+        let mut r = req(AllocFn::Realloc, 5000, SAFE);
+        r.old_ptr = Some(p);
+        let q = d.alloc(&r).unwrap();
+        assert_ne!(q, p);
+        assert_eq!(d.read(q, 48, Sink::Discard).data, vec![0x5C; 48]);
+        assert_eq!(
+            word_before(&d, q).0,
+            MetaWord::unguarded(VulnFlags::NONE, 5000, None).0
+        );
+        let st = d.stats();
+        assert_eq!((st.interposed_allocs, st.interposed_frees), (3, 2));
+        assert!(!d.free(p).is_ok(), "the old buffer was freed");
+        assert!(d.free(q).is_ok());
     }
 
     #[test]
@@ -678,8 +812,10 @@ mod tests {
         d.write(p, 64, 0xFF);
         d.free(p);
         let q = d.alloc(&req(AllocFn::Calloc, 64, SAFE)).unwrap();
+        assert_eq!(q, p, "the stale block is recycled");
         let r = d.read(q, 64, Sink::Discard);
         assert_eq!(r.data, vec![0u8; 64]);
+        assert_eq!(d.stats().zero_fill_bytes, 64);
     }
 
     #[test]

@@ -103,6 +103,12 @@ impl MetaWord {
         self.vuln().contains(VulnFlags::OVERFLOW)
     }
 
+    /// Whether the word is an unpatched Structure 1 buffer's: no type
+    /// bits and not aligned, so its inner block starts one word before it.
+    pub fn is_plain(self) -> bool {
+        self.0 & (ALIGNED_BIT | 0b111) == 0
+    }
+
     /// Whether the buffer was allocated with `memalign`.
     pub fn is_aligned(self) -> bool {
         self.0 & ALIGNED_BIT != 0

@@ -583,8 +583,8 @@ impl HardenedAlloc {
     /// count for an allocator, gives it up when it counts for another one
     /// or exits, and a later thread of the same allocator takes it back
     /// with its counts. A thread that finds every cell taken counts on the
-    /// allocator's one shared row with atomic adds instead, for the rest of
-    /// its life; [`HardenedStats::fallback_counts`] counts those
+    /// allocator's one shared row with atomic adds instead, until a cell
+    /// frees up; [`HardenedStats::fallback_counts`] counts those
     /// increments.
     pub const COUNTER_CELLS: usize = crate::tables::CELLS;
 

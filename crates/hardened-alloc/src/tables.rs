@@ -119,6 +119,7 @@ impl CounterCell {
     /// so its next owner adds to the counts this one stored.
     fn release(&self) {
         self.tag.fetch_and(!OWNED, Ordering::Release);
+        FREED.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -133,9 +134,15 @@ static POOL: [CounterCell; CELLS] = [const {
 /// Hands out the allocator keys; 0 is "no key yet".
 static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
 
+/// Counts the times a cell of [`POOL`] was given up or un-keyed, so a
+/// thread that found the pool full scans it again only once one may be
+/// free.
+static FREED: AtomicU64 = AtomicU64::new(0);
+
 // What [`MINE`] holds in place of an allocator key when the thread owns no
 // cell: it has claimed none yet, is claiming one, has run its exit hook,
-// or found the pool full. No key reaches these values.
+// or found the pool full (with the [`FREED`] count it saw before that
+// scan in place of a cell). No key reaches these values.
 const UNCLAIMED: u64 = u64::MAX;
 const CLAIMING: u64 = u64::MAX - 1;
 const EXITED: u64 = u64::MAX - 2;
@@ -170,10 +177,12 @@ impl Drop for ExitHook {
 /// load and store, no atomic read-modify-write. A thread with no cell (the
 /// pool is full, it is claiming one, or it is exiting) counts with a
 /// `Relaxed` `fetch_add` on the block's one [`SharedRow`] instead, and the
-/// fallback is counted there too. Per-slot hits and bytes, counted only on
-/// the patched path, always go to that row with `fetch_add`. A read sums
-/// the row and every cell keyed to this block. Counts are exact; only a
-/// read concurrent with increments is momentarily stale.
+/// fallback is counted there too; a thread that found the pool full scans
+/// it again once a cell has been freed since. Per-slot hits and bytes,
+/// counted only on the patched path, always go to that row with
+/// `fetch_add`. A read sums the row and every cell keyed to this block.
+/// Counts are exact; only a read concurrent with increments is
+/// momentarily stale.
 pub(crate) struct Counters {
     /// The key the cells counting for this block carry: taken from
     /// [`NEXT_KEY`] at the first claim, not the block's address, because a
@@ -232,15 +241,16 @@ impl Counters {
     /// Makes the calling thread the owner of a cell keyed to this block,
     /// giving up the cell it owns for another block: an unowned cell
     /// already keyed to it (an exited thread's) first, else a free one.
-    /// `None` while claiming or exiting, and for good once the pool has
-    /// been found full.
+    /// `None` while claiming or exiting, and once the pool has been found
+    /// full, until a cell has been given up or un-keyed since that scan.
     fn claim(&self) -> Option<usize> {
         let (mine, cell) = MINE.get();
-        if (FULL..UNCLAIMED).contains(&mine) {
+        let full_since = mine == FULL && cell == FREED.load(Ordering::Acquire) as usize;
+        if full_since || (EXITED..UNCLAIMED).contains(&mine) {
             return None;
         }
         MINE.set((CLAIMING, 0));
-        if mine != UNCLAIMED {
+        if mine < FULL {
             POOL[cell].release();
         }
         // The first claim registers the exit hook, which may allocate (glibc
@@ -251,6 +261,9 @@ impl Counters {
             return None;
         }
         let key = self.key();
+        // Read before the scan, so a cell freed during it is scanned for
+        // again.
+        let freed = FREED.load(Ordering::Acquire) as usize;
         let take = |from: u64| {
             POOL.iter().position(|c| {
                 c.tag
@@ -259,7 +272,7 @@ impl Counters {
             })
         };
         let found = take(key << 1).or_else(|| take(0));
-        MINE.set(found.map_or((FULL, 0), |cell| (key, cell)));
+        MINE.set(found.map_or((FULL, freed), |cell| (key, cell)));
         found
     }
 
@@ -354,6 +367,7 @@ impl Drop for Counters {
             // sees the zeros.
             c.tag.fetch_and(OWNED, Ordering::Release);
         }
+        FREED.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -734,6 +748,25 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn a_thread_past_its_exit_hook_counts_on_the_shared_row_untouched() {
+        let c = Box::new(Counters::new());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // What a count from a later thread-local destructor sees
+                // once the exit hook has run; `EXIT` itself is still live
+                // here, so only the early return keeps a cell unclaimed.
+                MINE.set((EXITED, 0));
+                c.incr(Total::InterposedAllocs);
+                c.incr(Total::InterposedAllocs);
+                assert_eq!(MINE.get(), (EXITED, 0));
+            });
+        });
+        assert_eq!(c.fallbacks(), 2);
+        assert_eq!(c.totals()[Total::InterposedAllocs as usize], 2);
+        assert_eq!(c.cells().count(), 0, "no cell was claimed");
     }
 
     #[test]

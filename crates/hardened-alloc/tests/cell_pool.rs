@@ -1,6 +1,8 @@
 //! The process-wide pool of thread-owned counter cells: threads beyond
 //! the pool, one after another and at once (with patched allocations
-//! counted on the shared row too); one thread counting for two
+//! counted on the shared row too), holding their cells or exiting while
+//! others count; a thread that found the pool full
+//! taking a cell once others free up; one thread counting for two
 //! allocators; an allocator dropped under a live thread; and counting
 //! from thread-local destructors at thread exit. Counts stay exact
 //! throughout, and no cell is lost.
@@ -56,20 +58,26 @@ fn guarded_pairs(a: &HardenedAlloc, n: u64) {
 /// `threads` threads counting for one fresh allocator that guards
 /// [`SITE`], at once: one unpatched pair each before a barrier all of
 /// them reach, `after` unpatched and `guarded` guarded pairs each past it.
-/// The allocator's stats once every thread has exited.
-fn at_once(threads: usize, after: u64, guarded: u64) -> HardenedStats {
+/// With `hold`, no thread exits before all are done, so no cell frees up
+/// while one counts; without, a thread exits as soon as it is done. The
+/// allocator's stats once every thread has exited.
+fn at_once(threads: usize, after: u64, guarded: u64, hold: bool) -> HardenedStats {
     let a = Arc::new(HardenedAlloc::new());
     let patch = Patch::new(AllocFn::Malloc, site_ccid(SITE), VulnFlags::OVERFLOW);
     assert_eq!(a.install(&[patch]), 1);
     let all_in = Arc::new(Barrier::new(threads));
+    let all_done = Arc::new(Barrier::new(threads));
     let handles: Vec<_> = (0..threads)
         .map(|_| {
-            let (a, all_in) = (a.clone(), all_in.clone());
+            let (a, all_in, all_done) = (a.clone(), all_in.clone(), all_done.clone());
             spawn(move || {
                 pairs(&a, 1);
                 all_in.wait();
                 pairs(&a, after);
                 guarded_pairs(&a, guarded);
+                if hold {
+                    all_done.wait();
+                }
             })
         })
         .collect();
@@ -82,7 +90,7 @@ fn at_once(threads: usize, after: u64, guarded: u64) -> HardenedStats {
 /// Whether every cell of the pool is free: as many threads as it has
 /// cells, counting at once, all find one.
 fn whole_pool_free() -> bool {
-    at_once(CELLS, 10, 0).fallback_counts == 0
+    at_once(CELLS, 10, 0, true).fallback_counts == 0
 }
 
 #[test]
@@ -109,29 +117,105 @@ fn threads_beyond_the_pool_one_after_another_reuse_its_cells() {
     assert!(whole_pool_free());
 }
 
-#[test]
-fn threads_beyond_the_pool_at_once_fall_back_and_stay_exact() {
-    let _turn = turn();
-    const EXTRA: usize = 8;
-    const AFTER: u64 = 500;
-    const GUARDED_PAIRS: u64 = 20;
-    let threads = (CELLS + EXTRA) as u64;
-    let st = at_once(CELLS + EXTRA, AFTER, GUARDED_PAIRS);
-    let per_thread = 1 + AFTER + GUARDED_PAIRS;
-    let total = threads * per_thread;
+/// Threads beyond the pool in the at-once tests, and their pairs.
+const EXTRA: usize = 8;
+const AFTER: u64 = 500;
+const GUARDED_PAIRS: u64 = 20;
+const PER_THREAD: u64 = 1 + AFTER + GUARDED_PAIRS;
+
+/// The fallbacks of `EXTRA` threads that never own a cell. A pair counts
+/// its alloc and free; a guarded one also a region map, a guard page and
+/// the tracked alloc and free. Its hit goes to the shared row from every
+/// thread, and is no fallback.
+const FALLBACKS_UNLESS_A_CELL_FREES: u64 = EXTRA as u64 * (PER_THREAD * 2 + GUARDED_PAIRS * 4);
+
+/// The totals of `threads` threads of the at-once tests, exact.
+fn assert_exact(st: &HardenedStats, threads: u64) {
+    let total = threads * PER_THREAD;
     assert_eq!((st.interposed_allocs, st.interposed_frees), (total, total));
     let guarded = threads * GUARDED_PAIRS;
     assert_eq!(
         (st.table_hits, st.guard_pages, st.region_maps),
         (guarded, guarded, guarded)
     );
-    // Every cell is taken before any thread exits: exactly `EXTRA` threads
-    // find none, and each of their counts falls back. A pair counts its
-    // alloc and free; a guarded one also a region map, a guard page and
-    // the tracked alloc and free. Its hit goes to the shared row from
-    // every thread, and is no fallback.
-    let fallbacks = EXTRA as u64 * (per_thread * 2 + GUARDED_PAIRS * 4);
-    assert_eq!(st.fallback_counts, fallbacks);
+}
+
+#[test]
+fn threads_beyond_the_pool_at_once_fall_back_and_stay_exact() {
+    let _turn = turn();
+    let threads = (CELLS + EXTRA) as u64;
+    let st = at_once(CELLS + EXTRA, AFTER, GUARDED_PAIRS, true);
+    assert_exact(&st, threads);
+    // No cell frees up while a thread counts: exactly `EXTRA` threads find
+    // none, and each of their counts falls back.
+    assert_eq!(st.fallback_counts, FALLBACKS_UNLESS_A_CELL_FREES);
+    assert!(whole_pool_free());
+}
+
+#[test]
+fn threads_beyond_the_pool_exiting_while_others_count_stay_exact() {
+    let _turn = turn();
+    let threads = (CELLS + EXTRA) as u64;
+    let st = at_once(CELLS + EXTRA, AFTER, GUARDED_PAIRS, false);
+    assert_exact(&st, threads);
+    // The same `EXTRA` threads find the pool full at their first pair, but
+    // one may take a cell an exited thread gave up and stop falling back.
+    let first_pairs = EXTRA as u64 * 2;
+    assert!(
+        (first_pairs..=FALLBACKS_UNLESS_A_CELL_FREES).contains(&st.fallback_counts),
+        "{} fallbacks",
+        st.fallback_counts
+    );
+    assert!(whole_pool_free());
+}
+
+#[test]
+fn a_thread_that_found_the_pool_full_takes_a_cell_once_one_frees_up() {
+    let _turn = turn();
+    let a = Arc::new(HardenedAlloc::new());
+    // Every cell of the pool is owned by a thread holding on to it.
+    let (all_in, let_go) = (
+        Arc::new(Barrier::new(CELLS + 1)),
+        Arc::new(Barrier::new(CELLS + 1)),
+    );
+    let holders: Vec<_> = (0..CELLS)
+        .map(|_| {
+            let (a, all_in, let_go) = (a.clone(), all_in.clone(), let_go.clone());
+            spawn(move || {
+                pairs(&a, 1);
+                all_in.wait();
+                let_go.wait();
+            })
+        })
+        .collect();
+    all_in.wait();
+    // One more thread finds the pool full and counts on the shared row,
+    // then waits while the holders exit and give their cells up.
+    let (to_main, from_late) = std::sync::mpsc::channel();
+    let (to_late, from_main) = std::sync::mpsc::channel::<()>();
+    let late = {
+        let a = a.clone();
+        spawn(move || {
+            pairs(&a, 10);
+            to_main.send(()).unwrap();
+            from_main.recv().unwrap();
+            pairs(&a, 10);
+        })
+    };
+    from_late.recv().unwrap();
+    let full = a.stats().fallback_counts;
+    assert_eq!(full, 20, "ten pairs on the shared row");
+    let_go.wait();
+    for h in holders {
+        h.join().expect("holding thread");
+    }
+    to_late.send(()).unwrap();
+    late.join().expect("late thread");
+    let st = a.stats();
+    assert_eq!(st.fallback_counts, full, "it counts in a freed cell now");
+    let total = CELLS as u64 + 20;
+    assert_eq!((st.interposed_allocs, st.interposed_frees), (total, total));
+    drop(a);
     assert!(whole_pool_free());
 }
 

@@ -75,12 +75,24 @@ pub trait FromJson: Sized {
     fn from_json(v: &Json) -> Result<Self, JsonError>;
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser (and a value's drop) recurses once per level, so a cap keeps a
+/// hostile document from overflowing the stack; nothing persisted here
+/// nests more than a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parses a JSON document (must be a single value plus whitespace).
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] at the first malformed byte, including the bracket
+    /// that opens level [`MAX_DEPTH`] + 1.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -248,6 +260,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -296,11 +310,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => self.nested(open),
             Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// The array or object opening at `pos`, one level deeper.
+    fn nested(&mut self, open: u8) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = if open == b'[' {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -503,6 +531,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = Json::parse(&nest(MAX_DEPTH)).unwrap();
+        assert_eq!(Json::parse(&deepest.to_compact()), Ok(deepest));
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "at the bracket one level too deep");
+        assert!(err.msg.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).unwrap_err().msg.contains("nesting"));
     }
 
     #[test]

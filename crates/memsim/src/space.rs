@@ -68,11 +68,30 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// The offset of a `u64` at `addr` in its page, if the word lies inside
+/// that one page.
+fn word_offset(addr: Addr) -> Option<usize> {
+    let off = (addr % PAGE_SIZE) as usize;
+    (off <= PAGE_SIZE as usize - 8).then_some(off)
+}
+
 #[derive(Debug, Clone)]
 struct Page {
     perm: Perm,
     data: Box<[u8]>,
     dirty: bool,
+}
+
+impl Page {
+    /// Marks the page written, counting it in `stats`' RSS the first time.
+    #[inline]
+    fn mark_dirty(&mut self, stats: &mut SpaceStats) {
+        if !self.dirty {
+            self.dirty = true;
+            stats.rss_bytes += PAGE_SIZE;
+            stats.peak_rss_bytes = stats.peak_rss_bytes.max(stats.rss_bytes);
+        }
+    }
 }
 
 /// Usage statistics for an [`AddressSpace`].
@@ -375,45 +394,61 @@ impl AddressSpace {
             let a = addr + done;
             let pno = a / PAGE_SIZE;
             let off = (a % PAGE_SIZE) as usize;
-            let (dirty, n) = {
-                let page = self.pages.get_mut(&pno).ok_or(MemFault {
-                    addr: a,
-                    kind: FaultKind::Unmapped,
-                    completed: done,
-                })?;
-                let n = (PAGE_SIZE as usize - off).min(data.len() - done as usize);
-                page.data[off..off + n].copy_from_slice(&data[done as usize..done as usize + n]);
-                let was_dirty = page.dirty;
-                page.dirty = true;
-                (was_dirty, n)
-            };
-            if !dirty {
-                self.stats.rss_bytes += PAGE_SIZE;
-                self.stats.peak_rss_bytes = self.stats.peak_rss_bytes.max(self.stats.rss_bytes);
-            }
+            let page = self.pages.get_mut(&pno).ok_or(MemFault {
+                addr: a,
+                kind: FaultKind::Unmapped,
+                completed: done,
+            })?;
+            let n = (PAGE_SIZE as usize - off).min(data.len() - done as usize);
+            page.data[off..off + n].copy_from_slice(&data[done as usize..done as usize + n]);
+            page.mark_dirty(&mut self.stats);
             done += n as u64;
         }
         Ok(())
     }
 
-    /// Privileged `u64` read (ignores permissions).
+    /// Privileged `u64` read (ignores permissions). A word inside one page
+    /// is one lookup and a fixed 8-byte copy in place of
+    /// [`Self::read_raw`]'s chunk loop; the defense reads a metadata word
+    /// on every free.
     ///
     /// # Errors
     ///
     /// Faults only on unmapped pages.
     pub fn read_u64_raw(&self, addr: Addr) -> Result<u64, MemFault> {
         let mut b = [0u8; 8];
-        self.read_raw(addr, &mut b)?;
+        match word_offset(addr) {
+            Some(off) => {
+                let page = self.pages.get(&(addr / PAGE_SIZE)).ok_or(MemFault {
+                    addr,
+                    kind: FaultKind::Unmapped,
+                    completed: 0,
+                })?;
+                b.copy_from_slice(&page.data[off..off + 8]);
+            }
+            None => self.read_raw(addr, &mut b)?,
+        }
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Privileged `u64` write (ignores permissions).
+    /// Privileged `u64` write (ignores permissions), one lookup for a word
+    /// inside one page as in [`Self::read_u64_raw`].
     ///
     /// # Errors
     ///
     /// Faults only on unmapped pages.
     pub fn write_u64_raw(&mut self, addr: Addr, v: u64) -> Result<(), MemFault> {
-        self.write_raw(addr, &v.to_le_bytes())
+        let Some(off) = word_offset(addr) else {
+            return self.write_raw(addr, &v.to_le_bytes());
+        };
+        let page = self.pages.get_mut(&(addr / PAGE_SIZE)).ok_or(MemFault {
+            addr,
+            kind: FaultKind::Unmapped,
+            completed: 0,
+        })?;
+        page.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        page.mark_dirty(&mut self.stats);
+        Ok(())
     }
 
     /// First unmapped page in `[addr, addr+len)`, as the fault `read_raw`
@@ -742,6 +777,90 @@ mod tests {
         let mut s = AddressSpace::new();
         let err = s.protect(0x1000, PAGE_SIZE, Perm::None).unwrap_err();
         assert_eq!(err.kind, FaultKind::Unmapped);
+    }
+
+    #[test]
+    fn raw_words_round_trip_or_fault_at_the_page_end_at_every_offset() {
+        let v = 0x0807_0605_0403_0201u64;
+        for pages in [1u64, 2] {
+            for off in [0, 4088, 4089, 4090, 4091, 4092, 4093, 4094, 4095] {
+                // Raw access ignores the PROT_NONE page.
+                let mut s = AddressSpace::new();
+                let a = s.map(pages * PAGE_SIZE, Perm::ReadWrite);
+                s.protect(a, PAGE_SIZE, Perm::None).unwrap();
+                let addr = a + off;
+                let crosses = off > PAGE_SIZE - 8;
+                let touched = if crosses && pages == 2 { 2 } else { 1 };
+                let wrote = s.write_u64_raw(addr, v);
+                let st = s.stats();
+                assert_eq!(st.rss_bytes, touched * PAGE_SIZE, "rss at {off}");
+                assert_eq!(st.peak_rss_bytes, st.rss_bytes, "peak at {off}");
+                if pages == 1 && crosses {
+                    // The bytes before the page end land; the rest fault.
+                    let fault = MemFault {
+                        addr: a + PAGE_SIZE,
+                        kind: FaultKind::Unmapped,
+                        completed: PAGE_SIZE - off,
+                    };
+                    assert_eq!(wrote, Err(fault), "{off}");
+                    assert_eq!(s.read_u64_raw(addr), Err(fault), "{off}");
+                    let mut b = vec![0u8; (PAGE_SIZE - off) as usize];
+                    s.read_raw(addr, &mut b).unwrap();
+                    assert_eq!(b, v.to_le_bytes()[..b.len()], "{off}");
+                } else {
+                    assert_eq!(wrote, Ok(()), "{off}");
+                    assert_eq!(s.read_u64_raw(addr), Ok(v), "{off}");
+                    // The same bytes as through the chunk loops.
+                    let mut b = [0u8; 8];
+                    s.read_raw(addr, &mut b).unwrap();
+                    assert_eq!(b, v.to_le_bytes(), "{off}");
+                    s.write_raw(addr, &[9; 8]).unwrap();
+                    assert_eq!(s.read_u64_raw(addr), Ok(u64::from_le_bytes([9; 8])));
+                }
+            }
+        }
+        // A word on an unmapped page faults at its first byte.
+        let mut s = AddressSpace::new();
+        let fault = MemFault {
+            addr: 0xdead_0008,
+            kind: FaultKind::Unmapped,
+            completed: 0,
+        };
+        assert_eq!(s.read_u64_raw(0xdead_0008), Err(fault));
+        assert_eq!(s.write_u64_raw(0xdead_0008, v), Err(fault));
+        assert_eq!(s.stats(), SpaceStats::default());
+    }
+
+    #[test]
+    fn protect_counts_once_per_call_and_changes_nothing_on_a_fault() {
+        let mut s = AddressSpace::new();
+        let a = s.map(3 * PAGE_SIZE, Perm::ReadWrite);
+        s.protect(a + PAGE_SIZE + 100, 8, Perm::None).unwrap();
+        assert_eq!(s.stats().protects, 1);
+        s.protect(a, 3 * PAGE_SIZE, Perm::Read).unwrap();
+        assert_eq!(s.stats().protects, 2, "three pages, one call");
+        // One unmapped page: the gap after the region.
+        let gap = a + 3 * PAGE_SIZE;
+        let err = s.protect(gap + 100, 8, Perm::None).unwrap_err();
+        assert_eq!(
+            err,
+            MemFault {
+                addr: gap,
+                kind: FaultKind::Unmapped,
+                completed: 0,
+            }
+        );
+        // A range over the region, the gap and the next region faults at
+        // the gap and changes no page on either side of it.
+        let b = s.map(PAGE_SIZE, Perm::ReadWrite);
+        assert_eq!(b, gap + PAGE_SIZE);
+        let err = s.protect(a, b + PAGE_SIZE - a, Perm::None).unwrap_err();
+        assert_eq!((err.addr, err.kind), (gap, FaultKind::Unmapped));
+        for page in 0..3 {
+            assert_eq!(s.perm_at(a + page * PAGE_SIZE), Some(Perm::Read));
+        }
+        assert_eq!(s.perm_at(b), Some(Perm::ReadWrite));
+        assert_eq!(s.stats().protects, 2, "a faulting call counts nothing");
     }
 
     #[test]
