@@ -1,12 +1,13 @@
 //! Ablations of the design choices DESIGN.md calls out.
 
-use crate::time_median;
+use crate::{time_median, time_median_last};
+use heaptherapy_core::{Deploy, HeapTherapy, PipelineConfig};
 use ht_callgraph::{CallGraphBuilder, Strategy};
 use ht_defense::{DefendedBackend, DefenseConfig};
 use ht_encoding::{Encoder, InstrumentationPlan, Scheme, StackWalker};
 use ht_patch::{AllocFn, Patch, PatchTable, VulnFlags};
 use ht_simprog::spec::{build_spec_workload, spec_bench, SpecWorkload};
-use ht_simprog::{Interpreter, PlainBackend};
+use ht_simprog::Interpreter;
 
 /// Encoding vs. stack walking: cost of obtaining a context ID at call depth
 /// `depth`, over `iters` allocation events.
@@ -56,12 +57,11 @@ pub fn walk_vs_encode(depth: usize, iters: u64) -> (f64, f64, u64) {
     (enc_time, walk_time, frames)
 }
 
-/// The 403.gcc model, its plan and its input at `allocs` allocations.
-fn gcc_model(allocs: u64) -> (SpecWorkload, InstrumentationPlan, Vec<u64>) {
+/// The 403.gcc model and its input at `allocs` allocations.
+fn gcc_model(allocs: u64) -> (SpecWorkload, Vec<u64>) {
     let w = build_spec_workload(spec_bench("403.gcc").expect("gcc model"));
-    let plan = InstrumentationPlan::build(w.program.graph(), Strategy::Incremental, Scheme::Pcc);
     let input = w.input_for_allocs(allocs);
-    (w, plan, input)
+    (w, input)
 }
 
 /// Targeted guard pages vs. guarding *every* buffer (the policy the paper's
@@ -69,8 +69,10 @@ fn gcc_model(allocs: u64) -> (SpecWorkload, InstrumentationPlan, Vec<u64>) {
 /// `OVERFLOW` on every `(FUN, CCID)` an undefended profiling run saw.
 /// Returns `(targeted_seconds, guard_all_seconds, guard_all_pages)`.
 pub fn guard_all_cost(allocs: u64, samples: usize) -> (f64, f64, u64) {
-    let (w, plan, input) = gcc_model(allocs);
-    let profile = Interpreter::new(&w.program, &plan, PlainBackend::new()).run(&input);
+    let ht = HeapTherapy::new(PipelineConfig::default());
+    let (w, input) = gcc_model(allocs);
+    let ip = ht.instrument(&w.program);
+    let profile = ht.run(&ip, &input, Deploy::Native).report;
     let every: Vec<Patch> = profile
         .ccids_by_frequency()
         .into_iter()
@@ -78,19 +80,11 @@ pub fn guard_all_cost(allocs: u64, samples: usize) -> (f64, f64, u64) {
         .collect();
 
     let targeted = time_median(samples, || {
-        let backend = DefendedBackend::new(DefenseConfig::default());
-        Interpreter::new(&w.program, &plan, backend).run(&input);
+        ht.run(&ip, &input, Deploy::Protected(&[]));
     });
-
-    let mut pages = 0;
-    let guard_all = time_median(samples, || {
-        let cfg = DefenseConfig::with_table(PatchTable::from_patches(every.clone()));
-        let backend = DefendedBackend::new(cfg);
-        let mut i = Interpreter::new(&w.program, &plan, backend);
-        i.run(&input);
-        pages = i.backend().stats().guard_pages;
-    });
-    (targeted, guard_all, pages)
+    let (guard_all, run) =
+        time_median_last(samples, || ht.run(&ip, &input, Deploy::Protected(&every)));
+    (targeted, guard_all, run.stats.guard_pages)
 }
 
 /// Quarantine-quota sweep (paper §IX): smaller quotas evict earlier,
@@ -135,14 +129,15 @@ pub fn quarantine_sweep(quotas: &[u64], frees: u64) -> Vec<(u64, usize, u64)> {
 /// times of slowdown and is therefore reserved for offline analysis).
 /// Returns `(plain_seconds, shadow_seconds)` for the same workload.
 pub fn shadow_cost(allocs: u64, samples: usize) -> (f64, f64) {
+    let ht = HeapTherapy::new(PipelineConfig::default());
     let w = build_spec_workload(spec_bench("456.hmmer").expect("hmmer model"));
-    let plan = InstrumentationPlan::build(w.program.graph(), Strategy::Incremental, Scheme::Pcc);
+    let ip = ht.instrument(&w.program);
     let input = w.input_for_allocs(allocs);
     let plain = time_median(samples, || {
-        Interpreter::new(&w.program, &plan, PlainBackend::new()).run(&input);
+        ht.run(&ip, &input, Deploy::Native);
     });
     let shadow = time_median(samples, || {
-        Interpreter::new(&w.program, &plan, ht_shadow::ShadowBackend::new()).run(&input);
+        Interpreter::new(&w.program, &ip.plan, ht_shadow::ShadowBackend::new()).run(&input);
     });
     (plain, shadow)
 }
@@ -192,9 +187,10 @@ mod tests {
     #[test]
     fn guard_all_installs_a_page_per_buffer() {
         let (_, _, pages) = guard_all_cost(100, 1);
-        let (w, plan, input) = gcc_model(100);
-        let run = Interpreter::new(&w.program, &plan, PlainBackend::new()).run(&input);
-        assert_eq!(pages, run.allocs.total(), "every allocation guarded");
+        let ht = HeapTherapy::new(PipelineConfig::default());
+        let (w, input) = gcc_model(100);
+        let run = ht.run(&ht.instrument(&w.program), &input, Deploy::Native);
+        assert_eq!(pages, run.report.allocs.total(), "every allocation guarded");
     }
 
     #[test]

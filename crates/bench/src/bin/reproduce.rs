@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the HeapTherapy+ evaluation.
 //!
 //! ```text
-//! reproduce [all|fig2|table1|table2|lint|table3|table4|encoding|fig8|fig9|services|ablations|scaling|shadow|telemetry]
+//! reproduce [all|fig2|table1|table2|lint|table3|table4|encoding|fig8|fig9|services|ablations|scaling|shadow|telemetry|extras]
 //!           [--allocs N] [--fraction F] [--samples N] [--requests N] [--threads N]
 //!           [--pairs N] [--repeat N] [--reference-kernels] [--json PATH]
 //! reproduce check-baselines [--scaling PATH] [--telemetry PATH] [--shadow PATH]
@@ -535,10 +535,6 @@ fn run_check_baselines(opts: &Opts) {
     }
 }
 
-fn run_extras_silently_ok() {
-    run_extras();
-}
-
 fn main() {
     let opts = parse_args().unwrap_or_else(|e| {
         eprintln!("{e}\n{USAGE}");
@@ -566,7 +562,7 @@ fn main() {
         "check-baselines" => run_check_baselines(&opts),
         "all" => {
             run_fig2();
-            run_extras_silently_ok();
+            run_extras();
             run_table1();
             run_table2(&opts);
             run_lint(&opts);
@@ -582,7 +578,7 @@ fn main() {
             eprintln!(
                 "unknown target `{other}`; expected one of all, fig2, table1, table2, \
                  table3, table4, encoding, fig8, fig9, services, ablations, lint, scaling, \
-                 shadow, telemetry, check-baselines"
+                 shadow, telemetry, extras, check-baselines"
             );
             std::process::exit(2);
         }

@@ -6,8 +6,8 @@
 //! deltas, patched contexts actually exercised, and allocation-intensive
 //! models (perlbench-like) as the outliers.
 
-use crate::{overhead_pct, time_median};
-use heaptherapy_core::{HeapTherapy, PipelineConfig};
+use crate::{overhead_pct, time_median_last};
+use heaptherapy_core::{Deploy, HeapTherapy, PipelineConfig};
 use ht_simprog::spec::{build_spec_workload, spec_suite};
 
 /// Paper-reported averages: interpose, 0, 1, 5 patches (percent).
@@ -38,7 +38,8 @@ pub struct Fig8Row {
 /// The five timing series of one benchmark always run back-to-back on one
 /// thread, so within-benchmark comparisons (the overhead percentages) stay
 /// honest; use `threads = 1` when absolute wall times matter, since
-/// co-running benchmarks contend for cores.
+/// co-running benchmarks contend for cores. The hit and guard-page counts
+/// are deterministic, so they come from each series' last timed run.
 pub fn rows(threads: usize, fraction: f64, samples: usize) -> Vec<Fig8Row> {
     let ht = HeapTherapy::new(PipelineConfig::default());
     ht_par::par_map(threads, &spec_suite(), |_, &bench| {
@@ -50,34 +51,19 @@ pub fn rows(threads: usize, fraction: f64, samples: usize) -> Vec<Fig8Row> {
         input[0] = input[0].max(200);
         let p1 = ht.hypothesized_patches(&ip, &input, 1);
         let p5 = ht.hypothesized_patches(&ip, &input, 5);
-
-        let t_native = time_median(samples, || {
-            ht.run_native(&ip, &input);
-        });
-        let t_interpose = time_median(samples, || {
-            ht.run_interposed(&ip, &input);
-        });
-        let t_p0 = time_median(samples, || {
-            ht.run_protected(&ip, &input, &[]);
-        });
-        let t_p1 = time_median(samples, || {
-            ht.run_protected(&ip, &input, &p1);
-        });
-        let t_p5 = time_median(samples, || {
-            ht.run_protected(&ip, &input, &p5);
-        });
-
-        let r1 = ht.run_protected(&ip, &input, &p1);
-        let r5 = ht.run_protected(&ip, &input, &p5);
+        let series = [
+            Deploy::Native,
+            Deploy::Interposed,
+            Deploy::Protected(&[]),
+            Deploy::Protected(&p1),
+            Deploy::Protected(&p5),
+        ]
+        .map(|deploy| time_median_last(samples, || ht.run(&ip, &input, deploy)));
+        let [(t_native, _), .., (_, r1), (_, r5)] = &series;
 
         Fig8Row {
             bench: bench.name,
-            pct: [
-                overhead_pct(t_native, t_interpose),
-                overhead_pct(t_native, t_p0),
-                overhead_pct(t_native, t_p1),
-                overhead_pct(t_native, t_p5),
-            ],
+            pct: [1, 2, 3, 4].map(|i| overhead_pct(*t_native, series[i].0)),
             hits: [r1.stats.table_hits, r5.stats.table_hits],
             guard_pages5: r5.stats.guard_pages,
         }

@@ -5,9 +5,8 @@
 //! the defended RSS proxy tracks the native one closely, and installing
 //! guard-page patches moves *mapped* bytes, not resident bytes.
 
-use heaptherapy_core::{HeapTherapy, PipelineConfig};
+use heaptherapy_core::{Deploy, HeapTherapy, PipelineConfig};
 use ht_simprog::spec::{build_spec_workload, spec_suite};
-use ht_simprog::{HeapBackend, Interpreter};
 
 /// Paper-reported average memory overhead, percent.
 pub const PAPER_AVG: f64 = 4.3;
@@ -46,16 +45,13 @@ pub fn rows(threads: usize, fraction: f64) -> Vec<Fig9Row> {
         // unrealistic guarded-churn profile.
         let input = w.input_for_fraction(fraction);
 
-        let native_rss = {
-            let backend = ht_simprog::PlainBackend::new();
-            let mut interp = Interpreter::new(&w.program, &ip.plan, backend);
-            interp.run(&input);
-            interp.backend().mem_stats().unwrap().0.peak_rss_bytes
-        };
-
-        let defended_rss = ht.run_protected(&ip, &input, &[]).mem.peak_rss_bytes;
+        let native_rss = ht.run(&ip, &input, Deploy::Native).mem.peak_rss_bytes;
+        let defended_rss = ht
+            .run(&ip, &input, Deploy::Protected(&[]))
+            .mem
+            .peak_rss_bytes;
         let patches = ht.hypothesized_patches(&ip, &input, 5);
-        let defended5 = ht.run_protected(&ip, &input, &patches).mem;
+        let defended5 = ht.run(&ip, &input, Deploy::Protected(&patches)).mem;
 
         Fig9Row {
             bench: bench.name,

@@ -54,6 +54,13 @@ pub fn time_median<F: FnMut()>(n: usize, f: F) -> f64 {
     time_spread(n, f).median
 }
 
+/// [`time_median`] of `f`, with the value its last sample returned.
+pub fn time_median_last<T, F: FnMut() -> T>(n: usize, mut f: F) -> (f64, T) {
+    let mut last = None;
+    let t = time_median(n, || last = Some(f()));
+    (t, last.expect("time_median calls f"))
+}
+
 /// [`time_median`] with the range of the `n` samples, in seconds.
 pub fn time_spread<F: FnMut()>(n: usize, mut f: F) -> Spread {
     f();

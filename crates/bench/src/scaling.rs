@@ -5,7 +5,7 @@
 //! central engineering claim: the online defense adds *no global lock* to
 //! the unpatched allocation path (the patch table is frozen read-only, and
 //! an unpatched free decodes the buffer's own metadata word; only patched
-//! buffers take the quarantine's or a region class's short spin lock), so
+//! buffers take the quarantine's or a region class's short lock), so
 //! throughput should scale with threads like the native allocator does.
 //!
 //! Four series, each at 1/2/4/8 threads (capped by `--threads`):

@@ -6,8 +6,8 @@
 //! under the defense, Nginx's overhead exceeds MySQL's, and both stay
 //! small.
 
-use crate::time_median;
-use heaptherapy_core::{HeapTherapy, PipelineConfig};
+use crate::time_median_last;
+use heaptherapy_core::{Deploy, HeapTherapy, PipelineConfig};
 use ht_simprog::service::{build_service_workload, ServiceKind};
 
 /// Paper-reported throughput overheads, percent.
@@ -41,28 +41,12 @@ pub fn rows(requests: u64, samples: usize) -> Vec<ServiceRow> {
             // The deployed system: defenses loaded, table probed on every
             // allocation, but no patch on the per-request hot path (the
             // paper's vulnerable contexts are rare, not once-per-request).
-            let patches: Vec<ht_patch::Patch> = Vec::new();
-
-            let t_native = time_median(samples, || {
-                ht.run_native(&ip, &input);
-            });
-            let t_defended = time_median(samples, || {
-                ht.run_protected(&ip, &input, &patches);
-            });
-
-            let native_mem = {
-                let mut i = ht_simprog::Interpreter::new(
-                    &w.program,
-                    &ip.plan,
-                    ht_simprog::PlainBackend::new(),
-                );
-                i.run(&input);
-                ht_simprog::HeapBackend::mem_stats(i.backend())
-                    .unwrap()
-                    .0
-                    .peak_rss_bytes
-            };
-            let defended_mem = ht.run_protected(&ip, &input, &patches).mem.peak_rss_bytes;
+            // Peak RSS is deterministic: each series' last timed run has it.
+            let [(t_native, native), (t_defended, defended)] =
+                [Deploy::Native, Deploy::Protected(&[])]
+                    .map(|deploy| time_median_last(samples, || ht.run(&ip, &input, deploy)));
+            let (native_mem, defended_mem) =
+                (native.mem.peak_rss_bytes, defended.mem.peak_rss_bytes);
 
             ServiceRow {
                 service: kind.name(),

@@ -68,6 +68,33 @@ fn every_documented_flag_is_known() {
         "{stderr}"
     );
     assert!(!stderr.contains("usage: reproduce"), "{stderr}");
+    // The message names every target `reproduce` accepts, and no other.
+    let (_, listed) = stderr
+        .split_once("expected one of ")
+        .unwrap_or_else(|| panic!("{stderr}"));
+    let mut listed: Vec<&str> = listed.trim().split(", ").collect();
+    listed.sort_unstable();
+    let mut targets = [
+        "all",
+        "fig2",
+        "table1",
+        "table2",
+        "lint",
+        "table3",
+        "table4",
+        "encoding",
+        "fig8",
+        "fig9",
+        "services",
+        "ablations",
+        "scaling",
+        "shadow",
+        "telemetry",
+        "extras",
+        "check-baselines",
+    ];
+    targets.sort_unstable();
+    assert_eq!(listed, targets, "{stderr}");
 }
 
 #[test]

@@ -11,9 +11,11 @@
 //! 3. **Code-less deployment** — patches are written to a configuration
 //!    file and read back (never touching the program), exactly as the
 //!    online defense generator would at startup.
-//! 4. **Online defense** ([`HeapTherapy::run_protected`]) — the same
-//!    program runs over the defended allocator; only buffers whose
-//!    `(FUN, CCID)` hits the table are enhanced.
+//! 4. **Online defense** ([`HeapTherapy::run`] with [`Deploy::Protected`])
+//!    — the same program runs over the defended allocator; only buffers
+//!    whose `(FUN, CCID)` hits the table are enhanced. [`Deploy::Native`]
+//!    and [`Deploy::Interposed`] run it under the paper's two baselines,
+//!    and every [`Run`] carries the memory statistics Fig. 9 reads.
 //!
 //! A static pre-pass ([`HeapTherapy::lint`]) complements the dynamic loop:
 //! it triages candidate vulnerable allocation contexts without running any
@@ -47,7 +49,7 @@ pub mod report;
 
 pub use lint::{LintReport, PlanVerdict};
 pub use pipeline::{
-    AnalysisReport, AppTelemetry, CycleReport, HeapTherapy, InstrumentedProgram, PipelineConfig,
-    ProtectedRun,
+    AnalysisReport, AppTelemetry, CycleReport, Deploy, HeapTherapy, InstrumentedProgram,
+    PipelineConfig, Run,
 };
 pub use report::{decode_chain, incident_report, IncidentReport, PatchReport};

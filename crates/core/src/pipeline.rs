@@ -65,17 +65,30 @@ pub struct AnalysisReport {
     pub run: RunReport,
 }
 
-/// Output of one protected (online) run.
+/// The allocator a [`HeapTherapy::run`] puts under the program: one of the
+/// paper's Fig. 8 series.
+#[derive(Debug, Clone, Copy)]
+pub enum Deploy<'a> {
+    /// No interposition, no defenses.
+    Native,
+    /// Allocation interposition only (Fig. 8 "interposition").
+    Interposed,
+    /// The defended allocator with these patches deployed.
+    Protected(&'a [Patch]),
+}
+
+/// Output of one [`HeapTherapy::run`].
 #[derive(Debug)]
-pub struct ProtectedRun {
+pub struct Run {
     /// The run report.
     pub report: RunReport,
-    /// Defense-side counters.
+    /// Defense-side counters (all zero for a native run).
     pub stats: DefenseStats,
     /// The backend's memory-system statistics at the end of the run (peak
     /// RSS proxy, mapped bytes, map and protect calls).
     pub mem: SpaceStats,
-    /// Drained telemetry, when [`PipelineConfig::telemetry`] enabled it.
+    /// Drained telemetry, when [`PipelineConfig::telemetry`] enabled it
+    /// (never for a native or interposed run).
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -243,16 +256,71 @@ impl HeapTherapy {
         }
     }
 
-    /// Runs the program natively (no interposition, no defenses).
-    pub fn run_native(&self, ip: &InstrumentedProgram<'_>, input: &[u64]) -> RunReport {
-        Interpreter::new(ip.program, &ip.plan, PlainBackend::new())
-            .with_limits(self.cfg.limits)
-            .run(input)
+    /// Runs `input` under the allocator `deploy` names and reads back its
+    /// counters, memory statistics and telemetry.
+    pub fn run(&self, ip: &InstrumentedProgram<'_>, input: &[u64], deploy: Deploy<'_>) -> Run {
+        let cfg = match deploy {
+            Deploy::Native => {
+                let (report, plain) = self.exec(ip, input, PlainBackend::new());
+                return Run {
+                    report,
+                    stats: DefenseStats::default(),
+                    mem: space_stats(&plain),
+                    telemetry: None,
+                };
+            }
+            Deploy::Interposed => DefenseConfig::interpose_only(),
+            Deploy::Protected(patches) => DefenseConfig {
+                table: PatchTable::from_patches(patches.to_vec()),
+                quarantine_quota: self.cfg.defense_quota,
+                telemetry: self.cfg.telemetry,
+                ..DefenseConfig::default()
+            },
+        };
+        let (report, defended) = self.exec(ip, input, DefendedBackend::new(cfg));
+        Run {
+            report,
+            stats: defended.stats(),
+            mem: space_stats(&defended),
+            telemetry: defended.telemetry_snapshot(),
+        }
     }
 
-    /// Runs with allocation interposition only (Fig. 8 "interposition").
-    pub fn run_interposed(&self, ip: &InstrumentedProgram<'_>, input: &[u64]) -> ProtectedRun {
-        self.run_defended(ip, input, DefenseConfig::interpose_only())
+    /// Runs `input` over `backend` within the configured limits; returns the
+    /// report and the backend. Generic, so every backend call stays static.
+    fn exec<B: HeapBackend>(
+        &self,
+        ip: &InstrumentedProgram<'_>,
+        input: &[u64],
+        backend: B,
+    ) -> (RunReport, B) {
+        let mut interp =
+            Interpreter::new(ip.program, &ip.plan, backend).with_limits(self.cfg.limits);
+        let report = interp.run(input);
+        (report, interp.into_backend())
+    }
+
+    /// [`Self::run`] with [`Deploy::Native`], its report alone. Kept only
+    /// for `perfbench/`; ROADMAP item 9 deletes it.
+    pub fn run_native(&self, ip: &InstrumentedProgram<'_>, input: &[u64]) -> RunReport {
+        self.run(ip, input, Deploy::Native).report
+    }
+
+    /// [`Self::run`] with [`Deploy::Interposed`]. Kept only for
+    /// `perfbench/`; ROADMAP item 9 deletes it.
+    pub fn run_interposed(&self, ip: &InstrumentedProgram<'_>, input: &[u64]) -> Run {
+        self.run(ip, input, Deploy::Interposed)
+    }
+
+    /// [`Self::run`] with [`Deploy::Protected`]. Kept only for
+    /// `perfbench/`; ROADMAP item 9 deletes it.
+    pub fn run_protected(
+        &self,
+        ip: &InstrumentedProgram<'_>,
+        input: &[u64],
+        patches: &[Patch],
+    ) -> Run {
+        self.run(ip, input, Deploy::Protected(patches))
     }
 
     /// Offline phase: replays `input` under the shadow analyzer and
@@ -263,53 +331,11 @@ impl HeapTherapy {
         input: &[u64],
         origin: &str,
     ) -> AnalysisReport {
-        let backend = ShadowBackend::with_config(self.cfg.shadow);
-        let mut interp =
-            Interpreter::new(ip.program, &ip.plan, backend).with_limits(self.cfg.limits);
-        let run = interp.run(input);
-        let shadow = interp.into_backend();
+        let (run, shadow) = self.exec(ip, input, ShadowBackend::with_config(self.cfg.shadow));
         AnalysisReport {
             warnings: shadow.warnings().to_vec(),
             patches: shadow.generate_patches(origin),
             run,
-        }
-    }
-
-    /// Online phase: runs under the defended allocator with `patches`
-    /// deployed.
-    pub fn run_protected(
-        &self,
-        ip: &InstrumentedProgram<'_>,
-        input: &[u64],
-        patches: &[Patch],
-    ) -> ProtectedRun {
-        let mut cfg = DefenseConfig::with_table(PatchTable::from_patches(patches.to_vec()));
-        cfg.quarantine_quota = self.cfg.defense_quota;
-        cfg.telemetry = self.cfg.telemetry;
-        self.run_defended(ip, input, cfg)
-    }
-
-    /// Runs `input` under a defended backend configured by `cfg` and reads
-    /// back its counters, memory statistics and telemetry.
-    fn run_defended(
-        &self,
-        ip: &InstrumentedProgram<'_>,
-        input: &[u64],
-        cfg: DefenseConfig,
-    ) -> ProtectedRun {
-        let backend = DefendedBackend::new(cfg);
-        let mut interp =
-            Interpreter::new(ip.program, &ip.plan, backend).with_limits(self.cfg.limits);
-        let report = interp.run(input);
-        let backend = interp.into_backend();
-        let (mem, _) = backend
-            .mem_stats()
-            .expect("the defended backend tracks memory");
-        ProtectedRun {
-            report,
-            stats: backend.stats(),
-            mem,
-            telemetry: backend.telemetry_snapshot(),
         }
     }
 
@@ -333,11 +359,8 @@ impl HeapTherapy {
                 index,
                 of: n.max(1),
             });
-            let backend = ShadowBackend::with_config(cfg);
-            let mut interp =
-                Interpreter::new(ip.program, &ip.plan, backend).with_limits(self.cfg.limits);
-            last_run = Some(interp.run(input));
-            let shadow = interp.into_backend();
+            let (run, shadow) = self.exec(ip, input, ShadowBackend::with_config(cfg));
+            last_run = Some(run);
             warnings.extend(shadow.warnings().iter().cloned());
             merged.extend(shadow.generate_patches(origin));
         }
@@ -378,7 +401,7 @@ impl HeapTherapy {
         let mut deployed: Vec<Patch> = Vec::new();
         for round in 1..=max_rounds {
             let breached = app.attack_inputs.iter().find(|input| {
-                let run = self.run_protected(&ip, input, &deployed);
+                let run = self.run(&ip, input, Deploy::Protected(&deployed));
                 app.attack_succeeded(&run.report)
             });
             let Some(input) = breached else {
@@ -420,8 +443,8 @@ impl HeapTherapy {
         input: &[u64],
         n: usize,
     ) -> Vec<Patch> {
-        let profile = self.run_native(ip, input);
-        profile
+        self.run(ip, input, Deploy::Native)
+            .report
             .median_frequency_ccids(n)
             .into_iter()
             .map(|(fun, ccid)| Patch::new(fun, ccid, VulnFlags::OVERFLOW))
@@ -461,7 +484,7 @@ impl HeapTherapy {
         let (mut delivered, mut dropped) = (0u64, 0u64);
         tl.time("protected", || {
             for input in app.attack_inputs.iter().chain(&app.benign_inputs) {
-                let run = armed.run_protected(&ip, input, &deployed);
+                let run = armed.run(&ip, input, Deploy::Protected(&deployed));
                 let Some(snap) = run.telemetry else { continue };
                 delivered += snap.delivered;
                 dropped += snap.dropped;
@@ -514,8 +537,8 @@ impl HeapTherapy {
         let ip = self.instrument(&app.program);
 
         // Ground truth: the exploit works when undefended.
-        let native = self.run_native(&ip, app.patching_input());
-        let undefended_attack_succeeded = app.attack_succeeded(&native);
+        let native = self.run(&ip, app.patching_input(), Deploy::Native);
+        let undefended_attack_succeeded = app.attack_succeeded(&native.report);
 
         // Offline: one attack input → patches.
         let analysis = self.analyze_attack(&ip, app.patching_input(), &app.reference);
@@ -532,12 +555,12 @@ impl HeapTherapy {
 
         // Online: every attack input must be defeated...
         let all_attacks_blocked = app.attack_inputs.iter().all(|input| {
-            let run = self.run_protected(&ip, input, &deployed);
+            let run = self.run(&ip, input, Deploy::Protected(&deployed));
             !app.attack_succeeded(&run.report)
         });
         // ...and benign inputs must run to completion, unharmed.
         let benign_ok = app.benign_inputs.iter().all(|input| {
-            let run = self.run_protected(&ip, input, &deployed);
+            let run = self.run(&ip, input, Deploy::Protected(&deployed));
             run.report.outcome.is_completed() && !app.attack_succeeded(&run.report)
         });
 
@@ -553,6 +576,14 @@ impl HeapTherapy {
             benign_ok,
         })
     }
+}
+
+/// The memory-system statistics of a backend that tracks them.
+fn space_stats(backend: &impl HeapBackend) -> SpaceStats {
+    backend
+        .mem_stats()
+        .expect("the plain and defended backends track memory")
+        .0
 }
 
 #[cfg(test)]
@@ -646,7 +677,7 @@ mod tests {
             }
             // The protected run must still complete (defenses are
             // transparent to program logic).
-            let run = ht.run_protected(&ip, &input, &patches);
+            let run = ht.run(&ip, &input, Deploy::Protected(&patches));
             assert!(run.report.outcome.is_completed());
             assert!(run.stats.table_hits > 0, "patched contexts were exercised");
         }
@@ -677,7 +708,7 @@ mod tests {
         let app = ht_vulnapps::bc();
         let ht = ht();
         let ip = ht.instrument(&app.program);
-        let run = ht.run_interposed(&ip, &app.benign_inputs[0]);
+        let run = ht.run(&ip, &app.benign_inputs[0], Deploy::Interposed);
         assert!(run.report.outcome.is_completed());
         assert!(run.stats.interposed_allocs >= 2);
         assert_eq!(run.stats.table_lookups, 0);
@@ -720,7 +751,7 @@ mod tests {
         let one_shot = ht.analyze_attack(&ip, app.patching_input(), "x").patches;
         assert_eq!(one_shot.len(), 1);
         let second_attack = &app.attack_inputs[1];
-        let run = ht.run_protected(&ip, second_attack, &one_shot);
+        let run = ht.run(&ip, second_attack, Deploy::Protected(&one_shot));
         assert!(
             app.attack_succeeded(&run.report),
             "the second context is still exposed after round one"
@@ -731,11 +762,11 @@ mod tests {
         assert_eq!(rounds, 2, "one extra round per new calling context");
         assert_eq!(patches.len(), 2);
         for input in &app.attack_inputs {
-            let run = ht.run_protected(&ip, input, &patches);
+            let run = ht.run(&ip, input, Deploy::Protected(&patches));
             assert!(!app.attack_succeeded(&run.report));
         }
         for input in &app.benign_inputs {
-            let run = ht.run_protected(&ip, input, &patches);
+            let run = ht.run(&ip, input, Deploy::Protected(&patches));
             assert!(run.report.outcome.is_completed());
         }
     }

@@ -6,6 +6,7 @@ use ht_patch::{AllocFn, Patch, PatchTable, VulnFlags};
 use ht_telemetry::{Event, Recorder, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Snapshot of the allocator's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -384,6 +385,10 @@ struct RegionStack {
     len: usize,
 }
 
+// SAFETY: the array `bases` points to belongs to this stack alone and is
+// not tied to the thread that mapped it; its class's lock orders all use.
+unsafe impl Send for RegionStack {}
+
 impl RegionStack {
     /// Bytes of the array's mapping.
     fn array_len(&self) -> usize {
@@ -397,7 +402,7 @@ impl RegionStack {
     ///
     /// # Safety
     ///
-    /// The caller holds the class lock.
+    /// `bases` maps `cap` slots (none while `cap` is 0) and `len <= cap`.
     unsafe fn grow(&mut self) -> bool {
         let cap = (2 * self.cap).max(FIRST_SLOTS);
         let Some(bases) = map_anon(cap * std::mem::size_of::<usize>()) else {
@@ -414,43 +419,31 @@ impl RegionStack {
     }
 }
 
-struct RegionClass {
-    lock: crate::tables::SpinLock,
-    stack: std::cell::UnsafeCell<RegionStack>,
+/// One cache class: its stack behind a lock of its own.
+type RegionClass = Mutex<RegionStack>;
+
+/// Locks `class`, taking a lock poisoned by a panic under it as it is, so
+/// no allocator path panics on it.
+fn lock(class: &RegionClass) -> MutexGuard<'_, RegionStack> {
+    class.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-// SAFETY: `lock` is a plain atomic flag; `stack` and the array it points to
-// are only read or written while `lock` is held, and the array belongs to
-// this class alone.
-unsafe impl Sync for RegionClass {}
-// SAFETY: as above; the array is not tied to the thread that mapped it.
-unsafe impl Send for RegionClass {}
-
-#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
-const EMPTY_REGION_CLASS: RegionClass = RegionClass {
-    lock: crate::tables::SpinLock::new(),
-    stack: std::cell::UnsafeCell::new(RegionStack {
-        bases: std::ptr::null_mut(),
-        cap: 0,
-        len: 0,
-    }),
-};
 
 /// Retired guarded regions, kept mapped with their guard page still
 /// `PROT_NONE`, so a guarded allocation that finds one makes no syscall.
 ///
 /// One stack of region base addresses per body page count, each behind
-/// its own spin lock. A stack's array has an anonymous mapping of its own:
-/// it starts empty, takes one page of bases when first needed and doubles
-/// under the class lock when full (map the new array, copy, unmap the old
-/// one). So a retired region is always kept, unless that mapping is
-/// refused, and the regions a class holds mapped never exceed the peak
-/// number of its buffers live or quarantined at once. The arrays live
-/// neither in the regions' own bytes nor behind any allocator, so a
-/// dangling read of a retired buffer cannot see allocator pointers and
-/// growing a stack never re-enters the allocator. A cached region holds
-/// its last user's bytes until [`HardenedAlloc`] zeroes it on reuse.
-/// Dropping the cache unmaps every region it holds, then the arrays.
+/// its own `std::sync::Mutex`, a futex word on Linux that never allocates.
+/// A stack's array has an anonymous mapping of its own: it starts empty,
+/// takes one page of bases when first needed and doubles under the class
+/// lock when full (map the new array, copy, unmap the old one). So a
+/// retired region is always kept, unless that mapping is refused, and the
+/// regions a class holds mapped never exceed the peak number of its
+/// buffers live or quarantined at once. The arrays live neither in the
+/// regions' own bytes nor behind any allocator, so a dangling read of a
+/// retired buffer cannot see allocator pointers and growing a stack never
+/// re-enters the allocator. A cached region holds its last user's bytes
+/// until [`HardenedAlloc`] zeroes it on reuse. Dropping the cache unmaps
+/// every region it holds, then the arrays.
 struct RegionCache {
     classes: [RegionClass; REGION_CLASSES],
 }
@@ -458,7 +451,13 @@ struct RegionCache {
 impl RegionCache {
     const fn new() -> Self {
         Self {
-            classes: [EMPTY_REGION_CLASS; REGION_CLASSES],
+            classes: [const {
+                Mutex::new(RegionStack {
+                    bases: std::ptr::null_mut(),
+                    cap: 0,
+                    len: 0,
+                })
+            }; REGION_CLASSES],
         }
     }
 
@@ -471,15 +470,10 @@ impl RegionCache {
     /// Pops the region with a `body`-byte body retired last, if one is
     /// cached.
     fn take(&self, body: usize) -> Option<usize> {
-        let class = self.class(body)?;
-        let _g = class.lock.lock();
-        // SAFETY: the class lock is held, and the `len` slots below the top
-        // of the array hold bases.
-        unsafe {
-            let st = &mut *class.stack.get();
-            st.len = st.len.checked_sub(1)?;
-            Some(st.bases.add(st.len).read())
-        }
+        let mut st = lock(self.class(body)?);
+        st.len = st.len.checked_sub(1)?;
+        // SAFETY: the `len` slots below the old top of the array hold bases.
+        Some(unsafe { st.bases.add(st.len).read() })
     }
 
     /// Takes back a region with a `body`-byte body, growing its class's
@@ -492,9 +486,7 @@ impl RegionCache {
     /// live allocation, and be retired once.
     unsafe fn retire(&self, region: usize, body: usize) {
         if let Some(class) = self.class(body) {
-            let _g = class.lock.lock();
-            // SAFETY: the class lock is held.
-            let st = &mut *class.stack.get();
+            let mut st = lock(class);
             if st.len < st.cap || st.grow() {
                 st.bases.add(st.len).write(region);
                 st.len += 1;
@@ -509,7 +501,7 @@ impl Drop for RegionCache {
     fn drop(&mut self) {
         for (pages, class) in (1..).zip(&mut self.classes) {
             let body = pages * PAGE;
-            let st = class.stack.get_mut();
+            let st = class.get_mut().unwrap_or_else(PoisonError::into_inner);
             // SAFETY: every cached region came from `map_region(body)` and
             // is referenced by no allocation; the array came from
             // `map_anon(st.array_len())`, and nothing uses it after this.
@@ -1196,8 +1188,7 @@ pub(crate) mod tests {
         // The class's array, as the quarantined regions will find it on
         // drop: grown past its first page, with room for them.
         let (array, array_len) = {
-            // SAFETY: no other thread uses `a`.
-            let st = unsafe { &*a.regions.classes[0].stack.get() };
+            let st = lock(&a.regions.classes[0]);
             assert_eq!(st.len, cached);
             assert!(st.cap > FIRST_SLOTS && st.cap >= cached + held);
             (st.bases as usize, st.array_len())

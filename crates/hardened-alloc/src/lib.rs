@@ -28,9 +28,10 @@
 //!   same configuration order.
 //!
 //! Everything on the allocation path is allocation-free (fixed-size tables,
-//! a spin lock, atomics, counter cells each thread claims from a `static`
-//! pool) so the type is usable as `#[global_allocator]` — see
-//! `examples/hardened_allocator.rs` at the workspace root.
+//! futex-based `std::sync::Mutex`es, atomics, counter cells each thread
+//! claims from a `static` pool) so the type is usable as
+//! `#[global_allocator]` — see `examples/hardened_allocator.rs` at the
+//! workspace root.
 //!
 //! `libc` is the one dependency outside the project's standard allowance:
 //! `std` exposes no page-permission API, and guard pages are the point.

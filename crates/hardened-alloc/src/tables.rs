@@ -3,46 +3,13 @@
 //!
 //! A `#[global_allocator]` must never allocate while servicing an
 //! allocation, so every table here is fixed-size, and the quarantine keeps
-//! its FIFO links in the freed buffers' own headers.
+//! its FIFO links in the freed buffers' own headers. The quarantine's lock
+//! is a `std::sync::Mutex`: on Linux a futex word, which never allocates.
 
 use ht_patch::PatchTable;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Minimal spin lock (no parking, no allocation).
-#[derive(Debug, Default)]
-pub(crate) struct SpinLock {
-    locked: AtomicBool,
-}
-
-impl SpinLock {
-    pub(crate) const fn new() -> Self {
-        Self {
-            locked: AtomicBool::new(false),
-        }
-    }
-
-    pub(crate) fn lock(&self) -> SpinGuard<'_> {
-        while self
-            .locked
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-        SpinGuard { lock: self }
-    }
-}
-
-pub(crate) struct SpinGuard<'a> {
-    lock: &'a SpinLock,
-}
-
-impl Drop for SpinGuard<'_> {
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// The allocator-wide totals a [`Counters`] block keeps.
 #[derive(Clone, Copy)]
@@ -436,25 +403,21 @@ impl Fifo {
 /// out of. A node that fails its check cuts the FIFO: the buffers from it
 /// on are never followed, never released, and stay counted as held.
 ///
-/// One spin lock guards the FIFO, held only for a link, an unlink or a
-/// walk: no allocator call is ever made under it. The quarantine has a
-/// cache line of its own, so the UAF frees that write the lock write no
-/// line the unpatched paths read.
+/// One `std::sync::Mutex` holds the FIFO, locked only for a link, an
+/// unlink or a walk: no allocator call is ever made under it. On Linux it
+/// is a futex word, so taking it never allocates, and a thread that finds
+/// it held sleeps instead of spinning behind a preempted holder. The
+/// quarantine has a cache line of its own, so the UAF frees that write the
+/// lock write no line the unpatched paths read.
 #[repr(align(64))]
 pub(crate) struct Quarantine {
-    lock: SpinLock,
-    fifo: std::cell::UnsafeCell<Fifo>,
+    fifo: Mutex<Fifo>,
 }
-
-// SAFETY: `lock` is a plain atomic flag; `fifo` is only read or written
-// while `lock` is held.
-unsafe impl Sync for Quarantine {}
 
 impl Quarantine {
     pub(crate) const fn new() -> Self {
         Self {
-            lock: SpinLock::new(),
-            fifo: std::cell::UnsafeCell::new(Fifo {
+            fifo: Mutex::new(Fifo {
                 head: 0,
                 tail: 0,
                 len: 0,
@@ -463,11 +426,10 @@ impl Quarantine {
         }
     }
 
-    /// Runs `f` on the FIFO with the lock held.
+    /// Runs `f` on the FIFO with the lock held. A lock poisoned by a panic
+    /// under it is taken as it is, so no allocator path panics on it.
     fn locked<R>(&self, f: impl FnOnce(&mut Fifo) -> R) -> R {
-        let _g = self.lock.lock();
-        // SAFETY: the lock is held.
-        f(unsafe { &mut *self.fifo.get() })
+        f(&mut self.fifo.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Appends the freed buffer at `ptr` of `size` bytes, then yields,
@@ -538,7 +500,6 @@ impl Quarantine {
 mod tests {
     use super::*;
     use crate::galloc::tests::park;
-    use std::sync::Arc;
 
     /// Headers for the quarantine to link: buffer `i`'s 24-byte header
     /// fills the end of a 32-byte cell, and its user pointer is the cell's
@@ -685,29 +646,6 @@ mod tests {
         );
         // Every pop leaves more than the quota less one block held.
         assert_eq!(held, 16 * 1024 / 48 * 48);
-    }
-
-    #[test]
-    fn spinlock_mutual_exclusion() {
-        use std::sync::atomic::AtomicUsize;
-        let lock = Arc::new(SpinLock::new());
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let lock = lock.clone();
-            let counter = counter.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    let _g = lock.lock();
-                    let v = counter.load(Ordering::Relaxed);
-                    counter.store(v + 1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 4000);
     }
 
     #[test]

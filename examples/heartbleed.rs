@@ -8,7 +8,7 @@
 //! cargo run --example heartbleed
 //! ```
 
-use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
+use heaptherapy_plus::core::{Deploy, HeapTherapy, PipelineConfig};
 use heaptherapy_plus::vulnapps::{self, SECRET_BYTE};
 
 fn count_secret(leak: &[u8]) -> usize {
@@ -23,7 +23,7 @@ fn main() {
 
     // 1. Undefended: the malicious heartbeat bleeds the previous TLS
     //    session's key material out of the heap.
-    let native = ht.run_native(&ip, attack);
+    let native = ht.run(&ip, attack, Deploy::Native).report;
     println!(
         "[undefended] response bytes: {}, secret bytes leaked: {}",
         native.leaked.len(),
@@ -44,7 +44,7 @@ fn main() {
 
     // 3. Online: patches deployed through the configuration file. The same
     //    attack now gets zeros and a guard-page stop instead of secrets.
-    let protected = ht.run_protected(&ip, attack, &analysis.patches);
+    let protected = ht.run(&ip, attack, Deploy::Protected(&analysis.patches));
     println!("\n[patched] outcome: {:?}", protected.report.outcome);
     println!(
         "[patched] response bytes: {}, secret bytes leaked: {}",
@@ -58,7 +58,11 @@ fn main() {
     assert_eq!(count_secret(&protected.report.leaked), 0);
 
     // 4. Regular heartbeats still work.
-    let benign = ht.run_protected(&ip, &app.benign_inputs[0], &analysis.patches);
+    let benign = ht.run(
+        &ip,
+        &app.benign_inputs[0],
+        Deploy::Protected(&analysis.patches),
+    );
     println!(
         "\n[benign] outcome: {:?}, response bytes: {}",
         benign.report.outcome,

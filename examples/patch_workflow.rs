@@ -10,7 +10,7 @@
 //! ```
 
 use heaptherapy_plus::callgraph::Strategy;
-use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
+use heaptherapy_plus::core::{Deploy, HeapTherapy, PipelineConfig};
 use heaptherapy_plus::encoding::{decode, Ccid, Scheme};
 use heaptherapy_plus::patch::{from_config_text, to_config_text};
 use heaptherapy_plus::vulnapps;
@@ -61,7 +61,7 @@ fn main() {
     }
 
     // The deployed patches still defeat the attack.
-    let protected = ht.run_protected(&ip, app.patching_input(), &loaded);
+    let protected = ht.run(&ip, app.patching_input(), Deploy::Protected(&loaded));
     assert!(!app.attack_succeeded(&protected.report));
     println!("\nOK: config file round-trips and the decoded context names the culprit.");
 }

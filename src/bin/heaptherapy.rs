@@ -13,7 +13,7 @@
 //! ```
 
 use heaptherapy_plus::callgraph::Strategy;
-use heaptherapy_plus::core::{incident_report, HeapTherapy, PipelineConfig};
+use heaptherapy_plus::core::{incident_report, Deploy, HeapTherapy, PipelineConfig};
 use heaptherapy_plus::encoding::{decode, Ccid, Scheme};
 use heaptherapy_plus::patch::{from_config_text, to_config_text};
 use heaptherapy_plus::vulnapps::{self, VulnApp};
@@ -177,7 +177,7 @@ fn cmd_protect(args: &Args) -> ExitCode {
         return ExitCode::from(2);
     };
     let ip = ht.instrument(&app.program);
-    let run = ht.run_protected(&ip, input, &patches);
+    let run = ht.run(&ip, input, Deploy::Protected(&patches));
     println!("outcome           : {:?}", run.report.outcome);
     println!("bytes leaked      : {}", run.report.leaked.len());
     println!("attack succeeded  : {}", app.attack_succeeded(&run.report));

@@ -3,7 +3,7 @@
 //! round trips. These tests pin that contract.
 
 use heaptherapy_plus::callgraph::Strategy;
-use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
+use heaptherapy_plus::core::{Deploy, HeapTherapy, PipelineConfig};
 use heaptherapy_plus::encoding::{InstrumentationPlan, Scheme};
 use heaptherapy_plus::simprog::spec::{build_spec_workload, spec_bench, spec_suite};
 use ht_jsonio::{FromJson, Json, ToJson};
@@ -67,7 +67,7 @@ fn patches_survive_a_simulated_restart() {
     let ip = ht.instrument(&app.program);
     let patches = ht_patch::from_config_text(&config_text).unwrap();
     for input in &app.attack_inputs {
-        let run = ht.run_protected(&ip, input, &patches);
+        let run = ht.run(&ip, input, Deploy::Protected(&patches));
         assert!(
             !app.attack_succeeded(&run.report),
             "patch expired on restart"

@@ -2,7 +2,7 @@
 //! stack is wired together.
 
 use heaptherapy_plus::callgraph::Strategy;
-use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
+use heaptherapy_plus::core::{Deploy, HeapTherapy, PipelineConfig};
 use heaptherapy_plus::defense::{DefendedBackend, DefenseConfig};
 use heaptherapy_plus::encoding::{decode, Ccid, Scheme};
 use heaptherapy_plus::memsim::BumpAllocator;
@@ -73,7 +73,7 @@ fn ccid_collision_only_overprotects() {
     let ip = ht.instrument(&app.program);
     // Profile the benign run and patch EVERY observed context as overflow —
     // the worst possible "collision storm".
-    let profile = ht.run_native(&ip, &app.benign_inputs[0]);
+    let profile = ht.run(&ip, &app.benign_inputs[0], Deploy::Native).report;
     let patches: Vec<_> = profile
         .ccid_freq
         .keys()
@@ -85,7 +85,7 @@ fn ccid_collision_only_overprotects() {
             )
         })
         .collect();
-    let run = ht.run_protected(&ip, &app.benign_inputs[0], &patches);
+    let run = ht.run(&ip, &app.benign_inputs[0], Deploy::Protected(&patches));
     assert!(
         run.report.outcome.is_completed(),
         "over-protection never changes program logic: {:?}",
@@ -168,10 +168,10 @@ fn virtual_dispatch_contexts_are_patched_individually() {
     );
 
     // Attack defeated through the virtual call...
-    let run = ht.run_protected(&ip, &attack, &analysis.patches);
+    let run = ht.run(&ip, &attack, Deploy::Protected(&analysis.patches));
     assert!(!run.report.leaked.windows(8).any(|w| w == [0x41; 8]));
     // ...and the JPG path runs completely untaxed (no table hits).
-    let jpg_run = ht.run_protected(&ip, &[1, 64], &analysis.patches);
+    let jpg_run = ht.run(&ip, &[1, 64], Deploy::Protected(&analysis.patches));
     assert!(jpg_run.report.outcome.is_completed());
     assert_eq!(
         jpg_run.stats.table_hits, 0,
@@ -193,13 +193,13 @@ fn zero_quarantine_quota_disables_uaf_defense() {
     let patches = ht_weak
         .analyze_attack(&ip, app.patching_input(), "x")
         .patches;
-    let run = ht_weak.run_protected(&ip, app.patching_input(), &patches);
+    let run = ht_weak.run(&ip, app.patching_input(), Deploy::Protected(&patches));
     assert!(
         app.attack_succeeded(&run.report),
         "zero quota ⇒ immediate eviction ⇒ reuse ⇒ hijack"
     );
     // Sanity: the default quota blocks it.
     let ht_strong = HeapTherapy::new(PipelineConfig::default());
-    let run = ht_strong.run_protected(&ip, app.patching_input(), &patches);
+    let run = ht_strong.run(&ip, app.patching_input(), Deploy::Protected(&patches));
     assert!(!app.attack_succeeded(&run.report));
 }

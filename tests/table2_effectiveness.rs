@@ -7,7 +7,7 @@
 //! deploys code-lessly, fresh attack instances are defeated, and benign
 //! traffic is unharmed.
 
-use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
+use heaptherapy_plus::core::{Deploy, HeapTherapy, PipelineConfig};
 use heaptherapy_plus::patch::VulnFlags;
 use heaptherapy_plus::vulnapps;
 
@@ -65,7 +65,11 @@ fn patches_do_not_cross_contaminate_applications() {
     let bc_patches = ht.analyze_attack(&ip_bc, bc.patching_input(), "bc").patches;
     // libming's attack still succeeds under bc's patches (different keys —
     // bc patches malloc, libming's culprit is calloc).
-    let run = ht.run_protected(&ip_ming, ming.patching_input(), &bc_patches);
+    let run = ht.run(
+        &ip_ming,
+        ming.patching_input(),
+        Deploy::Protected(&bc_patches),
+    );
     assert!(
         ming.attack_succeeded(&run.report),
         "foreign patches must not accidentally defend"

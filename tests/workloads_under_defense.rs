@@ -1,10 +1,12 @@
 //! Integration: the evaluation workloads (SPEC models, services) under the
 //! full online system — the structural halves of Fig. 8/9 and §VIII-B2.
 
-use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
+use heaptherapy_plus::core::{Deploy, HeapTherapy, PipelineConfig};
+use heaptherapy_plus::defense::DefenseStats;
 use heaptherapy_plus::memsim::PAGE_SIZE;
 use heaptherapy_plus::simprog::service::{build_service_workload, ServiceKind};
 use heaptherapy_plus::simprog::spec::{build_spec_workload, spec_suite};
+use heaptherapy_plus::simprog::{HeapBackend, Interpreter, PlainBackend};
 
 #[test]
 fn every_spec_model_completes_under_five_patches() {
@@ -14,8 +16,8 @@ fn every_spec_model_completes_under_five_patches() {
         let ip = ht.instrument(&w.program);
         let input = w.input_for_allocs(400);
         let patches = ht.hypothesized_patches(&ip, &input, 4);
-        let native = ht.run_native(&ip, &input);
-        let protected = ht.run_protected(&ip, &input, &patches);
+        let native = ht.run(&ip, &input, Deploy::Native).report;
+        let protected = ht.run(&ip, &input, Deploy::Protected(&patches));
         assert!(protected.report.outcome.is_completed(), "{}", bench.name);
         // Program-visible behaviour identical: same allocation counts, same
         // bytes moved.
@@ -45,7 +47,7 @@ fn services_keep_serving_with_patches_installed() {
         let ip = ht.instrument(&w.program);
         let input = w.input_for_requests(200);
         let patches = ht.hypothesized_patches(&ip, &input, 2);
-        let run = ht.run_protected(&ip, &input, &patches);
+        let run = ht.run(&ip, &input, Deploy::Protected(&patches));
         assert!(run.report.outcome.is_completed(), "{}", kind.name());
         assert_eq!(
             run.report.allocs.total(),
@@ -68,10 +70,26 @@ fn interposition_alone_never_changes_behaviour() {
         let w = build_spec_workload(bench);
         let ip = ht.instrument(&w.program);
         let input = w.input_for_allocs(300);
-        let native = ht.run_native(&ip, &input);
-        let interposed = ht.run_interposed(&ip, &input);
-        assert_eq!(native.allocs, interposed.report.allocs, "{}", bench.name);
-        assert_eq!(native.leaked, interposed.report.leaked, "{}", bench.name);
+        let native = ht.run(&ip, &input, Deploy::Native);
+        let interposed = ht.run(&ip, &input, Deploy::Interposed);
+        assert_eq!(
+            native.report.allocs, interposed.report.allocs,
+            "{}",
+            bench.name
+        );
+        assert_eq!(
+            native.report.leaked, interposed.report.leaked,
+            "{}",
+            bench.name
+        );
+        // A native run carries the plain backend's memory statistics (Fig.
+        // 9's native column) and nothing of a defense.
+        let mut plain = Interpreter::new(&w.program, &ip.plan, PlainBackend::new());
+        plain.run(&input);
+        let (plain_mem, _) = plain.backend().mem_stats().expect("plain tracks memory");
+        assert_eq!(native.mem, plain_mem, "{}", bench.name);
+        assert_eq!(native.stats, DefenseStats::default(), "{}", bench.name);
+        assert!(native.telemetry.is_none(), "{}", bench.name);
     }
 }
 
@@ -89,8 +107,8 @@ fn guard_pages_are_mapped_but_not_all_resident() {
     let input = w.input_for_allocs(500);
     let p5 = ht.hypothesized_patches(&ip, &input, 5);
 
-    let run0 = ht.run_protected(&ip, &input, &[]);
-    let run5 = ht.run_protected(&ip, &input, &p5);
+    let run0 = ht.run(&ip, &input, Deploy::Protected(&[]));
+    let run5 = ht.run(&ip, &input, Deploy::Protected(&p5));
     let pages = run5.stats.guard_pages;
     assert!(pages > 0);
     assert!(
