@@ -1,16 +1,16 @@
 //! Regenerates every table and figure of the HeapTherapy+ evaluation.
 //!
 //! ```text
-//! reproduce [all|fig2|table1|table2|lint|table3|table4|encoding|fig8|fig9|services|ablations|scaling|shadow|telemetry|extras]
-//!           [--allocs N] [--fraction F] [--samples N] [--requests N] [--threads N]
-//!           [--pairs N] [--repeat N] [--reference-kernels] [--json PATH]
+//! reproduce [all|TARGET] [--allocs N] [--fraction F] [--samples N] [--requests N]
+//!           [--threads N] [--pairs N] [--repeat N] [--reference-kernels] [--json PATH]
 //! reproduce check-baselines [--scaling PATH] [--telemetry PATH] [--shadow PATH]
 //! ```
 //!
-//! `check-baselines` applies the CI guards to the JSON that `scaling`,
-//! `telemetry` and `shadow` wrote (the scaling guard against
-//! `BENCH_scaling.json` in the working directory) and exits 1 on the first
-//! bound that fails.
+//! `TARGETS` names every target and those `all` runs, in order; an unknown
+//! target exits 2 with the list. `check-baselines` applies the CI guards to
+//! the JSON that `scaling`, `telemetry` and `shadow` wrote (the scaling
+//! guard against `BENCH_scaling.json` in the working directory) and exits 1
+//! on the first bound that fails.
 //!
 //! Paper-reported numbers are printed beside the measured ones. Absolute
 //! values differ (simulated substrate); the shape is what reproduces. Run
@@ -104,7 +104,39 @@ fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-fn run_fig2() {
+/// A target: its name, what it runs, and whether `all` runs it.
+struct Target(&'static str, fn(&Opts), bool);
+
+/// Every target. `all` runs the ones it runs in this order.
+const TARGETS: &[Target] = &[
+    Target("fig2", run_fig2, true),
+    Target("extras", run_extras, true),
+    Target("table1", run_table1, true),
+    Target("table2", run_table2, true),
+    Target("lint", run_lint, true),
+    Target("table3", run_table3, true),
+    Target("table4", run_table4, true),
+    Target("encoding", run_encoding, true),
+    Target("fig8", run_fig8, true),
+    Target("fig9", run_fig9, true),
+    Target("services", run_services, true),
+    Target("ablations", run_ablations, true),
+    Target("scaling", run_scaling, false),
+    Target("shadow", run_shadow, false),
+    Target("telemetry", run_telemetry, false),
+    Target("check-baselines", run_check_baselines, false),
+];
+
+/// Writes `json` to the `--json` path, when one was given.
+fn write_json(opts: &Opts, json: ht_jsonio::Json) {
+    if let Some(path) = &opts.json {
+        std::fs::write(path, json.to_pretty() + "\n")
+            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("wrote {path}");
+    }
+}
+
+fn run_fig2(_: &Opts) {
     header("Figure 2 — targeted instrumentation of the example graph");
     for r in fig2::rows() {
         println!("{:<12} {:>2} sites   {}", r.strategy, r.sites, r.edges);
@@ -112,7 +144,7 @@ fn run_fig2() {
     println!("(paper panels: FCS=all, TCS prunes D→H/H→I, Slim prunes B/E, Incremental keeps AB,AC,CE,CF)");
 }
 
-fn run_table1() {
+fn run_table1(_: &Opts) {
     header("Table I — buffer structure selection");
     println!(
         "{:<10} {:>8} {:>9} {:>14} {:>10}",
@@ -144,7 +176,7 @@ fn run_lint(opts: &Opts) {
     header("Static triage — static-vs-dynamic agreement per vulnerable program");
     let rows = lint::rows(opts.threads);
     for r in &rows {
-        println!("{}", r.table_row());
+        println!("{}", r.agreement_row());
     }
     println!("\n{}", lint::summary(&rows));
     println!("(static candidates must cover every dynamically generated patch)");
@@ -204,7 +236,7 @@ fn run_encoding(opts: &Opts) {
         "{:<16} {:>34} {:>34}",
         "benchmark", "instr. ops FCS/TCS/Slim/Inc", "time overhead % FCS/TCS/Slim/Inc"
     );
-    let rows = encoding::rows(opts.allocs, true, opts.samples);
+    let rows = encoding::rows(opts.allocs, opts.samples);
     for r in &rows {
         println!(
             "{:<16} {:>8} {:>8} {:>8} {:>8}   {:>7.2} {:>7.2} {:>7.2} {:>7.2}",
@@ -385,12 +417,7 @@ fn run_scaling(opts: &Opts) {
         scaling::PATCHED_EVERY,
         scaling::ALLOC_SIZE
     );
-    if let Some(path) = &opts.json {
-        let j = scaling::to_json(&rows, opts.pairs, opts.samples);
-        std::fs::write(path, j.to_pretty() + "\n")
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
+    write_json(opts, scaling::to_json(&rows, opts.pairs, opts.samples));
 }
 
 fn run_shadow(opts: &Opts) {
@@ -436,12 +463,7 @@ fn run_shadow(opts: &Opts) {
         );
     }
     println!("(distinguished pages + word scans + last-page/interval caches; both modes emit identical warnings)");
-    if let Some(path) = &opts.json {
-        let j = shadow::to_json(&report, opts.samples, opts.repeat);
-        std::fs::write(path, j.to_pretty() + "\n")
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
+    write_json(opts, shadow::to_json(&report, opts.samples, opts.repeat));
 }
 
 fn run_telemetry(opts: &Opts) {
@@ -459,15 +481,10 @@ fn run_telemetry(opts: &Opts) {
         print!("{sample}");
     }
     println!("(each report fires exactly once per (FUN, CCID, T); contexts decoded from the CCID)");
-    if let Some(path) = &opts.json {
-        let j = telemetry::to_json(&rows);
-        std::fs::write(path, j.to_pretty() + "\n")
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
+    write_json(opts, telemetry::to_json(&rows));
 }
 
-fn run_extras() {
+fn run_extras(_: &Opts) {
     use heaptherapy_core::{incident_report, HeapTherapy, PipelineConfig};
     use ht_callgraph::Strategy;
     use ht_encoding::Scheme;
@@ -543,44 +560,19 @@ fn main() {
     if cfg!(debug_assertions) {
         eprintln!("note: debug build — timings are not meaningful; use --release");
     }
-    match opts.what.as_str() {
-        "fig2" => run_fig2(),
-        "table1" => run_table1(),
-        "table2" => run_table2(&opts),
-        "lint" => run_lint(&opts),
-        "table3" => run_table3(&opts),
-        "table4" => run_table4(&opts),
-        "encoding" => run_encoding(&opts),
-        "fig8" => run_fig8(&opts),
-        "fig9" => run_fig9(&opts),
-        "services" => run_services(&opts),
-        "ablations" => run_ablations(&opts),
-        "scaling" => run_scaling(&opts),
-        "shadow" => run_shadow(&opts),
-        "telemetry" => run_telemetry(&opts),
-        "extras" => run_extras(),
-        "check-baselines" => run_check_baselines(&opts),
-        "all" => {
-            run_fig2();
-            run_extras();
-            run_table1();
-            run_table2(&opts);
-            run_lint(&opts);
-            run_table3(&opts);
-            run_table4(&opts);
-            run_encoding(&opts);
-            run_fig8(&opts);
-            run_fig9(&opts);
-            run_services(&opts);
-            run_ablations(&opts);
+    if opts.what == "all" {
+        for Target(_, run, _) in TARGETS.iter().filter(|t| t.2) {
+            run(&opts);
         }
-        other => {
-            eprintln!(
-                "unknown target `{other}`; expected one of all, fig2, table1, table2, \
-                 table3, table4, encoding, fig8, fig9, services, ablations, lint, scaling, \
-                 shadow, telemetry, extras, check-baselines"
-            );
-            std::process::exit(2);
-        }
+    } else if let Some(Target(_, run, _)) = TARGETS.iter().find(|t| t.0 == opts.what) {
+        run(&opts);
+    } else {
+        let names: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();
+        eprintln!(
+            "unknown target `{}`; expected one of all, {}",
+            opts.what,
+            names.join(", ")
+        );
+        std::process::exit(2);
     }
 }

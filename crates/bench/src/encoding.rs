@@ -6,11 +6,11 @@
 //! wall-clock overhead over the uninstrumented baseline follows the same
 //! order.
 
-use crate::{overhead_pct, time_median};
+use crate::{overhead_pct, time_median_last};
 use ht_callgraph::Strategy;
 use ht_encoding::{InstrumentationPlan, Scheme};
 use ht_simprog::interp::run_plain;
-use ht_simprog::spec::{build_spec_workload, spec_suite, SpecWorkload};
+use ht_simprog::spec::{build_spec_workload, spec_suite};
 
 /// Paper-reported average slowdowns (FCS, TCS, Slim, Incremental), percent.
 pub const PAPER_AVG: [f64; 4] = [2.4, 0.6, 0.5, 0.4];
@@ -24,56 +24,43 @@ pub struct EncodingRow {
     /// `[FCS, TCS, Slim, Incremental]`.
     pub ops: [u64; 4],
     /// Wall-clock overhead over the uninstrumented run, percent (same
-    /// order). Only meaningful in release builds with `timed = true`.
+    /// order). Only meaningful in release builds.
     pub time_pct: [f64; 4],
 }
 
-fn workload_rows(
-    workloads: &[SpecWorkload],
-    allocs: u64,
-    timed: bool,
-    samples: usize,
-) -> Vec<EncodingRow> {
-    workloads
-        .iter()
-        .map(|w| {
+/// Regenerates the comparison over all 12 SPEC models.
+///
+/// `allocs` bounds the allocation volume per run; each wall time is the
+/// median of `samples` runs, and each strategy's ops come from its last
+/// timed run (they are deterministic).
+pub fn rows(allocs: u64, samples: usize) -> Vec<EncodingRow> {
+    spec_suite()
+        .into_iter()
+        .map(|bench| {
+            let w = build_spec_workload(bench);
             let input = w.input_for_allocs(allocs);
-            let baseline_plan = InstrumentationPlan::uninstrumented(w.program.graph());
-            let base_time = if timed {
-                time_median(samples, || {
-                    run_plain(&w.program, &baseline_plan, &input);
-                })
-            } else {
-                0.0
+            let time = |plan: &InstrumentationPlan| {
+                time_median_last(samples, || run_plain(&w.program, plan, &input))
             };
+            let (base_time, _) = time(&InstrumentationPlan::uninstrumented(w.program.graph()));
             let mut ops = [0u64; 4];
             let mut time_pct = [0.0f64; 4];
             for (i, &s) in Strategy::ALL.iter().enumerate() {
-                let plan = InstrumentationPlan::build(w.program.graph(), s, Scheme::Pcc);
-                ops[i] = run_plain(&w.program, &plan, &input).encoder_ops;
-                if timed {
-                    let t = time_median(samples, || {
-                        run_plain(&w.program, &plan, &input);
-                    });
-                    time_pct[i] = overhead_pct(base_time, t);
-                }
+                let (t, last) = time(&InstrumentationPlan::build(
+                    w.program.graph(),
+                    s,
+                    Scheme::Pcc,
+                ));
+                ops[i] = last.encoder_ops;
+                time_pct[i] = overhead_pct(base_time, t);
             }
             EncodingRow {
-                bench: w.bench.name,
+                bench: bench.name,
                 ops,
                 time_pct,
             }
         })
         .collect()
-}
-
-/// Regenerates the comparison over all 12 SPEC models.
-///
-/// `allocs` bounds the allocation volume per run; `timed` additionally
-/// measures wall-clock overhead (`samples` runs, median).
-pub fn rows(allocs: u64, timed: bool, samples: usize) -> Vec<EncodingRow> {
-    let workloads: Vec<SpecWorkload> = spec_suite().into_iter().map(build_spec_workload).collect();
-    workload_rows(&workloads, allocs, timed, samples)
 }
 
 /// Column averages of executed instrumentation ops.
@@ -96,7 +83,7 @@ mod tests {
 
     #[test]
     fn ops_shrink_monotonically_everywhere() {
-        let rows = rows(300, false, 1);
+        let rows = rows(300, 1);
         assert_eq!(rows.len(), 12);
         for r in &rows {
             for i in 0..3 {

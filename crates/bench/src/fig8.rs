@@ -38,8 +38,10 @@ pub struct Fig8Row {
 /// The five timing series of one benchmark always run back-to-back on one
 /// thread, so within-benchmark comparisons (the overhead percentages) stay
 /// honest; use `threads = 1` when absolute wall times matter, since
-/// co-running benchmarks contend for cores. The hit and guard-page counts
-/// are deterministic, so they come from each series' last timed run.
+/// co-running benchmarks contend for cores. The native series runs first:
+/// its last timed run is the profile the patches come from. The hit and
+/// guard-page counts are deterministic, so they come from each series' last
+/// timed run.
 pub fn rows(threads: usize, fraction: f64, samples: usize) -> Vec<Fig8Row> {
     let ht = HeapTherapy::new(PipelineConfig::default());
     ht_par::par_map(threads, &spec_suite(), |_, &bench| {
@@ -49,21 +51,24 @@ pub fn rows(threads: usize, fraction: f64, samples: usize) -> Vec<Fig8Row> {
         // Floor the run length so wall-clock medians are not dominated
         // by microsecond-scale noise on allocation-poor benchmarks.
         input[0] = input[0].max(200);
-        let p1 = ht.hypothesized_patches(&ip, &input, 1);
-        let p5 = ht.hypothesized_patches(&ip, &input, 5);
+        let time = |deploy| time_median_last(samples, || ht.run(&ip, &input, deploy));
+        let (t_native, profile) = time(Deploy::Native);
+        let (p1, p5) = (
+            profile.hypothesized_patches(1),
+            profile.hypothesized_patches(5),
+        );
         let series = [
-            Deploy::Native,
             Deploy::Interposed,
             Deploy::Protected(&[]),
             Deploy::Protected(&p1),
             Deploy::Protected(&p5),
         ]
-        .map(|deploy| time_median_last(samples, || ht.run(&ip, &input, deploy)));
-        let [(t_native, _), .., (_, r1), (_, r5)] = &series;
+        .map(time);
+        let [.., (_, r1), (_, r5)] = &series;
 
         Fig8Row {
             bench: bench.name,
-            pct: [1, 2, 3, 4].map(|i| overhead_pct(*t_native, series[i].0)),
+            pct: series.each_ref().map(|(t, _)| overhead_pct(t_native, *t)),
             hits: [r1.stats.table_hits, r5.stats.table_hits],
             guard_pages5: r5.stats.guard_pages,
         }

@@ -45,12 +45,13 @@ pub fn rows(threads: usize, fraction: f64) -> Vec<Fig9Row> {
         // unrealistic guarded-churn profile.
         let input = w.input_for_fraction(fraction);
 
-        let native_rss = ht.run(&ip, &input, Deploy::Native).mem.peak_rss_bytes;
+        let native = ht.run(&ip, &input, Deploy::Native);
+        let native_rss = native.mem.peak_rss_bytes;
         let defended_rss = ht
             .run(&ip, &input, Deploy::Protected(&[]))
             .mem
             .peak_rss_bytes;
-        let patches = ht.hypothesized_patches(&ip, &input, 5);
+        let patches = native.hypothesized_patches(5);
         let defended5 = ht.run(&ip, &input, Deploy::Protected(&patches)).mem;
 
         Fig9Row {

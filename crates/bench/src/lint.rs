@@ -4,59 +4,19 @@
 
 use heaptherapy_core::{HeapTherapy, LintReport, PipelineConfig};
 
-/// One agreement row per vulnerable-program model.
-#[derive(Debug, Clone)]
-pub struct LintRow {
-    /// Application name.
-    pub app: String,
-    /// Static candidate count.
-    pub static_candidates: usize,
-    /// Dynamic patch count (merged across attack inputs).
-    pub dynamic_patches: usize,
-    /// Every dynamic patch had a covering static candidate.
-    pub covered: bool,
-    /// The encoding plan passed verification.
-    pub verifier_ok: bool,
-}
-
-impl LintRow {
-    fn from_report(r: &LintReport) -> Self {
-        Self {
-            app: r.app.clone(),
-            static_candidates: r.triage.candidates.len(),
-            dynamic_patches: r.dynamic_patches.len(),
-            covered: r.static_over_approximates(),
-            verifier_ok: r.verdict.is_ok(),
-        }
-    }
-
-    /// One table line.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:<28} static={:<3} dynamic={:<3} covered={:<5} plan={}",
-            self.app,
-            self.static_candidates,
-            self.dynamic_patches,
-            self.covered,
-            if self.verifier_ok { "ok" } else { "FAILED" },
-        )
-    }
-}
-
 /// Lints the whole Table II suite under the default pipeline, `threads`
 /// apps at a time (each lint is independent; row order is deterministic).
-pub fn rows(threads: usize) -> Vec<LintRow> {
+/// [`LintReport::agreement_row`] prints one table line per report.
+pub fn rows(threads: usize) -> Vec<LintReport> {
     let ht = HeapTherapy::new(PipelineConfig::default());
-    ht_par::par_map(threads, &ht_vulnapps::table2_suite(), |_, app| {
-        LintRow::from_report(&ht.lint(app))
-    })
+    ht_par::par_map(threads, &ht_vulnapps::table2_suite(), |_, app| ht.lint(app))
 }
 
 /// One-line verdict over all rows.
-pub fn summary(rows: &[LintRow]) -> String {
+pub fn summary(rows: &[LintReport]) -> String {
     let total = rows.len();
-    let covered = rows.iter().filter(|r| r.covered).count();
-    let verified = rows.iter().filter(|r| r.verifier_ok).count();
+    let covered = rows.iter().filter(|r| r.static_over_approximates()).count();
+    let verified = rows.iter().filter(|r| r.verdict.is_ok()).count();
     format!(
         "{total} programs: {covered} with static ⊇ dynamic agreement, \
          {verified} with verified encoding plans"
@@ -72,9 +32,9 @@ mod tests {
         let rows = rows(2);
         assert_eq!(rows.len(), 30);
         for r in &rows {
-            assert!(r.covered, "{}", r.app);
-            assert!(r.verifier_ok, "{}", r.app);
-            assert!(r.static_candidates > 0, "{}", r.app);
+            assert!(r.static_over_approximates(), "{}", r.app);
+            assert!(r.verdict.is_ok(), "{}", r.app);
+            assert!(!r.triage.candidates.is_empty(), "{}", r.app);
         }
         assert!(summary(&rows).contains("30 programs"));
     }

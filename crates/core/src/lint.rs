@@ -11,7 +11,7 @@ pub use ht_analysis::PlanVerdict;
 use ht_analysis::{
     render_report, render_verdict, triage, verify_plan, TriageConfig, TriageReport, VerifierLimits,
 };
-use ht_patch::{Patch, PatchTable};
+use ht_patch::Patch;
 use ht_vulnapps::VulnApp;
 
 /// Result of linting one application: the static findings, the plan
@@ -25,7 +25,7 @@ pub struct LintReport {
     /// Encoding-plan verdict.
     pub verdict: PlanVerdict,
     /// Patches the dynamic analyzer generates, merged across every attack
-    /// input (empty for clean apps).
+    /// input in `(FUN, CCID)` order (empty for clean apps).
     pub dynamic_patches: Vec<Patch>,
     /// Dynamic patches with no covering static candidate (triage false
     /// negatives; must be empty unless the triage was bounded).
@@ -94,24 +94,19 @@ impl HeapTherapy {
     }
 
     /// Lints one application: static triage + plan verification,
-    /// cross-checked against the dynamic patches of every attack input.
+    /// cross-checked against the dynamic patches of every attack input,
+    /// merged by [`ht_patch::merge`] into key order.
     pub fn lint(&self, app: &VulnApp) -> LintReport {
         let ip = self.instrument(&app.program);
         let triage = self.static_triage(&ip);
         let verdict = self.verify_plan(&ip);
 
-        // Dynamic ground truth: merge the patches of every attack input.
-        let mut all: Vec<Patch> = Vec::new();
-        for input in &app.attack_inputs {
-            all.extend(self.analyze_attack(&ip, input, &app.reference).patches);
-        }
-        // PatchTable::iter is sorted by (FUN, CCID) — lint output stays
-        // byte-identical across runs without a local sort.
-        let table = PatchTable::from_patches(all);
-        let dynamic_patches: Vec<Patch> = table
+        // Dynamic ground truth: the patches of every attack input, merged.
+        let found = app
+            .attack_inputs
             .iter()
-            .map(|(fun, ccid, vuln)| Patch::new(fun, ccid, vuln).with_origin(&app.reference))
-            .collect();
+            .flat_map(|input| self.analyze_attack(&ip, input, &app.reference).patches);
+        let dynamic_patches = ht_patch::merge(found, &app.reference);
 
         let uncovered: Vec<Patch> = dynamic_patches
             .iter()

@@ -92,6 +92,19 @@ pub struct Run {
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
+impl Run {
+    /// Fig. 8's hypothesized patches, with this run as the profile: the
+    /// `n` median-frequency allocation contexts of [`Self::report`],
+    /// patched as overflow-vulnerable (the most expensive defense).
+    pub fn hypothesized_patches(&self, n: usize) -> Vec<Patch> {
+        self.report
+            .median_frequency_ccids(n)
+            .into_iter()
+            .map(|(fun, ccid)| Patch::new(fun, ccid, VulnFlags::OVERFLOW))
+            .collect()
+    }
+}
+
 /// Verdict of a full patch-generation/deployment cycle on one vulnerable
 /// application (one row of Table II).
 #[derive(Debug, Clone)]
@@ -341,8 +354,11 @@ impl HeapTherapy {
 
     /// §IX: replays the attack in `n` executions, each deferring only the
     /// buffers whose allocation-time CCID falls in its subspace, and merges
-    /// the patches — the memory-bounded variant of [`Self::analyze_attack`]
-    /// for programs whose free churn would drain the quarantine quota.
+    /// their patches with [`ht_patch::merge`] (overflow and UR warnings
+    /// repeat in every replay): the memory-bounded variant of
+    /// [`Self::analyze_attack`] for programs whose free churn would drain
+    /// the quarantine quota. The union equals the single replay's patches,
+    /// however many keys it holds.
     pub fn analyze_attack_partitioned(
         &self,
         ip: &InstrumentedProgram<'_>,
@@ -351,7 +367,7 @@ impl HeapTherapy {
         n: u64,
     ) -> AnalysisReport {
         let mut warnings = Vec::new();
-        let mut merged: Vec<Patch> = Vec::new();
+        let mut patches = Vec::new();
         let mut last_run = None;
         for index in 0..n.max(1) {
             let mut cfg = self.cfg.shadow;
@@ -362,19 +378,11 @@ impl HeapTherapy {
             let (run, shadow) = self.exec(ip, input, ShadowBackend::with_config(cfg));
             last_run = Some(run);
             warnings.extend(shadow.warnings().iter().cloned());
-            merged.extend(shadow.generate_patches(origin));
+            patches.extend(shadow.generate_patches(origin));
         }
-        // Merge duplicate keys (overflow/UR warnings repeat every replay).
-        // PatchTable::iter is sorted by (FUN, CCID), so the report order is
-        // deterministic across runs.
-        let table = PatchTable::from_patches(merged);
-        let patches: Vec<Patch> = table
-            .iter()
-            .map(|(fun, ccid, vuln)| Patch::new(fun, ccid, vuln).with_origin(origin))
-            .collect();
         AnalysisReport {
             warnings,
-            patches,
+            patches: ht_patch::merge(patches, origin),
             run: last_run.expect("n >= 1 replay ran"),
         }
     }
@@ -433,22 +441,16 @@ impl HeapTherapy {
         )))
     }
 
-    /// Fig. 8's hypothesized patches: rank the program's allocation-time
-    /// CCIDs by frequency (profiling run on `input`), take the `n`
-    /// median-frequency contexts, and patch them as overflow-vulnerable
-    /// (the most expensive defense).
+    /// [`Run::hypothesized_patches`] of a fresh native run of `input`. Kept
+    /// for `perfbench/` and for callers with no profile at hand; a caller
+    /// that already ran `input` natively asks its [`Run`] instead.
     pub fn hypothesized_patches(
         &self,
         ip: &InstrumentedProgram<'_>,
         input: &[u64],
         n: usize,
     ) -> Vec<Patch> {
-        self.run(ip, input, Deploy::Native)
-            .report
-            .median_frequency_ccids(n)
-            .into_iter()
-            .map(|(fun, ccid)| Patch::new(fun, ccid, VulnFlags::OVERFLOW))
-            .collect()
+        self.run(ip, input, Deploy::Native).hypothesized_patches(n)
     }
 
     /// Generates patches offline, then replays every input protected with
@@ -669,8 +671,10 @@ mod tests {
         let ht = ht();
         let ip = ht.instrument(&w.program);
         let input = w.input_for_allocs(500);
+        let native = ht.run(&ip, &input, Deploy::Native);
         for n in [1usize, 5] {
-            let patches = ht.hypothesized_patches(&ip, &input, n);
+            let patches = native.hypothesized_patches(n);
+            assert_eq!(patches, ht.hypothesized_patches(&ip, &input, n));
             assert_eq!(patches.len(), n);
             for p in &patches {
                 assert_eq!(p.vuln, VulnFlags::OVERFLOW);
@@ -727,6 +731,46 @@ mod tests {
                 assert_eq!(parts.patches, single.patches, "{} n={n}", app.name);
             }
         }
+    }
+
+    /// `main` calls 600 functions `f_i`; each mallocs 8 B and writes 16 B,
+    /// so one attack overflows 600 contexts: more distinct `(FUN, CCID)`
+    /// keys than the online patch table holds.
+    fn six_hundred_overflowed_contexts() -> VulnApp {
+        let mut pb = ht_simprog::ProgramBuilder::new();
+        let main = pb.entry();
+        let buf = pb.slot();
+        let fs: Vec<_> = (0..600).map(|i| pb.func(format!("f_{i}"))).collect();
+        pb.define(main, |b| fs.iter().for_each(|&f| b.call(f)));
+        for &f in &fs {
+            pb.define(f, |b| {
+                b.alloc(buf, ht_patch::AllocFn::Malloc, 8);
+                b.write(buf, 0, 16, 0x41);
+            });
+        }
+        VulnApp {
+            name: "600-contexts".into(),
+            reference: "many".into(),
+            expected: VulnFlags::OVERFLOW,
+            program: pb.build(),
+            benign_inputs: Vec::new(),
+            attack_inputs: vec![vec![0]],
+            success_markers: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn merged_patches_outgrow_the_online_table() {
+        let app = six_hundred_overflowed_contexts();
+        let ht = ht();
+        let ip = ht.instrument(&app.program);
+        let single = ht.analyze_attack(&ip, app.patching_input(), "many");
+        assert_eq!(single.patches.len(), 600);
+        for n in [2u64, 4] {
+            let parts = ht.analyze_attack_partitioned(&ip, app.patching_input(), "many", n);
+            assert_eq!(parts.patches, single.patches, "n={n}");
+        }
+        assert_eq!(ht.lint(&app).dynamic_patches.len(), 600);
     }
 
     #[test]

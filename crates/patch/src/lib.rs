@@ -40,6 +40,7 @@ pub use table::PatchTable;
 pub use vuln::{AllocFn, VulnFlags};
 
 use ht_jsonio::{FromJson, Json, JsonError, ToJson};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One heap patch: `{FUN, CCID, T}` plus optional provenance.
@@ -78,6 +79,21 @@ impl Patch {
     pub fn key(&self) -> (AllocFn, u64) {
         (self.alloc_fn, self.ccid)
     }
+}
+
+/// Folds `patches` into one patch per `(FUN, CCID)` holding the union of
+/// their bits, in [`Patch::key`] order, each attributed to `origin`: the
+/// paper's §V post-processing step. Unlike a [`PatchTable`], it holds any
+/// number of keys.
+pub fn merge(patches: impl IntoIterator<Item = Patch>, origin: &str) -> Vec<Patch> {
+    let mut merged: BTreeMap<(AllocFn, u64), VulnFlags> = BTreeMap::new();
+    for p in patches {
+        *merged.entry(p.key()).or_default() |= p.vuln;
+    }
+    merged
+        .into_iter()
+        .map(|((fun, ccid), vuln)| Patch::new(fun, ccid, vuln).with_origin(origin))
+        .collect()
 }
 
 impl ToJson for Patch {
@@ -145,6 +161,33 @@ mod tests {
     fn key_combines_fun_and_ccid() {
         let p = Patch::new(AllocFn::Memalign, 7, VulnFlags::USE_AFTER_FREE);
         assert_eq!(p.key(), (AllocFn::Memalign, 7));
+    }
+
+    #[test]
+    fn merge_ors_duplicates_in_key_order_under_one_origin() {
+        let (of, uaf) = (VulnFlags::OVERFLOW, VulnFlags::USE_AFTER_FREE);
+        let merged = merge(
+            [
+                Patch::new(AllocFn::Realloc, 3, of).with_origin("a"),
+                Patch::new(AllocFn::Malloc, 9, uaf),
+                Patch::new(AllocFn::Malloc, 2, of).with_origin("b"),
+                Patch::new(AllocFn::Malloc, 9, of),
+            ],
+            "cve",
+        );
+        assert_eq!(
+            merged,
+            [
+                Patch::new(AllocFn::Malloc, 2, of).with_origin("cve"),
+                Patch::new(AllocFn::Malloc, 9, of | uaf).with_origin("cve"),
+                Patch::new(AllocFn::Realloc, 3, of).with_origin("cve"),
+            ]
+        );
+        // No table capacity: every distinct key survives.
+        let many = (0..600).map(|c| Patch::new(AllocFn::Malloc, c, of));
+        let merged = merge(many.clone().chain(many), "x");
+        assert_eq!(merged.len(), 600);
+        assert!(merged.windows(2).all(|w| w[0].key() < w[1].key()));
     }
 
     #[test]

@@ -7,9 +7,9 @@ use crate::warning::{Warning, WarningKind};
 use ht_memsim::{
     Addr, AddressSpace, AllocStats, BaseAllocator, FastMap, FreeListAllocator, SpaceStats,
 };
-use ht_patch::{AllocFn, Patch, VulnFlags};
+use ht_patch::{AllocFn, Patch};
 use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, ReadResult, Sink, StopCause};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// CCID-subspace partitioning (paper §IX).
 ///
@@ -137,22 +137,15 @@ impl ShadowBackend {
         self.warnings.iter().filter(|w| w.kind == kind).count()
     }
 
-    /// Folds the recorded warnings into patches: one patch per
-    /// `(FUN, CCID)` with the union of the vulnerability bits observed
-    /// (paper Section V's post-processing script).
+    /// Folds the recorded warnings into patches with [`ht_patch::merge`]:
+    /// one patch per `(FUN, CCID)` with the union of the vulnerability bits
+    /// observed (paper Section V's post-processing script), in key order.
     pub fn generate_patches(&self, origin: &str) -> Vec<Patch> {
-        let mut merged: HashMap<(AllocFn, u64), VulnFlags> = HashMap::new();
-        for w in &self.warnings {
-            if let (Some(bits), Some(key)) = (w.kind.to_vuln_flags(), w.patch_key()) {
-                *merged.entry(key).or_insert(VulnFlags::NONE) |= bits;
-            }
-        }
-        let mut patches: Vec<Patch> = merged
-            .into_iter()
-            .map(|((fun, ccid), vuln)| Patch::new(fun, ccid, vuln).with_origin(origin))
-            .collect();
-        patches.sort_by_key(|p| (p.alloc_fn, p.ccid));
-        patches
+        let found = self.warnings.iter().filter_map(|w| {
+            let (fun, ccid) = w.patch_key()?;
+            Some(Patch::new(fun, ccid, w.kind.to_vuln_flags()?))
+        });
+        ht_patch::merge(found, origin)
     }
 
     /// Bytes currently held in the freed-blocks quarantine.
@@ -488,6 +481,7 @@ mod tests {
     use super::*;
     use ht_callgraph::{FuncId, Strategy};
     use ht_encoding::{Ccid, InstrumentationPlan, Scheme};
+    use ht_patch::VulnFlags;
     use ht_simprog::{Expr, Interpreter, ProgramBuilder};
 
     fn req(fun: AllocFn, size: u64, ccid: u64) -> AllocRequest {
