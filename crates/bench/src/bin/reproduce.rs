@@ -492,13 +492,19 @@ fn run_extras(_: &Opts) {
     header("§IX — multi-context vulnerability: iterative defense generation");
     let ht = HeapTherapy::new(PipelineConfig::default());
     let app = ht_vulnapps::multi_context_overflow();
-    let (patches, rounds) = ht.iterative_cycle(&app, 8).expect("converges");
-    println!(
-        "{}: converged in {rounds} rounds with {} patches",
-        app.name,
-        patches.len()
+    let cycle = ht.full_cycle(&app, 8).expect("converges");
+    assert!(
+        cycle.all_attacks_blocked,
+        "{}: an attack persists",
+        app.name
     );
-    for p in &patches {
+    println!(
+        "{}: converged in {} rounds with {} patches",
+        app.name,
+        cycle.rounds,
+        cycle.patches.len()
+    );
+    for p in &cycle.patches {
         println!("  - {p}");
     }
 

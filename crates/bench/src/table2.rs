@@ -23,7 +23,7 @@ pub fn rows_with(threads: usize, reference_kernels: bool) -> Vec<CycleReport> {
         ..PipelineConfig::default()
     });
     ht_par::par_map(threads, &ht_vulnapps::table2_suite(), |_, app| {
-        ht.full_cycle(app)
+        ht.full_cycle(app, 1)
             .unwrap_or_else(|e| panic!("{}: {e}", app.name))
     })
 }

@@ -8,31 +8,32 @@
 //! observability costs: events delivered/dropped per app and the offline
 //! vs protected-replay phase wall-clock.
 
-use heaptherapy_core::{AppTelemetry, HeapTherapy, PipelineConfig};
+use heaptherapy_core::{CycleReport, HeapTherapy, PipelineConfig};
 use ht_encoding::Scheme;
 use ht_jsonio::{Json, ToJson};
 
 /// Gathers telemetry from every Table II model, `threads` apps at a time.
 /// Rows are input-order deterministic (each app's cycle is independent).
-pub fn rows(threads: usize) -> Vec<AppTelemetry> {
+pub fn rows(threads: usize) -> Vec<CycleReport> {
     let ht = HeapTherapy::new(PipelineConfig {
         scheme: Scheme::Additive,
+        telemetry: true,
         ..PipelineConfig::default()
     });
     ht_par::par_map(threads, &ht_vulnapps::table2_suite(), |_, app| {
-        ht.attack_telemetry(app)
+        ht.full_cycle(app, 1)
             .unwrap_or_else(|e| panic!("{}: {e}", app.name))
     })
 }
 
 /// Microseconds spent in the offline phases (everything but `protected`).
-fn offline_micros(t: &AppTelemetry) -> u64 {
+fn offline_micros(t: &CycleReport) -> u64 {
     let protected = t.timeline.get("protected").map_or(0, |s| s.micros);
     t.timeline.total_micros() - protected
 }
 
 /// One text-table row per app.
-pub fn table_row(t: &AppTelemetry) -> String {
+pub fn table_row(t: &CycleReport) -> String {
     let decoded = t
         .reports
         .iter()
@@ -53,7 +54,7 @@ pub fn table_row(t: &AppTelemetry) -> String {
 
 /// Whether every app's reports are unique per `(FUN, CCID, T)` — the
 /// tentpole's once-only property.
-pub fn reports_are_unique(rows: &[AppTelemetry]) -> bool {
+pub fn reports_are_unique(rows: &[CycleReport]) -> bool {
     rows.iter().all(|t| {
         let mut keys: Vec<_> = t.reports.iter().map(|r| (r.fun, r.ccid, r.vuln)).collect();
         let n = keys.len();
@@ -64,7 +65,7 @@ pub fn reports_are_unique(rows: &[AppTelemetry]) -> bool {
 }
 
 /// A one-line verdict over all rows.
-pub fn summary(rows: &[AppTelemetry]) -> String {
+pub fn summary(rows: &[CycleReport]) -> String {
     let total_reports: usize = rows.iter().map(|t| t.reports.len()).sum();
     let with_reports = rows.iter().filter(|t| !t.reports.is_empty()).count();
     let decoded: usize = rows
@@ -82,7 +83,7 @@ pub fn summary(rows: &[AppTelemetry]) -> String {
 }
 
 /// Machine-readable export for the CI smoke job.
-pub fn to_json(rows: &[AppTelemetry]) -> Json {
+pub fn to_json(rows: &[CycleReport]) -> Json {
     let total_reports: u64 = rows.iter().map(|t| t.reports.len() as u64).sum();
     let with_reports = rows.iter().filter(|t| !t.reports.is_empty()).count() as u64;
     Json::Obj(vec![
@@ -133,7 +134,7 @@ mod tests {
     fn rows_are_deterministic_across_thread_counts() {
         let serial = rows(1);
         let parallel = rows(4);
-        let key = |ts: &[AppTelemetry]| -> Vec<(String, usize, u64)> {
+        let key = |ts: &[CycleReport]| -> Vec<(String, usize, u64)> {
             ts.iter()
                 .map(|t| {
                     (

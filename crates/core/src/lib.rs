@@ -26,7 +26,10 @@
 //! [`ht_vulnapps::VulnApp`] and verifies the paper's Table II claims: the
 //! attack works undefended, the analyzer identifies the right vulnerability
 //! type, and the deployed patch defeats fresh attack instances while benign
-//! inputs run unharmed.
+//! inputs run unharmed. An attack that still breaches through a new calling
+//! context starts another round (§IX), and with
+//! [`PipelineConfig::telemetry`] the report carries the protected runs'
+//! one-time attack reports (§VII).
 //!
 //! # Example
 //!
@@ -34,7 +37,7 @@
 //! use heaptherapy_core::{HeapTherapy, PipelineConfig};
 //!
 //! let ht = HeapTherapy::new(PipelineConfig::default());
-//! let cycle = ht.full_cycle(&ht_vulnapps::heartbleed()).expect("pipeline runs");
+//! let cycle = ht.full_cycle(&ht_vulnapps::heartbleed(), 1).expect("pipeline runs");
 //! assert!(cycle.undefended_attack_succeeded);
 //! assert!(cycle.detected.contains(ht_patch::VulnFlags::UNINIT_READ));
 //! assert!(cycle.all_attacks_blocked);
@@ -49,7 +52,6 @@ pub mod report;
 
 pub use lint::{LintReport, PlanVerdict};
 pub use pipeline::{
-    AnalysisReport, AppTelemetry, CycleReport, Deploy, HeapTherapy, InstrumentedProgram,
-    PipelineConfig, Run,
+    AnalysisReport, CycleReport, Deploy, HeapTherapy, InstrumentedProgram, PipelineConfig, Run,
 };
 pub use report::{decode_chain, incident_report, IncidentReport, PatchReport};

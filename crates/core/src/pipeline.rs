@@ -105,8 +105,8 @@ impl Run {
     }
 }
 
-/// Verdict of a full patch-generation/deployment cycle on one vulnerable
-/// application (one row of Table II).
+/// Verdict of the defense-generation cycle on one vulnerable application:
+/// one row of Table II, §IX's rounds, and §VII's attack reports.
 #[derive(Debug, Clone)]
 pub struct CycleReport {
     /// Application name.
@@ -115,18 +115,35 @@ pub struct CycleReport {
     pub reference: String,
     /// Ground-truth vulnerability class.
     pub expected: VulnFlags,
-    /// Union of the vulnerability bits across generated patches.
+    /// Union of the vulnerability bits across the deployed patches.
     pub detected: VulnFlags,
-    /// How many patches were generated.
-    pub patches_generated: usize,
+    /// The deployed patches, as read back from the configuration file, in
+    /// round order.
+    pub patches: Vec<Patch>,
     /// The configuration-file content that deployed them.
     pub config_text: String,
+    /// Defense-generation rounds taken (§IX: one per new calling context).
+    pub rounds: usize,
     /// Whether the first attack input succeeded on the undefended program.
     pub undefended_attack_succeeded: bool,
     /// Whether every attack input was defeated under the deployed patches.
     pub all_attacks_blocked: bool,
     /// Whether every benign input completed cleanly under the patches.
     pub benign_ok: bool,
+    /// With [`PipelineConfig::telemetry`], the final round's attack
+    /// reports: one per distinct `(FUN, CCID, T)` across all inputs, in
+    /// first-activation order, call chains decoded when the encoding scheme
+    /// permits (allocation site first). Empty otherwise.
+    pub reports: Vec<AttackReport>,
+    /// The final round's per-patch hit/byte counters summed across inputs
+    /// (telemetry only).
+    pub per_patch: Vec<PatchCounterRow>,
+    /// Events the final round's rings accepted (telemetry only).
+    pub delivered: u64,
+    /// Events the final round's rings lost to overflow (telemetry only).
+    pub dropped: u64,
+    /// Wall-clock of each phase, summed across rounds.
+    pub timeline: Timeline,
 }
 
 impl CycleReport {
@@ -143,7 +160,7 @@ impl CycleReport {
             self.reference,
             self.expected.to_string(),
             self.detected.to_string(),
-            self.patches_generated,
+            self.patches.len(),
             self.all_attacks_blocked,
             self.benign_ok
         )
@@ -156,52 +173,8 @@ impl fmt::Display for CycleReport {
     }
 }
 
-/// Runtime telemetry gathered from protected replays of one application's
-/// inputs — the observable side of the paper's Section VII "attack gets
-/// reported" claim, plus offline phase timings.
-#[derive(Debug, Clone)]
-pub struct AppTelemetry {
-    /// Application name.
-    pub app: String,
-    /// CVE / dataset reference.
-    pub reference: String,
-    /// One report per distinct `(FUN, CCID, T)` across all inputs, in
-    /// first-activation order, call chains decoded when the encoding scheme
-    /// permits (allocation site first).
-    pub reports: Vec<AttackReport>,
-    /// Per-patch hit/byte counters summed across inputs.
-    pub per_patch: Vec<PatchCounterRow>,
-    /// Events accepted by the rings across all runs.
-    pub delivered: u64,
-    /// Events lost to ring overflow across all runs.
-    pub dropped: u64,
-    /// Wall-clock spans of the offline phases and the protected replays.
-    pub timeline: Timeline,
-}
-
-impl fmt::Display for AppTelemetry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "app     : {} ({})", self.app, self.reference)?;
-        writeln!(
-            f,
-            "events  : {} delivered, {} dropped",
-            self.delivered, self.dropped
-        )?;
-        for row in &self.per_patch {
-            writeln!(
-                f,
-                "patch   : {{{}, {:#x}, {}}}  hits={} bytes={}",
-                row.fun, row.ccid, row.vuln, row.hits, row.bytes
-            )?;
-        }
-        for r in &self.reports {
-            write!(f, "{r}")?;
-        }
-        write!(f, "{}", self.timeline)
-    }
-}
-
-impl ht_jsonio::ToJson for AppTelemetry {
+/// The telemetry view of a cycle.
+impl ht_jsonio::ToJson for CycleReport {
     fn to_json(&self) -> ht_jsonio::Json {
         use ht_jsonio::{obj, Json, ToJson};
         obj([
@@ -284,10 +257,9 @@ impl HeapTherapy {
             }
             Deploy::Interposed => DefenseConfig::interpose_only(),
             Deploy::Protected(patches) => DefenseConfig {
-                table: PatchTable::from_patches(patches.to_vec()),
+                table: Some(PatchTable::from_patches(patches.to_vec())),
                 quarantine_quota: self.cfg.defense_quota,
                 telemetry: self.cfg.telemetry,
-                ..DefenseConfig::default()
             },
         };
         let (report, defended) = self.exec(ip, input, DefendedBackend::new(cfg));
@@ -344,12 +316,7 @@ impl HeapTherapy {
         input: &[u64],
         origin: &str,
     ) -> AnalysisReport {
-        let (run, shadow) = self.exec(ip, input, ShadowBackend::with_config(self.cfg.shadow));
-        AnalysisReport {
-            warnings: shadow.warnings().to_vec(),
-            patches: shadow.generate_patches(origin),
-            run,
-        }
+        self.analyze_attack_partitioned(ip, input, origin, 1)
     }
 
     /// §IX: replays the attack in `n` executions, each deferring only the
@@ -387,60 +354,6 @@ impl HeapTherapy {
         }
     }
 
-    /// §IX: the defense-generation *cycle* for vulnerabilities exploitable
-    /// through multiple calling contexts. Each round deploys the patches
-    /// gathered so far, retries every attack input, and analyzes the first
-    /// input that still succeeds — "whenever the attack exploits a buffer
-    /// allocated in a new calling context, our system simply treats it as a
-    /// new vulnerability and starts another defense generation cycle."
-    ///
-    /// Returns the accumulated patches and the number of rounds taken.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::NoPatchesGenerated`] if an attack keeps succeeding
-    /// but the analyzer finds nothing new to patch (would loop forever).
-    pub fn iterative_cycle(
-        &self,
-        app: &VulnApp,
-        max_rounds: usize,
-    ) -> Result<(Vec<Patch>, usize), PipelineError> {
-        let ip = self.instrument(&app.program);
-        let mut deployed: Vec<Patch> = Vec::new();
-        for round in 1..=max_rounds {
-            let breached = app.attack_inputs.iter().find(|input| {
-                let run = self.run(&ip, input, Deploy::Protected(&deployed));
-                app.attack_succeeded(&run.report)
-            });
-            let Some(input) = breached else {
-                return Ok((deployed, round - 1));
-            };
-            let analysis = self.analyze_attack(&ip, input, &app.reference);
-            let before = PatchTable::from_patches(deployed.clone());
-            let fresh: Vec<Patch> = analysis
-                .patches
-                .into_iter()
-                .filter(|p| {
-                    before
-                        .lookup(p.alloc_fn, p.ccid)
-                        .is_none_or(|v| !v.contains(p.vuln))
-                })
-                .collect();
-            if fresh.is_empty() {
-                return Err(PipelineError::NoPatchesGenerated(format!(
-                    "{} (round {round}: attack persists, nothing new found)",
-                    app.name
-                )));
-            }
-            deployed.extend(fresh);
-        }
-        // Out of rounds with an attack still breaching.
-        Err(PipelineError::NoPatchesGenerated(format!(
-            "{} (attack persists after {max_rounds} rounds)",
-            app.name
-        )))
-    }
-
     /// [`Run::hypothesized_patches`] of a fresh native run of `input`. Kept
     /// for `perfbench/` and for callers with no profile at hand; a caller
     /// that already ran `input` natively asks its [`Run`] instead.
@@ -453,130 +366,135 @@ impl HeapTherapy {
         self.run(ip, input, Deploy::Native).hypothesized_patches(n)
     }
 
-    /// Generates patches offline, then replays every input protected with
-    /// telemetry armed, aggregating the one-time attack reports, per-patch
-    /// counters, and phase wall-clock.
-    ///
-    /// Each replay is an independent process image (fresh backend, fresh
-    /// once-bits), so reports are deduplicated across runs: the result holds
-    /// exactly one report per distinct `(FUN, CCID, T)` that activated.
+    /// The defense-generation cycle for one vulnerable application, for
+    /// up to `max_rounds` rounds (at least one). Round 1 replays [`VulnApp::patching_input`]
+    /// offline; every round deploys the patches gathered so far code-lessly
+    /// (written to the configuration file and read back) and replays every
+    /// attack and benign input protected. While an attack still breaches
+    /// and rounds remain, the first such input starts another round (§IX:
+    /// "whenever the attack exploits a buffer allocated in a new calling
+    /// context, our system simply treats it as a new vulnerability and
+    /// starts another defense generation cycle"). Running out of rounds is
+    /// not an error: the report says `all_attacks_blocked == false`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::full_cycle`].
-    pub fn attack_telemetry(&self, app: &VulnApp) -> Result<AppTelemetry, PipelineError> {
+    /// [`PipelineError::NoPatchesGenerated`] if a round's analysis finds
+    /// nothing the deployed patches do not already cover;
+    /// [`PipelineError::ConfigRoundTrip`] if the configuration file failed
+    /// to parse back.
+    pub fn full_cycle(
+        &self,
+        app: &VulnApp,
+        max_rounds: usize,
+    ) -> Result<CycleReport, PipelineError> {
         let mut tl = Timeline::new();
         let ip = tl.time("instrument", || self.instrument(&app.program));
-        let analysis = tl.time("analyze", || {
-            self.analyze_attack(&ip, app.patching_input(), &app.reference)
+        // Ground truth: the exploit works when undefended.
+        let native = tl.time("native", || {
+            self.run(&ip, app.patching_input(), Deploy::Native)
         });
-        if analysis.patches.is_empty() {
-            return Err(PipelineError::NoPatchesGenerated(app.name.clone()));
-        }
-        let deployed = tl
-            .time("patch-gen", || {
-                from_config_text(&to_config_text(&analysis.patches))
-            })
-            .map_err(|e| PipelineError::ConfigRoundTrip(e.to_string()))?;
+        let mut attack = app.patching_input();
+        let mut deployed: Vec<Patch> = Vec::new();
+        let mut rounds = 0;
+        loop {
+            rounds += 1;
+            // Offline: the attack input → the patches not yet deployed.
+            let analysis = tl.time("analyze", || {
+                self.analyze_attack(&ip, attack, &app.reference)
+            });
+            let covered = |p: &Patch| {
+                let bits = deployed.iter().filter(|d| d.key() == p.key());
+                bits.fold(VulnFlags::NONE, |acc, d| acc | d.vuln)
+                    .contains(p.vuln)
+            };
+            let fresh: Vec<Patch> = analysis
+                .patches
+                .into_iter()
+                .filter(|p| !covered(p))
+                .collect();
+            if fresh.is_empty() {
+                return Err(PipelineError::NoPatchesGenerated(format!(
+                    "{} in round {rounds}",
+                    app.name
+                )));
+            }
+            deployed.extend(fresh);
+            // Code-less deployment: write the configuration file, read it back.
+            let config_text = to_config_text(&deployed);
+            deployed = tl
+                .time("patch-gen", || from_config_text(&config_text))
+                .map_err(|e| PipelineError::ConfigRoundTrip(e.to_string()))?;
 
-        let mut armed = self.clone();
-        armed.cfg.telemetry = true;
-        let mut reports: Vec<AttackReport> = Vec::new();
-        let mut per_patch: BTreeMap<usize, PatchCounterRow> = BTreeMap::new();
-        let (mut delivered, mut dropped) = (0u64, 0u64);
-        tl.time("protected", || {
-            for input in app.attack_inputs.iter().chain(&app.benign_inputs) {
-                let run = armed.run(&ip, input, Deploy::Protected(&deployed));
-                let Some(snap) = run.telemetry else { continue };
-                delivered += snap.delivered;
-                dropped += snap.dropped;
-                for mut r in snap.reports {
-                    let fresh = !reports
-                        .iter()
-                        .any(|x| (x.fun, x.ccid, x.vuln) == (r.fun, r.ccid, r.vuln));
-                    if fresh {
-                        r.call_chain = crate::report::decode_chain(&ip, r.fun, r.ccid)
-                            .map(|mut chain| {
-                                // Attack reports list the allocation site
-                                // first (innermost frame at #0).
-                                chain.reverse();
-                                chain
+            // Online: every attack input must be defeated, and every benign
+            // input must run to completion unharmed. Each replay is a fresh
+            // process image, so reports are deduplicated across runs.
+            let mut breached = None;
+            let mut benign_ok = true;
+            let mut reports: Vec<AttackReport> = Vec::new();
+            let mut per_patch: BTreeMap<usize, PatchCounterRow> = BTreeMap::new();
+            let (mut delivered, mut dropped) = (0u64, 0u64);
+            tl.time("protected", || {
+                for (i, input) in app
+                    .attack_inputs
+                    .iter()
+                    .chain(&app.benign_inputs)
+                    .enumerate()
+                {
+                    let run = self.run(&ip, input, Deploy::Protected(&deployed));
+                    let attack_succeeded = app.attack_succeeded(&run.report);
+                    if i < app.attack_inputs.len() {
+                        breached = breached.or(attack_succeeded.then_some(input));
+                    } else {
+                        benign_ok &= run.report.outcome.is_completed() && !attack_succeeded;
+                    }
+                    let Some(snap) = run.telemetry else { continue };
+                    delivered += snap.delivered;
+                    dropped += snap.dropped;
+                    for mut r in snap.reports {
+                        let key = (r.fun, r.ccid, r.vuln);
+                        if reports.iter().all(|x| (x.fun, x.ccid, x.vuln) != key) {
+                            // Attack reports list the allocation site first.
+                            r.call_chain = crate::report::decode_chain(&ip, r.fun, r.ccid)
+                                .map(|chain| chain.into_iter().rev().collect())
+                                .unwrap_or_default();
+                            reports.push(r);
+                        }
+                    }
+                    for row in snap.per_patch {
+                        per_patch
+                            .entry(row.slot)
+                            .and_modify(|e| {
+                                e.hits += row.hits;
+                                e.bytes += row.bytes;
                             })
-                            .unwrap_or_default();
-                        reports.push(r);
+                            .or_insert(row);
                     }
                 }
-                for row in snap.per_patch {
-                    per_patch
-                        .entry(row.slot)
-                        .and_modify(|e| {
-                            e.hits += row.hits;
-                            e.bytes += row.bytes;
-                        })
-                        .or_insert(row);
+            });
+            match breached {
+                Some(input) if rounds < max_rounds => attack = input,
+                _ => {
+                    return Ok(CycleReport {
+                        app: app.name.clone(),
+                        reference: app.reference.clone(),
+                        expected: app.expected,
+                        detected: deployed.iter().fold(VulnFlags::NONE, |acc, p| acc | p.vuln),
+                        patches: deployed,
+                        config_text,
+                        rounds,
+                        undefended_attack_succeeded: app.attack_succeeded(&native.report),
+                        all_attacks_blocked: breached.is_none(),
+                        benign_ok,
+                        reports,
+                        per_patch: per_patch.into_values().collect(),
+                        delivered,
+                        dropped,
+                        timeline: tl,
+                    })
                 }
             }
-        });
-        Ok(AppTelemetry {
-            app: app.name.clone(),
-            reference: app.reference.clone(),
-            reports,
-            per_patch: per_patch.into_values().collect(),
-            delivered,
-            dropped,
-            timeline: tl,
-        })
-    }
-
-    /// The full Table II cycle for one vulnerable application.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::NoPatchesGenerated`] if the analyzer found nothing
-    /// to patch; [`PipelineError::ConfigRoundTrip`] if the configuration
-    /// file failed to parse back (never expected).
-    pub fn full_cycle(&self, app: &VulnApp) -> Result<CycleReport, PipelineError> {
-        let ip = self.instrument(&app.program);
-
-        // Ground truth: the exploit works when undefended.
-        let native = self.run(&ip, app.patching_input(), Deploy::Native);
-        let undefended_attack_succeeded = app.attack_succeeded(&native.report);
-
-        // Offline: one attack input → patches.
-        let analysis = self.analyze_attack(&ip, app.patching_input(), &app.reference);
-        if analysis.patches.is_empty() {
-            return Err(PipelineError::NoPatchesGenerated(app.name.clone()));
         }
-
-        // Code-less deployment: write the configuration file, read it back.
-        let config_text = to_config_text(&analysis.patches);
-        let deployed = from_config_text(&config_text)
-            .map_err(|e| PipelineError::ConfigRoundTrip(e.to_string()))?;
-
-        let detected = deployed.iter().fold(VulnFlags::NONE, |acc, p| acc | p.vuln);
-
-        // Online: every attack input must be defeated...
-        let all_attacks_blocked = app.attack_inputs.iter().all(|input| {
-            let run = self.run(&ip, input, Deploy::Protected(&deployed));
-            !app.attack_succeeded(&run.report)
-        });
-        // ...and benign inputs must run to completion, unharmed.
-        let benign_ok = app.benign_inputs.iter().all(|input| {
-            let run = self.run(&ip, input, Deploy::Protected(&deployed));
-            run.report.outcome.is_completed() && !app.attack_succeeded(&run.report)
-        });
-
-        Ok(CycleReport {
-            app: app.name.clone(),
-            reference: app.reference.clone(),
-            expected: app.expected,
-            detected,
-            patches_generated: deployed.len(),
-            config_text,
-            undefended_attack_succeeded,
-            all_attacks_blocked,
-            benign_ok,
-        })
     }
 }
 
@@ -599,7 +517,7 @@ mod tests {
 
     #[test]
     fn full_cycle_bc_overflow() {
-        let report = ht().full_cycle(&ht_vulnapps::bc()).unwrap();
+        let report = ht().full_cycle(&ht_vulnapps::bc(), 1).unwrap();
         assert!(report.undefended_attack_succeeded);
         assert_eq!(report.detected, VulnFlags::OVERFLOW);
         assert!(report.detection_correct());
@@ -610,7 +528,7 @@ mod tests {
 
     #[test]
     fn full_cycle_heartbleed_multi_vuln() {
-        let report = ht().full_cycle(&ht_vulnapps::heartbleed()).unwrap();
+        let report = ht().full_cycle(&ht_vulnapps::heartbleed(), 1).unwrap();
         assert!(report.detected.contains(VulnFlags::UNINIT_READ));
         assert!(report.detected.contains(VulnFlags::OVERFLOW));
         assert!(
@@ -623,7 +541,7 @@ mod tests {
     #[test]
     fn full_cycle_uaf_apps() {
         for app in [ht_vulnapps::optipng(), ht_vulnapps::wavpack()] {
-            let report = ht().full_cycle(&app).unwrap();
+            let report = ht().full_cycle(&app, 1).unwrap();
             assert_eq!(report.detected, VulnFlags::USE_AFTER_FREE, "{}", report.app);
             assert!(report.all_attacks_blocked, "{}", report.app);
             assert!(report.benign_ok, "{}", report.app);
@@ -632,10 +550,10 @@ mod tests {
 
     #[test]
     fn full_cycle_realloc_and_calloc_origins() {
-        let tiff = ht().full_cycle(&ht_vulnapps::tiff()).unwrap();
+        let tiff = ht().full_cycle(&ht_vulnapps::tiff(), 1).unwrap();
         assert!(tiff.config_text.contains("realloc"), "{}", tiff.config_text);
         assert!(tiff.all_attacks_blocked);
-        let ming = ht().full_cycle(&ht_vulnapps::libming()).unwrap();
+        let ming = ht().full_cycle(&ht_vulnapps::libming(), 1).unwrap();
         assert!(ming.config_text.contains("calloc"), "{}", ming.config_text);
         assert!(ming.all_attacks_blocked);
     }
@@ -697,7 +615,7 @@ mod tests {
                     ..PipelineConfig::default()
                 };
                 let report = HeapTherapy::new(cfg)
-                    .full_cycle(&ht_vulnapps::bc())
+                    .full_cycle(&ht_vulnapps::bc(), 1)
                     .unwrap();
                 assert!(
                     report.all_attacks_blocked && report.benign_ok,
@@ -774,65 +692,111 @@ mod tests {
     }
 
     #[test]
-    fn iterative_cycle_single_context_takes_one_round() {
-        let (patches, rounds) = ht().iterative_cycle(&ht_vulnapps::bc(), 5).unwrap();
-        assert_eq!(rounds, 1, "one context, one cycle");
+    fn full_cycle_single_context_takes_one_round() {
+        let report = ht().full_cycle(&ht_vulnapps::bc(), 5).unwrap();
+        assert_eq!(report.rounds, 1, "one context, one cycle");
         // A wide overflow can violate both the overflowed array and the
         // neighbour's red zone, so one round may emit one or two patches.
-        assert!((1..=2).contains(&patches.len()), "{patches:?}");
+        assert!((1..=2).contains(&report.patches.len()), "{report:?}");
     }
 
     #[test]
-    fn iterative_cycle_discovers_the_second_context() {
+    fn full_cycle_discovers_the_second_context() {
         // §IX: the first round patches the context of the first attack
         // input; the second attack drives the same bug through a different
         // handler and forces a second round.
         let app = ht_vulnapps::multi_context_overflow();
         let ht = ht();
 
-        // Sanity: one-shot patching is NOT enough for this app.
-        let ip = ht.instrument(&app.program);
-        let one_shot = ht.analyze_attack(&ip, app.patching_input(), "x").patches;
-        assert_eq!(one_shot.len(), 1);
-        let second_attack = &app.attack_inputs[1];
-        let run = ht.run(&ip, second_attack, Deploy::Protected(&one_shot));
+        // One round is NOT enough for this app, and running out of rounds
+        // is a verdict, not an error.
+        let one = ht.full_cycle(&app, 1).unwrap();
+        assert_eq!((one.rounds, one.patches.len()), (1, 1));
         assert!(
-            app.attack_succeeded(&run.report),
-            "the second context is still exposed after round one"
+            !one.all_attacks_blocked,
+            "the second context is still exposed"
         );
+        assert!(one.benign_ok);
 
         // The cycle converges in two rounds with two context patches.
-        let (patches, rounds) = ht.iterative_cycle(&app, 5).unwrap();
-        assert_eq!(rounds, 2, "one extra round per new calling context");
-        assert_eq!(patches.len(), 2);
-        for input in &app.attack_inputs {
-            let run = ht.run(&ip, input, Deploy::Protected(&patches));
-            assert!(!app.attack_succeeded(&run.report));
-        }
-        for input in &app.benign_inputs {
-            let run = ht.run(&ip, input, Deploy::Protected(&patches));
-            assert!(run.report.outcome.is_completed());
-        }
+        let report = ht.full_cycle(&app, 5).unwrap();
+        assert_eq!(report.rounds, 2, "one extra round per new calling context");
+        assert_eq!(report.patches.len(), 2);
+        assert_eq!(report.patches[0], one.patches[0], "round order");
+        assert!(report.all_attacks_blocked && report.benign_ok);
+        assert_eq!(
+            from_config_text(&report.config_text).unwrap(),
+            report.patches
+        );
     }
 
     #[test]
-    fn iterative_cycle_zero_rounds_when_already_safe() {
-        // Benign-only "attacks": nothing breaches, zero rounds.
+    fn full_cycle_finds_nothing_to_patch_when_already_safe() {
+        // Benign-only "attacks": the first round's replay finds nothing.
         let mut app = ht_vulnapps::bc();
         app.attack_inputs = app.benign_inputs.clone();
-        let (patches, rounds) = ht().iterative_cycle(&app, 5).unwrap();
-        assert_eq!(rounds, 0);
-        assert!(patches.is_empty());
+        assert!(matches!(
+            ht().full_cycle(&app, 5),
+            Err(PipelineError::NoPatchesGenerated(_))
+        ));
+    }
+
+    /// `main` mallocs 8 B, writes 16 B into it and sends its first 8 B to
+    /// the attacker: the overflow gets patched, yet the "attack" (the
+    /// marker reaching the attacker) succeeds under any defense.
+    fn unstoppable_leak() -> VulnApp {
+        let mut pb = ht_simprog::ProgramBuilder::new();
+        let main = pb.entry();
+        let buf = pb.slot();
+        pb.define(main, |b| {
+            b.alloc(buf, ht_patch::AllocFn::Malloc, 8);
+            b.write(buf, 0, 16, 0x41);
+            b.read(buf, 0, 8, ht_simprog::Sink::Leak);
+        });
+        VulnApp {
+            name: "unstoppable".into(),
+            reference: "none".into(),
+            expected: VulnFlags::OVERFLOW,
+            program: pb.build(),
+            benign_inputs: Vec::new(),
+            attack_inputs: vec![vec![0]],
+            success_markers: vec![vec![0x41; 8]],
+        }
     }
 
     #[test]
-    fn attack_telemetry_files_one_report_per_fun_ccid_t() {
+    fn a_round_that_finds_nothing_new_is_an_error() {
+        let app = unstoppable_leak();
+        let one = ht().full_cycle(&app, 1).unwrap();
+        assert_eq!((one.rounds, one.patches.len()), (1, 1));
+        assert!(!one.all_attacks_blocked);
+        match ht().full_cycle(&app, 2) {
+            Err(PipelineError::NoPatchesGenerated(msg)) => {
+                assert!(msg.contains("round 2"), "{msg}")
+            }
+            other => panic!("expected NoPatchesGenerated, got {other:?}"),
+        }
+    }
+
+    fn armed(strategy: Strategy, scheme: Scheme) -> HeapTherapy {
+        HeapTherapy::new(PipelineConfig {
+            strategy,
+            scheme,
+            telemetry: true,
+            ..PipelineConfig::default()
+        })
+    }
+
+    #[test]
+    fn armed_cycle_files_one_report_per_fun_ccid_t() {
         for app in [
             ht_vulnapps::bc(),
             ht_vulnapps::heartbleed(),
             ht_vulnapps::optipng(),
         ] {
-            let tel = ht().attack_telemetry(&app).unwrap();
+            let tel = armed(Strategy::Incremental, Scheme::Pcc)
+                .full_cycle(&app, 1)
+                .unwrap();
             assert!(!tel.reports.is_empty(), "{}: defense fired", app.name);
             let mut keys: Vec<_> = tel
                 .reports
@@ -853,21 +817,20 @@ mod tests {
             }
             assert!(tel.per_patch.iter().all(|p| p.hits > 0));
             assert!(tel.delivered > 0);
-            for phase in ["instrument", "analyze", "patch-gen", "protected"] {
-                assert!(tel.timeline.get(phase).is_some(), "{phase} span recorded");
-            }
         }
     }
 
     #[test]
-    fn attack_telemetry_decodes_chains_under_precise_scheme() {
-        let cfg = PipelineConfig {
-            strategy: Strategy::Slim,
-            scheme: Scheme::Positional,
-            ..PipelineConfig::default()
-        };
-        let tel = HeapTherapy::new(cfg)
-            .attack_telemetry(&ht_vulnapps::bc())
+    fn unarmed_cycle_carries_no_telemetry() {
+        let report = ht().full_cycle(&ht_vulnapps::bc(), 1).unwrap();
+        assert!(report.reports.is_empty() && report.per_patch.is_empty());
+        assert_eq!((report.delivered, report.dropped), (0, 0));
+    }
+
+    #[test]
+    fn armed_cycle_decodes_chains_under_precise_scheme() {
+        let tel = armed(Strategy::Slim, Scheme::Positional)
+            .full_cycle(&ht_vulnapps::bc(), 1)
             .unwrap();
         let of = tel
             .reports
@@ -892,17 +855,48 @@ mod tests {
     }
 
     #[test]
+    fn armed_multi_context_cycle_reports_both_contexts() {
+        let report = armed(Strategy::Incremental, Scheme::Pcc)
+            .full_cycle(&ht_vulnapps::multi_context_overflow(), 8)
+            .unwrap();
+        assert_eq!((report.rounds, report.patches.len()), (2, 2));
+        assert!(report.all_attacks_blocked && report.benign_ok);
+        for p in &report.patches {
+            let row = report.per_patch.iter().find(|r| (r.fun, r.ccid) == p.key());
+            assert!(
+                row.is_some_and(|r| r.hits > 0),
+                "{p}: {:?}",
+                report.per_patch
+            );
+            let filed = report.reports.iter().filter(|r| (r.fun, r.ccid) == p.key());
+            assert_eq!(filed.count(), 1, "{p}: {:?}", report.reports);
+        }
+        // A phase repeated across rounds adds into its one span.
+        let names: Vec<&str> = report
+            .timeline
+            .spans()
+            .iter()
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            ["instrument", "native", "analyze", "patch-gen", "protected"]
+        );
+    }
+
+    #[test]
     fn telemetry_armed_run_matches_plain_run() {
         // Arming telemetry must not change what the defense does.
         let app = ht_vulnapps::heartbleed();
-        let plain = ht().full_cycle(&app).unwrap();
+        let plain = ht().full_cycle(&app, 1).unwrap();
         let armed = HeapTherapy::new(PipelineConfig {
             telemetry: true,
             ..PipelineConfig::default()
         })
-        .full_cycle(&app)
+        .full_cycle(&app, 1)
         .unwrap();
         assert_eq!(plain.detected, armed.detected);
+        assert_eq!(plain.patches, armed.patches);
         assert_eq!(plain.config_text, armed.config_text);
         assert_eq!(plain.all_attacks_blocked, armed.all_attacks_blocked);
         assert_eq!(plain.benign_ok, armed.benign_ok);
@@ -910,7 +904,7 @@ mod tests {
 
     #[test]
     fn cycle_report_row_renders() {
-        let report = ht().full_cycle(&ht_vulnapps::optipng()).unwrap();
+        let report = ht().full_cycle(&ht_vulnapps::optipng(), 1).unwrap();
         let row = report.to_string();
         assert!(row.contains("optipng"), "{row}");
         assert!(row.contains("CVE-2015-7801"), "{row}");

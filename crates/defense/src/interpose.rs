@@ -14,12 +14,10 @@ use ht_telemetry::{Recorder, TelemetrySnapshot};
 /// Online-defense configuration.
 #[derive(Debug)]
 pub struct DefenseConfig {
-    /// The frozen patch table loaded from the configuration file.
-    pub table: PatchTable,
-    /// Maintain the per-buffer metadata word. Disabling this yields the
-    /// paper's "interposition only" configuration (Fig. 8's 1.9% bar) and
-    /// requires an empty table.
-    pub maintain_metadata: bool,
+    /// The frozen patch table loaded from the configuration file. `None`
+    /// is the paper's "interposition only" configuration (Fig. 8's 1.9%
+    /// bar): no probe and no per-buffer metadata word.
+    pub table: Option<PatchTable>,
     /// Byte quota of the deferred-free FIFO.
     pub quarantine_quota: u64,
     /// Attack telemetry (paper Section VII's diagnosis report). Off by
@@ -31,8 +29,7 @@ pub struct DefenseConfig {
 impl Default for DefenseConfig {
     fn default() -> Self {
         Self {
-            table: PatchTable::new(),
-            maintain_metadata: true,
+            table: Some(PatchTable::new()),
             quarantine_quota: 2 * 1024 * 1024 * 1024,
             telemetry: false,
         }
@@ -43,7 +40,7 @@ impl DefenseConfig {
     /// Full defenses driven by `table`.
     pub fn with_table(table: PatchTable) -> Self {
         Self {
-            table,
+            table: Some(table),
             ..Self::default()
         }
     }
@@ -52,9 +49,15 @@ impl DefenseConfig {
     /// forwarded, nothing else (paper Fig. 8, "interposition" series).
     pub fn interpose_only() -> Self {
         Self {
-            maintain_metadata: false,
+            table: None,
             ..Self::default()
         }
+    }
+
+    /// The patch table, empty for interposition only.
+    fn patches(&self) -> &PatchTable {
+        static NO_PATCHES: PatchTable = PatchTable::new();
+        self.table.as_ref().unwrap_or(&NO_PATCHES)
     }
 }
 
@@ -104,11 +107,6 @@ pub struct DefendedBackend<A: BaseAllocator = FreeListAllocator> {
 
 impl DefendedBackend<FreeListAllocator> {
     /// A defended backend over the free-list allocator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` disables metadata but carries patches — the defenses
-    /// cannot be applied without per-buffer metadata.
     pub fn new(cfg: DefenseConfig) -> Self {
         Self::with_allocator(FreeListAllocator::new(), cfg)
     }
@@ -117,20 +115,12 @@ impl DefendedBackend<FreeListAllocator> {
 impl<A: BaseAllocator> DefendedBackend<A> {
     /// A defended backend over a caller-chosen inner allocator —
     /// HeapTherapy+ is allocator-agnostic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` disables metadata but carries patches.
     pub fn with_allocator(inner: A, cfg: DefenseConfig) -> Self {
-        assert!(
-            cfg.maintain_metadata || cfg.table.is_empty(),
-            "defenses require metadata maintenance"
-        );
         Self {
             plain: PlainBackend::with_allocator(inner),
             quarantine: Quarantine::new(cfg.quarantine_quota),
             stats: DefenseStats::default(),
-            per_slot: vec![(0, 0); cfg.table.len()],
+            per_slot: vec![(0, 0); cfg.patches().len()],
             telemetry: cfg.telemetry.then(|| Box::new(Recorder::new(true))),
             cfg,
         }
@@ -150,26 +140,12 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         StopCause::HeapMisuse(e.to_string())
     }
 
-    /// The vulnerability bits and the slot of the patch-table hit, if any,
-    /// for an allocation about to happen.
-    #[inline]
-    fn probe(&mut self, fun: AllocFn, ccid: u64) -> (VulnFlags, Option<usize>) {
-        self.stats.table_lookups += 1;
-        let hit = self.cfg.table.probe(fun, ccid);
-        let hit = hit.filter(|(_, vuln)| !vuln.is_empty());
-        self.stats.table_hits += u64::from(hit.is_some());
-        (
-            hit.map_or(VulnFlags::NONE, |(_, vuln)| vuln),
-            hit.map(|(slot, _)| slot),
-        )
-    }
-
     /// Counts a placed table hit of `slot` and records its events.
     fn note_hit(&mut self, slot: usize, vuln: VulnFlags, size: u64) {
         let c = &mut self.per_slot[slot];
         *c = (c.0 + 1, c.1 + size);
         if let Some(rec) = &self.telemetry {
-            rec.hit(&self.cfg.table, slot, vuln, size);
+            rec.hit(self.cfg.patches(), slot, vuln, size);
         }
     }
 
@@ -187,7 +163,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     /// destructively; per-patch counters and reports are cumulative.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let rec = self.telemetry.as_ref()?;
-        Some(rec.snapshot(&self.cfg.table, &self.per_slot))
+        Some(rec.snapshot(self.cfg.patches(), &self.per_slot))
     }
 
     /// Allocates one defended buffer (Structures 1–4) whose word records
@@ -350,11 +326,11 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         };
         self.stats.quarantined_blocks += 1;
         if let Some(rec) = &self.telemetry {
-            rec.defer(&self.cfg.table, block.slot as usize, size);
+            rec.defer(self.cfg.patches(), block.slot as usize, size);
         }
         for b in self.quarantine.push(block) {
             if let Some(rec) = &self.telemetry {
-                rec.evict(&self.cfg.table, b.slot as usize, b.size);
+                rec.evict(self.cfg.patches(), b.slot as usize, b.size);
             }
             inner.free(space, b.inner_ptr).map_err(Self::misuse)?;
         }
@@ -368,11 +344,17 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     #[inline]
     fn alloc(&mut self, req: &AllocRequest) -> Result<Addr, StopCause> {
         self.stats.interposed_allocs += 1;
-        if !self.cfg.maintain_metadata {
+        let Some(table) = &self.cfg.table else {
             // Interposition-only: forward untouched.
             return self.plain.alloc(req);
-        }
-        let (vuln, slot) = self.probe(req.fun, req.ccid.0);
+        };
+        let hit = table
+            .probe(req.fun, req.ccid.0)
+            .filter(|(_, vuln)| !vuln.is_empty());
+        self.stats.table_lookups += 1;
+        self.stats.table_hits += u64::from(hit.is_some());
+        let (slot, vuln) = hit.unzip();
+        let vuln = vuln.unwrap_or(VulnFlags::NONE);
         let miss = slot.is_none()
             && match req.fun {
                 AllocFn::Malloc | AllocFn::Calloc => true,
@@ -391,7 +373,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     #[inline]
     fn free(&mut self, ptr: Addr) -> AccessOutcome {
         self.stats.interposed_frees += 1;
-        if !self.cfg.maintain_metadata {
+        if self.cfg.table.is_none() {
             return self.plain.free(ptr);
         }
         let freed = match self.read_meta(ptr) {
@@ -771,11 +753,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "require metadata")]
-    fn interpose_only_with_patches_panics() {
-        let mut cfg = DefenseConfig::interpose_only();
-        cfg.table = table(AllocFn::Malloc, 1, VulnFlags::OVERFLOW);
-        let _ = DefendedBackend::new(cfg);
+    fn interpose_only_with_telemetry_files_nothing() {
+        let mut d = DefendedBackend::new(DefenseConfig {
+            telemetry: true,
+            ..DefenseConfig::interpose_only()
+        });
+        let p = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
+        assert!(d.free(p).is_ok());
+        let snap = d.telemetry_snapshot().expect("armed");
+        assert!(snap.is_empty(), "{snap:?}");
+        assert_eq!(d.stats().table_lookups, 0);
     }
 
     #[test]

@@ -38,7 +38,8 @@ impl Timeline {
     }
 
     /// Runs `f`, recording its wall-clock under `name`. Phases nest by
-    /// calling convention only — a span covers exactly the closure.
+    /// calling convention only — a span covers exactly the closure, and a
+    /// phase timed again adds into its one span.
     pub fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
@@ -46,12 +47,16 @@ impl Timeline {
         out
     }
 
-    /// Appends a pre-measured span.
+    /// Adds a pre-measured span: into the span named `name` if there is
+    /// one, else as a new span at the end.
     pub fn push(&mut self, name: &str, micros: u64) {
-        self.spans.push(PhaseSpan {
-            name: name.to_string(),
-            micros,
-        });
+        match self.spans.iter_mut().find(|s| s.name == name) {
+            Some(span) => span.micros += micros,
+            None => self.spans.push(PhaseSpan {
+                name: name.to_string(),
+                micros,
+            }),
+        }
     }
 
     /// The recorded spans, in execution order.
@@ -102,6 +107,18 @@ mod tests {
         assert!(tl.get("encode").unwrap().micros >= 2_000);
         assert!(tl.get("missing").is_none());
         assert!(tl.total_micros() >= tl.get("encode").unwrap().micros);
+    }
+
+    #[test]
+    fn a_repeated_phase_adds_into_its_span() {
+        let mut tl = Timeline::new();
+        tl.push("analyze", 100);
+        tl.push("protected", 20);
+        tl.push("analyze", 50);
+        let names: Vec<&str> = tl.spans().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["analyze", "protected"]);
+        assert_eq!(tl.get("analyze").unwrap().micros, 150);
+        assert_eq!(tl.total_micros(), 170);
     }
 
     #[test]

@@ -369,7 +369,7 @@ pub fn libming() -> VulnApp {
 /// Two request handlers share the buggy copy routine; an attacker who finds
 /// the first context patched simply drives the exploit down the second. The
 /// paper's answer is another defense-generation cycle per new context —
-/// exercised by `HeapTherapy::iterative_cycle`.
+/// exercised by `HeapTherapy::full_cycle` with more than one round.
 ///
 /// Inputs: `[path_selector, element_count, write_count]`.
 pub fn multi_context_overflow() -> VulnApp {

@@ -15,7 +15,7 @@ fn main() {
     // The whole pipeline: instrument, replay the attack offline, generate
     // {FUN, CCID, T} patches, deploy them code-lessly, verify online.
     let ht = HeapTherapy::new(PipelineConfig::default());
-    let cycle = ht.full_cycle(&app).expect("pipeline runs");
+    let cycle = ht.full_cycle(&app, 1).expect("pipeline runs");
 
     println!(
         "application           : {} ({})",
@@ -26,7 +26,7 @@ fn main() {
         cycle.undefended_attack_succeeded
     );
     println!("diagnosed as          : {}", cycle.detected);
-    println!("patches generated     : {}", cycle.patches_generated);
+    println!("patches generated     : {}", cycle.patches.len());
     println!("--- patch configuration file ---");
     print!("{}", cycle.config_text);
     println!("---------------------------------");

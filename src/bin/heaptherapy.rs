@@ -5,7 +5,7 @@
 //! heaptherapy list
 //! heaptherapy analyze <app> [--out patches.conf] [--scheme pcc|positional|additive]
 //! heaptherapy protect <app> --patches patches.conf [--attack N]
-//! heaptherapy demo <app>
+//! heaptherapy demo <app> [--iterative]
 //! heaptherapy report <app> [--json] [--scheme pcc|positional|additive]
 //! heaptherapy decode <app> --fun malloc --ccid 0x1f3a [--scheme additive]
 //! heaptherapy lint <app> [--strategy fcs|tcs|slim|incremental] [--scheme pcc|positional|additive]
@@ -203,28 +203,22 @@ fn cmd_demo(args: &Args) -> ExitCode {
     let Some(ht) = pipeline(args) else {
         return ExitCode::from(2);
     };
-    if args.flag("iterative").is_some() {
-        // §IX: keep cycling until every attack input is defeated (needed
-        // for vulnerabilities exploitable through multiple contexts).
-        return match ht.iterative_cycle(&app, 8) {
-            Ok((patches, rounds)) => {
-                println!(
-                    "{}: converged in {rounds} round(s), {} patch(es)",
-                    app.name,
-                    patches.len()
-                );
-                print!("{}", to_config_text(&patches));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("iterative cycle failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match ht.full_cycle(&app) {
+    // One round (Table II), or up to 8 with `--iterative` (§IX: one more
+    // per newly exploited calling context).
+    let max_rounds = if args.flag("iterative").is_some() {
+        8
+    } else {
+        1
+    };
+    match ht.full_cycle(&app, max_rounds) {
         Ok(cycle) => {
             println!("{}", cycle.table_row());
+            println!(
+                "{}: {} round(s), {} patch(es)",
+                app.name,
+                cycle.rounds,
+                cycle.patches.len()
+            );
             print!("{}", cycle.config_text);
             if cycle.all_attacks_blocked && cycle.benign_ok {
                 ExitCode::SUCCESS
@@ -247,25 +241,42 @@ fn cmd_report(args: &Args) -> ExitCode {
     let Some(ht) = pipeline(args) else {
         return ExitCode::from(2);
     };
-    match ht.attack_telemetry(&app) {
-        Ok(tel) => {
-            if args.flag("json").is_some() {
-                use heaptherapy_plus::jsonio::ToJson;
-                println!("{}", tel.to_json().to_pretty());
-            } else {
-                print!("{tel}");
-            }
-            if tel.reports.is_empty() {
-                eprintln!("no defense activated — no attack report filed");
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+    let ht = HeapTherapy::new(PipelineConfig {
+        telemetry: true,
+        ..ht.config().clone()
+    });
+    let cycle = match ht.full_cycle(&app, 1) {
+        Ok(cycle) => cycle,
         Err(e) => {
             eprintln!("pipeline failed: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    if args.flag("json").is_some() {
+        use heaptherapy_plus::jsonio::ToJson;
+        println!("{}", cycle.to_json().to_pretty());
+    } else {
+        println!("app     : {} ({})", cycle.app, cycle.reference);
+        println!(
+            "events  : {} delivered, {} dropped",
+            cycle.delivered, cycle.dropped
+        );
+        for row in &cycle.per_patch {
+            println!(
+                "patch   : {{{}, {:#x}, {}}}  hits={} bytes={}",
+                row.fun, row.ccid, row.vuln, row.hits, row.bytes
+            );
+        }
+        for r in &cycle.reports {
+            print!("{r}");
+        }
+        print!("{}", cycle.timeline);
+    }
+    if cycle.reports.is_empty() {
+        eprintln!("no defense activated — no attack report filed");
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 

@@ -41,8 +41,8 @@
 //! // A modeled program with a heap overflow, one attack input in hand.
 //! let app = vulnapps::bc();
 //! let ht = HeapTherapy::new(PipelineConfig::default());
-//! let cycle = ht.full_cycle(&app).expect("pipeline runs");
-//! assert!(cycle.patches_generated > 0);
+//! let cycle = ht.full_cycle(&app, 1).expect("pipeline runs");
+//! assert!(!cycle.patches.is_empty());
 //! assert!(cycle.all_attacks_blocked);
 //! ```
 

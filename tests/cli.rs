@@ -175,3 +175,25 @@ fn unknown_app_and_usage_errors() {
     assert!(!ok);
     assert!(stderr.contains("usage:"), "{stderr}");
 }
+
+#[test]
+fn report_prints_the_patch_row_and_the_guard_page_report() {
+    let (stdout, stderr, ok) = run(&["report", "bc"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("patch   : {malloc, 0x0, OF}"), "{stdout}");
+    assert!(stdout.contains("guard page"), "{stdout}");
+}
+
+#[test]
+fn report_json_files_reports_with_call_chains() {
+    use heaptherapy_plus::jsonio::Json;
+    let (stdout, stderr, ok) = run(&["report", "bc", "--json"]);
+    assert!(ok, "{stderr}");
+    let json = Json::parse(&stdout).expect("report --json parses");
+    let reports = json.req_arr("reports").expect("a reports array");
+    assert!(!reports.is_empty(), "{stdout}");
+    for r in reports {
+        let chain = r.req_arr("call_chain").expect("a call_chain array");
+        assert!(!chain.is_empty(), "{stdout}");
+    }
+}

@@ -105,7 +105,7 @@ fn strategy_scheme_matrix_on_cve_models() {
                 ..PipelineConfig::default()
             });
             for app in [vulnapps::optipng(), vulnapps::libming()] {
-                let r = ht.full_cycle(&app).unwrap();
+                let r = ht.full_cycle(&app, 1).unwrap();
                 assert!(
                     r.all_attacks_blocked && r.benign_ok,
                     "{}/{}/{}",

@@ -4,8 +4,8 @@
 //!   For any Table II app under any strategy/scheme, a telemetry-on
 //!   `full_cycle` produces the identical `CycleReport` to a telemetry-off
 //!   run (same patches, same config text, same verdicts).
-//! * **Once-only** — `attack_telemetry` is deterministic and files exactly
-//!   one report per distinct `(FUN, CCID, T)` across repeated runs.
+//! * **Once-only** — an armed `full_cycle` is deterministic and files
+//!   exactly one report per distinct `(FUN, CCID, T)` across repeated runs.
 //! * **Overflow exactness** — a saturated event ring never miscounts:
 //!   delivered + dropped equals the number of pushes, and the drained
 //!   prefix is the sequence-ordered head of the stream.
@@ -49,14 +49,14 @@ proptest! {
         let scheme = if precise { Scheme::Additive } else { Scheme::Pcc };
 
         let plain = pipeline(strategy, scheme, false)
-            .full_cycle(app)
+            .full_cycle(app, 1)
             .expect("unarmed cycle runs");
         let armed = pipeline(strategy, scheme, true)
-            .full_cycle(app)
+            .full_cycle(app, 1)
             .expect("armed cycle runs");
 
         prop_assert_eq!(&plain.detected, &armed.detected);
-        prop_assert_eq!(&plain.patches_generated, &armed.patches_generated);
+        prop_assert_eq!(&plain.patches, &armed.patches);
         prop_assert_eq!(&plain.config_text, &armed.config_text);
         prop_assert_eq!(
             plain.undefended_attack_succeeded,
@@ -67,15 +67,15 @@ proptest! {
     }
 }
 
-/// Two `attack_telemetry` runs of the same app agree report-for-report, and
-/// each files one report per distinct `(FUN, CCID, T)`.
+/// Two armed cycles of the same app agree report-for-report, and each
+/// files one report per distinct `(FUN, CCID, T)`.
 #[test]
-fn attack_telemetry_is_deterministic_and_once_only() {
-    let ht = pipeline(Strategy::Incremental, Scheme::Additive, false);
+fn armed_cycle_is_deterministic_and_once_only() {
+    let ht = pipeline(Strategy::Incremental, Scheme::Additive, true);
     for app in [vulnapps::bc(), vulnapps::heartbleed(), vulnapps::optipng()] {
-        let a = ht.attack_telemetry(&app).expect("telemetry cycle runs");
-        let b = ht.attack_telemetry(&app).expect("telemetry cycle runs");
-        let key = |t: &heaptherapy_plus::core::AppTelemetry| -> Vec<_> {
+        let a = ht.full_cycle(&app, 1).expect("telemetry cycle runs");
+        let b = ht.full_cycle(&app, 1).expect("telemetry cycle runs");
+        let key = |t: &heaptherapy_plus::core::CycleReport| -> Vec<_> {
             t.reports
                 .iter()
                 .map(|r| (r.fun, r.ccid, r.vuln, r.call_chain.clone()))
