@@ -17,8 +17,8 @@
 //! with `--release` for meaningful timings.
 
 use ht_bench::{
-    ablation, baselines, encoding, fig2, fig8, fig9, lint, scaling, services, shadow, table1,
-    table2, table3, table4, telemetry,
+    ablation, baselines, column_means, encoding, fig2, fig8, fig9, lint, scaling, services, shadow,
+    table1, table2, table3, table4, telemetry,
 };
 
 struct Opts {
@@ -203,7 +203,7 @@ fn run_table3(opts: &Opts) {
             r.paper[3]
         );
     }
-    let avg = table3::averages(&rows);
+    let avg = column_means(rows.iter().map(|r| r.measured));
     println!(
         "{:<16} {:>5.1} {:>5.1} {:>5.1} {:>5.1}   {:>6.2} {:>6.2} {:>6.2} {:>6.2}   (averages)",
         "AVERAGE", avg[0], avg[1], avg[2], avg[3], 12.0, 6.0, 4.5, 4.4
@@ -251,7 +251,7 @@ fn run_encoding(opts: &Opts) {
             r.time_pct[3]
         );
     }
-    let avg = encoding::avg_ops(&rows);
+    let avg = column_means(rows.iter().map(|r| r.ops.map(|o| o as f64)));
     println!(
         "AVERAGE ops      {:>8.0} {:>8.0} {:>8.0} {:>8.0}   (paper time %: {:?})",
         avg[0],
@@ -275,7 +275,7 @@ fn run_fig8(opts: &Opts) {
             r.bench, r.pct[0], r.pct[1], r.pct[2], r.pct[3], r.hits[0], r.hits[1], r.guard_pages5
         );
     }
-    let avg = fig8::averages(&rows);
+    let avg = column_means(rows.iter().map(|r| r.pct));
     println!(
         "AVERAGE          {:>9.2}% {:>9.2}% {:>9.2}% {:>9.2}%   (paper: {:?})",
         avg[0],

@@ -63,20 +63,6 @@ pub fn rows(allocs: u64, samples: usize) -> Vec<EncodingRow> {
         .collect()
 }
 
-/// Column averages of executed instrumentation ops.
-pub fn avg_ops(rows: &[EncodingRow]) -> [f64; 4] {
-    let mut avg = [0.0; 4];
-    for r in rows {
-        for (a, &o) in avg.iter_mut().zip(&r.ops) {
-            *a += o as f64;
-        }
-    }
-    for a in &mut avg {
-        *a /= rows.len().max(1) as f64;
-    }
-    avg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +77,7 @@ mod tests {
             }
             assert!(r.ops[0] > 0, "{}", r.bench);
         }
-        let avg = avg_ops(&rows);
+        let avg = crate::column_means(rows.iter().map(|r| r.ops.map(|o| o as f64)));
         // The paper's 6× speedup: FCS executes several times the
         // instrumentation work of Incremental on average.
         assert!(

@@ -75,20 +75,6 @@ pub fn rows(threads: usize, fraction: f64, samples: usize) -> Vec<Fig8Row> {
     })
 }
 
-/// Column averages of the overhead percentages.
-pub fn averages(rows: &[Fig8Row]) -> [f64; 4] {
-    let mut avg = [0.0; 4];
-    for r in rows {
-        for (a, &p) in avg.iter_mut().zip(&r.pct) {
-            *a += p;
-        }
-    }
-    for a in &mut avg {
-        *a /= rows.len().max(1) as f64;
-    }
-    avg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -137,6 +137,20 @@ pub fn median(mut samples: Vec<f64>) -> f64 {
     }
 }
 
+/// The mean of each column of `rows`, summed in row order (all zero for
+/// no rows).
+pub fn column_means<const N: usize>(rows: impl IntoIterator<Item = [f64; N]>) -> [f64; N] {
+    let mut sum = [0.0; N];
+    let mut n = 0;
+    for row in rows {
+        for (s, x) in sum.iter_mut().zip(row) {
+            *s += x;
+        }
+        n += 1;
+    }
+    sum.map(|s| s / n.max(1) as f64)
+}
+
 /// Percent overhead of `x` over baseline `base`.
 pub fn overhead_pct(base: f64, x: f64) -> f64 {
     if base <= 0.0 {
@@ -198,6 +212,12 @@ mod tests {
         // after sorting ([0, 0, 20] → 0). Must stay well under 10 ms.
         let m = time_median(3, f);
         assert!(m < 0.010, "odd-length median {m} not the middle element");
+    }
+
+    #[test]
+    fn column_means_average_each_column_and_zero_for_no_rows() {
+        assert_eq!(column_means([[1.0, 4.0], [3.0, 8.0]]), [2.0, 6.0]);
+        assert_eq!(column_means::<3>([]), [0.0; 3]);
     }
 
     #[test]

@@ -67,20 +67,6 @@ pub fn rows(threads: usize) -> Vec<Table3Row> {
     })
 }
 
-/// Column averages of the measured percentages.
-pub fn averages(rows: &[Table3Row]) -> [f64; 4] {
-    let mut avg = [0.0; 4];
-    for r in rows {
-        for (a, &m) in avg.iter_mut().zip(&r.measured) {
-            *a += m;
-        }
-    }
-    for a in &mut avg {
-        *a /= rows.len().max(1) as f64;
-    }
-    avg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,7 +98,7 @@ mod tests {
             );
         }
         // Averages ordered like the paper's 12 / 6 / 4.5 / 4.4.
-        let avg = averages(&rows);
+        let avg = crate::column_means(rows.iter().map(|r| r.measured));
         assert!(
             avg[0] > avg[1] && avg[1] > avg[2] && avg[2] >= avg[3],
             "{avg:?}"

@@ -11,13 +11,103 @@
 //! heaptherapy lint <app> [--strategy fcs|tcs|slim|incremental] [--scheme pcc|positional|additive]
 //! heaptherapy instrument <app> [--strategy fcs|tcs|slim|incremental]
 //! ```
+//!
+//! An unknown flag, a missing value or an extra argument exits 2.
 
+use heaptherapy_plus::analysis::{render_report, render_verdict};
 use heaptherapy_plus::callgraph::Strategy;
-use heaptherapy_plus::core::{incident_report, Deploy, HeapTherapy, PipelineConfig};
-use heaptherapy_plus::encoding::{decode, Ccid, Scheme};
-use heaptherapy_plus::patch::{from_config_text, to_config_text};
+use heaptherapy_plus::core::{decode_chain, incident_report, Deploy, HeapTherapy, PipelineConfig};
+use heaptherapy_plus::encoding::{InstrumentationPlan, Scheme};
+use heaptherapy_plus::jsonio::ToJson;
+use heaptherapy_plus::patch::{from_config_text, to_config_text, AllocFn};
+use heaptherapy_plus::simprog::spec::{build_spec_workload, spec_bench, SpecBench};
 use heaptherapy_plus::vulnapps::{self, VulnApp};
+use std::fmt::Display;
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+/// What a command returns: its exit code, or the error writing its output.
+type Res = io::Result<ExitCode>;
+
+const COMMANDS: &str = "list|analyze|protect|demo|report|decode|lint|instrument";
+const FLAGS: &str = "[--scheme pcc|positional|additive] [--strategy fcs|tcs|slim|incremental] \
+                     [--out FILE] [--patches FILE] [--attack N] [--fun NAME] [--ccid HEX] \
+                     [--json] [--iterative]";
+
+/// The command line, parsed once.
+struct Opts {
+    cmd: String,
+    /// Empty for `list`, the one command that takes no app.
+    app: String,
+    scheme: Scheme,
+    strategy: Strategy,
+    out: Option<String>,
+    patches: Option<String>,
+    /// Resolved against the app's attack inputs by `protect`.
+    attack: Option<String>,
+    fun: AllocFn,
+    ccid: Option<u64>,
+    json: bool,
+    iterative: bool,
+}
+
+fn parse_args() -> Result<Opts, String> {
+    let mut opts = Opts {
+        cmd: String::new(),
+        app: String::new(),
+        scheme: Scheme::Additive,
+        strategy: Strategy::Incremental,
+        out: None,
+        patches: None,
+        attack: None,
+        fun: AllocFn::Malloc,
+        ccid: None,
+        json: false,
+        iterative: false,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
+        match a.as_str() {
+            "--scheme" => opts.scheme = choice(&a, &value()?, &Scheme::ALL)?,
+            "--strategy" => opts.strategy = choice(&a, &value()?, &Strategy::ALL)?,
+            "--out" => opts.out = Some(value()?),
+            "--patches" => opts.patches = Some(value()?),
+            "--attack" => opts.attack = Some(value()?),
+            "--fun" => opts.fun = choice(&a, &value()?, &AllocFn::ALL)?,
+            "--ccid" => {
+                let v = value()?;
+                let hex = v.strip_prefix("0x").unwrap_or(&v);
+                let ccid = u64::from_str_radix(hex, 16);
+                opts.ccid = Some(ccid.map_err(|_| format!("--ccid {v:?} is not hex"))?);
+            }
+            "--json" => opts.json = true,
+            "--iterative" => opts.iterative = true,
+            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+            _ if opts.cmd.is_empty() => opts.cmd = a,
+            _ if opts.app.is_empty() => opts.app = a,
+            _ => return Err(format!("unexpected argument {a:?}")),
+        }
+    }
+    match opts.cmd.as_str() {
+        "" => Err("no command".into()),
+        c if !COMMANDS.split('|').any(|k| k == c) => Err(format!("unknown command {c:?}")),
+        c if c != "list" && opts.app.is_empty() => Err(format!("{c} needs an app")),
+        _ => Ok(opts),
+    }
+}
+
+/// The one of `all` displayed as `value`, else a usage error naming them.
+fn choice<T: Copy + Display>(flag: &str, value: &str, all: &[T]) -> Result<T, String> {
+    let names: Vec<String> = all.iter().map(T::to_string).collect();
+    match names.iter().position(|n| n == value) {
+        Some(i) => Ok(all[i]),
+        None => Err(format!(
+            "unknown {flag} {value:?}; one of: {}",
+            names.join(", ")
+        )),
+    }
+}
 
 fn find_app(name: &str) -> Option<VulnApp> {
     if name == "multictx" || name == "multictx-overflow" {
@@ -28,387 +118,236 @@ fn find_app(name: &str) -> Option<VulnApp> {
         .find(|a| a.name == name || a.name.starts_with(name))
 }
 
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, String)>,
+/// Exits 0 when `ok`, else 1.
+fn status(ok: bool) -> Res {
+    Ok(ExitCode::from(if ok { 0 } else { 1 }))
 }
 
-impl Args {
-    fn parse() -> Self {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = it.next().unwrap_or_default();
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(a);
-            }
-        }
-        Self { positional, flags }
-    }
-
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
+/// Says `why` on stderr and exits `code`.
+fn fail(code: u8, why: impl Display) -> Res {
+    eprintln!("{why}");
+    Ok(ExitCode::from(code))
 }
 
-/// The value of `--flag` among `all`, found by `name`, or `default`
-/// without the flag. An unknown value prints the valid names and yields
-/// `None`.
-fn choice<T: Copy>(
-    args: &Args,
-    flag: &str,
-    all: &[T],
-    name: fn(T) -> &'static str,
-    default: T,
-) -> Option<T> {
-    let Some(value) = args.flag(flag) else {
-        return Some(default);
-    };
-    let found = all.iter().copied().find(|&x| name(x) == value);
-    if found.is_none() {
-        let names: Vec<&str> = all.iter().map(|&x| name(x)).collect();
-        eprintln!("unknown --{flag} {value:?}; one of: {}", names.join(", "));
-    }
-    found
-}
-
-/// The pipeline the `--scheme` and `--strategy` flags select, or `None`
-/// when either flag has an unknown value.
-fn pipeline(args: &Args) -> Option<HeapTherapy> {
-    let scheme = choice(args, "scheme", &Scheme::ALL, Scheme::name, Scheme::Additive)?;
-    let strategy = choice(
-        args,
-        "strategy",
-        &Strategy::ALL,
-        Strategy::name,
-        Strategy::Incremental,
-    )?;
-    Some(HeapTherapy::new(PipelineConfig {
-        strategy,
-        scheme,
-        ..PipelineConfig::default()
-    }))
-}
-
-fn cmd_list() -> ExitCode {
-    println!("{:<30} {:<16} {:<10}", "name", "reference", "class");
+fn list(out: &mut impl Write) -> Res {
+    writeln!(out, "{:<30} {:<16} {:<10}", "name", "reference", "class")?;
     let mut apps = vulnapps::table2_suite();
     apps.push(vulnapps::multi_context_overflow());
     for a in apps {
-        println!(
-            "{:<30} {:<16} {:<10}",
-            a.name,
-            a.reference,
-            a.expected.to_string()
-        );
+        let class = a.expected.to_string();
+        writeln!(out, "{:<30} {:<16} {:<10}", a.name, a.reference, class)?;
     }
-    ExitCode::SUCCESS
+    status(true)
 }
 
-fn cmd_analyze(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| find_app(n)) else {
-        eprintln!("unknown app; try `heaptherapy list`");
-        return ExitCode::from(2);
-    };
-    let Some(ht) = pipeline(args) else {
-        return ExitCode::from(2);
-    };
+fn analyze(ht: &HeapTherapy, app: &VulnApp, opts: &Opts, out: &mut impl Write) -> Res {
     let ip = ht.instrument(&app.program);
     let analysis = ht.analyze_attack(&ip, app.patching_input(), &app.reference);
-    print!("{}", incident_report(&ip, &analysis, &app.name));
+    write!(out, "{}", incident_report(&ip, &analysis, &app.name))?;
     let text = to_config_text(&analysis.patches);
-    match args.flag("out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {} patch(es) to {path}", analysis.patches.len());
-        }
-        None => print!("{text}"),
+    let Some(path) = &opts.out else {
+        write!(out, "{text}")?;
+        return status(true);
+    };
+    if let Err(e) = std::fs::write(path, &text) {
+        return fail(1, format!("cannot write {path}: {e}"));
     }
-    ExitCode::SUCCESS
+    writeln!(out, "wrote {} patch(es) to {path}", analysis.patches.len())?;
+    status(true)
 }
 
-fn cmd_protect(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| find_app(n)) else {
-        eprintln!("unknown app; try `heaptherapy list`");
-        return ExitCode::from(2);
-    };
-    let Some(path) = args.flag("patches") else {
-        eprintln!("--patches <file> is required");
-        return ExitCode::from(2);
+fn protect(ht: &HeapTherapy, app: &VulnApp, opts: &Opts, out: &mut impl Write) -> Res {
+    let Some(path) = &opts.patches else {
+        return fail(2, "--patches <file> is required");
     };
     let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Ok(text) => text,
+        Err(e) => return fail(1, format!("cannot read {path}: {e}")),
     };
     let patches = match from_config_text(&text) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("bad patch file: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(1, format!("bad patch file: {e}")),
     };
-    let Some(ht) = pipeline(args) else {
-        return ExitCode::from(2);
-    };
-    let attack = args.flag("attack").unwrap_or("0");
+    let attack = opts.attack.as_deref().unwrap_or("0");
     let Some(input) = attack
         .parse()
         .ok()
         .and_then(|i: usize| app.attack_inputs.get(i))
     else {
         let n = app.attack_inputs.len();
-        eprintln!(
-            "unknown --attack {attack:?}; {} has {n} attack input(s): 0..={}",
-            app.name,
-            n - 1
+        let name = &app.name;
+        return fail(
+            2,
+            format!(
+                "unknown --attack {attack:?}; {name} has {n} attack input(s): 0..={}",
+                n - 1
+            ),
         );
-        return ExitCode::from(2);
     };
     let ip = ht.instrument(&app.program);
     let run = ht.run(&ip, input, Deploy::Protected(&patches));
-    println!("outcome           : {:?}", run.report.outcome);
-    println!("bytes leaked      : {}", run.report.leaked.len());
-    println!("attack succeeded  : {}", app.attack_succeeded(&run.report));
-    println!(
+    let s = &run.stats;
+    let succeeded = app.attack_succeeded(&run.report);
+    writeln!(out, "outcome           : {:?}", run.report.outcome)?;
+    writeln!(out, "bytes leaked      : {}", run.report.leaked.len())?;
+    writeln!(out, "attack succeeded  : {succeeded}")?;
+    writeln!(
+        out,
         "defense activity  : {} hits, {} guard pages, {} zero-filled bytes, {} quarantined",
-        run.stats.table_hits,
-        run.stats.guard_pages,
-        run.stats.zero_fill_bytes,
-        run.stats.quarantined_blocks
-    );
-    if app.attack_succeeded(&run.report) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+        s.table_hits, s.guard_pages, s.zero_fill_bytes, s.quarantined_blocks
+    )?;
+    status(!succeeded)
 }
 
-fn cmd_demo(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| find_app(n)) else {
-        eprintln!("unknown app; try `heaptherapy list`");
-        return ExitCode::from(2);
-    };
-    let Some(ht) = pipeline(args) else {
-        return ExitCode::from(2);
-    };
+fn demo(ht: &HeapTherapy, app: &VulnApp, opts: &Opts, out: &mut impl Write) -> Res {
     // One round (Table II), or up to 8 with `--iterative` (§IX: one more
     // per newly exploited calling context).
-    let max_rounds = if args.flag("iterative").is_some() {
-        8
-    } else {
-        1
+    let max_rounds = if opts.iterative { 8 } else { 1 };
+    let cycle = match ht.full_cycle(app, max_rounds) {
+        Ok(cycle) => cycle,
+        Err(e) => return fail(1, format!("pipeline failed: {e}")),
     };
-    match ht.full_cycle(&app, max_rounds) {
-        Ok(cycle) => {
-            println!("{}", cycle.table_row());
-            println!(
-                "{}: {} round(s), {} patch(es)",
-                app.name,
-                cycle.rounds,
-                cycle.patches.len()
-            );
-            print!("{}", cycle.config_text);
-            if cycle.all_attacks_blocked && cycle.benign_ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("pipeline failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (rounds, patches) = (cycle.rounds, cycle.patches.len());
+    writeln!(out, "{}", cycle.table_row())?;
+    writeln!(out, "{}: {rounds} round(s), {patches} patch(es)", app.name)?;
+    write!(out, "{}", cycle.config_text)?;
+    status(cycle.all_attacks_blocked && cycle.benign_ok)
 }
 
-fn cmd_report(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| find_app(n)) else {
-        eprintln!("unknown app; try `heaptherapy list`");
-        return ExitCode::from(2);
-    };
-    let Some(ht) = pipeline(args) else {
-        return ExitCode::from(2);
-    };
-    let ht = HeapTherapy::new(PipelineConfig {
-        telemetry: true,
-        ..ht.config().clone()
-    });
-    let cycle = match ht.full_cycle(&app, 1) {
+fn report(ht: &HeapTherapy, app: &VulnApp, opts: &Opts, out: &mut impl Write) -> Res {
+    let c = match ht.full_cycle(app, 1) {
         Ok(cycle) => cycle,
-        Err(e) => {
-            eprintln!("pipeline failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(1, format!("pipeline failed: {e}")),
     };
-    if args.flag("json").is_some() {
-        use heaptherapy_plus::jsonio::ToJson;
-        println!("{}", cycle.to_json().to_pretty());
+    if opts.json {
+        writeln!(out, "{}", c.to_json().to_pretty())?;
     } else {
-        println!("app     : {} ({})", cycle.app, cycle.reference);
-        println!(
+        writeln!(out, "app     : {} ({})", c.app, c.reference)?;
+        writeln!(
+            out,
             "events  : {} delivered, {} dropped",
-            cycle.delivered, cycle.dropped
-        );
-        for row in &cycle.per_patch {
-            println!(
+            c.delivered, c.dropped
+        )?;
+        for row in &c.per_patch {
+            writeln!(
+                out,
                 "patch   : {{{}, {:#x}, {}}}  hits={} bytes={}",
                 row.fun, row.ccid, row.vuln, row.hits, row.bytes
-            );
+            )?;
         }
-        for r in &cycle.reports {
-            print!("{r}");
+        for r in &c.reports {
+            write!(out, "{r}")?;
         }
-        print!("{}", cycle.timeline);
+        write!(out, "{}", c.timeline)?;
     }
-    if cycle.reports.is_empty() {
-        eprintln!("no defense activated — no attack report filed");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    if c.reports.is_empty() {
+        return fail(1, "no defense activated — no attack report filed");
     }
+    status(true)
 }
 
-fn cmd_decode(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| find_app(n)) else {
-        eprintln!("unknown app; try `heaptherapy list`");
-        return ExitCode::from(2);
-    };
-    let Some(ccid) = args.flag("ccid").and_then(|v| {
-        let v = v.strip_prefix("0x").unwrap_or(v);
-        u64::from_str_radix(v, 16).ok().or_else(|| v.parse().ok())
-    }) else {
-        eprintln!("--ccid <hex or decimal> is required");
-        return ExitCode::from(2);
-    };
-    let fun = args.flag("fun").unwrap_or("malloc");
-    let Some(ht) = pipeline(args) else {
-        return ExitCode::from(2);
+fn decode(ht: &HeapTherapy, app: &VulnApp, opts: &Opts, out: &mut impl Write) -> Res {
+    let Some(ccid) = opts.ccid else {
+        return fail(2, "--ccid <hex> is required");
     };
     let ip = ht.instrument(&app.program);
-    let graph = app.program.graph();
-    let Some(target) = graph.func_by_name(fun) else {
-        eprintln!("{} never calls {fun}", app.name);
-        return ExitCode::FAILURE;
-    };
-    match decode(graph, &ip.plan, Ccid(ccid), target) {
-        Some(path) => {
-            let chain: Vec<&str> = std::iter::once("main")
-                .chain(
-                    path.iter()
-                        .map(|&e| graph.func(graph.edge(e).callee).name.as_str()),
-                )
-                .collect();
-            println!("{}", chain.join(" → "));
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!(
-                "not decodable (scheme {} {}, or foreign CCID)",
-                ip.plan.scheme(),
-                if ip.plan.is_precise() {
-                    "precise"
-                } else {
-                    "imprecise"
-                }
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_lint(args: &Args) -> ExitCode {
-    let Some(name) = args.positional.get(1) else {
-        eprintln!("usage: heaptherapy lint <app|spec-bench> [--strategy S] [--scheme S]");
-        return ExitCode::from(2);
-    };
-    let Some(ht) = pipeline(args) else {
-        return ExitCode::from(2);
-    };
-    if let Some(app) = find_app(name) {
-        let ip = ht.instrument(&app.program);
-        let report = ht.lint(&app);
-        print!("{}", report.render(&ip));
-        println!("{}", report.agreement_row());
-        return ExitCode::from(report.exit_code() as u8);
-    }
-    // Not a vulnapp — lint a SPEC workload model as a clean target.
-    if let Some(bench) = heaptherapy_plus::simprog::spec::spec_bench(name) {
-        let w = heaptherapy_plus::simprog::spec::build_spec_workload(bench);
-        let ip = ht.instrument(&w.program);
-        let triage = ht.static_triage(&ip);
-        let verdict = ht.verify_plan(&ip);
-        print!(
-            "{}{}",
-            heaptherapy_plus::analysis::render_report(w.program.graph(), &triage),
-            heaptherapy_plus::analysis::render_verdict(&verdict)
-        );
-        return if triage.is_clean() && verdict.is_ok() {
-            ExitCode::SUCCESS
+    let Some(chain) = decode_chain(&ip, opts.fun, ccid) else {
+        let (name, fun, scheme) = (&app.name, opts.fun, ip.plan.scheme());
+        let precision = if ip.plan.is_precise() {
+            "precise"
         } else {
-            ExitCode::from(2)
+            "imprecise"
         };
-    }
-    eprintln!("unknown app; try `heaptherapy list`");
-    ExitCode::from(2)
+        let why = format!("scheme {scheme} {precision}, a foreign CCID, or no {fun} in {name}");
+        return fail(1, format!("not decodable ({why})"));
+    };
+    writeln!(out, "{}", chain.join(" → "))?;
+    status(true)
 }
 
-fn cmd_instrument(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| find_app(n)) else {
-        eprintln!("unknown app; try `heaptherapy list`");
-        return ExitCode::from(2);
-    };
-    println!(
+fn lint(ht: &HeapTherapy, app: &VulnApp, out: &mut impl Write) -> Res {
+    let ip = ht.instrument(&app.program);
+    let report = ht.lint(app);
+    write!(out, "{}", report.render(&ip))?;
+    writeln!(out, "{}", report.agreement_row())?;
+    Ok(ExitCode::from(report.exit_code() as u8))
+}
+
+/// Lints a SPEC workload model as a clean target.
+fn lint_spec(ht: &HeapTherapy, bench: SpecBench, out: &mut impl Write) -> Res {
+    let w = build_spec_workload(bench);
+    let ip = ht.instrument(&w.program);
+    let triage = ht.static_triage(&ip);
+    let verdict = ht.verify_plan(&ip);
+    write!(out, "{}", render_report(w.program.graph(), &triage))?;
+    write!(out, "{}", render_verdict(&verdict))?;
+    let clean = triage.is_clean() && verdict.is_ok();
+    Ok(ExitCode::from(if clean { 0 } else { 2 }))
+}
+
+fn instrument(app: &VulnApp, out: &mut impl Write) -> Res {
+    let (graph, base) = (app.program.graph(), app.program.base_size_bytes());
+    writeln!(
+        out,
         "{:<14} {:>6} {:>10} {:>10}",
         "strategy", "sites", "of total", "size +%"
-    );
-    let base = app.program.base_size_bytes();
+    )?;
     for strategy in Strategy::ALL {
-        let plan = heaptherapy_plus::encoding::InstrumentationPlan::build(
-            app.program.graph(),
-            strategy,
-            Scheme::Pcc,
-        );
-        println!(
-            "{:<14} {:>6} {:>10} {:>9.1}%",
-            strategy.name(),
-            plan.site_count(),
-            app.program.graph().edge_count(),
-            plan.size_increase_percent(base)
-        );
+        let plan = InstrumentationPlan::build(graph, strategy, Scheme::Pcc);
+        let (sites, edges) = (plan.site_count(), graph.edge_count());
+        let grown = plan.size_increase_percent(base);
+        let name = strategy.name();
+        writeln!(out, "{name:<14} {sites:>6} {edges:>10} {grown:>9.1}%")?;
     }
-    ExitCode::SUCCESS
+    status(true)
+}
+
+/// Runs the parsed command, writing its output to `out`.
+fn run(opts: &Opts, out: &mut impl Write) -> Res {
+    let ht = HeapTherapy::new(PipelineConfig {
+        strategy: opts.strategy,
+        scheme: opts.scheme,
+        telemetry: opts.cmd == "report",
+        ..PipelineConfig::default()
+    });
+    if opts.cmd == "list" {
+        return list(out);
+    }
+    let Some(app) = find_app(&opts.app) else {
+        // Not a vulnapp: `lint` takes a SPEC workload model as a clean target.
+        return match spec_bench(&opts.app).filter(|_| opts.cmd == "lint") {
+            Some(bench) => lint_spec(&ht, bench, out),
+            None => fail(2, "unknown app; try `heaptherapy list`"),
+        };
+    };
+    match opts.cmd.as_str() {
+        "analyze" => analyze(&ht, &app, opts, out),
+        "protect" => protect(&ht, &app, opts, out),
+        "demo" => demo(&ht, &app, opts, out),
+        "report" => report(&ht, &app, opts, out),
+        "decode" => decode(&ht, &app, opts, out),
+        "lint" => lint(&ht, &app, out),
+        // `instrument`, the last of `COMMANDS`.
+        _ => instrument(&app, out),
+    }
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
-    match args.positional.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("analyze") => cmd_analyze(&args),
-        Some("protect") => cmd_protect(&args),
-        Some("demo") => cmd_demo(&args),
-        Some("report") => cmd_report(&args),
-        Some("decode") => cmd_decode(&args),
-        Some("lint") => cmd_lint(&args),
-        Some("instrument") => cmd_instrument(&args),
-        _ => {
-            eprintln!(
-                "usage: heaptherapy <list|analyze|protect|demo|report|decode|lint|instrument> [app] \
-                 [--scheme pcc|positional|additive] [--strategy fcs|tcs|slim|incremental] \
-                 [--out FILE] [--patches FILE] [--ccid HEX] [--fun NAME] [--attack N]"
-            );
-            ExitCode::from(2)
+    let opts = match parse_args() {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}\nusage: heaptherapy <{COMMANDS}> [app] {FLAGS}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut out = io::stdout().lock();
+    match run(&opts, &mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // A reader that stopped reading (`| head`) is not an error.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write output: {e}");
+            ExitCode::FAILURE
         }
     }
 }

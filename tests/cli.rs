@@ -1,6 +1,7 @@
 //! End-to-end smoke tests for the `heaptherapy` CLI binary.
 
-use std::process::Command;
+use heaptherapy_plus::jsonio::Json;
+use std::process::{Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_heaptherapy"))
@@ -73,7 +74,7 @@ fn demo_succeeds_for_single_context_apps() {
 fn demo_multictx_requires_iterative_mode() {
     let (_, _, ok) = run(&["demo", "multictx"]);
     assert!(!ok, "one-shot patching must NOT cover both contexts");
-    let (stdout, _, ok) = run(&["demo", "multictx", "--iterative", "true"]);
+    let (stdout, _, ok) = run(&["demo", "multictx", "--iterative"]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("2 round(s)"), "{stdout}");
 }
@@ -186,7 +187,6 @@ fn report_prints_the_patch_row_and_the_guard_page_report() {
 
 #[test]
 fn report_json_files_reports_with_call_chains() {
-    use heaptherapy_plus::jsonio::Json;
     let (stdout, stderr, ok) = run(&["report", "bc", "--json"]);
     assert!(ok, "{stderr}");
     let json = Json::parse(&stdout).expect("report --json parses");
@@ -196,4 +196,85 @@ fn report_json_files_reports_with_call_chains() {
         let chain = r.req_arr("call_chain").expect("a call_chain array");
         assert!(!chain.is_empty(), "{stdout}");
     }
+}
+
+#[test]
+fn report_flags_read_alike_in_any_order() {
+    // `phases` holds wall-clock times; the reports alone are deterministic.
+    let reports = |args: &[&str]| {
+        let (stdout, stderr, ok) = run(args);
+        assert!(ok, "{args:?}: {stderr}");
+        let json = Json::parse(&stdout).expect("report --json parses");
+        json.req_arr("reports").expect("a reports array").to_vec()
+    };
+    assert_eq!(
+        reports(&["report", "bc", "--json", "--scheme", "pcc"]),
+        reports(&["report", "bc", "--scheme", "pcc", "--json"])
+    );
+}
+
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    let out = bin()
+        .args(["demo", "bc", "--bogus", "1"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing runs: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--bogus"), "{stderr}");
+}
+
+#[test]
+fn a_switch_takes_no_value() {
+    let out = bin()
+        .args(["demo", "multictx", "--iterative", "true"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing runs: {out:?}");
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    for args in [&["list"][..], &["demo", "bc"], &["report", "bc", "--json"]] {
+        // The read end is gone before the child starts, so its first
+        // write to stdout fails with `EPIPE`.
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = bin()
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn decode_takes_a_known_fun_and_a_hex_ccid() {
+    let decode = ["decode", "heartbleed", "--fun"];
+    let out = bin()
+        .args(decode)
+        .args(["bogus", "--ccid", "1"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("malloc, calloc, realloc, memalign"),
+        "{stderr}"
+    );
+    let chain = |ccid| run(&["decode", "heartbleed", "--fun", "malloc", "--ccid", ccid]);
+    assert_eq!(chain("1"), chain("0x1"), "the 0x prefix is optional");
+    let out = bin()
+        .args(decode)
+        .args(["malloc", "--ccid", "1g"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
 }
