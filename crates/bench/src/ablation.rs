@@ -36,7 +36,9 @@ pub fn walk_vs_encode(depth: usize, iters: u64) -> (f64, f64, u64) {
         }
         let mut acc = 0u64;
         for _ in 0..iters {
-            acc = acc.wrapping_add(enc.current().0); // O(1) read per alloc
+            // O(1) read per alloc; `black_box` keeps the loop-invariant
+            // read inside the loop.
+            acc = acc.wrapping_add(std::hint::black_box(&enc).current().0);
         }
         std::hint::black_box(acc);
     });

@@ -85,11 +85,13 @@ pub struct DefenseStats {
 /// The online defense generator: a layer over the undefended
 /// [`PlainBackend`] and its inner allocator.
 ///
-/// All heap traffic flows through this backend; buffers whose
-/// `(FUN, CCID)` hits the patch table are enhanced per paper Section VI,
-/// everything else pays one hash probe plus one metadata word. Buffer
-/// accesses and interposition-only calls go to the plain backend as they
-/// are; the layer only counts the accesses a guard page stopped.
+/// Like the paper's library it interposes only the allocation calls:
+/// buffers whose `(FUN, CCID)` hits the patch table are enhanced per paper
+/// Section VI, everything else pays one hash probe plus one metadata word.
+/// Buffer accesses and interposition-only calls go to the plain backend as
+/// they are. A guard page that stops an access is seen only when the run's
+/// fault is delivered through [`HeapBackend::fault`], the simulator's
+/// SIGSEGV: that counts the blocked access and records its trip.
 #[derive(Debug)]
 pub struct DefendedBackend<A: BaseAllocator = FreeListAllocator> {
     plain: PlainBackend<A>,
@@ -146,15 +148,6 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         *c = (c.0 + 1, c.1 + size);
         if let Some(rec) = &self.telemetry {
             rec.hit(self.cfg.patches(), slot, vuln, size);
-        }
-    }
-
-    /// Counts an access of `len` bytes stopped at a guard page, and
-    /// records its trip.
-    fn blocked(&mut self, len: u64) {
-        self.stats.blocked_accesses += 1;
-        if let Some(rec) = &self.telemetry {
-            rec.trip(len);
         }
     }
 
@@ -391,27 +384,23 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     }
 
     fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome {
-        let outcome = self.plain.write(addr, len, byte);
-        if !outcome.is_ok() {
-            self.blocked(len);
-        }
-        outcome
+        self.plain.write(addr, len, byte)
     }
 
     fn read(&mut self, addr: Addr, len: u64, sink: Sink) -> ReadResult {
-        let result = self.plain.read(addr, len, sink);
-        if !result.outcome.is_ok() {
-            self.blocked(len);
-        }
-        result
+        self.plain.read(addr, len, sink)
     }
 
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
-        let outcome = self.plain.copy(src, dst, len);
-        if !outcome.is_ok() {
-            self.blocked(len);
+        self.plain.copy(src, dst, len)
+    }
+
+    /// Counts the access a guard page stopped and records its trip.
+    fn fault(&mut self, _cause: &StopCause) {
+        self.stats.blocked_accesses += 1;
+        if let Some(rec) = &self.telemetry {
+            rec.trip();
         }
-        outcome
     }
 
     fn mem_stats(&self) -> Option<(SpaceStats, AllocStats)> {
@@ -548,9 +537,10 @@ mod tests {
         assert!(d.write(p, 100, 0x41).is_ok(), "in-bounds fine");
         // A long contiguous overflow is stopped at the page boundary.
         match d.write(p, 100_000, 0x41) {
-            AccessOutcome::Stop(StopCause::Segfault { addr, write: true }) => {
+            AccessOutcome::Stop(cause @ StopCause::Segfault { addr, write: true }) => {
                 assert_eq!(addr % PAGE_SIZE, 0, "fault exactly at the guard page");
                 assert!(addr >= p + 100 && addr - (p + 100) < PAGE_SIZE);
+                d.fault(&cause);
             }
             other => panic!("expected guard fault, got {other:?}"),
         }
@@ -819,8 +809,9 @@ mod tests {
         assert!(d.copy(src, dst, 100).is_ok());
         // An oversized memcpy into the guarded buffer traps at the guard.
         match d.copy(src, dst, 8192) {
-            AccessOutcome::Stop(StopCause::Segfault { addr, write: true }) => {
+            AccessOutcome::Stop(cause @ StopCause::Segfault { addr, write: true }) => {
                 assert_eq!(addr % PAGE_SIZE, 0, "stopped at the guard page");
+                d.fault(&cause);
             }
             other => panic!("expected guard fault, got {other:?}"),
         }
@@ -931,9 +922,15 @@ mod tests {
             VulnFlags::OVERFLOW,
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
-        assert!(!d.write(p, 50_000, 1).is_ok());
+        let AccessOutcome::Stop(cause) = d.write(p, 50_000, 1) else {
+            panic!("the overflow passed the guard");
+        };
+        d.fault(&cause);
         let r = d.read(p, 50_000, Sink::Leak);
-        assert!(!r.outcome.is_ok());
+        let AccessOutcome::Stop(cause) = r.outcome else {
+            panic!("the overread passed the guard");
+        };
+        d.fault(&cause);
         let snap = d.telemetry_snapshot().unwrap();
         let trips = snap
             .events

@@ -93,8 +93,10 @@ pub struct ReadResult {
 ///   violations, then *continues* (warning-resume, paper Section V),
 /// * `ht_defense::DefendedBackend` — the online system, a layer over a
 ///   [`PlainBackend`]: patched buffers get guard pages / deferred free /
-///   zero-init, and every access goes through the plain backend unchanged.
-///   Its "guard every buffer" ablation is a full patch table, not a mode.
+///   zero-init. Like the paper's library it interposes only the allocation
+///   calls: its accesses are the plain backend's, and it learns of a
+///   guard-page hit only through [`HeapBackend::fault`]. Its "guard every
+///   buffer" ablation is a full patch table, not a mode.
 pub trait HeapBackend {
     /// Services an allocation (including `realloc` when
     /// [`AllocRequest::old_ptr`] is set).
@@ -117,6 +119,15 @@ pub trait HeapBackend {
     /// moved, not *used*, so analyzers must not treat this as a checked
     /// read).
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome;
+
+    /// Delivers the fault that ended a run (the simulator's SIGSEGV).
+    ///
+    /// [`Interpreter::run`](crate::Interpreter::run) calls it once, after
+    /// an access stopped with [`StopCause::Segfault`]; a stopped access
+    /// always ends the run, so no run delivers two. The accesses themselves
+    /// report the fault only in their outcome: code that drives a backend
+    /// directly delivers it itself. The default ignores it.
+    fn fault(&mut self, _cause: &StopCause) {}
 
     /// Memory-system statistics, if this backend tracks them.
     fn mem_stats(&self) -> Option<(SpaceStats, AllocStats)> {

@@ -214,6 +214,9 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
         let entry = self.prog.entry();
         let result = self.exec_body(self.prog.body(entry), &mut st, &mut encoder);
         if let Err(cause) = result {
+            if matches!(cause, StopCause::Segfault { .. }) {
+                self.backend.fault(&cause);
+            }
             st.report.outcome = RunOutcome::Stopped(cause);
         }
         st.report.encoder_ops = encoder.ops();
@@ -749,6 +752,97 @@ mod tests {
         expected[4..20].fill(0x7E);
         assert_eq!(rep.leaked, expected);
         assert_eq!(rep.bytes_written, 32 + 16);
+    }
+
+    /// A plain backend that records every fault delivered to it.
+    #[derive(Default)]
+    struct FaultLog {
+        plain: PlainBackend,
+        faults: Vec<StopCause>,
+    }
+
+    impl HeapBackend for FaultLog {
+        fn alloc(&mut self, req: &AllocRequest) -> Result<Addr, StopCause> {
+            self.plain.alloc(req)
+        }
+        fn free(&mut self, ptr: Addr) -> AccessOutcome {
+            self.plain.free(ptr)
+        }
+        fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome {
+            self.plain.write(addr, len, byte)
+        }
+        fn read(&mut self, addr: Addr, len: u64, sink: Sink) -> crate::ReadResult {
+            self.plain.read(addr, len, sink)
+        }
+        fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
+            self.plain.copy(src, dst, len)
+        }
+        fn fault(&mut self, cause: &StopCause) {
+            self.faults.push(cause.clone());
+        }
+    }
+
+    #[test]
+    fn only_a_segfault_is_delivered_once_with_the_runs_cause() {
+        let mut pb = ProgramBuilder::new();
+        let main = pb.entry();
+        let s = pb.slot();
+        // The input picks the ending: a 1 in word 0 overruns into unmapped
+        // memory, in word 1 frees twice, in word 2 loops until the step
+        // budget runs out; all zeros completes.
+        pb.define(main, |b| {
+            b.alloc(s, AllocFn::Malloc, 64u64);
+            b.if_else(
+                Expr::Input(0),
+                |b| b.write(s, 0u64, 10_000_000u64, 0x41),
+                |_| {},
+            );
+            b.if_else(
+                Expr::Input(1),
+                |b| {
+                    b.free(s);
+                    b.free(s);
+                },
+                |_| {},
+            );
+            b.if_else(
+                Expr::Input(2),
+                |b| b.repeat(u64::MAX, |b| b.write(s, 0u64, 8u64, 1)),
+                |_| {},
+            );
+        });
+        let prog = pb.build();
+        let plan = plan_for(&prog);
+        let limits = Limits {
+            max_steps: 1000,
+            max_depth: 8,
+        };
+        let run = |input: &[u64]| {
+            let mut interp =
+                Interpreter::new(&prog, &plan, FaultLog::default()).with_limits(limits);
+            let rep = interp.run(input);
+            (rep.outcome, interp.into_backend().faults)
+        };
+        let (outcome, faults) = run(&[1, 0, 0]);
+        let RunOutcome::Stopped(cause @ StopCause::Segfault { write: true, .. }) = outcome else {
+            panic!("expected a segfault, got {outcome:?}");
+        };
+        assert_eq!(faults, [cause], "one delivery, with the run's cause");
+        let (outcome, faults) = run(&[0, 1, 0]);
+        assert!(matches!(
+            outcome,
+            RunOutcome::Stopped(StopCause::HeapMisuse(_))
+        ));
+        assert!(faults.is_empty(), "heap misuse is no fault: {faults:?}");
+        let (outcome, faults) = run(&[0, 0, 1]);
+        assert_eq!(outcome, RunOutcome::Stopped(StopCause::StepLimit));
+        assert!(faults.is_empty(), "a spent budget is no fault: {faults:?}");
+        let (outcome, faults) = run(&[0, 0, 0]);
+        assert!(outcome.is_completed());
+        assert!(
+            faults.is_empty(),
+            "a completed run has no fault: {faults:?}"
+        );
     }
 
     #[test]

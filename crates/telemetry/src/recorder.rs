@@ -152,12 +152,13 @@ impl Recorder {
         }
     }
 
-    /// An access of `len` bytes stopped at a guard page. The fault does not
-    /// name its buffer, so the event is unattributed (the paper's SIGSEGV
-    /// handler recovers the context from the fault address).
-    pub fn trip(&self, len: u64) {
+    /// An access stopped at a guard page. The fault names an address, not
+    /// a buffer or a length, so the event is unattributed and its size is
+    /// 0 (the paper's SIGSEGV handler recovers the context from the fault
+    /// address).
+    pub fn trip(&self) {
         if self.is_armed() {
-            let ev = Event::unattributed(EventKind::GuardTrip, AllocFn::Malloc, len);
+            let ev = Event::unattributed(EventKind::GuardTrip, AllocFn::Malloc, 0);
             self.events.push(ev);
         }
     }
@@ -319,7 +320,7 @@ mod tests {
         rec.hit(&table, 0, VulnFlags::ALL, 100);
         rec.defer(&table, 0, 100);
         rec.evict(&table, 0, 100);
-        rec.trip(8);
+        rec.trip();
         let snap = rec.snapshot(&table, &[(1, 100)]);
         assert!(snap.is_empty(), "{snap:?}");
         assert_eq!(snap.delivered, 0);

@@ -3,16 +3,19 @@
 //!
 //! ```text
 //! heaptherapy list
-//! heaptherapy analyze <app> [--out patches.conf] [--scheme pcc|positional|additive]
+//! heaptherapy analyze <app> [--out patches.conf]
 //! heaptherapy protect <app> --patches patches.conf [--attack N]
 //! heaptherapy demo <app> [--iterative]
-//! heaptherapy report <app> [--json] [--scheme pcc|positional|additive]
-//! heaptherapy decode <app> --fun malloc --ccid 0x1f3a [--scheme additive]
-//! heaptherapy lint <app> [--strategy fcs|tcs|slim|incremental] [--scheme pcc|positional|additive]
-//! heaptherapy instrument <app> [--strategy fcs|tcs|slim|incremental]
+//! heaptherapy report <app> [--json]
+//! heaptherapy decode <app> --fun malloc --ccid 0x1f3a
+//! heaptherapy lint <app>
+//! heaptherapy instrument <app>
 //! ```
 //!
-//! An unknown flag, a missing value or an extra argument exits 2.
+//! Every command but `list` and `instrument` also reads
+//! `--strategy fcs|tcs|slim|incremental` and
+//! `--scheme pcc|positional|additive`. An unknown flag, a flag the command
+//! does not read, a missing value or an extra argument exits 2.
 
 use heaptherapy_plus::analysis::{render_report, render_verdict};
 use heaptherapy_plus::callgraph::Strategy;
@@ -29,7 +32,20 @@ use std::process::ExitCode;
 /// What a command returns: its exit code, or the error writing its output.
 type Res = io::Result<ExitCode>;
 
-const COMMANDS: &str = "list|analyze|protect|demo|report|decode|lint|instrument";
+/// Every command and the flags it reads; any other flag is a usage error.
+const COMMANDS: [(&str, &[&str]); 8] = [
+    ("list", &[]),
+    ("analyze", &["--scheme", "--strategy", "--out"]),
+    (
+        "protect",
+        &["--scheme", "--strategy", "--patches", "--attack"],
+    ),
+    ("demo", &["--scheme", "--strategy", "--iterative"]),
+    ("report", &["--scheme", "--strategy", "--json"]),
+    ("decode", &["--scheme", "--strategy", "--fun", "--ccid"]),
+    ("lint", &["--scheme", "--strategy"]),
+    ("instrument", &[]),
+];
 const FLAGS: &str = "[--scheme pcc|positional|additive] [--strategy fcs|tcs|slim|incremental] \
                      [--out FILE] [--patches FILE] [--attack N] [--fun NAME] [--ccid HEX] \
                      [--json] [--iterative]";
@@ -65,8 +81,12 @@ fn parse_args() -> Result<Opts, String> {
         json: false,
         iterative: false,
     };
+    let mut given = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if a.starts_with("--") {
+            given.push(a.clone());
+        }
         let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
             "--scheme" => opts.scheme = choice(&a, &value()?, &Scheme::ALL)?,
@@ -89,12 +109,25 @@ fn parse_args() -> Result<Opts, String> {
             _ => return Err(format!("unexpected argument {a:?}")),
         }
     }
-    match opts.cmd.as_str() {
-        "" => Err("no command".into()),
-        c if !COMMANDS.split('|').any(|k| k == c) => Err(format!("unknown command {c:?}")),
-        c if c != "list" && opts.app.is_empty() => Err(format!("{c} needs an app")),
-        _ => Ok(opts),
+    let cmd = opts.cmd.as_str();
+    if cmd.is_empty() {
+        return Err("no command".into());
     }
+    let Some((_, reads)) = COMMANDS.iter().find(|(c, _)| *c == cmd) else {
+        return Err(format!("unknown command {cmd:?}"));
+    };
+    if let Some(flag) = given.iter().find(|f| !reads.contains(&f.as_str())) {
+        let takes = if reads.is_empty() {
+            "no flags".to_string()
+        } else {
+            reads.join(", ")
+        };
+        return Err(format!("{cmd} does not read {flag}; it takes {takes}"));
+    }
+    if cmd != "list" && opts.app.is_empty() {
+        return Err(format!("{cmd} needs an app"));
+    }
+    Ok(opts)
 }
 
 /// The one of `all` displayed as `value`, else a usage error naming them.
@@ -336,7 +369,9 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
         Err(e) => {
-            eprintln!("{e}\nusage: heaptherapy <{COMMANDS}> [app] {FLAGS}");
+            let commands: Vec<&str> = COMMANDS.iter().map(|(c, _)| *c).collect();
+            let commands = commands.join("|");
+            eprintln!("{e}\nusage: heaptherapy <{commands}> [app] {FLAGS}");
             return ExitCode::from(2);
         }
     };

@@ -226,6 +226,24 @@ fn an_unknown_flag_is_a_usage_error() {
 }
 
 #[test]
+fn a_flag_its_command_does_not_read_is_a_usage_error() {
+    let conf = std::env::temp_dir().join("ht_cli_test_unread.conf");
+    std::fs::remove_file(&conf).ok();
+    let conf_s = conf.to_str().unwrap();
+    for (args, flag) in [
+        (&["demo", "bc", "--out", conf_s][..], "--out"),
+        (&["report", "bc", "--iterative"], "--iterative"),
+    ] {
+        let out = bin().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "nothing runs: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+    assert!(!conf.exists(), "demo writes no file");
+}
+
+#[test]
 fn a_switch_takes_no_value() {
     let out = bin()
         .args(["demo", "multictx", "--iterative", "true"])
