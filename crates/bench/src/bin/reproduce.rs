@@ -164,7 +164,7 @@ fn run_table1(_: &Opts) {
 
 fn run_table2(opts: &Opts) {
     header("Table II — effectiveness (7 CVE models + 23 SAMATE cases)");
-    let rows = table2::rows_with(opts.threads, opts.reference_kernels);
+    let rows = table2::rows(opts.threads, opts.reference_kernels);
     for r in &rows {
         println!("{}", r.table_row());
     }
@@ -354,7 +354,7 @@ fn run_ablations(opts: &Opts) {
     header("Ablation — offline heavyweight vs online lightweight (456.hmmer model)");
     let (plain, shadow) = ablation::shadow_cost(opts.allocs.min(20_000), opts.samples);
     println!(
-        "native run: {:.3} ms   shadow-memory replay: {:.3} ms ({:.1}x) — why analysis is offline",
+        "native run: {:.3} ms   offline analysis: {:.3} ms ({:.1}x) — why analysis is offline",
         plain * 1e3,
         shadow * 1e3,
         shadow / plain.max(1e-12)

@@ -6,15 +6,10 @@ use ht_shadow::ShadowConfig;
 /// Runs the full patch-generation/deployment cycle on every Table II model
 /// (7 CVE programs + 23 SAMATE cases), `threads` apps at a time. Every app's
 /// cycle is independent, so the row order (and content) is identical at any
-/// thread count.
-pub fn rows(threads: usize) -> Vec<CycleReport> {
-    rows_with(threads, false)
-}
-
-/// [`rows`], optionally forcing the byte-at-a-time reference shadow
-/// kernels. Word and reference kernels must produce byte-identical rows —
-/// CI diffs the two (`--reference-kernels`).
-pub fn rows_with(threads: usize, reference_kernels: bool) -> Vec<CycleReport> {
+/// thread count. `reference_kernels` forces the byte-at-a-time reference
+/// shadow kernels: word and reference kernels must produce byte-identical
+/// rows — CI diffs the two (`--reference-kernels`).
+pub fn rows(threads: usize, reference_kernels: bool) -> Vec<CycleReport> {
     let ht = HeapTherapy::new(PipelineConfig {
         shadow: ShadowConfig {
             reference_kernels,
@@ -51,7 +46,7 @@ mod tests {
 
     #[test]
     fn every_row_reproduces_the_paper_verdict() {
-        let rows = rows(2);
+        let rows = rows(2, false);
         assert_eq!(rows.len(), 30);
         for r in &rows {
             assert!(r.undefended_attack_succeeded, "{}", r.app);

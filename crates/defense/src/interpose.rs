@@ -6,9 +6,7 @@ use crate::meta::{MetaWord, META_SIZE};
 use crate::quarantine::{Quarantine, QuarantinedBlock};
 use ht_memsim::{Addr, AllocStats, BaseAllocator, FreeListAllocator, Perm, SpaceStats, PAGE_SIZE};
 use ht_patch::{AllocFn, PatchTable, VulnFlags};
-use ht_simprog::{
-    AccessOutcome, AllocRequest, HeapBackend, PlainBackend, ReadResult, Sink, StopCause,
-};
+use ht_simprog::{AllocRequest, HeapBackend, PlainBackend, ReadResult, Sink, StopCause};
 use ht_telemetry::{Recorder, TelemetrySnapshot};
 
 /// Online-defense configuration.
@@ -138,10 +136,6 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         &self.quarantine
     }
 
-    fn misuse(e: impl std::fmt::Display) -> StopCause {
-        StopCause::HeapMisuse(e.to_string())
-    }
-
     /// Counts a placed table hit of `slot` and records its events.
     fn note_hit(&mut self, slot: usize, vuln: VulnFlags, size: u64) {
         let c = &mut self.per_slot[slot];
@@ -177,7 +171,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         } else {
             inner.malloc(space, layout.raw_size)
         }
-        .map_err(Self::misuse)?;
+        .map_err(StopCause::misuse)?;
         let user = layout.user_addr(raw);
         let align_log2 = structure
             .is_aligned()
@@ -188,13 +182,15 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             // must not carry stale data.
             space
                 .fill_raw(user + size, guard - (user + size), 0)
-                .map_err(Self::misuse)?;
+                .map_err(StopCause::misuse)?;
             // User size lives in the first word of the guard page; write it
             // before the page becomes inaccessible.
-            space.write_u64_raw(guard, size).map_err(Self::misuse)?;
+            space
+                .write_u64_raw(guard, size)
+                .map_err(StopCause::misuse)?;
             space
                 .protect(guard, PAGE_SIZE, Perm::None)
-                .map_err(Self::misuse)?;
+                .map_err(StopCause::misuse)?;
             self.stats.guard_pages += 1;
             MetaWord::guarded(vuln, guard, align_log2)
         } else {
@@ -203,9 +199,9 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         .with_slot(slot.unwrap_or(0));
         space
             .write_u64_raw(user - META_SIZE, meta.0)
-            .map_err(Self::misuse)?;
+            .map_err(StopCause::misuse)?;
         if vuln.contains(VulnFlags::UNINIT_READ) || fun == AllocFn::Calloc {
-            space.fill_raw(user, size, 0).map_err(Self::misuse)?;
+            space.fill_raw(user, size, 0).map_err(StopCause::misuse)?;
             self.stats.zero_fill_bytes += size;
         }
         Ok(user)
@@ -220,12 +216,14 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         let (space, inner) = self.plain.parts_mut();
         let raw = inner
             .malloc(space, META_SIZE + size)
-            .map_err(Self::misuse)?;
+            .map_err(StopCause::misuse)?;
         let user = raw + META_SIZE;
         let meta = MetaWord::unguarded(VulnFlags::NONE, size, None);
-        space.write_u64_raw(raw, meta.0).map_err(Self::misuse)?;
+        space
+            .write_u64_raw(raw, meta.0)
+            .map_err(StopCause::misuse)?;
         if zeroed {
-            space.fill_raw(user, size, 0).map_err(Self::misuse)?;
+            space.fill_raw(user, size, 0).map_err(StopCause::misuse)?;
             self.stats.zero_fill_bytes += size;
         }
         Ok(user)
@@ -256,7 +254,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
                         .parts_mut()
                         .0
                         .copy_raw(old, user, keep)
-                        .map_err(Self::misuse)?;
+                        .map_err(StopCause::misuse)?;
                 }
                 self.stats.interposed_frees += 1;
                 self.defended_free(old, old_meta)?;
@@ -277,7 +275,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             .space()
             .read_u64_raw(user - META_SIZE)
             .map(MetaWord)
-            .map_err(Self::misuse)
+            .map_err(StopCause::misuse)
     }
 
     /// The user size of a defended buffer.
@@ -286,7 +284,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             self.plain
                 .space()
                 .read_u64_raw(meta.guard_page())
-                .map_err(Self::misuse)
+                .map_err(StopCause::misuse)
         } else {
             Ok(meta.size())
         }
@@ -304,13 +302,13 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             // recycled.
             space
                 .protect(meta.guard_page(), PAGE_SIZE, Perm::ReadWrite)
-                .map_err(Self::misuse)?;
+                .map_err(StopCause::misuse)?;
         }
         // (2) recover the inner pointer.
         let pi = Layout::inner_ptr(meta.is_aligned(), meta.alignment(), user);
         // (3) defer or release.
         if !meta.vuln().contains(VulnFlags::USE_AFTER_FREE) {
-            return inner.free(space, pi).map_err(Self::misuse);
+            return inner.free(space, pi).map_err(StopCause::misuse);
         }
         let block = QuarantinedBlock {
             inner_ptr: pi,
@@ -325,7 +323,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             if let Some(rec) = &self.telemetry {
                 rec.evict(self.cfg.patches(), b.slot as usize, b.size);
             }
-            inner.free(space, b.inner_ptr).map_err(Self::misuse)?;
+            inner.free(space, b.inner_ptr).map_err(StopCause::misuse)?;
         }
         Ok(())
     }
@@ -364,26 +362,22 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
     /// One word read; a plain word (no type bits, not aligned) frees its
     /// Structure 1 block straight to the inner allocator.
     #[inline]
-    fn free(&mut self, ptr: Addr) -> AccessOutcome {
+    fn free(&mut self, ptr: Addr) -> Result<(), StopCause> {
         self.stats.interposed_frees += 1;
         if self.cfg.table.is_none() {
             return self.plain.free(ptr);
         }
-        let freed = match self.read_meta(ptr) {
-            Ok(meta) if meta.is_plain() => {
-                let (space, inner) = self.plain.parts_mut();
-                inner.free(space, ptr - META_SIZE).map_err(Self::misuse)
-            }
-            Ok(meta) => self.defended_free(ptr, meta),
-            Err(c) => Err(c),
-        };
-        match freed {
-            Ok(()) => AccessOutcome::Ok,
-            Err(c) => AccessOutcome::Stop(c),
+        let meta = self.read_meta(ptr)?;
+        if !meta.is_plain() {
+            return self.defended_free(ptr, meta);
         }
+        let (space, inner) = self.plain.parts_mut();
+        inner
+            .free(space, ptr - META_SIZE)
+            .map_err(StopCause::misuse)
     }
 
-    fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome {
+    fn write(&mut self, addr: Addr, len: u64, byte: u8) -> Result<(), StopCause> {
         self.plain.write(addr, len, byte)
     }
 
@@ -391,7 +385,7 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
         self.plain.read(addr, len, sink)
     }
 
-    fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
+    fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> Result<(), StopCause> {
         self.plain.copy(src, dst, len)
     }
 
@@ -487,7 +481,7 @@ mod tests {
         let p = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
         assert!(d.free(p).is_ok());
         match d.free(p) {
-            AccessOutcome::Stop(StopCause::HeapMisuse(m)) => {
+            Err(StopCause::HeapMisuse(m)) => {
                 assert!(m.contains("double free"), "{m}");
             }
             other => panic!("expected a heap-misuse stop, got {other:?}"),
@@ -509,7 +503,7 @@ mod tests {
         assert!(d.free(a).is_ok(), "pi = p − A on the cold free path");
         // A realloc of a live pointer copies the prefix and frees the old.
         let p = d.alloc(&req(AllocFn::Malloc, 48, SAFE)).unwrap();
-        d.write(p, 48, 0x5C);
+        d.write(p, 48, 0x5C).unwrap();
         let mut r = req(AllocFn::Realloc, 5000, SAFE);
         r.old_ptr = Some(p);
         let q = d.alloc(&r).unwrap();
@@ -521,7 +515,7 @@ mod tests {
         );
         let st = d.stats();
         assert_eq!((st.interposed_allocs, st.interposed_frees), (3, 2));
-        assert!(!d.free(p).is_ok(), "the old buffer was freed");
+        assert!(d.free(p).is_err(), "the old buffer was freed");
         assert!(d.free(q).is_ok());
     }
 
@@ -537,7 +531,7 @@ mod tests {
         assert!(d.write(p, 100, 0x41).is_ok(), "in-bounds fine");
         // A long contiguous overflow is stopped at the page boundary.
         match d.write(p, 100_000, 0x41) {
-            AccessOutcome::Stop(cause @ StopCause::Segfault { addr, write: true }) => {
+            Err(cause @ StopCause::Segfault { addr, write: true }) => {
                 assert_eq!(addr % PAGE_SIZE, 0, "fault exactly at the guard page");
                 assert!(addr >= p + 100 && addr - (p + 100) < PAGE_SIZE);
                 d.fault(&cause);
@@ -555,9 +549,9 @@ mod tests {
             VulnFlags::OVERFLOW,
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
-        d.write(p, 100, 0x41);
+        d.write(p, 100, 0x41).unwrap();
         let r = d.read(p, 100_000, Sink::Leak);
-        assert!(!r.outcome.is_ok(), "overread blocked");
+        assert!(r.outcome.is_err(), "overread blocked");
         assert!(
             r.data.len() < 100 + PAGE_SIZE as usize,
             "leak capped at guard"
@@ -572,7 +566,7 @@ mod tests {
             VulnFlags::USE_AFTER_FREE,
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
-        d.write(p, 64, 0x01);
+        d.write(p, 64, 0x01).unwrap();
         assert!(d.free(p).is_ok());
         assert_eq!(d.quarantine().len(), 1);
         // Attacker's same-size allocation must not land on the block.
@@ -580,7 +574,7 @@ mod tests {
             .alloc(&req(AllocFn::Malloc, 64 + META_SIZE, SAFE))
             .unwrap();
         assert_ne!(q, p);
-        d.write(q, 64, 0x66);
+        d.write(q, 64, 0x66).unwrap();
         // Dangling read sees stale victim data, not attacker bytes.
         let r = d.read(p, 8, Sink::Addr);
         assert_eq!(r.data, vec![0x01; 8], "no hijack: stale data only");
@@ -592,7 +586,7 @@ mod tests {
         // LIFO behaviour shows through (the defense adds nothing).
         let mut d = DefendedBackend::new(DefenseConfig::default());
         let p = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
-        d.free(p);
+        d.free(p).unwrap();
         let q = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
         assert_eq!(q, p, "same raw block recycled immediately");
     }
@@ -606,11 +600,11 @@ mod tests {
         )));
         // Pollute two blocks through an unpatched context and free both.
         let warm1 = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
-        d.write(warm1, 64, 0xEE);
+        d.write(warm1, 64, 0xEE).unwrap();
         let warm2 = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
-        d.write(warm2, 64, 0xEE);
-        d.free(warm1);
-        d.free(warm2);
+        d.write(warm2, 64, 0xEE).unwrap();
+        d.free(warm1).unwrap();
+        d.free(warm2).unwrap();
         // Patched context reuses the LIFO head (warm2): must come back zeroed.
         let q = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
         let r = d.read(q, 64, Sink::Leak);
@@ -635,7 +629,7 @@ mod tests {
         let p = d.alloc(&r).unwrap();
         assert_eq!(p % 256, 0, "alignment honored");
         assert!(d.write(p, 1000, 1).is_ok());
-        assert!(!d.write(p, 50_000, 1).is_ok(), "guard present");
+        assert!(d.write(p, 50_000, 1).is_err(), "guard present");
         assert!(d.free(p).is_ok());
     }
 
@@ -666,7 +660,7 @@ mod tests {
             VulnFlags::OVERFLOW,
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 32, SAFE)).unwrap();
-        d.write(p, 32, 0x22);
+        d.write(p, 32, 0x22).unwrap();
         let mut r = req(AllocFn::Realloc, 64, VULN);
         r.old_ptr = Some(p);
         let q = d.alloc(&r).unwrap();
@@ -674,14 +668,14 @@ mod tests {
         let got = d.read(q, 32, Sink::Discard);
         assert_eq!(got.data, vec![0x22; 32]);
         // New buffer is guarded.
-        assert!(!d.write(q, 10_000, 1).is_ok());
+        assert!(d.write(q, 10_000, 1).is_err());
     }
 
     #[test]
     fn realloc_shrink_keeps_prefix() {
         let mut d = DefendedBackend::new(DefenseConfig::default());
         let p = d.alloc(&req(AllocFn::Malloc, 100, SAFE)).unwrap();
-        d.write(p, 100, 0x77);
+        d.write(p, 100, 0x77).unwrap();
         let mut r = req(AllocFn::Realloc, 10, SAFE);
         r.old_ptr = Some(p);
         let q = d.alloc(&r).unwrap();
@@ -697,8 +691,8 @@ mod tests {
         let mut d = DefendedBackend::new(cfg);
         let p1 = d.alloc(&req(AllocFn::Malloc, 80, VULN)).unwrap();
         let p2 = d.alloc(&req(AllocFn::Malloc, 80, VULN)).unwrap();
-        d.free(p1);
-        d.free(p2); // evicts p1's block
+        d.free(p1).unwrap();
+        d.free(p2).unwrap(); // evicts p1's block
         assert_eq!(d.quarantine().len(), 1);
         assert_eq!(d.quarantine().evictions(), 1);
         assert_eq!(d.stats().quarantined_blocks, 2);
@@ -713,16 +707,16 @@ mod tests {
         )));
         // Pre-pollute the size class.
         let warm = d.alloc(&req(AllocFn::Malloc, 6000, SAFE)).unwrap();
-        d.write(warm, 6000, 0xEE);
-        d.free(warm);
+        d.write(warm, 6000, 0xEE).unwrap();
+        d.free(warm).unwrap();
         let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
         // UR: zeroed.
         let r = d.read(p, 100, Sink::Leak);
         assert_eq!(r.data, vec![0u8; 100]);
         // OF: guarded.
-        assert!(!d.write(p, 9_000, 1).is_ok());
+        assert!(d.write(p, 9_000, 1).is_err());
         // UAF: deferred.
-        d.free(p);
+        d.free(p).unwrap();
         assert_eq!(d.quarantine().len(), 1);
     }
 
@@ -730,7 +724,7 @@ mod tests {
     fn interpose_only_forwards_everything() {
         let mut d = DefendedBackend::new(DefenseConfig::interpose_only());
         let p = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
-        d.write(p, 64, 1);
+        d.write(p, 64, 1).unwrap();
         assert!(d.free(p).is_ok());
         let st = d.stats();
         assert_eq!(st.interposed_allocs, 1);
@@ -764,7 +758,7 @@ mod tests {
         );
         let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
         assert!(d.write(p, 100, 1).is_ok());
-        assert!(!d.write(p, 50_000, 1).is_ok(), "guard works over bump too");
+        assert!(d.write(p, 50_000, 1).is_err(), "guard works over bump too");
         assert!(d.free(p).is_ok());
     }
 
@@ -776,8 +770,8 @@ mod tests {
             DefendedBackend::new(DefenseConfig::with_table(PatchTable::from_patches(every)));
         for i in 0..10u64 {
             let p = d.alloc(&req(AllocFn::Malloc, 64, i)).unwrap();
-            assert!(!d.write(p, 10_000, 1).is_ok(), "every buffer guarded");
-            d.free(p);
+            assert!(d.write(p, 10_000, 1).is_err(), "every buffer guarded");
+            d.free(p).unwrap();
         }
         assert_eq!(d.stats().guard_pages, 10);
     }
@@ -786,8 +780,8 @@ mod tests {
     fn calloc_still_zeroes_under_defense() {
         let mut d = DefendedBackend::new(DefenseConfig::default());
         let p = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
-        d.write(p, 64, 0xFF);
-        d.free(p);
+        d.write(p, 64, 0xFF).unwrap();
+        d.free(p).unwrap();
         let q = d.alloc(&req(AllocFn::Calloc, 64, SAFE)).unwrap();
         assert_eq!(q, p, "the stale block is recycled");
         let r = d.read(q, 64, Sink::Discard);
@@ -803,13 +797,13 @@ mod tests {
             VulnFlags::OVERFLOW,
         )));
         let src = d.alloc(&req(AllocFn::Malloc, 8192, SAFE)).unwrap();
-        d.write(src, 8192, 0x11);
+        d.write(src, 8192, 0x11).unwrap();
         let dst = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
         // In-bounds memcpy is fine.
         assert!(d.copy(src, dst, 100).is_ok());
         // An oversized memcpy into the guarded buffer traps at the guard.
         match d.copy(src, dst, 8192) {
-            AccessOutcome::Stop(cause @ StopCause::Segfault { addr, write: true }) => {
+            Err(cause @ StopCause::Segfault { addr, write: true }) => {
                 assert_eq!(addr % PAGE_SIZE, 0, "stopped at the guard page");
                 d.fault(&cause);
             }
@@ -818,7 +812,7 @@ mod tests {
         assert!(d.stats().blocked_accesses >= 1);
         // Reading out of the guarded buffer as a memcpy source is capped too.
         let r = d.copy(dst, src, 8192);
-        assert!(!r.is_ok(), "overread via memcpy blocked");
+        assert!(r.is_err(), "overread via memcpy blocked");
     }
 
     fn telemetry_cfg(table: PatchTable) -> DefenseConfig {
@@ -836,7 +830,7 @@ mod tests {
             VulnFlags::OVERFLOW,
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
-        assert!(!d.write(p, 10_000, 1).is_ok());
+        assert!(d.write(p, 10_000, 1).is_err());
         assert!(
             d.telemetry_snapshot().is_none(),
             "disabled telemetry has no snapshot, even after defenses fired"
@@ -849,7 +843,7 @@ mod tests {
             DefendedBackend::new(telemetry_cfg(table(AllocFn::Malloc, VULN, VulnFlags::ALL)));
         for _ in 0..3 {
             let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
-            d.free(p);
+            d.free(p).unwrap();
         }
         let snap = d.telemetry_snapshot().unwrap();
         // Exactly one report per (FUN, CCID, T) despite three activations.
@@ -897,8 +891,8 @@ mod tests {
         let mut d = DefendedBackend::new(cfg);
         let p1 = d.alloc(&req(AllocFn::Malloc, 80, VULN)).unwrap();
         let p2 = d.alloc(&req(AllocFn::Malloc, 80, VULN)).unwrap();
-        d.free(p1);
-        d.free(p2); // quota forces p1's block out
+        d.free(p1).unwrap();
+        d.free(p2).unwrap(); // quota forces p1's block out
         let snap = d.telemetry_snapshot().unwrap();
         let evicts: Vec<_> = snap
             .events
@@ -922,12 +916,12 @@ mod tests {
             VulnFlags::OVERFLOW,
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
-        let AccessOutcome::Stop(cause) = d.write(p, 50_000, 1) else {
+        let Err(cause) = d.write(p, 50_000, 1) else {
             panic!("the overflow passed the guard");
         };
         d.fault(&cause);
         let r = d.read(p, 50_000, Sink::Leak);
-        let AccessOutcome::Stop(cause) = r.outcome else {
+        let Err(cause) = r.outcome else {
             panic!("the overread passed the guard");
         };
         d.fault(&cause);
@@ -955,9 +949,9 @@ mod tests {
                 let ccid = if i % 3 == 0 { VULN } else { SAFE };
                 let p = d.alloc(&req(AllocFn::Malloc, 64 + i, ccid)).unwrap();
                 log.push(p);
-                d.write(p, 8, i as u8);
+                d.write(p, 8, i as u8).unwrap();
                 if i % 2 == 0 {
-                    d.free(p);
+                    d.free(p).unwrap();
                 }
             }
             (log, d.stats(), d.quarantine().len())
@@ -970,7 +964,7 @@ mod tests {
         let mut d = DefendedBackend::new(DefenseConfig::default());
         for i in 0..5u64 {
             let p = d.alloc(&req(AllocFn::Malloc, 32, i)).unwrap();
-            d.free(p);
+            d.free(p).unwrap();
         }
         let st = d.stats();
         assert_eq!(st.interposed_allocs, 5);

@@ -109,9 +109,6 @@ pub trait BaseAllocator {
     /// [`AllocError::InvalidPointer`] / [`AllocError::DoubleFree`].
     fn free(&mut self, space: &mut AddressSpace, ptr: Addr) -> Result<(), AllocError>;
 
-    /// The usable size of a live block, if `ptr` is one.
-    fn usable_size(&self, ptr: Addr) -> Option<u64>;
-
     /// Allocation statistics.
     fn stats(&self) -> AllocStats;
 }
@@ -329,13 +326,6 @@ impl BaseAllocator for FreeListAllocator {
         Ok(())
     }
 
-    fn usable_size(&self, ptr: Addr) -> Option<u64> {
-        match self.blocks.get(&ptr) {
-            Some(b) if b.state == BlockState::Live => Some(b.size),
-            _ => None,
-        }
-    }
-
     fn stats(&self) -> AllocStats {
         self.stats
     }
@@ -435,10 +425,6 @@ impl BaseAllocator for BumpAllocator {
         }
     }
 
-    fn usable_size(&self, ptr: Addr) -> Option<u64> {
-        self.blocks.get(&ptr).copied()
-    }
-
     fn stats(&self) -> AllocStats {
         self.stats
     }
@@ -465,7 +451,6 @@ mod tests {
             let mut b = [0u8; 100];
             s.read(p, &mut b).unwrap();
             assert_eq!(b, [0xAB; 100]);
-            assert_eq!(a.usable_size(p), Some(100));
         });
     }
 

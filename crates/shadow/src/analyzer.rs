@@ -5,10 +5,10 @@ use crate::bits::{KernelMode, ShadowBits};
 use crate::heap::{BufId, BufState, HeapMap, Region};
 use crate::warning::{Warning, WarningKind};
 use ht_memsim::{
-    Addr, AddressSpace, AllocStats, BaseAllocator, FastMap, FreeListAllocator, SpaceStats,
+    Addr, AddressSpace, AllocStats, BaseAllocator, FastMap, FreeListAllocator, MemFault, SpaceStats,
 };
 use ht_patch::{AllocFn, Patch};
-use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, ReadResult, Sink, StopCause};
+use ht_simprog::{AllocRequest, HeapBackend, ReadResult, Sink, StopCause};
 use std::collections::{HashSet, VecDeque};
 
 /// CCID-subspace partitioning (paper §IX).
@@ -177,6 +177,13 @@ impl ShadowBackend {
         });
     }
 
+    /// Reports the wild access that `fault` stopped and returns the
+    /// segfault that ends the replay.
+    fn wild(&mut self, fault: MemFault, write: bool) -> StopCause {
+        self.warn(WarningKind::Wild, fault.addr, write, None);
+        StopCause::segfault(fault, write)
+    }
+
     /// Scans `[addr, addr+len)` for accessibility violations, classifying
     /// and recording each (deduplicated), then resumes. The scan ends at
     /// the first unmapped byte (reported as wild), where the access faults.
@@ -234,14 +241,14 @@ impl ShadowBackend {
             let inner = self
                 .heap
                 .malloc(&mut self.space, size + rz * 2 + align)
-                .map_err(|e| StopCause::HeapMisuse(e.to_string()))?;
+                .map_err(StopCause::misuse)?;
             let user = ht_memsim::align_up(inner + rz, align);
             (inner, user)
         } else {
             let inner = self
                 .heap
                 .malloc(&mut self.space, size + rz * 2)
-                .map_err(|e| StopCause::HeapMisuse(e.to_string()))?;
+                .map_err(StopCause::misuse)?;
             (inner, inner + rz)
         };
         // Shadow state: red zones inaccessible, user accessible; user bytes
@@ -250,9 +257,7 @@ impl ShadowBackend {
         self.bits.set_accessible(user, size, true);
         self.bits.set_accessible(user + size, rz, false);
         if fun == AllocFn::Calloc {
-            self.space
-                .fill(user, size, 0)
-                .map_err(|e| StopCause::HeapMisuse(e.to_string()))?;
+            self.space.fill(user, size, 0).map_err(StopCause::misuse)?;
             self.bits.set_valid(user, size, true);
         } else {
             self.bits.set_valid(user, size, false);
@@ -337,7 +342,7 @@ impl HeapBackend for ShadowBackend {
                             self.propagate_origins(old, new_user, keep);
                             self.space
                                 .copy_raw(old, new_user, keep)
-                                .map_err(|e| StopCause::HeapMisuse(e.to_string()))?;
+                                .map_err(StopCause::misuse)?;
                             self.bits.copy_valid(old, new_user, keep);
                         }
                         self.quarantine_buffer(rec.id);
@@ -355,67 +360,52 @@ impl HeapBackend for ShadowBackend {
         }
     }
 
-    fn free(&mut self, ptr: Addr) -> AccessOutcome {
+    fn free(&mut self, ptr: Addr) -> Result<(), StopCause> {
         match self.map.by_user_ptr(ptr).map(|r| (r.id, r.state)) {
-            Some((id, BufState::Live)) => {
-                self.quarantine_buffer(id);
-                AccessOutcome::Ok
-            }
+            Some((id, BufState::Live)) => self.quarantine_buffer(id),
             _ => {
                 // Double free (quarantined ptr no longer resolves as a live
                 // user base) or foreign pointer: warn and resume.
                 let origin = self.map.lookup(ptr).map(|(r, _)| r.id);
                 self.warn(WarningKind::InvalidFree, ptr, false, origin);
-                AccessOutcome::Ok
             }
         }
+        Ok(())
     }
 
-    fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome {
+    fn write(&mut self, addr: Addr, len: u64, byte: u8) -> Result<(), StopCause> {
         self.check_accessible(addr, len, true);
         // Resume: the store proceeds into retained memory (red zones and
         // quarantined blocks are still mapped — only truly wild stores
         // crash, as they would under Valgrind).
-        if let Err(f) = self.space.fill_raw(addr, len, byte) {
-            self.warn(WarningKind::Wild, f.addr, true, None);
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: true,
-            });
-        }
+        self.space
+            .fill_raw(addr, len, byte)
+            .map_err(|f| self.wild(f, true))?;
         self.bits.set_valid(addr, len, true);
         if !self.copied_origins.is_empty() {
             for a in addr..addr.saturating_add(len) {
                 self.copied_origins.remove(&a);
             }
         }
-        AccessOutcome::Ok
+        Ok(())
     }
 
-    fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
+    fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> Result<(), StopCause> {
         // A memcpy is an access to both ranges (red zones / freed memory
         // still trip A-bit checks) but never a *use* of the value: no V-bit
         // check, validity and origins just flow along (paper Fig. 4).
         self.check_accessible(src, len, false);
         self.check_accessible(dst, len, true);
         let mut buf = vec![0u8; self.space.reach(src, len) as usize];
-        if let Err(f) = self.space.read_raw(src, &mut buf) {
-            self.warn(WarningKind::Wild, f.addr, false, None);
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: false,
-            });
-        }
+        self.space
+            .read_raw(src, &mut buf)
+            .map_err(|f| self.wild(f, false))?;
         self.propagate_origins(src, dst, len);
-        if let Err(f) = self.space.write_raw(dst, &buf) {
-            self.warn(WarningKind::Wild, f.addr, true, None);
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: true,
-            });
-        }
+        self.space
+            .write_raw(dst, &buf)
+            .map_err(|f| self.wild(f, true))?;
         self.bits.copy_valid(src, dst, len);
-        AccessOutcome::Ok
+        Ok(())
     }
 
     fn read(&mut self, addr: Addr, len: u64, sink: Sink) -> ReadResult {
@@ -423,14 +413,8 @@ impl HeapBackend for ShadowBackend {
         let mut data = vec![0u8; self.space.reach(addr, len) as usize];
         if let Err(f) = self.space.read_raw(addr, &mut data) {
             data.truncate(f.completed as usize);
-            self.warn(WarningKind::Wild, f.addr, false, None);
-            return ReadResult {
-                data,
-                outcome: AccessOutcome::Stop(StopCause::Segfault {
-                    addr: f.addr,
-                    write: false,
-                }),
-            };
+            let outcome = Err(self.wild(f, false));
+            return ReadResult { data, outcome };
         }
         if sink.checks_vbits() {
             // Bit-precision uninitialized-read detection, restricted to live
@@ -467,7 +451,7 @@ impl HeapBackend for ShadowBackend {
         }
         ReadResult {
             data,
-            outcome: AccessOutcome::Ok,
+            outcome: Ok(()),
         }
     }
 
@@ -511,7 +495,7 @@ mod tests {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 32, 0xCAFE)).unwrap();
         // 8 bytes past the end — lands in the right red zone.
-        s.write(p, 40, 0x41);
+        s.write(p, 40, 0x41).unwrap();
         assert_eq!(s.count(WarningKind::Overflow), 1);
         let w = &s.warnings()[0];
         assert_eq!(w.kind, WarningKind::Overflow);
@@ -526,7 +510,7 @@ mod tests {
     fn overread_detected_as_overflow() {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 32, 7)).unwrap();
-        s.write(p, 32, 1);
+        s.write(p, 32, 1).unwrap();
         let r = s.read(p, 48, Sink::Leak);
         assert!(r.outcome.is_ok(), "analyzer resumes");
         assert_eq!(r.data.len(), 48, "data still returned (leak modeled)");
@@ -538,7 +522,7 @@ mod tests {
     fn underflow_detected_via_left_red_zone() {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 32, 7)).unwrap();
-        s.write(p - 4, 4, 0x41);
+        s.write(p - 4, 4, 0x41).unwrap();
         assert_eq!(s.count(WarningKind::Overflow), 1);
     }
 
@@ -546,12 +530,12 @@ mod tests {
     fn use_after_free_detected_on_read_and_write() {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 64, 0x11)).unwrap();
-        s.write(p, 64, 5);
-        s.free(p);
+        s.write(p, 64, 5).unwrap();
+        s.free(p).unwrap();
         let r = s.read(p, 8, Sink::Addr);
         assert!(r.outcome.is_ok());
         assert_eq!(s.count(WarningKind::UseAfterFree), 1);
-        s.write(p, 8, 9);
+        s.write(p, 8, 9).unwrap();
         assert_eq!(
             s.count(WarningKind::UseAfterFree),
             1,
@@ -565,7 +549,7 @@ mod tests {
     fn quarantine_defers_reuse() {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 64, 1)).unwrap();
-        s.free(p);
+        s.free(p).unwrap();
         // Same-size alloc must NOT reuse the quarantined block.
         let q = s.alloc(&req(AllocFn::Malloc, 64, 2)).unwrap();
         assert_ne!(p, q);
@@ -581,14 +565,14 @@ mod tests {
         });
         let a = s.alloc(&req(AllocFn::Malloc, 60, 1)).unwrap();
         let b = s.alloc(&req(AllocFn::Malloc, 60, 2)).unwrap();
-        s.free(a);
+        s.free(a).unwrap();
         assert_eq!(s.quarantine_len(), 1);
-        s.free(b); // 120 > 100: evicts a.
+        s.free(b).unwrap(); // 120 > 100: evicts a.
         assert_eq!(s.quarantine_len(), 1);
         assert_eq!(s.quarantine_bytes(), 60);
         // a's memory is back with the inner allocator; touching it is now a
         // wild access (or a fresh block), not UAF.
-        s.write(a, 4, 1);
+        s.write(a, 4, 1).unwrap();
         assert_eq!(s.count(WarningKind::UseAfterFree), 0);
     }
 
@@ -634,7 +618,7 @@ mod tests {
     fn partial_init_detected_bit_precisely() {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 32, 1)).unwrap();
-        s.write(p, 16, 0xAB); // initialize first half
+        s.write(p, 16, 0xAB).unwrap(); // initialize first half
         s.read(p, 16, Sink::Branch);
         assert_eq!(s.count(WarningKind::UninitRead), 0);
         s.read(p, 32, Sink::Branch);
@@ -646,7 +630,7 @@ mod tests {
     fn realloc_copies_validity_and_quarantines_old() {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 16, 1)).unwrap();
-        s.write(p, 16, 0x33);
+        s.write(p, 16, 0x33).unwrap();
         let mut r = req(AllocFn::Realloc, 64, 2);
         r.old_ptr = Some(p);
         let q = s.alloc(&r).unwrap();
@@ -658,7 +642,7 @@ mod tests {
         s.read(q, 64, Sink::Branch);
         assert_eq!(s.count(WarningKind::UninitRead), 1);
         // Old block quarantined: UAF on it is detected.
-        s.write(p, 4, 1);
+        s.write(p, 4, 1).unwrap();
         assert_eq!(s.count(WarningKind::UseAfterFree), 1);
     }
 
@@ -678,9 +662,9 @@ mod tests {
         r.align = 256;
         let p = s.alloc(&r).unwrap();
         assert_eq!(p % 256, 0);
-        s.write(p, 104, 1); // 4 bytes over
+        s.write(p, 104, 1).unwrap(); // 4 bytes over
         assert_eq!(s.count(WarningKind::Overflow), 1);
-        s.write(p - 2, 2, 1); // underflow
+        s.write(p - 2, 2, 1).unwrap(); // underflow
         assert_eq!(s.count(WarningKind::Overflow), 1, "deduped same buffer");
     }
 
@@ -690,7 +674,7 @@ mod tests {
         // one run — both must be captured (warning-resume).
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 64, 0x4842)).unwrap();
-        s.write(p, 16, 0x55); // only partially initialized
+        s.write(p, 16, 0x55).unwrap(); // only partially initialized
         let r = s.read(p, 96, Sink::Leak); // past the end
         assert!(r.outcome.is_ok());
         assert_eq!(s.count(WarningKind::Overflow), 1);
@@ -708,9 +692,9 @@ mod tests {
         let p1 = s.alloc(&req(AllocFn::Malloc, 16, 100)).unwrap();
         let p2 = s.alloc(&req(AllocFn::Malloc, 16, 200)).unwrap();
         let p3 = s.alloc(&req(AllocFn::Calloc, 16, 100)).unwrap();
-        s.write(p1, 20, 1);
-        s.write(p2, 20, 1);
-        s.write(p3, 20, 1);
+        s.write(p1, 20, 1).unwrap();
+        s.write(p2, 20, 1).unwrap();
+        s.write(p3, 20, 1).unwrap();
         let patches = s.generate_patches("t");
         assert_eq!(patches.len(), 3, "calloc@100 distinct from malloc@100");
     }
@@ -721,7 +705,7 @@ mod tests {
         let mut s = ShadowBackend::new();
         let src = s.alloc(&req(AllocFn::Malloc, 32, 1)).unwrap();
         let dst = s.alloc(&req(AllocFn::Malloc, 32, 2)).unwrap();
-        s.write(src, 16, 0xAA); // half initialized
+        s.write(src, 16, 0xAA).unwrap(); // half initialized
         assert!(s.copy(src, dst, 32).is_ok());
         assert!(s.warnings().is_empty(), "{:?}", s.warnings());
         // Valid half stays valid at the destination...
@@ -757,8 +741,8 @@ mod tests {
         let a = s.alloc(&req(AllocFn::Malloc, 16, 0xA)).unwrap();
         let b = s.alloc(&req(AllocFn::Calloc, 16, 0xB)).unwrap();
         let c = s.alloc(&req(AllocFn::Calloc, 16, 0xC)).unwrap();
-        s.copy(a, b, 16);
-        s.copy(b, c, 16);
+        s.copy(a, b, 16).unwrap();
+        s.copy(b, c, 16).unwrap();
         s.read(c, 16, Sink::Syscall);
         assert_eq!(s.warnings()[0].ccid, Some(Ccid(0xA)), "two-hop origin");
     }
@@ -768,8 +752,8 @@ mod tests {
         let mut s = ShadowBackend::new();
         let a = s.alloc(&req(AllocFn::Malloc, 16, 0xA)).unwrap();
         let b = s.alloc(&req(AllocFn::Calloc, 16, 0xB)).unwrap();
-        s.copy(a, b, 16);
-        s.write(b, 16, 0x33); // program initializes B properly after all
+        s.copy(a, b, 16).unwrap();
+        s.write(b, 16, 0x33).unwrap(); // program initializes B properly after all
         s.read(b, 16, Sink::Branch);
         assert_eq!(s.count(WarningKind::UninitRead), 0);
     }
@@ -779,7 +763,7 @@ mod tests {
         let mut s = ShadowBackend::new();
         let a = s.alloc(&req(AllocFn::Malloc, 32, 1)).unwrap();
         let b = s.alloc(&req(AllocFn::Malloc, 32, 2)).unwrap();
-        s.write(a, 32, 1);
+        s.write(a, 32, 1).unwrap();
         // memcpy writes 8 bytes past b's end.
         assert!(s.copy(a, b + 8, 32).is_ok(), "analyzer resumes");
         assert_eq!(s.count(WarningKind::Overflow), 1);
@@ -811,7 +795,7 @@ mod tests {
         });
         for ccid in 0..10u64 {
             let p = s.alloc(&req(AllocFn::Malloc, 64, ccid)).unwrap();
-            s.free(p);
+            s.free(p).unwrap();
         }
         assert_eq!(s.quarantine_len(), 5, "only the even subspace deferred");
         assert_eq!(s.quarantine_bytes(), 5 * 64);
@@ -827,7 +811,7 @@ mod tests {
                 ..ShadowConfig::default()
             });
             let p = s.alloc(&req(AllocFn::Malloc, 64, 7)).unwrap();
-            s.free(p);
+            s.free(p).unwrap();
             s.read(p, 8, Sink::Addr);
             s.generate_patches("uaf")
         };

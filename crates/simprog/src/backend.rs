@@ -2,7 +2,9 @@
 
 use ht_callgraph::FuncId;
 use ht_encoding::Ccid;
-use ht_memsim::{Addr, AddressSpace, AllocStats, BaseAllocator, FreeListAllocator, SpaceStats};
+use ht_memsim::{
+    Addr, AddressSpace, AllocStats, BaseAllocator, FreeListAllocator, MemFault, SpaceStats,
+};
 use ht_patch::AllocFn;
 use std::fmt;
 
@@ -57,20 +59,21 @@ impl fmt::Display for StopCause {
     }
 }
 
-/// Result of a buffer access: proceed, or terminate the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessOutcome {
-    /// The access completed (possibly corrupting memory — that is the
-    /// undefended substrate doing its job).
-    Ok,
-    /// The access terminated the program (e.g. guard-page SIGSEGV).
-    Stop(StopCause),
-}
+impl StopCause {
+    /// The fault a memory access stopped with, as the program sees it: a
+    /// SIGSEGV at the first faulting address of a read or a write.
+    #[inline]
+    pub fn segfault(fault: MemFault, write: bool) -> Self {
+        StopCause::Segfault {
+            addr: fault.addr,
+            write,
+        }
+    }
 
-impl AccessOutcome {
-    /// Whether the access completed.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, AccessOutcome::Ok)
+    /// An allocation-family call that failed: real programs crash or
+    /// corrupt the heap on a double or invalid free, so the run aborts.
+    pub fn misuse(e: impl fmt::Display) -> Self {
+        StopCause::HeapMisuse(e.to_string())
     }
 }
 
@@ -79,11 +82,16 @@ impl AccessOutcome {
 pub struct ReadResult {
     /// Bytes read before any fault.
     pub data: Vec<u8>,
-    /// Whether the read completed.
-    pub outcome: AccessOutcome,
+    /// `Ok` if the read completed, else the cause that stops the run.
+    pub outcome: Result<(), StopCause>,
 }
 
 /// The heap boundary between the interpreter and a memory system.
+///
+/// Every call returns a `Result`: `Ok` lets the program go on, and a
+/// [`StopCause`] ends the modeled run. A fault from the memory system
+/// becomes [`StopCause::segfault`] and a failed allocator call
+/// [`StopCause::misuse`], in every backend alike.
 ///
 /// Three implementations exist across the workspace:
 ///
@@ -107,10 +115,10 @@ pub trait HeapBackend {
     fn alloc(&mut self, req: &AllocRequest) -> Result<Addr, StopCause>;
 
     /// Services `free(ptr)`.
-    fn free(&mut self, ptr: Addr) -> AccessOutcome;
+    fn free(&mut self, ptr: Addr) -> Result<(), StopCause>;
 
     /// Writes `len` copies of `byte` starting at `addr`.
-    fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome;
+    fn write(&mut self, addr: Addr, len: u64, byte: u8) -> Result<(), StopCause>;
 
     /// Reads `len` bytes starting at `addr` (`sink` is the value's use).
     fn read(&mut self, addr: Addr, len: u64, sink: crate::Sink) -> ReadResult;
@@ -118,15 +126,15 @@ pub trait HeapBackend {
     /// Copies `len` bytes from `src` to `dst` (a `memcpy` — the value is
     /// moved, not *used*, so analyzers must not treat this as a checked
     /// read).
-    fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome;
+    fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> Result<(), StopCause>;
 
     /// Delivers the fault that ended a run (the simulator's SIGSEGV).
     ///
     /// [`Interpreter::run`](crate::Interpreter::run) calls it once, after
     /// an access stopped with [`StopCause::Segfault`]; a stopped access
     /// always ends the run, so no run delivers two. The accesses themselves
-    /// report the fault only in their outcome: code that drives a backend
-    /// directly delivers it itself. The default ignores it.
+    /// only return the fault: code that drives a backend directly delivers
+    /// it itself. The default ignores it.
     fn fault(&mut self, _cause: &StopCause) {}
 
     /// Memory-system statistics, if this backend tracks them.
@@ -188,69 +196,44 @@ impl<A: BaseAllocator> HeapBackend for PlainBackend<A> {
             (AllocFn::Memalign, _) => self.heap.memalign(&mut self.space, req.align, req.size),
             _ => self.heap.malloc(&mut self.space, req.size),
         };
-        let ptr = r.map_err(|e| StopCause::HeapMisuse(e.to_string()))?;
+        let ptr = r.map_err(StopCause::misuse)?;
         if req.fun == AllocFn::Calloc {
             self.space
                 .fill(ptr, req.size, 0)
-                .map_err(|e| StopCause::HeapMisuse(e.to_string()))?;
+                .map_err(StopCause::misuse)?;
         }
         Ok(ptr)
     }
 
-    fn free(&mut self, ptr: Addr) -> AccessOutcome {
-        match self.heap.free(&mut self.space, ptr) {
-            Ok(()) => AccessOutcome::Ok,
-            // Real programs crash (or corrupt the heap) on double/invalid
-            // free; model it as an abort.
-            Err(e) => AccessOutcome::Stop(StopCause::HeapMisuse(e.to_string())),
-        }
+    fn free(&mut self, ptr: Addr) -> Result<(), StopCause> {
+        self.heap
+            .free(&mut self.space, ptr)
+            .map_err(StopCause::misuse)
     }
 
-    fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome {
-        match self.space.fill(addr, len, byte) {
-            Ok(()) => AccessOutcome::Ok,
-            Err(f) => AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: true,
-            }),
-        }
+    fn write(&mut self, addr: Addr, len: u64, byte: u8) -> Result<(), StopCause> {
+        self.space
+            .fill(addr, len, byte)
+            .map_err(|f| StopCause::segfault(f, true))
     }
 
     fn read(&mut self, addr: Addr, len: u64, _sink: crate::Sink) -> ReadResult {
         let mut data = vec![0u8; self.space.reach(addr, len) as usize];
-        match self.space.read(addr, &mut data) {
-            Ok(()) => ReadResult {
-                data,
-                outcome: AccessOutcome::Ok,
-            },
-            Err(f) => {
-                data.truncate(f.completed as usize);
-                ReadResult {
-                    data,
-                    outcome: AccessOutcome::Stop(StopCause::Segfault {
-                        addr: f.addr,
-                        write: false,
-                    }),
-                }
-            }
-        }
+        let outcome = self.space.read(addr, &mut data).map_err(|f| {
+            data.truncate(f.completed as usize);
+            StopCause::segfault(f, false)
+        });
+        ReadResult { data, outcome }
     }
 
-    fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
+    fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> Result<(), StopCause> {
         let mut buf = vec![0u8; self.space.reach(src, len) as usize];
-        if let Err(f) = self.space.read(src, &mut buf) {
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: false,
-            });
-        }
-        match self.space.write(dst, &buf) {
-            Ok(()) => AccessOutcome::Ok,
-            Err(f) => AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: true,
-            }),
-        }
+        self.space
+            .read(src, &mut buf)
+            .map_err(|f| StopCause::segfault(f, false))?;
+        self.space
+            .write(dst, &buf)
+            .map_err(|f| StopCause::segfault(f, true))
     }
 
     fn mem_stats(&self) -> Option<(SpaceStats, AllocStats)> {
@@ -291,8 +274,8 @@ mod tests {
         let mut b = PlainBackend::new();
         // Dirty a block, free it, calloc the same class: must be zero.
         let p = b.alloc(&req(AllocFn::Malloc, 64)).unwrap();
-        b.write(p, 64, 0xFF);
-        b.free(p);
+        b.write(p, 64, 0xFF).unwrap();
+        b.free(p).unwrap();
         let q = b.alloc(&req(AllocFn::Calloc, 64)).unwrap();
         assert_eq!(q, p, "LIFO reuse");
         let r = b.read(q, 64, Sink::Discard);
@@ -305,8 +288,8 @@ mod tests {
         // back the previous contents.
         let mut b = PlainBackend::new();
         let p = b.alloc(&req(AllocFn::Malloc, 64)).unwrap();
-        b.write(p, 64, 0xEE);
-        b.free(p);
+        b.write(p, 64, 0xEE).unwrap();
+        b.free(p).unwrap();
         let q = b.alloc(&req(AllocFn::Malloc, 64)).unwrap();
         let r = b.read(q, 64, Sink::Leak);
         assert_eq!(r.data, vec![0xEE; 64], "stale data leaks");
@@ -316,7 +299,7 @@ mod tests {
     fn realloc_via_request() {
         let mut b = PlainBackend::new();
         let p = b.alloc(&req(AllocFn::Malloc, 16)).unwrap();
-        b.write(p, 16, 0x11);
+        b.write(p, 16, 0x11).unwrap();
         let mut r = req(AllocFn::Realloc, 256);
         r.old_ptr = Some(p);
         let q = b.alloc(&r).unwrap();
@@ -330,9 +313,7 @@ mod tests {
         let p = b.alloc(&req(AllocFn::Malloc, 16)).unwrap();
         assert!(b.free(p).is_ok());
         match b.free(p) {
-            AccessOutcome::Stop(StopCause::HeapMisuse(m)) => {
-                assert!(m.contains("double free"), "{m}");
-            }
+            Err(StopCause::HeapMisuse(m)) => assert!(m.contains("double free"), "{m}"),
             other => panic!("expected stop, got {other:?}"),
         }
     }
@@ -340,12 +321,10 @@ mod tests {
     #[test]
     fn wild_access_segfaults() {
         let mut b = PlainBackend::new();
-        match b.write(0x10, 1, 0) {
-            AccessOutcome::Stop(StopCause::Segfault { write: true, .. }) => {}
-            other => panic!("expected segfault, got {other:?}"),
-        }
+        let wild = |write| StopCause::Segfault { addr: 0x10, write };
+        assert_eq!(b.write(0x10, 1, 0), Err(wild(true)));
         let r = b.read(0x10, 4, Sink::Discard);
-        assert!(!r.outcome.is_ok());
+        assert_eq!(r.outcome, Err(wild(false)));
         assert!(r.data.is_empty());
     }
 
@@ -365,7 +344,7 @@ mod tests {
     fn mem_stats_available() {
         let mut b = PlainBackend::new();
         let p = b.alloc(&req(AllocFn::Malloc, 100)).unwrap();
-        b.write(p, 100, 1);
+        b.write(p, 100, 1).unwrap();
         let (space, heap) = b.mem_stats().unwrap();
         assert!(space.rss_bytes > 0);
         assert_eq!(heap.live_bytes, 100);

@@ -1,8 +1,9 @@
 //! The interpreter: executes a modeled program over a heap backend while
 //! driving the calling-context encoder.
 
-use crate::backend::{AccessOutcome, AllocRequest, HeapBackend, StopCause};
+use crate::backend::{AllocRequest, HeapBackend, StopCause};
 use crate::program::{Program, Sink, Stmt};
+use ht_callgraph::EdgeId;
 use ht_encoding::{Encoder, InstrumentationPlan};
 use ht_memsim::Addr;
 use ht_patch::AllocFn;
@@ -50,11 +51,6 @@ impl RunOutcome {
     /// Whether the run completed normally.
     pub fn is_completed(&self) -> bool {
         matches!(self, RunOutcome::Completed)
-    }
-
-    /// Whether the run died on a memory fault (e.g. hit a guard page).
-    pub fn is_segfault(&self) -> bool {
-        matches!(self, RunOutcome::Stopped(StopCause::Segfault { .. }))
     }
 }
 
@@ -142,7 +138,7 @@ fn bounded_request(fun: AllocFn, size: u64, align: u64) -> Result<(), StopCause>
     if size <= MAX_ALLOC_BYTES && align <= MAX_ALLOC_BYTES {
         return Ok(());
     }
-    Err(StopCause::HeapMisuse(format!(
+    Err(StopCause::misuse(format_args!(
         "{fun} of {size} bytes aligned to {align} exceeds the {MAX_ALLOC_BYTES}-byte bound"
     )))
 }
@@ -157,8 +153,9 @@ pub struct Interpreter<'a, B: HeapBackend> {
     limits: Limits,
 }
 
-struct RunState<'a> {
-    input: &'a [u64],
+struct RunState<'p, 'i> {
+    enc: Encoder<'p>,
+    input: &'i [u64],
     slots: Vec<Option<Addr>>,
     report: RunReport,
     depth: usize,
@@ -194,8 +191,8 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
 
     /// Runs the program on `input` and reports what happened.
     pub fn run(&mut self, input: &[u64]) -> RunReport {
-        let mut encoder = Encoder::new(self.plan);
         let mut st = RunState {
+            enc: Encoder::new(self.plan),
             input,
             slots: vec![None; self.prog.slot_count() as usize],
             report: RunReport {
@@ -212,68 +209,34 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
             depth: 0,
         };
         let entry = self.prog.entry();
-        let result = self.exec_body(self.prog.body(entry), &mut st, &mut encoder);
+        let result = self.exec_body(self.prog.body(entry), &mut st);
         if let Err(cause) = result {
             if matches!(cause, StopCause::Segfault { .. }) {
                 self.backend.fault(&cause);
             }
             st.report.outcome = RunOutcome::Stopped(cause);
         }
-        st.report.encoder_ops = encoder.ops();
+        st.report.encoder_ops = st.enc.ops();
         st.report
     }
 
-    fn exec_body(
-        &mut self,
-        stmts: &[Stmt],
-        st: &mut RunState<'_>,
-        enc: &mut Encoder<'a>,
-    ) -> Result<(), StopCause> {
+    fn exec_body(&mut self, stmts: &[Stmt], st: &mut RunState<'a, '_>) -> Result<(), StopCause> {
         for stmt in stmts {
-            self.exec_stmt(stmt, st, enc)?;
+            self.exec_stmt(stmt, st)?;
         }
         Ok(())
     }
 
-    fn exec_stmt(
-        &mut self,
-        stmt: &Stmt,
-        st: &mut RunState<'_>,
-        enc: &mut Encoder<'a>,
-    ) -> Result<(), StopCause> {
+    fn exec_stmt(&mut self, stmt: &Stmt, st: &mut RunState<'a, '_>) -> Result<(), StopCause> {
         st.report.steps += 1;
         if st.report.steps > self.limits.max_steps {
             return Err(StopCause::StepLimit);
         }
         match stmt {
-            Stmt::Call(e) => {
-                if st.depth >= self.limits.max_depth {
-                    return Err(StopCause::DepthLimit);
-                }
-                let prog: &'a Program = self.prog;
-                let callee = prog.graph().edge(*e).callee;
-                enc.on_call(*e);
-                st.depth += 1;
-                let body: &'a [Stmt] = prog.body(callee);
-                let r = self.exec_body(body, st, enc);
-                st.depth -= 1;
-                enc.on_return();
-                r?;
-            }
+            Stmt::Call(e) => self.call(*e, st)?,
             Stmt::CallVirtual { edges, selector } => {
-                if st.depth >= self.limits.max_depth {
-                    return Err(StopCause::DepthLimit);
-                }
-                let prog: &'a Program = self.prog;
                 let taken = edges[(selector.eval(st.input) as usize) % edges.len()];
-                let callee = prog.graph().edge(taken).callee;
-                enc.on_call(taken);
-                st.depth += 1;
-                let body: &'a [Stmt] = prog.body(callee);
-                let r = self.exec_body(body, st, enc);
-                st.depth -= 1;
-                enc.on_return();
-                r?;
+                self.call(taken, st)?;
             }
             Stmt::Alloc {
                 edge,
@@ -286,23 +249,7 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                 let align = align.eval(st.input);
                 bounded_request(*fun, size, align)?;
                 let align = align.max(1).next_power_of_two();
-                let target = self.prog.graph().edge(*edge).callee;
-                enc.on_call(*edge);
-                let ccid = enc.current();
-                let req = AllocRequest {
-                    fun: *fun,
-                    size,
-                    align,
-                    ccid,
-                    target,
-                    old_ptr: None,
-                };
-                let r = self.backend.alloc(&req);
-                enc.on_return();
-                let ptr = r?;
-                st.slots[slot.index()] = Some(ptr);
-                st.report.allocs.bump(*fun);
-                *st.report.ccid_freq.entry((*fun, ccid.0)).or_insert(0) += 1;
+                st.slots[slot.index()] = Some(self.alloc(*edge, *fun, size, align, None, st)?);
             }
             Stmt::Realloc {
                 edge,
@@ -312,35 +259,14 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                 let size = new_size.eval(st.input);
                 bounded_request(AllocFn::Realloc, size, 16)?;
                 let old_ptr = st.slots[slot.index()];
-                let target = self.prog.graph().edge(*edge).callee;
-                enc.on_call(*edge);
-                let ccid = enc.current();
-                let req = AllocRequest {
-                    fun: AllocFn::Realloc,
-                    size,
-                    align: 16,
-                    ccid,
-                    target,
-                    old_ptr,
-                };
-                let r = self.backend.alloc(&req);
-                enc.on_return();
-                let ptr = r?;
+                let ptr = self.alloc(*edge, AllocFn::Realloc, size, 16, old_ptr, st)?;
                 st.slots[slot.index()] = Some(ptr);
-                st.report.allocs.bump(AllocFn::Realloc);
-                *st.report
-                    .ccid_freq
-                    .entry((AllocFn::Realloc, ccid.0))
-                    .or_insert(0) += 1;
             }
             Stmt::Free { slot } => {
                 // free(NULL) is a no-op; the slot keeps its dangling value.
                 if let Some(ptr) = st.slots[slot.index()] {
                     st.report.frees += 1;
-                    match self.backend.free(ptr) {
-                        AccessOutcome::Ok => {}
-                        AccessOutcome::Stop(c) => return Err(c),
-                    }
+                    self.backend.free(ptr)?;
                 }
             }
             Stmt::Clear { slot } => {
@@ -357,10 +283,7 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                     let len = len.eval(st.input);
                     if len > 0 {
                         st.report.bytes_written = st.report.bytes_written.saturating_add(len);
-                        match self.backend.write(ptr.wrapping_add(off), len, *byte) {
-                            AccessOutcome::Ok => {}
-                            AccessOutcome::Stop(c) => return Err(c),
-                        }
+                        self.backend.write(ptr.wrapping_add(off), len, *byte)?;
                     }
                 }
             }
@@ -378,13 +301,8 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                     if len > 0 {
                         st.report.bytes_read = st.report.bytes_read.saturating_add(len);
                         st.report.bytes_written = st.report.bytes_written.saturating_add(len);
-                        match self
-                            .backend
-                            .copy(s.wrapping_add(so), d.wrapping_add(do_), len)
-                        {
-                            AccessOutcome::Ok => {}
-                            AccessOutcome::Stop(c) => return Err(c),
-                        }
+                        self.backend
+                            .copy(s.wrapping_add(so), d.wrapping_add(do_), len)?;
                     }
                 }
             }
@@ -403,28 +321,73 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                         if *sink == Sink::Leak {
                             st.report.leaked.extend_from_slice(&r.data);
                         }
-                        match r.outcome {
-                            AccessOutcome::Ok => {}
-                            AccessOutcome::Stop(c) => return Err(c),
-                        }
+                        r.outcome?;
                     }
                 }
             }
             Stmt::Repeat { times, body } => {
                 let n = times.eval(st.input);
                 for _ in 0..n {
-                    self.exec_body(body, st, enc)?;
+                    self.exec_body(body, st)?;
                 }
             }
             Stmt::If { cond, then_, else_ } => {
                 if cond.eval(st.input) != 0 {
-                    self.exec_body(then_, st, enc)?;
+                    self.exec_body(then_, st)?;
                 } else {
-                    self.exec_body(else_, st, enc)?;
+                    self.exec_body(else_, st)?;
                 }
             }
         }
         Ok(())
+    }
+
+    /// The call path `Stmt::Call` and `Stmt::CallVirtual` share, once the
+    /// edge is picked: the callee's body under its calling context.
+    #[inline]
+    fn call(&mut self, edge: EdgeId, st: &mut RunState<'a, '_>) -> Result<(), StopCause> {
+        if st.depth >= self.limits.max_depth {
+            return Err(StopCause::DepthLimit);
+        }
+        let prog: &'a Program = self.prog;
+        st.enc.on_call(edge);
+        st.depth += 1;
+        let r = self.exec_body(prog.body(prog.graph().edge(edge).callee), st);
+        st.depth -= 1;
+        st.enc.on_return();
+        r
+    }
+
+    /// The allocation path `Stmt::Alloc` and `Stmt::Realloc` share, once
+    /// the request is bounded: the call into the allocation API under its
+    /// calling context, counted per API and per `(FUN, CCID)`.
+    #[inline]
+    fn alloc(
+        &mut self,
+        edge: EdgeId,
+        fun: AllocFn,
+        size: u64,
+        align: u64,
+        old_ptr: Option<Addr>,
+        st: &mut RunState<'a, '_>,
+    ) -> Result<Addr, StopCause> {
+        let target = self.prog.graph().edge(edge).callee;
+        st.enc.on_call(edge);
+        let ccid = st.enc.current();
+        let req = AllocRequest {
+            fun,
+            size,
+            align,
+            ccid,
+            target,
+            old_ptr,
+        };
+        let r = self.backend.alloc(&req);
+        st.enc.on_return();
+        let ptr = r?;
+        st.report.allocs.bump(fun);
+        *st.report.ccid_freq.entry((fun, ccid.0)).or_insert(0) += 1;
+        Ok(ptr)
     }
 }
 
@@ -486,7 +449,10 @@ mod tests {
         // Same program, attack input: the class block absorbs a small
         // overflow silently (undefended!), a huge one hits unmapped memory.
         let rep = run_plain(&prog, &plan, &[64, 10_000_000]);
-        assert!(rep.outcome.is_segfault());
+        assert!(matches!(
+            rep.outcome,
+            RunOutcome::Stopped(StopCause::Segfault { write: true, .. })
+        ));
     }
 
     #[test]
@@ -633,20 +599,29 @@ mod tests {
 
     #[test]
     fn depth_limit_stops_recursion() {
-        let mut pb = ProgramBuilder::new();
-        let main = pb.entry();
-        let f = pb.func("f");
-        pb.define(main, |b| b.call(f));
-        pb.define(f, |b| b.call(f));
-        let prog = pb.build();
-        let plan = plan_for(&prog);
-        let rep = Interpreter::new(&prog, &plan, PlainBackend::new())
-            .with_limits(Limits {
-                max_steps: 1_000_000,
-                max_depth: 32,
-            })
-            .run(&[]);
-        assert_eq!(rep.outcome, RunOutcome::Stopped(StopCause::DepthLimit));
+        // A direct call and a virtual call that recurse into themselves:
+        // both take the one call path and its depth check.
+        let cases: [fn(&mut crate::BodyBuilder<'_>, ht_callgraph::FuncId); 2] = [
+            |b, f| b.call(f),
+            |b, f| b.call_virtual(&[f], Expr::Input(0)),
+        ];
+        for recurse in cases {
+            let mut pb = ProgramBuilder::new();
+            let main = pb.entry();
+            let f = pb.func("f");
+            pb.define(main, |b| b.call(f));
+            pb.define(f, |b| recurse(b, f));
+            let prog = pb.build();
+            let plan = plan_for(&prog);
+            let rep = Interpreter::new(&prog, &plan, PlainBackend::new())
+                .with_limits(Limits {
+                    max_steps: 1_000_000,
+                    max_depth: 32,
+                })
+                .run(&[]);
+            assert_eq!(rep.outcome, RunOutcome::Stopped(StopCause::DepthLimit));
+            assert_eq!(rep.steps, 33, "main's call and 32 recursive calls");
+        }
     }
 
     #[test]
@@ -765,16 +740,16 @@ mod tests {
         fn alloc(&mut self, req: &AllocRequest) -> Result<Addr, StopCause> {
             self.plain.alloc(req)
         }
-        fn free(&mut self, ptr: Addr) -> AccessOutcome {
+        fn free(&mut self, ptr: Addr) -> Result<(), StopCause> {
             self.plain.free(ptr)
         }
-        fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome {
+        fn write(&mut self, addr: Addr, len: u64, byte: u8) -> Result<(), StopCause> {
             self.plain.write(addr, len, byte)
         }
         fn read(&mut self, addr: Addr, len: u64, sink: Sink) -> crate::ReadResult {
             self.plain.read(addr, len, sink)
         }
-        fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
+        fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> Result<(), StopCause> {
             self.plain.copy(src, dst, len)
         }
         fn fault(&mut self, cause: &StopCause) {

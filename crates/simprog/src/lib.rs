@@ -56,7 +56,7 @@ pub mod program;
 pub mod service;
 pub mod spec;
 
-pub use backend::{AccessOutcome, AllocRequest, HeapBackend, PlainBackend, ReadResult, StopCause};
+pub use backend::{AllocRequest, HeapBackend, PlainBackend, ReadResult, StopCause};
 pub use builder::{BodyBuilder, ProgramBuilder};
 pub use interp::{AllocCallCounts, Interpreter, Limits, RunOutcome, RunReport, MAX_ALLOC_BYTES};
 pub use program::{Expr, Program, Sink, SlotId, Stmt};

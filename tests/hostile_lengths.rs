@@ -6,6 +6,9 @@
 //! as it does for the length that ends at that fault: same outcome, same
 //! leaked bytes, same memory and analyzer state.
 //!
+//! A wild access, one that starts at an address no backend maps, stops
+//! every backend with the same segfault.
+//!
 //! Allocation sizes and alignments come from the input too: a request
 //! beyond [`MAX_ALLOC_BYTES`] stops the run the same way on every backend,
 //! before any backend maps, overflows or panics.
@@ -31,6 +34,8 @@ enum Access {
     Read,
     Write,
     Copy,
+    /// A copy from `a` into `b` at the offset: the store is the access.
+    CopyInto,
 }
 
 /// `main` allocates two 64-byte buffers `a` and `b`, then performs one
@@ -47,6 +52,7 @@ fn program(access: Access) -> Program {
             Access::Read => f.read(b, Expr::Input(1), Expr::Input(0), Sink::Leak),
             Access::Write => f.write(b, Expr::Input(1), Expr::Input(0), 0x41),
             Access::Copy => f.copy(b, Expr::Input(1), a, 0u64, Expr::Input(0)),
+            Access::CopyInto => f.copy(a, 0u64, b, Expr::Input(1), Expr::Input(0)),
         }
     });
     pb.build()
@@ -67,16 +73,20 @@ fn fault_addr(report: &RunReport) -> Addr {
     }
 }
 
+/// Buffer `b`'s address: a hostile read from it leaks every byte up to
+/// the fault.
+fn buffer_b<B: HeapBackend>(backend: B) -> Addr {
+    let (probe, _) = run(backend, Access::Read, HOSTILE_LEN, 0);
+    fault_addr(&probe) - probe.leaked.len() as u64
+}
+
 /// Runs every access with a hostile length, at offset 0 and at −16, and
 /// checks each against the run whose length ends at its fault.
 fn check_backend<B: HeapBackend, T: PartialEq + Debug>(
     fresh: impl Fn() -> B,
     observe: impl Fn(&B) -> T,
 ) {
-    // Buffer `b`'s address: a hostile read from it leaks every byte up to
-    // the fault.
-    let (probe, _) = run(fresh(), Access::Read, HOSTILE_LEN, 0);
-    let b = fault_addr(&probe) - probe.leaked.len() as u64;
+    let b = buffer_b(fresh());
     for access in [Access::Read, Access::Write, Access::Copy] {
         for off in [0, UNDERFLOW] {
             let (hostile, hb) = run(fresh(), access, HOSTILE_LEN, off);
@@ -110,6 +120,37 @@ fn defended_backend_stops_hostile_accesses_at_the_fault() {
         || DefendedBackend::new(DefenseConfig::default()),
         |b| (b.mem_stats(), b.stats()),
     );
+}
+
+/// How an 8-byte access at `WILD` ends: buffer `b` is placed differently
+/// on each backend, so the offset that reaches `WILD` is taken from it.
+fn wild<B: HeapBackend>(fresh: impl Fn() -> B, access: Access) -> RunOutcome {
+    let off = WILD.wrapping_sub(buffer_b(fresh()));
+    run(fresh(), access, 8, off).0.outcome
+}
+
+/// An address below every mapping.
+const WILD: Addr = 0x10;
+
+#[test]
+fn wild_accesses_stop_every_backend_with_the_same_segfault() {
+    for (access, write) in [
+        (Access::Read, false),
+        (Access::Write, true),
+        (Access::Copy, false),
+        (Access::CopyInto, true),
+    ] {
+        let expected = RunOutcome::Stopped(StopCause::Segfault { addr: WILD, write });
+        let outcomes = [
+            wild(PlainBackend::new, access),
+            wild(ShadowBackend::new, access),
+            wild(|| DefendedBackend::new(DefenseConfig::default()), access),
+        ];
+        assert!(
+            outcomes.iter().all(|o| *o == expected),
+            "{access:?}: {outcomes:?}"
+        );
+    }
 }
 
 /// `main` asks for one buffer of size `input[0]` aligned to `input[1]`.
