@@ -3,7 +3,7 @@
 use ht_callgraph::Strategy;
 use ht_defense::{DefendedBackend, DefenseConfig, DefenseStats};
 use ht_encoding::{InstrumentationPlan, Scheme};
-use ht_memsim::SpaceStats;
+use ht_memsim::{SpaceStats, QUARANTINE_QUOTA};
 use ht_patch::{from_config_text, to_config_text, Patch, PatchTable, VulnFlags};
 use ht_shadow::{ShadowBackend, ShadowConfig, Warning};
 use ht_simprog::{HeapBackend, Interpreter, Limits, PlainBackend, Program, RunReport};
@@ -37,7 +37,7 @@ impl Default for PipelineConfig {
             strategy: Strategy::Incremental,
             scheme: Scheme::Pcc,
             shadow: ShadowConfig::default(),
-            defense_quota: 2 * 1024 * 1024 * 1024,
+            defense_quota: QUARANTINE_QUOTA,
             limits: Limits::default(),
             telemetry: false,
         }
@@ -257,7 +257,7 @@ impl HeapTherapy {
             }
             Deploy::Interposed => DefenseConfig::interpose_only(),
             Deploy::Protected(patches) => DefenseConfig {
-                table: Some(PatchTable::from_patches(patches.to_vec())),
+                table: Some(PatchTable::boxed(patches)),
                 quarantine_quota: self.cfg.defense_quota,
                 telemetry: self.cfg.telemetry,
             },

@@ -4,7 +4,10 @@
 use crate::layout::{BufferStructure, Layout};
 use crate::meta::{MetaWord, META_SIZE};
 use crate::quarantine::{Quarantine, QuarantinedBlock};
-use ht_memsim::{Addr, AllocStats, BaseAllocator, FreeListAllocator, Perm, SpaceStats, PAGE_SIZE};
+use ht_memsim::{
+    Addr, AllocStats, BaseAllocator, FreeListAllocator, Perm, SpaceStats, PAGE_SIZE,
+    QUARANTINE_QUOTA,
+};
 use ht_patch::{AllocFn, PatchTable, VulnFlags};
 use ht_simprog::{AllocRequest, HeapBackend, PlainBackend, ReadResult, Sink, StopCause};
 use ht_telemetry::{Recorder, TelemetrySnapshot};
@@ -12,10 +15,14 @@ use ht_telemetry::{Recorder, TelemetrySnapshot};
 /// Online-defense configuration.
 #[derive(Debug)]
 pub struct DefenseConfig {
-    /// The frozen patch table loaded from the configuration file. `None`
-    /// is the paper's "interposition only" configuration (Fig. 8's 1.9%
-    /// bar): no probe and no per-buffer metadata word.
-    pub table: Option<PatchTable>,
+    /// The frozen patch table loaded from the configuration file, on the
+    /// heap: built in place once per deployment (see [`PatchTable::boxed`])
+    /// and never moved, so the config and the backend that owns it carry
+    /// one pointer rather than the table's 8 KiB through every move, and a
+    /// probe loads that pointer before its index position. `None` is the
+    /// paper's "interposition only" configuration (Fig. 8's 1.9% bar): no
+    /// probe and no per-buffer metadata word.
+    pub table: Option<Box<PatchTable>>,
     /// Byte quota of the deferred-free FIFO.
     pub quarantine_quota: u64,
     /// Attack telemetry (paper Section VII's diagnosis report). Off by
@@ -26,11 +33,7 @@ pub struct DefenseConfig {
 
 impl Default for DefenseConfig {
     fn default() -> Self {
-        Self {
-            table: Some(PatchTable::new()),
-            quarantine_quota: 2 * 1024 * 1024 * 1024,
-            telemetry: false,
-        }
+        Self::with_table(PatchTable::new())
     }
 }
 
@@ -38,8 +41,9 @@ impl DefenseConfig {
     /// Full defenses driven by `table`.
     pub fn with_table(table: PatchTable) -> Self {
         Self {
-            table: Some(table),
-            ..Self::default()
+            table: Some(Box::new(table)),
+            quarantine_quota: QUARANTINE_QUOTA,
+            telemetry: false,
         }
     }
 
@@ -48,14 +52,15 @@ impl DefenseConfig {
     pub fn interpose_only() -> Self {
         Self {
             table: None,
-            ..Self::default()
+            quarantine_quota: QUARANTINE_QUOTA,
+            telemetry: false,
         }
     }
 
     /// The patch table, empty for interposition only.
     fn patches(&self) -> &PatchTable {
         static NO_PATCHES: PatchTable = PatchTable::new();
-        self.table.as_ref().unwrap_or(&NO_PATCHES)
+        self.table.as_deref().unwrap_or(&NO_PATCHES)
     }
 }
 
@@ -428,6 +433,17 @@ mod tests {
 
     const VULN: u64 = 0xBAD;
     const SAFE: u64 = 0x600D;
+
+    #[test]
+    fn the_backend_holds_its_patch_table_by_pointer() {
+        let size = std::mem::size_of::<DefendedBackend>();
+        assert!(
+            size <= 1024,
+            "DefendedBackend is {size} B: the {} B PatchTable belongs behind \
+             DefenseConfig::table's Box, not inline in every move of the backend",
+            std::mem::size_of::<PatchTable>()
+        );
+    }
 
     #[test]
     fn unpatched_buffers_behave_normally() {

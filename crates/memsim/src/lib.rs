@@ -43,6 +43,11 @@ pub use alloc::{AllocError, AllocStats, BaseAllocator, BumpAllocator, FreeListAl
 pub use hash::FastMap;
 pub use space::{Addr, AddressSpace, FaultKind, MemFault, Perm, SpaceStats, PAGE_SIZE};
 
+/// The paper's byte quota for freed blocks held back from reuse (2 GB):
+/// the default of the offline analyzer's FIFO and of the online defense's
+/// deferred-free quarantine.
+pub const QUARANTINE_QUOTA: u64 = 2 * 1024 * 1024 * 1024;
+
 /// Rounds `v` up to the next multiple of `align` (a power of two).
 ///
 /// # Panics

@@ -75,18 +75,39 @@ impl PatchTable {
     /// keys. The configuration loaders refuse such files with
     /// [`ConfigError::TooManyPatches`](crate::ConfigError::TooManyPatches).
     pub fn from_patches<I: IntoIterator<Item = Patch>>(patches: I) -> Self {
-        let mut patches: Vec<Patch> = patches.into_iter().collect();
-        patches.sort_by_key(Patch::key);
+        let patches: Vec<Patch> = patches.into_iter().collect();
         let table = Self::new();
-        for p in &patches {
+        table.install_frozen(patches.iter().collect());
+        table
+    }
+
+    /// [`Self::from_patches`] of borrowed patches, built in place on the
+    /// heap: no patch is cloned, and the table never moves, so a holder
+    /// passes one pointer around instead of the table's 8 KiB.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patches hold more than [`Self::CAPACITY`] distinct
+    /// keys, as [`Self::from_patches`] does.
+    pub fn boxed(patches: &[Patch]) -> Box<Self> {
+        // `Box::default` writes the empty table into the allocation;
+        // `Box::new(Self::new())` builds it on the stack and copies it over.
+        let table = Box::<Self>::default();
+        table.install_frozen(patches.iter().collect());
+        table
+    }
+
+    /// Inserts `patches` in `(FUN, CCID)` order and freezes the table.
+    fn install_frozen(&self, mut patches: Vec<&Patch>) {
+        patches.sort_by_key(|p| p.key());
+        for p in patches {
             assert!(
-                table.insert(p).is_some(),
+                self.insert(p).is_some(),
                 "patch table capacity is {} distinct (FUN, CCID) keys",
                 Self::CAPACITY
             );
         }
-        table.freeze();
-        table
+        self.freeze();
     }
 
     /// Installs `p`, merging its bits into an existing entry of the same
@@ -197,7 +218,8 @@ impl PatchTable {
     }
 
     /// The entries in slot order: ascending `(FUN, CCID)` for a table built
-    /// by [`Self::from_patches`], insertion order otherwise.
+    /// by [`Self::from_patches`] or [`Self::boxed`], insertion order
+    /// otherwise.
     pub fn iter(&self) -> impl Iterator<Item = (AllocFn, u64, VulnFlags)> + '_ {
         (0..self.len()).filter_map(|slot| self.entry(slot))
     }
@@ -427,5 +449,43 @@ mod tests {
             Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW),
         ]);
         assert!(a.iter().eq(b.iter()));
+
+        // The borrowing builder and `from_patches` agree on entries, slots
+        // and probes: for unsorted input, a duplicate key whose bits
+        // merge, and no patches at all.
+        let unsorted = [
+            Patch::new(AllocFn::Realloc, 2, VulnFlags::ALL),
+            Patch::new(AllocFn::Malloc, 5, VulnFlags::USE_AFTER_FREE),
+            Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW),
+        ];
+        let duplicate = [
+            Patch::new(AllocFn::Calloc, 9, VulnFlags::UNINIT_READ),
+            Patch::new(AllocFn::Malloc, 3, VulnFlags::OVERFLOW),
+            Patch::new(AllocFn::Calloc, 9, VulnFlags::OVERFLOW),
+        ];
+        let probes = [
+            (AllocFn::Malloc, 1),
+            (AllocFn::Malloc, 3),
+            (AllocFn::Malloc, 5),
+            (AllocFn::Calloc, 9),
+            (AllocFn::Realloc, 2),
+            (AllocFn::Malloc, 2),
+            (AllocFn::Calloc, 1),
+        ];
+        for patches in [&unsorted[..], &duplicate[..], &[]] {
+            let owned = PatchTable::from_patches(patches.to_vec());
+            let boxed = PatchTable::boxed(patches);
+            assert!(boxed.is_frozen());
+            assert_eq!(boxed.len(), owned.len());
+            assert!(boxed.iter().eq(owned.iter()), "entries in slot order");
+            for (fun, ccid) in probes {
+                assert_eq!(boxed.probe(fun, ccid), owned.probe(fun, ccid));
+            }
+        }
+        let merged = PatchTable::boxed(&duplicate);
+        assert_eq!(merged.len(), 2);
+        let both = VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ;
+        assert_eq!(merged.probe(AllocFn::Calloc, 9), Some((1, both)));
+        assert!(PatchTable::boxed(&[]).is_empty());
     }
 }

@@ -5,7 +5,8 @@ use crate::bits::{KernelMode, ShadowBits};
 use crate::heap::{BufId, BufState, HeapMap, Region};
 use crate::warning::{Warning, WarningKind};
 use ht_memsim::{
-    Addr, AddressSpace, AllocStats, BaseAllocator, FastMap, FreeListAllocator, MemFault, SpaceStats,
+    Addr, AddressSpace, AllocStats, BaseAllocator, FastMap, FreeListAllocator, MemFault,
+    SpaceStats, QUARANTINE_QUOTA,
 };
 use ht_patch::{AllocFn, Patch};
 use ht_simprog::{AllocRequest, HeapBackend, ReadResult, Sink, StopCause};
@@ -51,7 +52,7 @@ pub struct ShadowConfig {
 impl Default for ShadowConfig {
     fn default() -> Self {
         Self {
-            quarantine_quota: 2 * 1024 * 1024 * 1024,
+            quarantine_quota: QUARANTINE_QUOTA,
             partition: None,
             reference_kernels: false,
         }
