@@ -325,7 +325,7 @@ fn run_ablations(opts: &Opts) {
     header("Ablation — stack walking vs encoding (1M context reads, depth 32)");
     let (enc, walk, frames) = ablation::walk_vs_encode(32, 1_000_000);
     println!(
-        "encoder read: {:.3} ms   stack walk: {:.3} ms   ({}x, {} frames visited)",
+        "encoder read: {:.3} ms   stack walk: {:.3} ms   ({:.1}x, {} frames visited)",
         enc * 1e3,
         walk * 1e3,
         walk / enc.max(1e-12),

@@ -4,7 +4,6 @@
 //! sites*. Two distinct call sites from `f` to `g` are two distinct edges —
 //! calling-context encoding distinguishes them, so the graph must too.
 
-use ht_jsonio::{obj, FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// Identifier of a function node in a [`CallGraph`].
@@ -144,65 +143,6 @@ impl CallGraph {
         self.func_ids()
             .filter(|&f| self.func(f).in_edges.is_empty())
             .collect()
-    }
-}
-
-impl ToJson for CallGraph {
-    fn to_json(&self) -> Json {
-        // Only names, target flags, and edge endpoints are stored; edge
-        // adjacency, site indices, and the target list are derived on load.
-        let funcs = self
-            .funcs
-            .iter()
-            .map(|f| {
-                obj([
-                    ("name", Json::Str(f.name.clone())),
-                    ("is_target", Json::Bool(f.is_target)),
-                ])
-            })
-            .collect();
-        let edges = self
-            .edges
-            .iter()
-            .map(|e| {
-                Json::Arr(vec![
-                    Json::U64(e.caller.0 as u64),
-                    Json::U64(e.callee.0 as u64),
-                ])
-            })
-            .collect();
-        obj([("funcs", Json::Arr(funcs)), ("edges", Json::Arr(edges))])
-    }
-}
-
-impl FromJson for CallGraph {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut b = CallGraphBuilder::new();
-        for f in v.req_arr("funcs")? {
-            let name = f.req_str("name")?;
-            if f.req_bool("is_target")? {
-                b.target(name);
-            } else {
-                b.func(name);
-            }
-        }
-        for e in v.req_arr("edges")? {
-            let pair = e
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| JsonError::shape("edge must be a [caller, callee] pair"))?;
-            let ends: Vec<u32> = pair
-                .iter()
-                .map(|n| {
-                    n.as_u64()
-                        .filter(|&i| i < b.func_count() as u64)
-                        .map(|i| i as u32)
-                        .ok_or_else(|| JsonError::shape("edge endpoint out of range"))
-                })
-                .collect::<Result<_, _>>()?;
-            b.call(FuncId(ends[0]), FuncId(ends[1]));
-        }
-        Ok(b.build())
     }
 }
 
@@ -390,22 +330,5 @@ mod tests {
     fn display_forms() {
         assert_eq!(FuncId(3).to_string(), "f3");
         assert_eq!(EdgeId(7).to_string(), "e7");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut b = CallGraphBuilder::new();
-        let main = b.func("main");
-        let m = b.target("malloc");
-        b.call(main, m);
-        b.call(main, m);
-        let g = b.build();
-        let json = g.to_json().to_compact();
-        let back = CallGraph::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(g, back);
-        assert!(
-            CallGraph::from_json(&Json::parse("{\"funcs\":[],\"edges\":[[0,1]]}").unwrap())
-                .is_err()
-        );
     }
 }

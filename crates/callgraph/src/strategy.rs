@@ -9,7 +9,6 @@
 
 use crate::graph::{CallGraph, EdgeId, FuncId};
 use crate::reach::Reachability;
-use ht_jsonio::{obj, FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// A set of call-site edges, represented as a dense bitset.
@@ -67,33 +66,6 @@ impl EdgeSet {
     /// Whether `self` is a subset of `other`.
     pub fn is_subset(&self, other: &EdgeSet) -> bool {
         self.bits.iter().zip(&other.bits).all(|(&a, &b)| !a || b)
-    }
-}
-
-impl ToJson for EdgeSet {
-    fn to_json(&self) -> Json {
-        obj([
-            ("universe", Json::U64(self.bits.len() as u64)),
-            (
-                "members",
-                Json::Arr(self.iter().map(|e| Json::U64(e.0 as u64)).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for EdgeSet {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let universe = v.req_u64("universe")? as usize;
-        let mut bits = vec![false; universe];
-        for m in v.req_arr("members")? {
-            let i = m
-                .as_u64()
-                .filter(|&i| i < universe as u64)
-                .ok_or_else(|| JsonError::shape("edge-set member out of range"))?;
-            bits[i as usize] = true;
-        }
-        Ok(EdgeSet { bits })
     }
 }
 
@@ -180,24 +152,6 @@ impl Strategy {
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl ToJson for Strategy {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
-    }
-}
-
-impl FromJson for Strategy {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let name = v
-            .as_str()
-            .ok_or_else(|| JsonError::shape("strategy must be a string"))?;
-        Strategy::ALL
-            .into_iter()
-            .find(|s| s.name() == name)
-            .ok_or_else(|| JsonError::shape(format!("unknown strategy `{name}`")))
     }
 }
 

@@ -2,7 +2,6 @@
 
 use crate::scheme::{splitmix64, Scheme};
 use ht_callgraph::{CallGraph, EdgeId, EdgeSet, FuncId, Reachability, Strategy};
-use ht_jsonio::{obj, FromJson, Json, JsonError, ToJson};
 
 /// Estimated machine-code bytes added per instrumented call site.
 ///
@@ -18,7 +17,10 @@ pub const BYTES_PER_SITE: usize = 10;
 /// selected [`EdgeSet`], and the per-site constants. Construction is
 /// deterministic: the same graph, strategy and scheme always produce the same
 /// plan — a requirement for patches (which embed CCIDs) to remain valid
-/// across program restarts.
+/// across program restarts. Plans are rebuilt, never loaded: only
+/// [`build`](Self::build) and [`uninstrumented`](Self::uninstrumented)
+/// construct one, so every plan holds one constant slot per edge of its
+/// graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstrumentationPlan {
     strategy: Strategy,
@@ -180,74 +182,6 @@ impl InstrumentationPlan {
             return 0.0;
         }
         100.0 * self.static_size_bytes() as f64 / base_bytes as f64
-    }
-}
-
-impl ToJson for InstrumentationPlan {
-    fn to_json(&self) -> Json {
-        obj([
-            ("strategy", self.strategy.to_json()),
-            ("scheme", self.scheme.to_json()),
-            ("sites", self.sites.to_json()),
-            (
-                "constants",
-                Json::Arr(
-                    self.constants
-                        .iter()
-                        .map(|c| c.map(Json::U64).unwrap_or(Json::Null))
-                        .collect(),
-                ),
-            ),
-            ("radix", Json::U64(self.radix)),
-            ("precise", Json::Bool(self.precise)),
-            (
-                "num_contexts",
-                Json::Arr(self.num_contexts.iter().map(|&n| Json::U64(n)).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for InstrumentationPlan {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let strategy = Strategy::from_json(
-            v.get("strategy")
-                .ok_or_else(|| JsonError::shape("plan missing `strategy`"))?,
-        )?;
-        let scheme = Scheme::from_json(
-            v.get("scheme")
-                .ok_or_else(|| JsonError::shape("plan missing `scheme`"))?,
-        )?;
-        let sites = EdgeSet::from_json(
-            v.get("sites")
-                .ok_or_else(|| JsonError::shape("plan missing `sites`"))?,
-        )?;
-        let constants = v
-            .req_arr("constants")?
-            .iter()
-            .map(|c| match c {
-                Json::Null => Ok(None),
-                Json::U64(n) => Ok(Some(*n)),
-                _ => Err(JsonError::shape("constant must be an integer or null")),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let num_contexts = v
-            .req_arr("num_contexts")?
-            .iter()
-            .map(|n| {
-                n.as_u64()
-                    .ok_or_else(|| JsonError::shape("num_contexts entry must be an integer"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(InstrumentationPlan {
-            strategy,
-            scheme,
-            sites,
-            constants,
-            radix: v.req_u64("radix")?,
-            precise: v.req_bool("precise")?,
-            num_contexts,
-        })
     }
 }
 

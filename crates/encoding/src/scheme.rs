@@ -1,6 +1,5 @@
 //! Encoding schemes and the CCID newtype.
 
-use ht_jsonio::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// An encoded calling context — the paper's *Calling Context ID*.
@@ -11,20 +10,6 @@ use std::fmt;
 /// [`InstrumentationPlan`]: crate::InstrumentationPlan
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ccid(pub u64);
-
-impl ToJson for Ccid {
-    fn to_json(&self) -> Json {
-        Json::U64(self.0)
-    }
-}
-
-impl FromJson for Ccid {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_u64()
-            .map(Ccid)
-            .ok_or_else(|| JsonError::shape("CCID must be an integer"))
-    }
-}
 
 impl fmt::Display for Ccid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -106,24 +91,6 @@ impl Scheme {
 impl fmt::Display for Scheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl ToJson for Scheme {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
-    }
-}
-
-impl FromJson for Scheme {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let name = v
-            .as_str()
-            .ok_or_else(|| JsonError::shape("scheme must be a string"))?;
-        Scheme::ALL
-            .into_iter()
-            .find(|s| s.name() == name)
-            .ok_or_else(|| JsonError::shape(format!("unknown scheme `{name}`")))
     }
 }
 

@@ -1,14 +1,15 @@
-//! A small, dependency-free JSON layer for HeapTherapy+ persistence.
+//! A small, dependency-free JSON writer and reader for HeapTherapy+.
 //!
-//! Patches, call graphs, and instrumentation plans must survive program
-//! restarts (paper Section VI: patches embed CCIDs, so the plan that produced
-//! them has to be reconstructible bit-for-bit). This crate provides the wire
-//! format: a [`Json`] value type with a strict parser and compact/pretty
-//! writers, plus the [`ToJson`]/[`FromJson`] conversion traits the domain
-//! crates implement.
+//! The writer renders the machine-readable outputs: telemetry snapshots,
+//! `heaptherapy report --json` and the `reproduce --json` benchmark
+//! reports, through the [`ToJson`] trait the domain crates implement. The
+//! reader, a strict [`Json::parse`] plus the `req_*` member lookups, reads
+//! those reports back for `reproduce check-baselines`. Patches are not
+//! stored here: their one configuration format is `ht-patch`'s text file.
 //!
 //! Integers are kept as full-width `u64` (CCIDs use the whole range); floats
-//! are intentionally unsupported — nothing persisted here is fractional.
+//! are intentionally unsupported — a fractional figure is written scaled to
+//! an integer (`replay_speedup_x100`) or as a decimal string.
 
 #![forbid(unsafe_code)]
 
@@ -32,7 +33,7 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error produced by [`Json::parse`] or a [`FromJson`] conversion.
+/// Error produced by [`Json::parse`] or a required-member lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description.
@@ -69,15 +70,9 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Conversion from a [`Json`] value.
-pub trait FromJson: Sized {
-    /// Reconstructs `Self`, rejecting malformed shapes.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
-}
-
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
 /// parser (and a value's drop) recurses once per level, so a cap keeps a
-/// hostile document from overflowing the stack; nothing persisted here
+/// hostile document from overflowing the stack; no report written here
 /// nests more than a few levels.
 pub const MAX_DEPTH: usize = 128;
 

@@ -16,9 +16,9 @@
 //! Everything runs under [`std::thread::scope`], so borrows of the caller's
 //! stack work and worker panics propagate to the caller at scope exit.
 //!
-//! Determinism: [`par_map`] writes each result into the slot of its input
-//! index, so the output order is identical to the serial map regardless of
-//! the thread count — `reproduce` tables are byte-identical at any `-j`.
+//! Determinism: [`par_map`] places each result at its input index, so the
+//! output order is identical to the serial map regardless of the thread
+//! count — `reproduce` tables are byte-identical at any `-j`.
 //!
 //! ```
 //! let squares = ht_par::par_map(4, &[1u64, 2, 3, 4, 5], |_, &x| x * x);
@@ -30,7 +30,6 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The number of worker threads to use by default: the `HT_THREADS`
 /// environment variable when set to a positive integer, otherwise the
@@ -88,7 +87,9 @@ fn chunk_size(len: usize, threads: usize) -> usize {
 /// to `threads` scoped workers. With `threads <= 1` (or one item) this is a
 /// plain serial map on the caller's thread — no pool, no locks.
 ///
-/// Panics in `f` propagate to the caller when the scope joins.
+/// Each worker (one [`par_spawn`] closure) claims chunks from a
+/// [`ChunkQueue`] and returns its `(index, result)` pairs, which are then
+/// placed by index. Panics in `f` propagate to the caller.
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -100,35 +101,19 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let queue = ChunkQueue::new(items.len(), chunk_size(items.len(), workers));
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    while let Some(range) = queue.claim() {
-                        for i in range {
-                            let r = f(i, &items[i]);
-                            *slots[i].lock().expect("result slot poisoned") = Some(r);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            // Explicit join so a worker's panic payload reaches the caller
-            // verbatim (scope's automatic join would repackage it).
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
+    let done = par_spawn(workers, |_| {
+        let mut pairs = Vec::new();
+        while let Some(range) = queue.claim() {
+            pairs.extend(range.map(|i| (i, f(i, &items[i]))));
         }
+        pairs
     });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every claimed slot")
-        })
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for (i, r) in done.into_iter().flatten() {
+        out[i] = Some(r);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every index is claimed exactly once"))
         .collect()
 }
 
@@ -136,7 +121,8 @@ where
 /// results in worker order. Unlike [`par_map`] every closure runs on its own
 /// thread simultaneously — the shape throughput benchmarks need.
 ///
-/// With `n <= 1` the closure runs on the caller's thread.
+/// With `n <= 1` the closure runs on the caller's thread. A worker's panic
+/// reaches the caller with its payload intact.
 pub fn par_spawn<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -145,32 +131,20 @@ where
     if n <= 1 {
         return vec![f(0)];
     }
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = slots
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
                 let f = &f;
-                s.spawn(move || {
-                    *slot.lock().expect("result slot poisoned") = Some(f(i));
-                })
+                s.spawn(move || f(i))
             })
             .collect();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker stored its result")
-        })
-        .collect()
+        // Explicit join so a worker's panic payload reaches the caller
+        // verbatim (scope's automatic join would repackage it).
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -1,14 +1,11 @@
-//! The patch configuration file.
+//! The patch configuration file: the code-less patches the online defense
+//! loads at startup.
 //!
-//! Two interchangeable formats:
-//!
-//! * a line-oriented text format, one patch per line —
-//!   `malloc 0x1f3a OF|UR  # CVE-2014-0160` — matching the paper's Figure 5
-//!   presentation, and
-//! * JSON, for tooling.
+//! One line-oriented text format, one patch per line —
+//! `malloc 0x1f3a OF|UR  # CVE-2014-0160` — matching the paper's Figure 5
+//! presentation.
 
 use crate::{AllocFn, Patch, PatchTable, VulnFlags};
-use ht_jsonio::{FromJson, Json, ToJson};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -17,8 +14,6 @@ use std::fmt;
 pub enum ConfigError {
     /// A malformed text line (1-based line number, message).
     Line(usize, String),
-    /// JSON syntax or shape error.
-    Json(String),
     /// More distinct `(FUN, CCID)` keys than a [`PatchTable`] holds.
     TooManyPatches {
         /// Distinct keys in the file.
@@ -32,7 +27,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::Line(n, msg) => write!(f, "config line {n}: {msg}"),
-            ConfigError::Json(msg) => write!(f, "config json: {msg}"),
             ConfigError::TooManyPatches { distinct, capacity } => write!(
                 f,
                 "config holds {distinct} distinct (FUN, CCID) keys; the patch table holds {capacity}"
@@ -104,25 +98,20 @@ pub fn from_config_text(text: &str) -> Result<Vec<Patch>, ConfigError> {
         }
         patches.push(p);
     }
-    within_capacity(patches)
-}
-
-/// Refuses patch lists a [`PatchTable`] cannot hold, so that no patch is
-/// dropped after loading.
-fn within_capacity(patches: Vec<Patch>) -> Result<Vec<Patch>, ConfigError> {
-    if patches.len() <= PatchTable::CAPACITY {
-        return Ok(patches);
-    }
-    let distinct = patches
-        .iter()
-        .map(Patch::key)
-        .collect::<BTreeSet<_>>()
-        .len();
-    if distinct > PatchTable::CAPACITY {
-        return Err(ConfigError::TooManyPatches {
-            distinct,
-            capacity: PatchTable::CAPACITY,
-        });
+    // Refuse a list a `PatchTable` cannot hold, so that no patch is dropped
+    // after loading.
+    if patches.len() > PatchTable::CAPACITY {
+        let distinct = patches
+            .iter()
+            .map(Patch::key)
+            .collect::<BTreeSet<_>>()
+            .len();
+        if distinct > PatchTable::CAPACITY {
+            return Err(ConfigError::TooManyPatches {
+                distinct,
+                capacity: PatchTable::CAPACITY,
+            });
+        }
     }
     Ok(patches)
 }
@@ -133,29 +122,6 @@ fn parse_u64(s: &str) -> Option<u64> {
     } else {
         s.parse().ok()
     }
-}
-
-/// Renders patches as pretty JSON.
-pub fn to_config_json(patches: &[Patch]) -> String {
-    Json::Arr(patches.iter().map(Patch::to_json).collect()).to_pretty()
-}
-
-/// Parses the JSON format.
-///
-/// # Errors
-///
-/// [`ConfigError::Json`] on malformed input;
-/// [`ConfigError::TooManyPatches`] beyond [`PatchTable::CAPACITY`] keys.
-pub fn from_config_json(json: &str) -> Result<Vec<Patch>, ConfigError> {
-    let doc = Json::parse(json).map_err(|e| ConfigError::Json(e.to_string()))?;
-    let items = doc
-        .as_arr()
-        .ok_or_else(|| ConfigError::Json("expected a JSON array of patches".into()))?;
-    let patches = items
-        .iter()
-        .map(|item| Patch::from_json(item).map_err(|e| ConfigError::Json(e.to_string())))
-        .collect::<Result<_, _>>()?;
-    within_capacity(patches)
 }
 
 #[cfg(test)]
@@ -180,13 +146,6 @@ mod tests {
         let patches = sample();
         let text = to_config_text(&patches);
         let back = from_config_text(&text).unwrap();
-        assert_eq!(patches, back);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let patches = sample();
-        let back = from_config_json(&to_config_json(&patches)).unwrap();
         assert_eq!(patches, back);
     }
 
@@ -219,15 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn json_error_reported() {
-        assert!(matches!(
-            from_config_json("{not json"),
-            Err(ConfigError::Json(_))
-        ));
-    }
-
-    #[test]
-    fn both_formats_take_a_full_table_and_refuse_one_more_key() {
+    fn a_config_takes_a_full_table_and_refuses_one_more_key() {
         let keys = |n: u64| -> Vec<Patch> {
             // Every key twice: duplicates merge, so only distinct keys count.
             (0..2 * n)
@@ -237,14 +188,12 @@ mod tests {
         let cap = PatchTable::CAPACITY as u64;
         let full = keys(cap);
         assert_eq!(from_config_text(&to_config_text(&full)).unwrap(), full);
-        assert_eq!(from_config_json(&to_config_json(&full)).unwrap(), full);
         let over = keys(cap + 1);
         let refused = Err(ConfigError::TooManyPatches {
             distinct: 513,
             capacity: 512,
         });
         assert_eq!(from_config_text(&to_config_text(&over)), refused);
-        assert_eq!(from_config_json(&to_config_json(&over)), refused);
     }
 
     #[test]
@@ -268,12 +217,6 @@ mod tests {
             fn any_patch_list_round_trips_text(patches in proptest::collection::vec(arb_patch(), 0..20)) {
                 let text = to_config_text(&patches);
                 prop_assert_eq!(from_config_text(&text).unwrap(), patches);
-            }
-
-            #[test]
-            fn any_patch_list_round_trips_json(patches in proptest::collection::vec(arb_patch(), 0..20)) {
-                let json = to_config_json(&patches);
-                prop_assert_eq!(from_config_json(&json).unwrap(), patches);
             }
         }
     }

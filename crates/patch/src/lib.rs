@@ -35,11 +35,10 @@ pub mod config;
 pub mod table;
 pub mod vuln;
 
-pub use config::{from_config_json, from_config_text, to_config_json, to_config_text, ConfigError};
+pub use config::{from_config_text, to_config_text, ConfigError};
 pub use table::PatchTable;
 pub use vuln::{AllocFn, VulnFlags};
 
-use ht_jsonio::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -53,7 +52,7 @@ pub struct Patch {
     /// Vulnerability type bits: which defenses to apply.
     pub vuln: VulnFlags,
     /// Free-form provenance (e.g. the CVE id the attack input exploited).
-    /// Omitted from the JSON form when empty.
+    /// Written as a trailing `# origin` comment in the configuration text.
     pub origin: String,
 }
 
@@ -94,47 +93,6 @@ pub fn merge(patches: impl IntoIterator<Item = Patch>, origin: &str) -> Vec<Patc
         .into_iter()
         .map(|((fun, ccid), vuln)| Patch::new(fun, ccid, vuln).with_origin(origin))
         .collect()
-}
-
-impl ToJson for Patch {
-    fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("alloc_fn".to_string(), self.alloc_fn.to_json()),
-            ("ccid".to_string(), Json::U64(self.ccid)),
-            ("vuln".to_string(), self.vuln.to_json()),
-        ];
-        if !self.origin.is_empty() {
-            members.push(("origin".to_string(), Json::Str(self.origin.clone())));
-        }
-        Json::Obj(members)
-    }
-}
-
-impl FromJson for Patch {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let alloc_fn = AllocFn::from_json(
-            v.get("alloc_fn")
-                .ok_or_else(|| JsonError::shape("patch missing `alloc_fn`"))?,
-        )?;
-        let ccid = v.req_u64("ccid")?;
-        let vuln = VulnFlags::from_json(
-            v.get("vuln")
-                .ok_or_else(|| JsonError::shape("patch missing `vuln`"))?,
-        )?;
-        let origin = match v.get("origin") {
-            None => String::new(),
-            Some(o) => o
-                .as_str()
-                .ok_or_else(|| JsonError::shape("patch `origin` must be a string"))?
-                .to_string(),
-        };
-        Ok(Patch {
-            alloc_fn,
-            ccid,
-            vuln,
-            origin,
-        })
-    }
 }
 
 impl fmt::Display for Patch {

@@ -72,7 +72,8 @@ impl PatchTable {
     /// # Panics
     ///
     /// Panics if the patches hold more than [`Self::CAPACITY`] distinct
-    /// keys. The configuration loaders refuse such files with
+    /// keys. [`from_config_text`](crate::from_config_text) refuses such
+    /// files with
     /// [`ConfigError::TooManyPatches`](crate::ConfigError::TooManyPatches).
     pub fn from_patches<I: IntoIterator<Item = Patch>>(patches: I) -> Self {
         let patches: Vec<Patch> = patches.into_iter().collect();

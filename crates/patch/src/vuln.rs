@@ -1,6 +1,6 @@
 //! Vulnerability-type flags and allocation-API names.
 
-use ht_jsonio::{FromJson, Json, JsonError, ToJson};
+use ht_jsonio::{Json, ToJson};
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
 use std::str::FromStr;
@@ -80,15 +80,6 @@ impl ToJson for AllocFn {
     }
 }
 
-impl FromJson for AllocFn {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_str()
-            .ok_or_else(|| JsonError::shape("AllocFn must be a string"))?
-            .parse()
-            .map_err(|e: ParseVulnError| JsonError::shape(e.to_string()))
-    }
-}
-
 /// The paper's three-bit vulnerability-type field `T`.
 ///
 /// A hand-rolled bitflag type (the `bitflags` crate is outside this
@@ -145,18 +136,6 @@ impl ToJson for VulnFlags {
     fn to_json(&self) -> Json {
         // Wire form is the bare bit pattern, matching the metadata word.
         Json::U64(self.0 as u64)
-    }
-}
-
-impl FromJson for VulnFlags {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let bits = v
-            .as_u64()
-            .ok_or_else(|| JsonError::shape("VulnFlags must be an integer"))?;
-        if bits > 0b111 {
-            return Err(JsonError::shape(format!("VulnFlags `{bits}` out of range")));
-        }
-        Ok(VulnFlags(bits as u8))
     }
 }
 
@@ -279,16 +258,6 @@ mod tests {
                 .to_compact(),
             "5"
         );
-        assert_eq!(
-            AllocFn::from_json(&Json::parse("\"calloc\"").unwrap()).unwrap(),
-            AllocFn::Calloc
-        );
-        assert_eq!(
-            VulnFlags::from_json(&Json::parse("7").unwrap()).unwrap(),
-            VulnFlags::ALL
-        );
-        assert!(VulnFlags::from_json(&Json::parse("8").unwrap()).is_err());
-        assert!(AllocFn::from_json(&Json::parse("\"mmap\"").unwrap()).is_err());
     }
 
     #[test]

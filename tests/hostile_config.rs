@@ -1,10 +1,10 @@
-//! Hostile configuration and report text: the patch-configuration readers
+//! Hostile configuration and report text: the patch-configuration reader
 //! and the `check-baselines` guards answer every input with a value or an
 //! error. None panics, and none aborts on a deeply nested document.
 
 use ht_bench::baselines::{check_scaling, check_shadow, check_telemetry};
 use ht_jsonio::{Json, MAX_DEPTH};
-use ht_patch::{from_config_json, from_config_text};
+use ht_patch::from_config_text;
 use proptest::prelude::*;
 
 /// What hostile text is spliced from: JSON syntax, numbers in and out of
@@ -66,7 +66,6 @@ const FRAGMENTS: &[&str] = &[
 /// Runs every reader over `text`; a panic fails the test.
 fn read_all(text: &str) {
     let _ = from_config_text(text);
-    let _ = from_config_json(text);
     if let Ok(doc) = Json::parse(text) {
         let _ = check_scaling(&doc, &doc);
         let _ = check_telemetry(&doc);
@@ -98,7 +97,6 @@ proptest! {
         let tail: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
         let text = nested(opener, depth, &tail);
         prop_assert!(Json::parse(&text).is_err());
-        prop_assert!(from_config_json(&text).is_err());
         read_all(&text);
     }
 
@@ -138,7 +136,6 @@ fn a_hundred_thousand_brackets_are_an_error() {
         let text = nested(opener, 100_000, "");
         let err = Json::parse(&text).unwrap_err();
         assert!(err.msg.contains("nesting"), "{err}");
-        assert!(from_config_json(&text).is_err());
         assert!(from_config_text(&text).is_err(), "not a config line");
     }
 }

@@ -5,18 +5,19 @@
 use heaptherapy_plus::callgraph::Strategy;
 use heaptherapy_plus::core::{Deploy, HeapTherapy, PipelineConfig};
 use heaptherapy_plus::encoding::{InstrumentationPlan, Scheme};
-use heaptherapy_plus::simprog::spec::{build_spec_workload, spec_bench, spec_suite};
-use ht_jsonio::{FromJson, Json, ToJson};
+use heaptherapy_plus::simprog::spec::{build_spec_workload, spec_suite};
 
 /// Rebuilding the same program and plan from scratch yields identical
-/// CCIDs — a patch generated yesterday still matches today's run.
+/// CCIDs — a patch generated yesterday still matches today's run. Plans are
+/// never stored; this determinism, under every strategy and scheme, is what
+/// keeps a deployed patch valid.
 #[test]
 fn ccids_survive_program_and_plan_rebuilds() {
     for bench in spec_suite().into_iter().take(4) {
+        let w1 = build_spec_workload(bench);
+        let w2 = build_spec_workload(bench);
         for scheme in Scheme::ALL {
-            for strategy in [Strategy::Tcs, Strategy::Incremental] {
-                let w1 = build_spec_workload(bench);
-                let w2 = build_spec_workload(bench);
+            for strategy in Strategy::ALL {
                 let p1 = InstrumentationPlan::build(w1.program.graph(), strategy, scheme);
                 let p2 = InstrumentationPlan::build(w2.program.graph(), strategy, scheme);
                 assert_eq!(p1, p2, "{} {strategy}/{scheme}", bench.name);
@@ -30,21 +31,6 @@ fn ccids_survive_program_and_plan_rebuilds() {
                     bench.name
                 );
             }
-        }
-    }
-}
-
-/// Plans serialize and deserialize without loss (the instrumented binary's
-/// encoding is effectively persisted state).
-#[test]
-fn plans_json_round_trip() {
-    let w = build_spec_workload(spec_bench("403.gcc").unwrap());
-    for scheme in Scheme::ALL {
-        for strategy in Strategy::ALL {
-            let plan = InstrumentationPlan::build(w.program.graph(), strategy, scheme);
-            let json = plan.to_json().to_compact();
-            let back = InstrumentationPlan::from_json(&Json::parse(&json).unwrap()).unwrap();
-            assert_eq!(plan, back, "{strategy}/{scheme}");
         }
     }
 }
@@ -73,14 +59,4 @@ fn patches_survive_a_simulated_restart() {
             "patch expired on restart"
         );
     }
-}
-
-/// JSON round trip for the graph itself (tooling may persist call graphs).
-#[test]
-fn call_graphs_json_round_trip() {
-    let w = build_spec_workload(spec_bench("456.hmmer").unwrap());
-    let json = w.program.graph().to_json().to_compact();
-    let back =
-        heaptherapy_plus::callgraph::CallGraph::from_json(&Json::parse(&json).unwrap()).unwrap();
-    assert_eq!(w.program.graph(), &back);
 }

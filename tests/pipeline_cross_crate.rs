@@ -6,7 +6,7 @@ use heaptherapy_plus::core::{Deploy, HeapTherapy, PipelineConfig};
 use heaptherapy_plus::defense::{DefendedBackend, DefenseConfig};
 use heaptherapy_plus::encoding::{decode, Ccid, Scheme};
 use heaptherapy_plus::memsim::BumpAllocator;
-use heaptherapy_plus::patch::{from_config_json, to_config_json, PatchTable};
+use heaptherapy_plus::patch::{from_config_text, to_config_text, PatchTable};
 use heaptherapy_plus::simprog::Interpreter;
 use heaptherapy_plus::vulnapps;
 
@@ -28,10 +28,10 @@ fn defense_is_allocator_agnostic_end_to_end() {
     );
 }
 
-/// Patch CCIDs survive a JSON round trip and still decode to the culprit
-/// calling context under the positional scheme.
+/// Patch CCIDs survive a configuration-file round trip and still decode to
+/// the culprit calling context under the positional scheme.
 #[test]
-fn json_config_round_trip_and_decode() {
+fn config_round_trip_and_decode() {
     let app = vulnapps::ghostxps();
     let ht = HeapTherapy::new(PipelineConfig {
         strategy: Strategy::Tcs,
@@ -42,7 +42,7 @@ fn json_config_round_trip_and_decode() {
     let patches = ht
         .analyze_attack(&ip, app.patching_input(), &app.reference)
         .patches;
-    let loaded = from_config_json(&to_config_json(&patches)).unwrap();
+    let loaded = from_config_text(&to_config_text(&patches)).unwrap();
     assert_eq!(loaded, patches);
     let graph = app.program.graph();
     for p in &loaded {
