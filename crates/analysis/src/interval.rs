@@ -35,7 +35,7 @@ impl Interval {
     }
 
     /// Whether the interval is a single value.
-    pub fn is_exact(&self) -> bool {
+    pub(crate) fn is_exact(&self) -> bool {
         self.lo == self.hi
     }
 

@@ -90,7 +90,7 @@ fn empty_alloc() -> Box<HardenedAlloc> {
 }
 
 /// The thread counts a `--threads max` run exercises.
-pub fn thread_counts(max: usize) -> Vec<usize> {
+pub(crate) fn thread_counts(max: usize) -> Vec<usize> {
     [1, 2, 4, 8]
         .into_iter()
         .filter(|&t| t <= max.max(1))
@@ -140,7 +140,7 @@ pub fn patched_alloc() -> Box<HardenedAlloc> {
 }
 
 /// Measures all four series at each thread count in
-/// [`thread_counts`]`(max_threads)`, `pairs_per_thread` allocate–touch–free
+/// `thread_counts(max_threads)`, `pairs_per_thread` allocate–touch–free
 /// round trips per worker, `samples` times each (interleaved, so a slow
 /// spell of the machine hits every series alike).
 pub fn rows(max_threads: usize, pairs_per_thread: u64, samples: usize) -> Vec<ScalingRow> {

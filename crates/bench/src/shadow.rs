@@ -29,7 +29,7 @@ pub const KERNEL_SPAN: u64 = 16 * PAGE_SIZE;
 /// One replay pass over the whole Table II corpus in one kernel mode.
 /// Returns `(shadow_events, warning_count)` — the event count is the
 /// throughput denominator, the warning count a cheap cross-mode fingerprint.
-pub fn replay_corpus(reference_kernels: bool) -> (u64, u64) {
+pub(crate) fn replay_corpus(reference_kernels: bool) -> (u64, u64) {
     let ht = HeapTherapy::new(PipelineConfig {
         shadow: ShadowConfig {
             reference_kernels,

@@ -54,7 +54,7 @@ pub fn table_row(t: &CycleReport) -> String {
 
 /// Whether every app's reports are unique per `(FUN, CCID, T)` — the
 /// tentpole's once-only property.
-pub fn reports_are_unique(rows: &[CycleReport]) -> bool {
+pub(crate) fn reports_are_unique(rows: &[CycleReport]) -> bool {
     rows.iter().all(|t| {
         let mut keys: Vec<_> = t.reports.iter().map(|r| (r.fun, r.ccid, r.vuln)).collect();
         let n = keys.len();

@@ -72,11 +72,6 @@ impl Reachability {
             .filter(|&e| self.edge_reaches(graph, e))
             .collect()
     }
-
-    /// Number of functions that reach the set.
-    pub fn reaching_node_count(&self) -> usize {
-        self.node_reaches.iter().filter(|&&b| b).count()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +103,7 @@ mod tests {
         assert!(r.edge_reaches(&g, e_ma));
         assert!(!r.edge_reaches(&g, e_mb));
         assert!(r.edge_reaches(&g, e_am));
-        assert_eq!(r.reaching_node_count(), 3);
+        assert_eq!(r.node_reaches.iter().filter(|&&b| b).count(), 3);
     }
 
     #[test]

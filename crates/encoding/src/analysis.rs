@@ -33,13 +33,6 @@ pub struct CollisionReport {
     pub decode_failures: usize,
 }
 
-impl CollisionReport {
-    /// Whether the encoding distinguished every context.
-    pub fn is_collision_free(&self) -> bool {
-        self.collisions == 0
-    }
-}
-
 /// Enumerates all calling contexts (up to `max_depth`/`max_paths`) and checks
 /// encoding uniqueness and, for decodable schemes, decode round-trips.
 pub fn collision_report(
@@ -255,7 +248,7 @@ mod tests {
                 let plan = InstrumentationPlan::build(&g, strategy, scheme);
                 let rep = collision_report(&g, &plan, 16, 1024);
                 assert_eq!(rep.contexts, 5, "{strategy}/{scheme}");
-                assert!(rep.is_collision_free(), "{strategy}/{scheme}: {rep:?}");
+                assert_eq!(rep.collisions, 0, "{strategy}/{scheme}: {rep:?}");
                 if scheme.is_decodable() {
                     assert_eq!(rep.decode_failures, 0, "{strategy}/{scheme}");
                 }
@@ -405,7 +398,7 @@ mod tests {
             let plan = InstrumentationPlan::build(&g, strategy, Scheme::Additive);
             assert!(plan.is_precise(), "{strategy}");
             let rep = collision_report(&g, &plan, 16, 1024);
-            assert!(rep.is_collision_free(), "{strategy}: {rep:?}");
+            assert_eq!(rep.collisions, 0, "{strategy}: {rep:?}");
             assert_eq!(rep.decode_failures, 0, "{strategy}");
         }
     }

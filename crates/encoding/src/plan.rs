@@ -159,19 +159,13 @@ impl InstrumentationPlan {
         self.constants[e.index()]
     }
 
-    /// Whether a site is instrumented.
-    #[inline]
-    pub fn is_instrumented(&self, e: EdgeId) -> bool {
-        self.constants[e.index()].is_some()
-    }
-
     /// Number of instrumented call sites.
     pub fn site_count(&self) -> usize {
         self.sites.len()
     }
 
     /// Estimated added code size in bytes (Table III proxy).
-    pub fn static_size_bytes(&self) -> usize {
+    pub(crate) fn static_size_bytes(&self) -> usize {
         self.site_count() * BYTES_PER_SITE
     }
 
@@ -306,7 +300,6 @@ mod tests {
         let (g, edges) = small();
         let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Pcc);
         for e in edges {
-            assert!(plan.is_instrumented(e));
             assert!(plan.constant(e).is_some());
         }
         assert_eq!(plan.site_count(), 3);
@@ -352,9 +345,8 @@ mod tests {
         let e_m = b.call(main, m);
         let g = b.build();
         let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Pcc);
-        assert!(!plan.is_instrumented(e_dead));
         assert_eq!(plan.constant(e_dead), None);
-        assert!(plan.is_instrumented(e_m));
+        assert!(plan.constant(e_m).is_some());
     }
 
     #[test]

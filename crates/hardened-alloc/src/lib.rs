@@ -11,7 +11,7 @@
 //!   probes its [`ht_patch::PatchTable`], the table the simulated defense
 //!   uses too, with the current `(FUN, CCID)`:
 //!   * overflow patches place the buffer against a trailing `PROT_NONE`
-//!     **guard page** (`libc::mprotect`); freed guarded regions are kept,
+//!     **guard page** (`mprotect`); freed guarded regions are kept,
 //!     guard intact, in a bounded cache and zeroed on reuse, so only a
 //!     cache miss pays the `mmap`,
 //!   * use-after-free patches defer frees through a quarantine bounded by
@@ -20,7 +20,8 @@
 //!   * uninitialized-read patches zero the buffer.
 //!
 //!   The paper's 8-byte metadata word before every buffer tells a free what
-//!   to undo: no lock for unpatched frees, and double frees are refused.
+//!   to undo: no lock for unpatched frees, and double frees of guarded or
+//!   quarantine-bound buffers are refused.
 //!   A patched buffer's word carries the table slot that matched, so a free
 //!   or quarantine eviction is attributed to its patch. Slots are dense
 //!   and given in install order; telemetry rows and attack reports name a
@@ -57,10 +58,15 @@
 //! unsafe { ALLOC.dealloc(p, layout) };
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod ccid;
+mod counters;
 pub mod galloc;
-mod tables;
+mod quarantine;
+mod region;
 pub mod throughput;
+mod word;
 
 pub use galloc::{HardenedAlloc, HardenedStats, RegistryStats};
 /// The former name of [`Patch`](ht_patch::Patch) here, kept because the

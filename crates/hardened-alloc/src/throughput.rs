@@ -20,6 +20,8 @@ fn layout(size: usize) -> Layout {
 pub fn native_pairs(pairs: u64, size: usize) -> u64 {
     let l = layout(size);
     for i in 0..pairs {
+        // SAFETY: `l` has a non-zero size; the buffer is checked non-null,
+        // only its first byte is touched, and it is freed once with `l`.
         unsafe {
             // black_box the pointer: Rust allocator calls are elidable, and
             // LLVM happily removes the whole pair otherwise.
@@ -60,6 +62,9 @@ pub fn hardened_pairs(
     let every = patched_every.max(1);
     let mut dirty_guarded = 0;
     for i in 0..pairs {
+        // SAFETY: `l` has a non-zero size; the buffer is checked non-null,
+        // only its own bytes are read or written, and it is freed once with
+        // `l`; `a` handed it out, so its word is mapped.
         unsafe {
             let patched = patched_site.filter(|_| i % every == 0);
             let p = match patched {
@@ -98,6 +103,8 @@ pub fn hardened_batch(a: &HardenedAlloc, count: usize, size: usize, site: u64) -
     let _scope = ccid::CallScope::enter(site);
     let mut ptrs = Vec::with_capacity(count);
     for i in 0..count {
+        // SAFETY: `l` has a non-zero size, and the buffer is checked
+        // non-null before its first byte is written.
         unsafe {
             let p = a.alloc(l);
             assert!(!p.is_null());
@@ -107,6 +114,7 @@ pub fn hardened_batch(a: &HardenedAlloc, count: usize, size: usize, site: u64) -
     }
     let mut corrupt = 0;
     for (i, p) in ptrs.into_iter().enumerate() {
+        // SAFETY: `p` is a live buffer of `a` with layout `l`, freed once.
         unsafe {
             if p.read() != (i as u8) ^ 0x5A {
                 corrupt += 1;

@@ -151,7 +151,7 @@ impl Json {
     }
 
     /// The value as `bool`, if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

@@ -203,11 +203,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// The protection of the page containing `addr`, if mapped.
-    pub fn perm_at(&self, addr: Addr) -> Option<Perm> {
-        self.pages.get(&(addr / PAGE_SIZE)).map(|p| p.perm)
-    }
-
     /// Permission-checked read into `buf`.
     ///
     /// # Errors
@@ -338,17 +333,6 @@ impl AddressSpace {
             done += n as u64;
         }
         Ok(())
-    }
-
-    /// Reads a little-endian `u64`, permission-checked.
-    ///
-    /// # Errors
-    ///
-    /// Same semantics as [`AddressSpace::read`].
-    pub fn read_u64(&self, addr: Addr) -> Result<u64, MemFault> {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
     }
 
     /// Writes a little-endian `u64`, permission-checked.
@@ -561,6 +545,18 @@ impl AddressSpace {
 mod tests {
     use super::*;
 
+    /// The protection of the page containing `addr`, if mapped.
+    fn perm_at(s: &AddressSpace, addr: Addr) -> Option<Perm> {
+        s.pages.get(&(addr / PAGE_SIZE)).map(|p| p.perm)
+    }
+
+    /// Reads a little-endian `u64`, permission-checked.
+    fn read_u64(s: &AddressSpace, addr: Addr) -> Result<u64, MemFault> {
+        let mut b = [0u8; 8];
+        s.read(addr, &mut b)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
     #[test]
     fn map_returns_page_aligned_zeroed_memory() {
         let mut s = AddressSpace::new();
@@ -579,7 +575,7 @@ mod tests {
         let b = s.map(PAGE_SIZE, Perm::ReadWrite);
         assert!(b >= a + 2 * PAGE_SIZE, "guard gap between mappings");
         // The gap is unmapped.
-        assert!(s.read_u64(a + PAGE_SIZE).is_err());
+        assert!(read_u64(&s, a + PAGE_SIZE).is_err());
     }
 
     #[test]
@@ -665,7 +661,7 @@ mod tests {
         s.read(a + PAGE_SIZE + 9, &mut b).unwrap();
         assert_eq!(b[0], 0x5A);
         s.write_u64(a, 0xDEADBEEF).unwrap();
-        assert_eq!(s.read_u64(a).unwrap(), 0xDEADBEEF);
+        assert_eq!(read_u64(&s, a).unwrap(), 0xDEADBEEF);
     }
 
     #[test]
@@ -769,7 +765,7 @@ mod tests {
         s.unmap(a, 2 * PAGE_SIZE);
         assert_eq!(s.rss_bytes(), 0);
         assert_eq!(s.mapped_bytes(), 0);
-        assert!(s.read_u64(a).is_err());
+        assert!(read_u64(&s, a).is_err());
     }
 
     #[test]
@@ -857,9 +853,9 @@ mod tests {
         let err = s.protect(a, b + PAGE_SIZE - a, Perm::None).unwrap_err();
         assert_eq!((err.addr, err.kind), (gap, FaultKind::Unmapped));
         for page in 0..3 {
-            assert_eq!(s.perm_at(a + page * PAGE_SIZE), Some(Perm::Read));
+            assert_eq!(perm_at(&s, a + page * PAGE_SIZE), Some(Perm::Read));
         }
-        assert_eq!(s.perm_at(b), Some(Perm::ReadWrite));
+        assert_eq!(perm_at(&s, b), Some(Perm::ReadWrite));
         assert_eq!(s.stats().protects, 2, "a faulting call counts nothing");
     }
 
@@ -867,10 +863,10 @@ mod tests {
     fn perm_at_reports_current_permission() {
         let mut s = AddressSpace::new();
         let a = s.map(PAGE_SIZE, Perm::ReadWrite);
-        assert_eq!(s.perm_at(a), Some(Perm::ReadWrite));
+        assert_eq!(perm_at(&s, a), Some(Perm::ReadWrite));
         s.protect(a, PAGE_SIZE, Perm::None).unwrap();
-        assert_eq!(s.perm_at(a), Some(Perm::None));
-        assert_eq!(s.perm_at(0x42), None);
+        assert_eq!(perm_at(&s, a), Some(Perm::None));
+        assert_eq!(perm_at(&s, 0x42), None);
     }
 
     #[test]

@@ -149,16 +149,6 @@ impl ShadowBackend {
         ht_patch::merge(found, origin)
     }
 
-    /// Bytes currently held in the freed-blocks quarantine.
-    pub fn quarantine_bytes(&self) -> u64 {
-        self.quarantine_bytes
-    }
-
-    /// Number of buffers currently quarantined.
-    pub fn quarantine_len(&self) -> usize {
-        self.quarantine.len()
-    }
-
     fn warn(&mut self, kind: WarningKind, addr: Addr, write: bool, origin: Option<BufId>) {
         let dedup_key = (kind, origin.map(|b| b.0).unwrap_or(u64::MAX - addr % 4096));
         if !self.seen.insert(dedup_key) {
@@ -554,8 +544,8 @@ mod tests {
         // Same-size alloc must NOT reuse the quarantined block.
         let q = s.alloc(&req(AllocFn::Malloc, 64, 2)).unwrap();
         assert_ne!(p, q);
-        assert_eq!(s.quarantine_len(), 1);
-        assert_eq!(s.quarantine_bytes(), 64);
+        assert_eq!(s.quarantine.len(), 1);
+        assert_eq!(s.quarantine_bytes, 64);
     }
 
     #[test]
@@ -567,10 +557,10 @@ mod tests {
         let a = s.alloc(&req(AllocFn::Malloc, 60, 1)).unwrap();
         let b = s.alloc(&req(AllocFn::Malloc, 60, 2)).unwrap();
         s.free(a).unwrap();
-        assert_eq!(s.quarantine_len(), 1);
+        assert_eq!(s.quarantine.len(), 1);
         s.free(b).unwrap(); // 120 > 100: evicts a.
-        assert_eq!(s.quarantine_len(), 1);
-        assert_eq!(s.quarantine_bytes(), 60);
+        assert_eq!(s.quarantine.len(), 1);
+        assert_eq!(s.quarantine_bytes, 60);
         // a's memory is back with the inner allocator; touching it is now a
         // wild access (or a fresh block), not UAF.
         s.write(a, 4, 1).unwrap();
@@ -798,8 +788,8 @@ mod tests {
             let p = s.alloc(&req(AllocFn::Malloc, 64, ccid)).unwrap();
             s.free(p).unwrap();
         }
-        assert_eq!(s.quarantine_len(), 5, "only the even subspace deferred");
-        assert_eq!(s.quarantine_bytes(), 5 * 64);
+        assert_eq!(s.quarantine.len(), 5, "only the even subspace deferred");
+        assert_eq!(s.quarantine_bytes, 5 * 64);
     }
 
     #[test]

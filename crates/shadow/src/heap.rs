@@ -125,11 +125,6 @@ impl HeapMap {
         }
     }
 
-    /// Lookup-cache `(hits, misses)` counters.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-
     #[inline]
     fn invalidate(&mut self) {
         self.cache.set(None);
@@ -266,6 +261,11 @@ impl HeapMap {
 mod tests {
     use super::*;
 
+    /// Lookup-cache `(hits, misses)` counters.
+    fn cache_stats(m: &HeapMap) -> (u64, u64) {
+        (m.hits.get(), m.misses.get())
+    }
+
     fn rec(map: &mut HeapMap, user: Addr, size: u64) -> BufId {
         map.insert(user, size, user - 16, AllocFn::Malloc, Ccid(7))
     }
@@ -341,18 +341,18 @@ mod tests {
     fn lookup_cache_hits_on_repeated_lookups() {
         let mut m = HeapMap::new();
         rec(&mut m, 0x1010, 32);
-        assert_eq!(m.cache_stats(), (0, 0));
+        assert_eq!(cache_stats(&m), (0, 0));
         m.lookup(0x1010); // populates the cache (miss)
         for a in 0x1010..0x1010 + 32 {
             assert!(m.lookup(a).is_some());
         }
-        let (hits, misses) = m.cache_stats();
+        let (hits, misses) = cache_stats(&m);
         assert_eq!(misses, 1, "only the first lookup walks the BTreeMap");
         assert_eq!(hits, 32);
         // Outside the cached segment: a miss, then the new segment caches.
         m.lookup(0x1000);
         m.lookup(0x1001);
-        let (hits2, misses2) = m.cache_stats();
+        let (hits2, misses2) = cache_stats(&m);
         assert_eq!(misses2, 2);
         assert_eq!(hits2, 33);
     }
@@ -363,16 +363,16 @@ mod tests {
         let a = rec(&mut m, 0x1010, 32);
         m.lookup(0x1010);
         m.lookup(0x1010);
-        assert_eq!(m.cache_stats().0, 1, "cache warm");
+        assert_eq!(cache_stats(&m).0, 1, "cache warm");
 
         // mark_freed invalidates: the next lookup misses but must still
         // resolve (and see the Freed state).
         m.mark_freed(a);
-        let misses_before = m.cache_stats().1;
+        let misses_before = cache_stats(&m).1;
         let (r, _) = m.lookup(0x1010).unwrap();
         assert_eq!(r.state, BufState::Freed);
         assert_eq!(
-            m.cache_stats().1,
+            cache_stats(&m).1,
             misses_before + 1,
             "miss after mark_freed"
         );
@@ -398,7 +398,7 @@ mod tests {
         for _ in 0..10 {
             assert!(m.lookup(0x1010).is_some());
         }
-        assert_eq!(m.cache_stats(), (0, 0));
+        assert_eq!(cache_stats(&m), (0, 0));
     }
 
     #[test]

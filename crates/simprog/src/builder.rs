@@ -77,7 +77,7 @@ impl ProgramBuilder {
 
     /// The call-graph node for an allocation API, created on first use (so
     /// unused APIs never appear as spurious roots).
-    pub fn alloc_node(&mut self, fun: AllocFn) -> FuncId {
+    pub(crate) fn alloc_node(&mut self, fun: AllocFn) -> FuncId {
         if let Some(&f) = self.alloc_nodes.get(&fun) {
             return f;
         }
