@@ -3,7 +3,10 @@
 //! Paper: 4.3% average RSS overhead, attributed to the per-buffer metadata;
 //! guard pages are virtual and cost nothing resident. What must reproduce:
 //! the defended RSS proxy tracks the native one closely, and installing
-//! guard-page patches moves *mapped* bytes, not resident bytes.
+//! guard-page patches moves *mapped* bytes, not resident bytes. A guarded
+//! buffer maps a region of its own (body pages plus the guard page) and
+//! takes no size-class chunk of the inner allocator, so the mapped bytes
+//! can move either way and fall below a native run's.
 
 use heaptherapy_core::{Deploy, HeapTherapy, PipelineConfig};
 use ht_simprog::spec::{build_spec_workload, spec_suite};
@@ -26,7 +29,9 @@ pub struct Fig9Row {
     /// resident (the stored user size), so this can exceed the metadata-only
     /// figure when a patch lands on a long-lived allocation context.
     pub defended5_rss: u64,
-    /// Defended mapped bytes with 5 patches (includes virtual guard pages).
+    /// Defended mapped bytes with 5 patches: the inner allocator's chunks
+    /// plus each guarded region's body and guard pages, live, quarantined
+    /// or retired for reuse.
     pub defended_mapped: u64,
     /// Metadata-only RSS overhead percent (the paper's quantity).
     pub pct: f64,

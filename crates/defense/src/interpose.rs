@@ -3,10 +3,10 @@
 
 use crate::layout::{BufferStructure, Layout};
 use crate::meta::{MetaWord, META_SIZE};
-use crate::quarantine::{Quarantine, QuarantinedBlock};
+use crate::quarantine::{Home, Quarantine, QuarantinedBlock};
+use crate::region::GuardedRegions;
 use ht_memsim::{
-    Addr, AllocStats, BaseAllocator, FreeListAllocator, Perm, SpaceStats, PAGE_SIZE,
-    QUARANTINE_QUOTA,
+    Addr, AllocError, AllocStats, BaseAllocator, FreeListAllocator, SpaceStats, QUARANTINE_QUOTA,
 };
 use ht_patch::{AllocFn, PatchTable, VulnFlags};
 use ht_simprog::{AllocRequest, HeapBackend, PlainBackend, ReadResult, Sink, StopCause};
@@ -91,15 +91,19 @@ pub struct DefenseStats {
 /// Like the paper's library it interposes only the allocation calls:
 /// buffers whose `(FUN, CCID)` hits the patch table are enhanced per paper
 /// Section VI, everything else pays one hash probe plus one metadata word.
-/// Buffer accesses and interposition-only calls go to the plain backend as
-/// they are. A guard page that stops an access is seen only when the run's
-/// fault is delivered through [`HeapBackend::fault`], the simulator's
-/// SIGSEGV: that counts the blocked access and records its trip.
+/// A guarded buffer takes a region of its own from the address space
+/// (see [`crate::region`]); every other buffer comes from the inner
+/// allocator. Buffer accesses and interposition-only calls go to the plain
+/// backend as they are. A guard page that stops an access is seen only
+/// when the run's fault is delivered through [`HeapBackend::fault`], the
+/// simulator's SIGSEGV: that counts the blocked access and records its
+/// trip.
 #[derive(Debug)]
 pub struct DefendedBackend<A: BaseAllocator = FreeListAllocator> {
     plain: PlainBackend<A>,
     cfg: DefenseConfig,
     quarantine: Quarantine,
+    regions: GuardedRegions,
     stats: DefenseStats,
     /// `(hits, bytes)` per patch-table slot, counted on every placed
     /// table hit, armed or not.
@@ -124,6 +128,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         Self {
             plain: PlainBackend::with_allocator(inner),
             quarantine: Quarantine::new(cfg.quarantine_quota),
+            regions: GuardedRegions::default(),
             stats: DefenseStats::default(),
             per_slot: vec![(0, 0); cfg.patches().len()],
             telemetry: cfg.telemetry.then(|| Box::new(Recorder::new(true))),
@@ -170,43 +175,54 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     ) -> Result<Addr, StopCause> {
         let structure = BufferStructure::select(fun, vuln);
         let layout = Layout::plan(structure, size, align);
-        let (space, inner) = self.plain.parts_mut();
-        let raw = if structure.is_aligned() {
-            inner.memalign(space, layout.raw_align, layout.raw_size)
-        } else {
-            inner.malloc(space, layout.raw_size)
-        }
-        .map_err(StopCause::misuse)?;
-        let user = layout.user_addr(raw);
         let align_log2 = structure
             .is_aligned()
             .then(|| layout.raw_align.trailing_zeros() as u8);
-        let meta = if let Some(guard) = layout.guard_addr(user, size) {
-            // Zero the slack between the buffer end and the guard page: an
-            // overread is stopped *at* the guard, so the bytes before it
-            // must not carry stale data.
-            space
-                .fill_raw(user + size, guard - (user + size), 0)
+        let (space, inner) = self.plain.parts_mut();
+        let (user, meta) = if structure.has_guard() {
+            if !layout.raw_align.is_power_of_two() {
+                return Err(StopCause::misuse(AllocError::BadAlign(layout.raw_align)));
+            }
+            let (region, reused) = self
+                .regions
+                .take(space, &layout)
                 .map_err(StopCause::misuse)?;
-            // User size lives in the first word of the guard page; write it
-            // before the page becomes inaccessible.
+            let user = layout.user_addr(region.base);
+            // The body must read zero: UR and `calloc` rely on it below, and
+            // an overread is stopped *at* the guard, so the slack before it
+            // must not carry stale data. A reused region still holds its
+            // last buffer's bytes and is zeroed whole. A fresh one reads
+            // zero already; only its slack is written, so that the page a
+            // guarded buffer ends in is resident either way.
+            let from = if reused { region.base } else { user + size };
             space
-                .write_u64_raw(guard, size)
+                .fill_raw(from, region.guard() - from, 0)
                 .map_err(StopCause::misuse)?;
+            // User size lives in the first word of the guard page.
             space
-                .protect(guard, PAGE_SIZE, Perm::None)
+                .write_u64_raw(region.guard(), size)
                 .map_err(StopCause::misuse)?;
             self.stats.guard_pages += 1;
-            MetaWord::guarded(vuln, guard, align_log2)
+            (user, MetaWord::guarded(vuln, region.guard(), align_log2))
         } else {
-            MetaWord::unguarded(vuln, size, align_log2)
-        }
-        .with_slot(slot.unwrap_or(0));
+            let raw = if structure.is_aligned() {
+                inner.memalign(space, layout.raw_align, layout.raw_size)
+            } else {
+                inner.malloc(space, layout.raw_size)
+            }
+            .map_err(StopCause::misuse)?;
+            (
+                layout.user_addr(raw),
+                MetaWord::unguarded(vuln, size, align_log2),
+            )
+        };
         space
-            .write_u64_raw(user - META_SIZE, meta.0)
+            .write_u64_raw(user - META_SIZE, meta.with_slot(slot.unwrap_or(0)).0)
             .map_err(StopCause::misuse)?;
         if vuln.contains(VulnFlags::UNINIT_READ) || fun == AllocFn::Calloc {
-            space.fill_raw(user, size, 0).map_err(StopCause::misuse)?;
+            if !structure.has_guard() {
+                space.fill_raw(user, size, 0).map_err(StopCause::misuse)?;
+            }
             self.stats.zero_fill_bytes += size;
         }
         Ok(user)
@@ -296,27 +312,27 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     }
 
     /// The free-path of paper Fig. 7, for the buffer at `user` whose word
-    /// is `meta`.
+    /// is `meta`. A guarded buffer's region keeps its guard page
+    /// `PROT_NONE` whether it is quarantined or retired.
     #[cold]
     #[inline(never)]
     fn defended_free(&mut self, user: Addr, meta: MetaWord) -> Result<(), StopCause> {
-        let size = self.user_size(meta)?;
-        let (space, inner) = self.plain.parts_mut();
-        if meta.has_guard() {
-            // (1) make the guard page accessible again so the block can be
-            // recycled.
-            space
-                .protect(meta.guard_page(), PAGE_SIZE, Perm::ReadWrite)
-                .map_err(StopCause::misuse)?;
-        }
-        // (2) recover the inner pointer.
-        let pi = Layout::inner_ptr(meta.is_aligned(), meta.alignment(), user);
-        // (3) defer or release.
+        let home = if meta.has_guard() {
+            let region = self
+                .regions
+                .reclaim(user)
+                .ok_or_else(|| StopCause::misuse(AllocError::DoubleFree(user)))?;
+            Home::Region(region)
+        } else {
+            // Recover the inner pointer.
+            Home::Inner(Layout::inner_ptr(meta.is_aligned(), meta.alignment(), user))
+        };
         if !meta.vuln().contains(VulnFlags::USE_AFTER_FREE) {
-            return inner.free(space, pi).map_err(StopCause::misuse);
+            return self.release(home);
         }
+        let size = self.user_size(meta)?;
         let block = QuarantinedBlock {
-            inner_ptr: pi,
+            home,
             size,
             slot: meta.slot() as u32,
         };
@@ -328,9 +344,23 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             if let Some(rec) = &self.telemetry {
                 rec.evict(self.cfg.patches(), b.slot as usize, b.size);
             }
-            inner.free(space, b.inner_ptr).map_err(StopCause::misuse)?;
+            self.release(b.home)?;
         }
         Ok(())
+    }
+
+    /// Gives a freed or evicted block back for reuse.
+    fn release(&mut self, home: Home) -> Result<(), StopCause> {
+        match home {
+            Home::Inner(ptr) => {
+                let (space, inner) = self.plain.parts_mut();
+                inner.free(space, ptr).map_err(StopCause::misuse)
+            }
+            Home::Region(region) => {
+                self.regions.retire(region);
+                Ok(())
+            }
+        }
     }
 }
 
@@ -412,7 +442,7 @@ mod tests {
     use super::*;
     use ht_callgraph::FuncId;
     use ht_encoding::Ccid;
-    use ht_memsim::BumpAllocator;
+    use ht_memsim::{BumpAllocator, FaultKind, PAGE_SIZE};
     use ht_patch::Patch;
     use ht_telemetry::EventKind;
 
@@ -649,22 +679,125 @@ mod tests {
         assert!(d.free(p).is_ok());
     }
 
+    /// Whether the page at `addr` refuses reads, as a `PROT_NONE` guard
+    /// page does.
+    fn guarded<A: BaseAllocator>(d: &DefendedBackend<A>, addr: Addr) -> bool {
+        let fault = d.plain.space().read(addr, &mut [0; 1]).unwrap_err();
+        fault.kind == FaultKind::ReadProtected
+    }
+
     #[test]
-    fn free_restores_guard_page_for_reuse() {
+    fn a_recycled_region_keeps_its_guard_and_reads_zero() {
         let mut d = DefendedBackend::new(DefenseConfig::with_table(table(
             AllocFn::Malloc,
             VULN,
             VulnFlags::OVERFLOW,
         )));
-        let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
-        assert!(d.free(p).is_ok());
-        // Reallocate through an unpatched context of a size that recycles
-        // the same class block; writing across the former guard's location
-        // must now succeed.
-        let q = d
-            .alloc(&req(AllocFn::Malloc, 2 * PAGE_SIZE + 100, SAFE))
-            .unwrap();
-        assert!(d.write(q, 2 * PAGE_SIZE + 100, 3).is_ok());
+        let size = 5000;
+        let mut first = None;
+        for _ in 0..100 {
+            let p = d.alloc(&req(AllocFn::Malloc, size, VULN)).unwrap();
+            assert_eq!(p, *first.get_or_insert(p), "the retired region is reused");
+            // The body after the word reads zero, though the last buffer
+            // wrote all of it.
+            let end = (p + size).next_multiple_of(PAGE_SIZE);
+            let body = d.read(p, end - p, Sink::Discard);
+            assert_eq!(body.outcome, Ok(()));
+            assert!(body.data.iter().all(|&b| b == 0), "stale bytes leaked");
+            // A write one byte past the page-rounded end faults at the guard.
+            match d.write(p, end - p + 1, 0xEE) {
+                Err(StopCause::Segfault { addr, write: true }) => assert_eq!(addr, end),
+                other => panic!("expected a guard fault, got {other:?}"),
+            }
+            d.free(p).unwrap();
+            assert!(guarded(&d, end), "a retired region keeps its guard");
+        }
+        let (space, inner) = d.mem_stats().unwrap();
+        assert_eq!((space.maps, space.protects), (1, 1), "one region mapped");
+        assert_eq!(inner, AllocStats::default(), "no guarded buffer is inner");
+        assert_eq!(d.stats().guard_pages, 100);
+    }
+
+    #[test]
+    fn a_quota_evicted_overflow_uaf_region_is_reused() {
+        let mut cfg = DefenseConfig::with_table(table(
+            AllocFn::Malloc,
+            VULN,
+            VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE,
+        ));
+        cfg.quarantine_quota = 100;
+        let mut d = DefendedBackend::new(cfg);
+        let p = d.alloc(&req(AllocFn::Malloc, 80, VULN)).unwrap();
+        d.write(p, 80, 0x11).unwrap();
+        d.free(p).unwrap();
+        assert_eq!(d.quarantine().len(), 1);
+        let guard = (p + 80).next_multiple_of(PAGE_SIZE);
+        assert!(guarded(&d, guard), "a quarantined region keeps its guard");
+        assert_eq!(d.read(p, 8, Sink::Addr).data, vec![0x11; 8], "not reused");
+        let q = d.alloc(&req(AllocFn::Malloc, 80, VULN)).unwrap();
+        assert_ne!(q, p, "a quarantined region is not handed out");
+        d.free(q).unwrap(); // evicts p's block
+        assert_eq!(d.quarantine().evictions(), 1);
+        let r = d.alloc(&req(AllocFn::Malloc, 80, VULN)).unwrap();
+        assert_eq!(r, p, "the evicted region is reused");
+        assert_eq!(d.read(r, 80, Sink::Discard).data, vec![0; 80]);
+        assert!(guarded(&d, guard));
+        let (space, inner) = d.mem_stats().unwrap();
+        assert_eq!((space.maps, space.protects), (2, 2));
+        assert_eq!(inner, AllocStats::default());
+    }
+
+    #[test]
+    fn a_second_free_of_a_guarded_buffer_stops_as_a_double_free() {
+        for vuln in [
+            VulnFlags::OVERFLOW,
+            VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE,
+        ] {
+            let mut d = DefendedBackend::new(DefenseConfig::with_table(table(
+                AllocFn::Malloc,
+                VULN,
+                vuln,
+            )));
+            let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
+            d.free(p).unwrap();
+            match d.free(p) {
+                Err(StopCause::HeapMisuse(m)) => assert!(m.contains("double free"), "{vuln}: {m}"),
+                other => panic!("{vuln}: expected a heap-misuse stop, got {other:?}"),
+            }
+            let held = usize::from(vuln.contains(VulnFlags::USE_AFTER_FREE));
+            assert_eq!(d.quarantine().len(), held, "{vuln}");
+            assert_eq!(d.regions.cached(), 1 - held, "{vuln}: retired once");
+            let a = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
+            let b = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
+            assert_ne!(a, b, "{vuln}: one region handed out twice");
+            assert_eq!(d.regions.cached(), 0, "{vuln}");
+        }
+    }
+
+    #[test]
+    fn a_guarded_alignment_above_a_page_has_its_own_regions() {
+        let mut d = DefendedBackend::new(DefenseConfig::with_table(PatchTable::from_patches([
+            Patch::new(AllocFn::Memalign, VULN, VulnFlags::OVERFLOW),
+            Patch::new(AllocFn::Malloc, VULN, VulnFlags::OVERFLOW),
+        ])));
+        let mut r = req(AllocFn::Memalign, 100, VULN);
+        r.align = 4 * PAGE_SIZE;
+        let p = d.alloc(&r).unwrap();
+        assert_eq!(p % r.align, 0, "alignment honored");
+        // [pad = align][user]: four pad pages, one body page, the guard.
+        assert!(d.write(p, PAGE_SIZE, 1).is_ok());
+        assert!(d.write(p, PAGE_SIZE + 1, 1).is_err(), "guard present");
+        d.free(p).unwrap();
+        // A malloc of as many body pages does not take the aligned region.
+        let m = d.alloc(&req(AllocFn::Malloc, 4 * PAGE_SIZE, VULN)).unwrap();
+        assert_ne!(m - META_SIZE, p - r.align);
+        assert_eq!(d.alloc(&r).unwrap(), p, "the aligned region is reused");
+        assert_eq!(d.mem_stats().unwrap().0.maps, 2);
+        r.align = 3 * PAGE_SIZE;
+        match d.alloc(&r) {
+            Err(StopCause::HeapMisuse(m)) => assert!(m.contains("bad alignment"), "{m}"),
+            other => panic!("expected a heap-misuse stop, got {other:?}"),
+        }
     }
 
     #[test]

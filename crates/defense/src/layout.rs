@@ -49,54 +49,47 @@ impl BufferStructure {
     }
 }
 
-/// Concrete placement of one defended buffer inside a raw block.
+/// Concrete placement of one defended buffer inside a raw block: an inner
+/// allocator's block for Structures 1 and 3, the body of a guarded region
+/// ([`crate::region`]) for Structures 2 and 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
     /// The structure in use.
     pub structure: BufferStructure,
-    /// Bytes to request from the inner allocator.
+    /// Bytes of the raw block: the inner-allocator request, or a guarded
+    /// region's body, whole pages that the guard page follows.
     pub raw_size: u64,
-    /// Alignment to request from the inner allocator (1 = plain `malloc`).
+    /// Alignment of the raw block (1 = plain `malloc`).
     pub raw_align: u64,
 }
 
 impl Layout {
-    /// Computes the raw request for `size` user bytes.
+    /// Computes the raw block for `size` user bytes: `lead + size` bytes,
+    /// rounded up to whole pages for a guarded structure, where `lead` is
+    /// the metadata word or, for an aligned structure, the alignment.
     ///
     /// `align` must be a power of two ≥ 16 for aligned structures (the
     /// paper's Structure 3/4 place the metadata word inside the leading
     /// padding, so the padding must hold at least one word).
     pub fn plan(structure: BufferStructure, size: u64, align: u64) -> Layout {
-        match structure {
-            BufferStructure::S1 => Layout {
-                structure,
-                raw_size: META_SIZE + size,
-                raw_align: 1,
-            },
-            BufferStructure::S2 => Layout {
-                structure,
-                // meta + user + worst-case pad to the page boundary + guard.
-                raw_size: META_SIZE + size + (PAGE_SIZE - 1) + PAGE_SIZE,
-                raw_align: 1,
-            },
-            BufferStructure::S3 => {
-                let a = align.max(16);
-                Layout {
-                    structure,
-                    // [pad = align][user]: user = raw + align (paper §VI:
-                    // pi = p − A on free).
-                    raw_size: a + size,
-                    raw_align: a,
-                }
-            }
-            BufferStructure::S4 => {
-                let a = align.max(16);
-                Layout {
-                    structure,
-                    raw_size: a + size + (PAGE_SIZE - 1) + PAGE_SIZE,
-                    raw_align: a,
-                }
-            }
+        // [pad = align][user] for aligned structures: user = raw + align
+        // (paper §VI: pi = p − A on free).
+        let (raw_align, lead) = if structure.is_aligned() {
+            let a = align.max(16);
+            (a, a)
+        } else {
+            (1, META_SIZE)
+        };
+        let raw_size = if structure.has_guard() {
+            // The user buffer ends at most one page short of the guard.
+            align_up(lead + size, PAGE_SIZE)
+        } else {
+            lead + size
+        };
+        Layout {
+            structure,
+            raw_size,
+            raw_align,
         }
     }
 
@@ -106,15 +99,6 @@ impl Layout {
             BufferStructure::S1 | BufferStructure::S2 => raw + META_SIZE,
             BufferStructure::S3 | BufferStructure::S4 => raw + self.raw_align,
         }
-    }
-
-    /// The guard-page address for a user buffer of `size` bytes at `user`
-    /// (guarded structures only).
-    pub fn guard_addr(&self, user: Addr, size: u64) -> Option<Addr> {
-        if !self.structure.has_guard() {
-            return None;
-        }
-        Some(align_up(user + size, PAGE_SIZE))
     }
 
     /// Recovers the raw (inner-allocator) pointer from a user pointer —
@@ -175,25 +159,18 @@ mod tests {
         let l = Layout::plan(BufferStructure::S1, 100, 16);
         assert_eq!(l.raw_size, 108);
         assert_eq!(l.user_addr(0x1000), 0x1008);
-        assert_eq!(l.guard_addr(0x1008, 100), None);
     }
 
     #[test]
-    fn s2_guard_page_is_page_aligned_and_in_bounds() {
-        for size in [1u64, 100, 4088, 4096, 10_000] {
+    fn s2_guard_page_ends_the_region_body() {
+        for (size, pages) in [(1u64, 1), (100, 1), (4088, 1), (4089, 2), (10_000, 3)] {
             let l = Layout::plan(BufferStructure::S2, size, 16);
-            // Simulate an arbitrary raw placement.
-            for raw in [0x10000u64, 0x10008, 0x10ff8] {
-                let user = l.user_addr(raw);
-                let guard = l.guard_addr(user, size).unwrap();
-                assert_eq!(guard % PAGE_SIZE, 0);
-                assert!(guard >= user + size, "guard after user buffer");
-                assert!(guard - (user + size) < PAGE_SIZE, "pad under one page");
-                assert!(
-                    guard + PAGE_SIZE <= raw + l.raw_size,
-                    "guard inside raw block: size={size} raw={raw:#x}"
-                );
-            }
+            assert_eq!(l.raw_size, pages * PAGE_SIZE, "size={size}");
+            // The guard page follows the body of a region at `raw`.
+            let raw = 0x10000;
+            let user = l.user_addr(raw);
+            let guard = raw + l.raw_size;
+            assert_eq!(guard, align_up(user + size, PAGE_SIZE), "size={size}");
         }
     }
 
@@ -211,13 +188,14 @@ mod tests {
 
     #[test]
     fn s4_combines_alignment_and_guard() {
-        let l = Layout::plan(BufferStructure::S4, 5000, 256);
-        let raw = 0x10000; // 256-aligned
-        let user = l.user_addr(raw);
-        assert_eq!(user % 256, 0);
-        let guard = l.guard_addr(user, 5000).unwrap();
-        assert_eq!(guard % PAGE_SIZE, 0);
-        assert!(guard + PAGE_SIZE <= raw + l.raw_size);
+        for (size, align) in [(5000, 256), (100, 4096), (100, 16384)] {
+            let l = Layout::plan(BufferStructure::S4, size, align);
+            assert_eq!(l.raw_size, align_up(align + size, PAGE_SIZE));
+            let raw = 0x10000; // aligned to every alignment above
+            let user = l.user_addr(raw);
+            assert_eq!(user % align, 0);
+            assert_eq!(raw + l.raw_size, align_up(user + size, PAGE_SIZE));
+        }
     }
 
     #[test]

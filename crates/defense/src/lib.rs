@@ -6,8 +6,9 @@
 //! defenses:
 //!
 //! * **Overflow** → a guard page is appended right after the buffer
-//!   ([`layout`] Structures 2/4); the first out-of-bounds contiguous access
-//!   takes a fault instead of corrupting or leaking adjacent memory.
+//!   ([`layout`] Structures 2/4), which gets a [`region`] of its own pages;
+//!   the first out-of-bounds contiguous access takes a fault instead of
+//!   corrupting or leaking adjacent memory.
 //! * **Use after free** → on `free`, the block enters a FIFO
 //!   [`quarantine`] instead of the allocator's free list, deferring reuse.
 //! * **Uninitialized read** → the buffer is zero-filled before being
@@ -57,6 +58,7 @@ pub mod interpose;
 pub mod layout;
 pub mod meta;
 pub mod quarantine;
+pub mod region;
 
 pub use interpose::{DefendedBackend, DefenseConfig, DefenseStats};
 pub use layout::{BufferStructure, Layout};

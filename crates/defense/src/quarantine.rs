@@ -6,14 +6,25 @@
 //! with the same quota each block stays quarantined far longer, raising the
 //! bar for reuse-based exploitation.
 
+use crate::region::Region;
 use ht_memsim::Addr;
 use std::collections::VecDeque;
+
+/// Where a quarantined block goes once evicted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Home {
+    /// Back to the inner allocator, freed at this pointer.
+    Inner(Addr),
+    /// A guarded region, retired to the region cache with its guard page
+    /// still `PROT_NONE`.
+    Region(Region),
+}
 
 /// One quarantined block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuarantinedBlock {
-    /// The inner-allocator pointer to eventually free.
-    pub inner_ptr: Addr,
+    /// Where the block goes once evicted.
+    pub home: Home,
     /// User size (for quota accounting).
     pub size: u64,
     /// Patch-table slot of the block's patch (eviction attribution).
@@ -59,9 +70,9 @@ impl Quarantine {
         evicted
     }
 
-    /// Whether `inner_ptr` is currently quarantined.
-    pub fn contains(&self, inner_ptr: Addr) -> bool {
-        self.queue.iter().any(|b| b.inner_ptr == inner_ptr)
+    /// Whether a block going to `home` is currently quarantined.
+    pub fn contains(&self, home: Home) -> bool {
+        self.queue.iter().any(|b| b.home == home)
     }
 
     /// Bytes currently deferred.
@@ -96,7 +107,7 @@ mod tests {
 
     fn blk(p: Addr, size: u64) -> QuarantinedBlock {
         QuarantinedBlock {
-            inner_ptr: p,
+            home: Home::Inner(p),
             size,
             slot: 0,
         }
@@ -109,7 +120,7 @@ mod tests {
         assert!(q.push(blk(0x20, 40)).is_empty());
         assert_eq!(q.bytes(), 80);
         assert_eq!(q.len(), 2);
-        assert!(q.contains(0x10) && q.contains(0x20));
+        assert!(q.contains(Home::Inner(0x10)) && q.contains(Home::Inner(0x20)));
     }
 
     #[test]
@@ -118,8 +129,8 @@ mod tests {
         let _ = q.push(blk(0x10, 60));
         let evicted = q.push(blk(0x20, 60));
         assert_eq!(evicted, vec![blk(0x10, 60)], "oldest goes first");
-        assert!(!q.contains(0x10));
-        assert!(q.contains(0x20));
+        assert!(!q.contains(Home::Inner(0x10)));
+        assert!(q.contains(Home::Inner(0x20)));
         assert_eq!(q.evictions(), 1);
         assert_eq!(q.bytes(), 60);
     }
@@ -141,7 +152,7 @@ mod tests {
         let _ = q.push(blk(3, 30));
         let evicted = q.push(blk(4, 90));
         assert_eq!(evicted.len(), 3, "all small blocks evicted");
-        assert!(q.contains(4));
+        assert!(q.contains(Home::Inner(4)));
         assert_eq!(q.quota(), 100);
     }
 }

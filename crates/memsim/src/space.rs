@@ -162,6 +162,13 @@ impl AddressSpace {
         base
     }
 
+    /// [`Self::map`] at a base aligned to `align` (a power of two), for
+    /// alignments above a page.
+    pub fn map_aligned(&mut self, len: u64, align: u64, perm: Perm) -> Addr {
+        self.next_map = crate::align_up(self.next_map, align.max(PAGE_SIZE));
+        self.map(len, perm)
+    }
+
     /// Unmaps `len` bytes starting at the page containing `addr`.
     ///
     /// Unmapping pages that are not mapped is a no-op (like `munmap`).
@@ -576,6 +583,18 @@ mod tests {
         assert!(b >= a + 2 * PAGE_SIZE, "guard gap between mappings");
         // The gap is unmapped.
         assert!(read_u64(&s, a + PAGE_SIZE).is_err());
+    }
+
+    #[test]
+    fn map_aligned_places_the_base_on_the_alignment() {
+        let mut s = AddressSpace::new();
+        s.map(PAGE_SIZE, Perm::ReadWrite);
+        let a = s.map_aligned(PAGE_SIZE, 64 * 1024, Perm::ReadWrite);
+        assert_eq!(a % (64 * 1024), 0);
+        // A page or less is plain `map`: the next page after the gap.
+        let b = s.map_aligned(PAGE_SIZE, 256, Perm::ReadWrite);
+        assert_eq!(b, a + 2 * PAGE_SIZE);
+        assert_eq!(s.stats().maps, 3);
     }
 
     #[test]

@@ -95,7 +95,10 @@ pub struct HeapMap {
     next_id: u64,
     cache: Cell<Option<CachedSeg>>,
     cache_enabled: bool,
+    /// Lookup-cache hits and misses, counted for the cache tests only.
+    #[cfg(test)]
     hits: Cell<u64>,
+    #[cfg(test)]
     misses: Cell<u64>,
 }
 
@@ -120,7 +123,9 @@ impl HeapMap {
             next_id: 0,
             cache: Cell::new(None),
             cache_enabled: enabled,
+            #[cfg(test)]
             hits: Cell::new(0),
+            #[cfg(test)]
             misses: Cell::new(0),
         }
     }
@@ -189,10 +194,12 @@ impl HeapMap {
         if self.cache_enabled {
             if let Some(c) = self.cache.get() {
                 if addr >= c.start && addr < c.end {
+                    #[cfg(test)]
                     self.hits.set(self.hits.get() + 1);
                     return self.records.get(&c.buf).map(|r| (r, c.region));
                 }
             }
+            #[cfg(test)]
             self.misses.set(self.misses.get() + 1);
         }
         let (&start, iv) = self.intervals.range(..=addr).next_back()?;
