@@ -224,7 +224,7 @@ mod tests {
             b.free(s);
         });
         let prog = pb.build();
-        let plan = InstrumentationPlan::build(prog.graph(), Strategy::Tcs, Scheme::Positional);
+        let plan = InstrumentationPlan::build(prog.graph(), Strategy::Tcs, Scheme::Additive);
         let r = triage(&prog, &plan, &TriageConfig::default());
         assert_eq!(r.sites_seen, 2, "two calling contexts of the same site");
         assert_eq!(r.candidates.len(), 2);
@@ -285,7 +285,7 @@ mod tests {
         }
         pb.define(main, |b| b.call_virtual(&[a, b_], Expr::Input(0)));
         let prog = pb.build();
-        let plan = InstrumentationPlan::build(prog.graph(), Strategy::Tcs, Scheme::Positional);
+        let plan = InstrumentationPlan::build(prog.graph(), Strategy::Tcs, Scheme::Additive);
         let r = triage(&prog, &plan, &TriageConfig::default());
         assert_eq!(r.candidates.len(), 2, "one per dispatch target");
     }

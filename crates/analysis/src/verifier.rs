@@ -2,7 +2,7 @@
 //! [`InstrumentationPlan`] delivers what it claims.
 
 use ht_callgraph::{enumerate_contexts, CallGraph, FuncId, Strategy};
-use ht_encoding::{collision_report, CollisionReport, InstrumentationPlan};
+use ht_encoding::{collisions_among, CollisionReport, InstrumentationPlan};
 use std::collections::HashSet;
 
 /// Enumeration caps for context-space exploration (recursion makes the true
@@ -68,8 +68,9 @@ pub fn verify_plan(
     // exactly what its own strategy selects over *this* graph.
     let sites_ok = *plan.sites() == plan.strategy().select(graph);
 
+    let ctxs = enumerate_contexts(graph, limits.max_depth, limits.max_paths);
     let collisions = if sites_ok {
-        collision_report(graph, plan, limits.max_depth, limits.max_paths)
+        collisions_among(graph, plan, &ctxs)
     } else {
         CollisionReport {
             contexts: 0,
@@ -93,7 +94,6 @@ pub fn verify_plan(
     let inc = Strategy::Incremental.select(graph);
     let inclusion_ok = inc.is_subset(&slim) && slim.is_subset(&tcs) && tcs.is_subset(&fcs);
 
-    let ctxs = enumerate_contexts(graph, limits.max_depth, limits.max_paths);
     let bounded = ctxs.len() >= limits.max_paths;
     let enumerated: HashSet<FuncId> = ctxs.iter().map(|(t, _)| *t).collect();
     let coverage_ok = reachable_targets(graph)
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn precise_schemes_must_be_collision_free() {
         let g = diamond();
-        let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Positional);
+        let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Additive);
         let v = verify_plan(&g, &plan, &VerifierLimits::default());
         assert!(plan.is_precise());
         assert!(v.precision_ok);

@@ -829,7 +829,7 @@ mod tests {
 
     #[test]
     fn armed_cycle_decodes_chains_under_precise_scheme() {
-        let tel = armed(Strategy::Slim, Scheme::Positional)
+        let tel = armed(Strategy::Slim, Scheme::Additive)
             .full_cycle(&ht_vulnapps::bc(), 1)
             .unwrap();
         let of = tel

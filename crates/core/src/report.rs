@@ -1,13 +1,14 @@
 //! Human-readable incident reports: patches with their decoded calling
 //! contexts.
 //!
-//! Under a precise encoding ([`Scheme::Positional`] or
-//! [`Scheme::Additive`]), the integer CCID stored in a patch decodes back to
-//! the full call chain — the PCCE capability the paper highlights: the
-//! configuration file entry `malloc 0x1f3a OF` becomes
-//! `main → yyparse → more_arrays → malloc` in the incident report.
+//! Under the one precise encoding, [`Scheme::Additive`], the integer CCID
+//! stored in a patch decodes back to the full call chain — the PCCE
+//! capability the paper highlights: the configuration file entry
+//! `malloc 0x1f3a OF` becomes `main → yyparse → more_arrays → malloc` in
+//! the incident report. Like PCCE's decoder, it decodes only when the
+//! target-reaching call graph is acyclic; a PCC plan, or an additive one
+//! over recursion, reports its patches without chains.
 //!
-//! [`Scheme::Positional`]: ht_encoding::Scheme::Positional
 //! [`Scheme::Additive`]: ht_encoding::Scheme::Additive
 
 use crate::pipeline::{AnalysisReport, InstrumentedProgram};
@@ -119,14 +120,12 @@ mod tests {
     }
 
     #[test]
-    fn precise_schemes_name_the_culprit_chain() {
-        for scheme in [Scheme::Positional, Scheme::Additive] {
-            let (text, decoded) = analyze(scheme);
-            assert!(decoded, "{scheme}: {text}");
-            assert!(text.contains("more_arrays"), "{scheme}: {text}");
-            assert!(text.contains("main →"), "{scheme}: {text}");
-            assert!(text.contains("overflow"), "{scheme}: {text}");
-        }
+    fn the_precise_scheme_names_the_culprit_chain() {
+        let (text, decoded) = analyze(Scheme::Additive);
+        assert!(decoded, "{text}");
+        assert!(text.contains("more_arrays"), "{text}");
+        assert!(text.contains("main →"), "{text}");
+        assert!(text.contains("overflow"), "{text}");
     }
 
     #[test]

@@ -6,7 +6,8 @@ use crate::meta::{MetaWord, META_SIZE};
 use crate::quarantine::{Home, Quarantine, QuarantinedBlock};
 use crate::region::GuardedRegions;
 use ht_memsim::{
-    Addr, AllocError, AllocStats, BaseAllocator, FreeListAllocator, SpaceStats, QUARANTINE_QUOTA,
+    Addr, AllocError, AllocStats, BaseAllocator, FastMap, FreeListAllocator, SpaceStats,
+    QUARANTINE_QUOTA,
 };
 use ht_patch::{AllocFn, PatchTable, VulnFlags};
 use ht_simprog::{AllocRequest, HeapBackend, PlainBackend, ReadResult, Sink, StopCause};
@@ -104,6 +105,11 @@ pub struct DefendedBackend<A: BaseAllocator = FreeListAllocator> {
     cfg: DefenseConfig,
     quarantine: Quarantine,
     regions: GuardedRegions,
+    /// Where each live tracked buffer (patched OF or UAF) goes once freed,
+    /// by user pointer. A free of a tracked buffer that is not here (freed
+    /// already, whether quarantined, evicted or released) stops as a
+    /// double free.
+    tracked: FastMap<Addr, Home>,
     stats: DefenseStats,
     /// `(hits, bytes)` per patch-table slot, counted on every placed
     /// table hit, armed or not.
@@ -129,6 +135,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             plain: PlainBackend::with_allocator(inner),
             quarantine: Quarantine::new(cfg.quarantine_quota),
             regions: GuardedRegions::default(),
+            tracked: FastMap::default(),
             stats: DefenseStats::default(),
             per_slot: vec![(0, 0); cfg.patches().len()],
             telemetry: cfg.telemetry.then(|| Box::new(Recorder::new(true))),
@@ -179,7 +186,7 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             .is_aligned()
             .then(|| layout.raw_align.trailing_zeros() as u8);
         let (space, inner) = self.plain.parts_mut();
-        let (user, meta) = if structure.has_guard() {
+        let (user, meta, home) = if structure.has_guard() {
             if !layout.raw_align.is_power_of_two() {
                 return Err(StopCause::misuse(AllocError::BadAlign(layout.raw_align)));
             }
@@ -203,7 +210,8 @@ impl<A: BaseAllocator> DefendedBackend<A> {
                 .write_u64_raw(region.guard(), size)
                 .map_err(StopCause::misuse)?;
             self.stats.guard_pages += 1;
-            (user, MetaWord::guarded(vuln, region.guard(), align_log2))
+            let meta = MetaWord::guarded(vuln, region.guard(), align_log2);
+            (user, meta, Home::Region(region))
         } else {
             let raw = if structure.is_aligned() {
                 inner.memalign(space, layout.raw_align, layout.raw_size)
@@ -211,11 +219,12 @@ impl<A: BaseAllocator> DefendedBackend<A> {
                 inner.malloc(space, layout.raw_size)
             }
             .map_err(StopCause::misuse)?;
-            (
-                layout.user_addr(raw),
-                MetaWord::unguarded(vuln, size, align_log2),
-            )
+            let meta = MetaWord::unguarded(vuln, size, align_log2);
+            (layout.user_addr(raw), meta, Home::Inner(raw))
         };
+        if is_tracked(vuln) {
+            self.tracked.insert(user, home);
+        }
         space
             .write_u64_raw(user - META_SIZE, meta.with_slot(slot.unwrap_or(0)).0)
             .map_err(StopCause::misuse)?;
@@ -317,12 +326,10 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     #[cold]
     #[inline(never)]
     fn defended_free(&mut self, user: Addr, meta: MetaWord) -> Result<(), StopCause> {
-        let home = if meta.has_guard() {
-            let region = self
-                .regions
-                .reclaim(user)
-                .ok_or_else(|| StopCause::misuse(AllocError::DoubleFree(user)))?;
-            Home::Region(region)
+        let home = if is_tracked(meta.vuln()) {
+            self.tracked
+                .remove(&user)
+                .ok_or_else(|| StopCause::misuse(AllocError::DoubleFree(user)))?
         } else {
             // Recover the inner pointer.
             Home::Inner(Layout::inner_ptr(meta.is_aligned(), meta.alignment(), user))
@@ -362,6 +369,13 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             }
         }
     }
+}
+
+/// Whether a buffer patched with `vuln` is tracked from its allocation to
+/// its free: a guarded (OF) buffer's region and a quarantined (UAF)
+/// buffer's block must go back exactly once.
+fn is_tracked(vuln: VulnFlags) -> bool {
+    vuln.contains(VulnFlags::OVERFLOW) || vuln.contains(VulnFlags::USE_AFTER_FREE)
 }
 
 impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
@@ -748,29 +762,50 @@ mod tests {
     }
 
     #[test]
-    fn a_second_free_of_a_guarded_buffer_stops_as_a_double_free() {
+    fn a_second_free_of_a_tracked_buffer_stops_as_a_double_free() {
+        let double_free = |result: Result<(), StopCause>, vuln: VulnFlags| match result {
+            Err(StopCause::HeapMisuse(m)) => assert!(m.contains("double free"), "{vuln}: {m}"),
+            other => panic!("{vuln}: expected a heap-misuse stop, got {other:?}"),
+        };
+        let uaf = VulnFlags::USE_AFTER_FREE;
         for vuln in [
             VulnFlags::OVERFLOW,
-            VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE,
+            VulnFlags::OVERFLOW | uaf,
+            uaf,
+            uaf | VulnFlags::UNINIT_READ,
         ] {
-            let mut d = DefendedBackend::new(DefenseConfig::with_table(table(
-                AllocFn::Malloc,
-                VULN,
-                vuln,
-            )));
-            let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
+            let cfg = || DefenseConfig::with_table(table(AllocFn::Malloc, VULN, vuln));
+            let mut d = DefendedBackend::new(cfg());
+            let p = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
             d.free(p).unwrap();
-            match d.free(p) {
-                Err(StopCause::HeapMisuse(m)) => assert!(m.contains("double free"), "{vuln}: {m}"),
-                other => panic!("{vuln}: expected a heap-misuse stop, got {other:?}"),
-            }
-            let held = usize::from(vuln.contains(VulnFlags::USE_AFTER_FREE));
-            assert_eq!(d.quarantine().len(), held, "{vuln}");
-            assert_eq!(d.regions.cached(), 1 - held, "{vuln}: retired once");
-            let a = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
-            let b = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
-            assert_ne!(a, b, "{vuln}: one region handed out twice");
+            double_free(d.free(p), vuln);
+            let held = usize::from(vuln.contains(uaf));
+            assert_eq!(d.quarantine().len(), held, "{vuln}: quarantined once");
+            assert_eq!(d.stats().quarantined_blocks, held as u64, "{vuln}");
+            let retired = usize::from(vuln == VulnFlags::OVERFLOW);
+            assert_eq!(d.regions.cached(), retired, "{vuln}: retired once");
+            let a = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
+            let b = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
+            assert_ne!(a, b, "{vuln}: one block handed out twice");
             assert_eq!(d.regions.cached(), 0, "{vuln}");
+            if held == 0 {
+                continue;
+            }
+            // Freed again after the quota evicted it.
+            let mut d = DefendedBackend::new(DefenseConfig {
+                quarantine_quota: 64,
+                ..cfg()
+            });
+            let p = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
+            let q = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
+            d.free(p).unwrap();
+            d.free(q).unwrap();
+            assert_eq!(d.quarantine().evictions(), 1, "{vuln}: p evicted");
+            double_free(d.free(p), vuln);
+            assert_eq!(d.quarantine().len(), 1, "{vuln}: only q held");
+            assert_eq!(d.stats().quarantined_blocks, 2, "{vuln}");
+            let retired = usize::from(vuln.contains(VulnFlags::OVERFLOW));
+            assert_eq!(d.regions.cached(), retired, "{vuln}: retired once");
         }
     }
 

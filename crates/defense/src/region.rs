@@ -30,16 +30,14 @@ impl Region {
     }
 }
 
-/// The guarded regions of one backend: the ones handed out, by user
-/// pointer, and the retired ones, by body size and base alignment, the
-/// newest last.
+/// The retired guarded regions of one backend, by body size and base
+/// alignment, the newest last.
 ///
-/// A region is either handed out or cached, never both, and it is
-/// cached at most once: [`Self::reclaim`] gives a user pointer's region
-/// back only the first time.
+/// The backend keeps each handed-out region with its buffer's user pointer
+/// until the buffer is freed, and retires it from there once, so a region is
+/// either handed out or cached, never both, and cached at most once.
 #[derive(Debug, Default)]
 pub struct GuardedRegions {
-    live: FastMap<Addr, Region>,
     cache: FastMap<(u64, u64), Vec<Addr>>,
 }
 
@@ -69,19 +67,11 @@ impl GuardedRegions {
                 base
             }
         };
-        let region = Region { base, body, align };
-        self.live.insert(layout.user_addr(base), region);
-        Ok((region, cached.is_some()))
+        Ok((Region { base, body, align }, cached.is_some()))
     }
 
-    /// The region of the guarded buffer at `user`, which stops being
-    /// handed out; `None` if it is not handed out (freed already).
-    pub fn reclaim(&mut self, user: Addr) -> Option<Region> {
-        self.live.remove(&user)
-    }
-
-    /// Keeps a reclaimed region mapped, its guard still `PROT_NONE`, for
-    /// the next buffer of its body size and alignment.
+    /// Keeps a freed or evicted region mapped, its guard still
+    /// `PROT_NONE`, for the next buffer of its body size and alignment.
     pub fn retire(&mut self, region: Region) {
         self.cache
             .entry((region.body, region.align))

@@ -12,7 +12,7 @@ pub fn encode_context(plan: &InstrumentationPlan, path: &[EdgeId]) -> Ccid {
     let mut v = 0u64;
     for &e in path {
         if let Some(c) = plan.constant(e) {
-            v = plan.scheme().update(v, c, plan.radix());
+            v = plan.scheme().update(v, c);
         }
     }
     Ccid(v)
@@ -41,10 +41,23 @@ pub fn collision_report(
     max_depth: usize,
     max_paths: usize,
 ) -> CollisionReport {
-    let ctxs = enumerate_contexts(graph, max_depth, max_paths);
+    collisions_among(
+        graph,
+        plan,
+        &enumerate_contexts(graph, max_depth, max_paths),
+    )
+}
+
+/// [`collision_report`] over contexts the caller has enumerated already,
+/// each a target and its edge path from the entry.
+pub fn collisions_among(
+    graph: &CallGraph,
+    plan: &InstrumentationPlan,
+    ctxs: &[(FuncId, Vec<EdgeId>)],
+) -> CollisionReport {
     let mut seen: HashMap<(Option<FuncId>, u64), usize> = HashMap::new();
     let mut decode_failures = 0;
-    for (target, path) in &ctxs {
+    for (target, path) in ctxs {
         let ccid = encode_context(plan, path);
         let key_target = if plan.strategy().keys_by_target() {
             Some(*target)
@@ -68,105 +81,37 @@ pub fn collision_report(
     }
 }
 
-/// Decodes a [`Scheme::Positional`](crate::Scheme::Positional) CCID back into the full edge path from
-/// the program entry to `target`.
+/// Decodes a CCID of a precise [`Scheme::Additive`] plan back into the full
+/// edge path from the program entry to `target`, as PCCE's decoder does: at
+/// each node the sibling ranges `[c(e), c(e) + numContexts(callee))`
+/// partition the value space, so the remaining value selects the edge and
+/// its offset is subtracted.
 ///
 /// This is the "supports decoding" property of PCCE-style encodings: offline
 /// tooling can turn the integer stored in a patch back into a human-readable
 /// call chain.
 ///
 /// Returns `None` when:
-/// * the plan's scheme is not decodable (PCC),
-/// * the graph does not have exactly one entry point,
+/// * the plan is not precise (PCC, or an additive plan whose
+///   target-reaching subgraph is recursive: recursive contexts are not
+///   uniquely decodable, a restriction PCCE's decoder shares),
+/// * the graph does not have exactly one entry point, or
 /// * the CCID does not correspond to any context of `target` (corrupt or
-///   foreign CCID), or
-/// * decoding would require traversing a cycle (recursive contexts are not
-///   uniquely decodable; the paper's PCCE shares this restriction).
+///   foreign CCID).
+///
+/// [`Scheme::Additive`]: crate::Scheme::Additive
 pub fn decode(
     graph: &CallGraph,
     plan: &InstrumentationPlan,
     ccid: Ccid,
     target: FuncId,
 ) -> Option<Vec<EdgeId>> {
-    if !plan.scheme().is_decodable() || !plan.is_precise() {
+    if !plan.is_precise() {
         return None;
     }
-    let roots = graph.roots();
-    if roots.len() != 1 {
+    let &[root] = &graph.roots()[..] else {
         return None;
-    }
-    if plan.scheme() == crate::Scheme::Additive {
-        return decode_additive(graph, plan, ccid, target, roots[0]);
-    }
-    let radix = plan.radix();
-    debug_assert!(radix >= 2);
-
-    // Peel base-K digits; the digit string is unique because every digit ≥ 1.
-    let mut digits_rev = Vec::new();
-    let mut v = ccid.0;
-    while v != 0 {
-        digits_rev.push(v % radix);
-        v /= radix;
-    }
-    let digits: Vec<u64> = digits_rev.into_iter().rev().collect();
-
-    let reach = Reachability::to_set(graph, &[target]);
-    let mut path = Vec::new();
-    let mut node = roots[0];
-    let mut next_digit = 0usize;
-    // Cycle guard: an acyclic traversal visits each function at most once.
-    let max_steps = graph.func_count() + digits.len() + 1;
-
-    for _ in 0..max_steps {
-        if node == target {
-            return if next_digit == digits.len() {
-                Some(path)
-            } else {
-                None
-            };
-        }
-        let candidates: Vec<EdgeId> = reach.reaching_out_edges(graph, node);
-        let chosen = match candidates.len() {
-            0 => return None,
-            1 => {
-                let e = candidates[0];
-                if let Some(c) = plan.constant(e) {
-                    if next_digit >= digits.len() || digits[next_digit] != c {
-                        return None;
-                    }
-                    next_digit += 1;
-                }
-                e
-            }
-            _ => {
-                // ≥ 2 candidates are always instrumented (branching node).
-                let want = *digits.get(next_digit)?;
-                let e = candidates
-                    .into_iter()
-                    .find(|&e| plan.constant(e) == Some(want))?;
-                next_digit += 1;
-                e
-            }
-        };
-        path.push(chosen);
-        node = graph.edge(chosen).callee;
-    }
-    None
-}
-
-/// Ball–Larus decoding for precise [`Scheme::Additive`] plans: at each node
-/// the sibling ranges `[c(e), c(e) + numContexts(callee))` partition the
-/// value space, so the remaining value selects the edge and the offset is
-/// subtracted — mirroring PCCE's decoder.
-///
-/// [`Scheme::Additive`]: crate::Scheme::Additive
-fn decode_additive(
-    graph: &CallGraph,
-    plan: &InstrumentationPlan,
-    ccid: Ccid,
-    target: FuncId,
-    root: FuncId,
-) -> Option<Vec<EdgeId>> {
+    };
     let reach_t = Reachability::to_set(graph, &[target]);
     if !reach_t.node_reaches(root) {
         return None;
@@ -275,7 +220,7 @@ mod tests {
     fn decode_round_trips_every_context() {
         let (g, _, _) = figure2();
         for strategy in Strategy::ALL {
-            let plan = InstrumentationPlan::build(&g, strategy, Scheme::Positional);
+            let plan = InstrumentationPlan::build(&g, strategy, Scheme::Additive);
             for (target, path) in enumerate_contexts(&g, 16, 64) {
                 let ccid = encode_context(&plan, &path);
                 let decoded = decode(&g, &plan, ccid, target);
@@ -294,15 +239,15 @@ mod tests {
     #[test]
     fn decode_rejects_foreign_ccid() {
         let (g, t1, _) = figure2();
-        let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Positional);
-        // A CCID whose digit string matches no path.
+        let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Additive);
+        // A CCID past every context's range matches no path.
         assert_eq!(decode(&g, &plan, Ccid(u64::MAX / 2), t1), None);
     }
 
     #[test]
     fn decode_rejects_wrong_target() {
         let (g, t1, t2) = figure2();
-        let plan = InstrumentationPlan::build(&g, Strategy::Incremental, Scheme::Positional);
+        let plan = InstrumentationPlan::build(&g, Strategy::Incremental, Scheme::Additive);
         // Context A-C-E-T1 exists; ask to decode its CCID toward T2.
         let ctxs = enumerate_contexts(&g, 16, 64);
         let (_, path) = ctxs
@@ -310,8 +255,8 @@ mod tests {
             .find(|(t, p)| *t == t1 && p.len() == 3)
             .expect("A-C-E-T1 exists");
         let ccid = encode_context(&plan, path);
-        // Toward t2 the digit string cannot terminate at T2 with digits
-        // exhausted, so this must not silently succeed with the wrong path.
+        // Toward t2 the offsets cannot subtract to 0 at T2 along the
+        // wrong path, so this must not silently succeed with it.
         if let Some(p) = decode(&g, &plan, ccid, t2) {
             let last = *p.last().unwrap();
             assert_eq!(g.edge(last).callee, t2);
@@ -329,7 +274,7 @@ mod tests {
         b.call(r1, t);
         b.call(r2, t);
         let g = b.build();
-        let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Positional);
+        let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Additive);
         assert_eq!(decode(&g, &plan, Ccid(1), t), None);
     }
 
@@ -344,7 +289,7 @@ mod tests {
         let e1 = b.call(main, a);
         let e2 = b.call(a, m);
         let g = b.build();
-        let plan = InstrumentationPlan::build(&g, Strategy::Slim, Scheme::Positional);
+        let plan = InstrumentationPlan::build(&g, Strategy::Slim, Scheme::Additive);
         assert_eq!(plan.site_count(), 0);
         let decoded = decode(&g, &plan, Ccid(0), m);
         assert_eq!(decoded, Some(vec![e1, e2]));
@@ -360,7 +305,7 @@ mod tests {
         let e_ff = b.call(f, f);
         let e_fm = b.call(f, m);
         let g = b.build();
-        let plan = InstrumentationPlan::build(&g, Strategy::Fcs, Scheme::Positional);
+        let plan = InstrumentationPlan::build(&g, Strategy::Fcs, Scheme::Additive);
         // Encode a context that loops through the back edge twice.
         let path = vec![e_mf, e_ff, e_ff, e_fm];
         let ccid = encode_context(&plan, &path);
@@ -489,16 +434,6 @@ mod tests {
         }
 
         proptest! {
-            #[test]
-            fn positional_never_collides_and_decodes(g in arb_dag()) {
-                for strategy in Strategy::ALL {
-                    let plan = InstrumentationPlan::build(&g, strategy, Scheme::Positional);
-                    let rep = collision_report(&g, &plan, 24, 2048);
-                    prop_assert_eq!(rep.collisions, 0, "{}", strategy);
-                    prop_assert_eq!(rep.decode_failures, 0, "{}", strategy);
-                }
-            }
-
             #[test]
             fn additive_dense_and_decodes_on_dags(g in arb_dag()) {
                 for strategy in Strategy::ALL {

@@ -41,7 +41,7 @@ impl<'p> Encoder<'p> {
     pub fn on_call(&mut self, e: EdgeId) {
         self.frames.push(self.v);
         if let Some(c) = self.plan.constant(e) {
-            self.v = self.plan.scheme().update(self.v, c, self.plan.radix());
+            self.v = self.plan.scheme().update(self.v, c);
             self.ops += 1;
         }
     }

@@ -10,14 +10,12 @@
 //! * [`Scheme::Pcc`] — probabilistic calling context: at each instrumented
 //!   call site `V = 3·V + c` with a per-site constant `c`. Compact,
 //!   probabilistically unique, not decodable.
-//! * [`Scheme::Positional`] — a precise positional scheme: `V = V·K + c`
-//!   with per-caller digits `1 ≤ c < K`. Injective over instrumented-site
-//!   sequences (no hash collisions) and decodable back to the full context on
-//!   acyclic graphs — see [`analysis::decode`].
-//! * [`Scheme::Additive`] — the PCCE/DeltaPath family: `V = V + c` with
-//!   Ball–Larus constants over the target-reaching sub-DAG, so the `N`
-//!   contexts of a program encode *densely* as `0..N` and decode exactly;
-//!   recursive subgraphs degrade to PCC-grade probabilistic constants
+//! * [`Scheme::Additive`] — the one precise scheme, of the PCCE/DeltaPath
+//!   family: `V = V + c` with Ball–Larus constants over the target-reaching
+//!   sub-DAG, so the `N` contexts of a program encode *densely* as `0..N`
+//!   and decode exactly back to the full context — see
+//!   [`analysis::decode`]. Like PCCE's decoder it needs that subgraph
+//!   acyclic: a recursive one degrades to PCC-grade probabilistic constants
 //!   (check [`InstrumentationPlan::is_precise`]).
 //!
 //! Which call sites carry instrumentation is decided by an
@@ -59,7 +57,8 @@ pub mod plan;
 pub mod scheme;
 
 pub use analysis::{
-    collision_report, decode, encode_context, expected_pcc_collisions, CollisionReport,
+    collision_report, collisions_among, decode, encode_context, expected_pcc_collisions,
+    CollisionReport,
 };
 pub use encoder::{Encoder, StackWalker};
 pub use plan::InstrumentationPlan;

@@ -28,8 +28,6 @@ pub struct InstrumentationPlan {
     sites: EdgeSet,
     /// `constants[edge] = Some(c)` iff the edge is instrumented.
     constants: Vec<Option<u64>>,
-    /// Radix for [`Scheme::Positional`]; 0 for PCC.
-    radix: u64,
     /// Whether CCIDs under this plan uniquely identify contexts (and, for
     /// decodable schemes, decode). False for PCC and for Additive plans
     /// whose target-reaching subgraph is recursive.
@@ -44,60 +42,30 @@ impl InstrumentationPlan {
     /// Builds a plan for `graph` under `strategy` and `scheme`.
     ///
     /// For [`Scheme::Pcc`], each instrumented site gets a SplitMix64 constant
-    /// derived from its edge id. For [`Scheme::Positional`], the instrumented
-    /// out-edges of each caller get digits `1, 2, …` and the radix `K` is one
-    /// more than the maximum instrumented out-degree (at least 2).
+    /// derived from its edge id. For [`Scheme::Additive`], the one precise
+    /// scheme, each instrumented site gets its Ball–Larus offset over the
+    /// target-reaching sub-DAG; a recursive (or overflowing) subgraph has no
+    /// such numbering, and the plan falls back to the PCC constants and is
+    /// not precise.
     pub fn build(graph: &CallGraph, strategy: Strategy, scheme: Scheme) -> Self {
         let sites = strategy.select(graph);
-        let mut constants = vec![None; graph.edge_count()];
-        let mut precise = scheme != Scheme::Pcc;
-        let mut num_contexts = Vec::new();
-        let radix = match scheme {
-            Scheme::Pcc => {
-                for e in sites.iter() {
-                    constants[e.index()] = Some(splitmix64(e.0 as u64));
-                }
-                0
-            }
-            Scheme::Positional => {
-                let mut max_digits = 1u64;
-                for f in graph.func_ids() {
-                    let mut digit = 1u64;
-                    for &e in &graph.func(f).out_edges {
-                        if sites.contains(e) {
-                            constants[e.index()] = Some(digit);
-                            digit += 1;
-                        }
-                    }
-                    max_digits = max_digits.max(digit - 1);
-                }
-                max_digits + 1
-            }
-            Scheme::Additive => {
-                match additive_numbering(graph, &sites) {
-                    Some((consts, counts)) => {
-                        constants = consts;
-                        num_contexts = counts;
-                    }
-                    None => {
-                        // Recursive (or overflowing) target-reaching
-                        // subgraph: degrade to PCC-grade pseudo-random
-                        // constants — probabilistic identity, no decoding.
-                        for e in sites.iter() {
-                            constants[e.index()] = Some(splitmix64(e.0 as u64));
-                        }
-                        precise = false;
-                    }
-                }
-                0
-            }
+        let numbering = match scheme {
+            Scheme::Pcc => None,
+            Scheme::Additive => additive_numbering(graph, &sites),
         };
+        let precise = numbering.is_some();
+        let (constants, num_contexts) = numbering.unwrap_or_else(|| {
+            let mut constants = vec![None; graph.edge_count()];
+            for e in sites.iter() {
+                constants[e.index()] = Some(splitmix64(e.0 as u64));
+            }
+            (constants, Vec::new())
+        });
         Self {
             strategy,
             scheme,
             sites,
             constants,
-            radix,
             precise,
             num_contexts,
         }
@@ -114,7 +82,6 @@ impl InstrumentationPlan {
             scheme: Scheme::Pcc,
             sites: EdgeSet::empty(graph),
             constants: vec![None; graph.edge_count()],
-            radix: 0,
             precise: false,
             num_contexts: Vec::new(),
         }
@@ -135,13 +102,10 @@ impl InstrumentationPlan {
         &self.sites
     }
 
-    /// The positional radix `K` (0 under PCC).
-    pub fn radix(&self) -> u64 {
-        self.radix
-    }
-
-    /// Whether CCIDs under this plan identify contexts *exactly* (injective
-    /// and, for [`Scheme::Positional`]/[`Scheme::Additive`], decodable).
+    /// Whether CCIDs under this plan identify contexts *exactly*: injective
+    /// and decodable. True only for a [`Scheme::Additive`] plan whose
+    /// target-reaching subgraph is acyclic, the restriction PCCE's decoder
+    /// shares.
     pub fn is_precise(&self) -> bool {
         self.precise
     }
@@ -303,28 +267,6 @@ mod tests {
             assert!(plan.constant(e).is_some());
         }
         assert_eq!(plan.site_count(), 3);
-        assert_eq!(plan.radix(), 0);
-    }
-
-    #[test]
-    fn positional_digits_start_at_one_per_caller() {
-        let (g, [e1, e2, e3]) = small();
-        let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Positional);
-        assert_eq!(plan.constant(e1), Some(1)); // main's first site
-        assert_eq!(plan.constant(e2), Some(2)); // main's second site
-        assert_eq!(plan.constant(e3), Some(1)); // w's first site
-        assert_eq!(plan.radix(), 3); // max instrumented out-degree 2 → K=3
-    }
-
-    #[test]
-    fn radix_is_at_least_two() {
-        let mut b = CallGraphBuilder::new();
-        let main = b.func("main");
-        let m = b.target("malloc");
-        b.call(main, m);
-        let g = b.build();
-        let plan = InstrumentationPlan::build(&g, Strategy::Tcs, Scheme::Positional);
-        assert!(plan.radix() >= 2, "radix {}", plan.radix());
     }
 
     #[test]

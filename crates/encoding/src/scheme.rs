@@ -38,43 +38,34 @@ pub enum Scheme {
     /// collision in HeapTherapy+ merely over-protects a buffer and never
     /// breaks correctness.
     Pcc,
-    /// Precise positional encoding: `V = V·K + c` with per-caller digits
-    /// `1 ≤ c < K`, where the radix `K` exceeds every caller's instrumented
-    /// out-degree. Injective over instrumented-site sequences as long as the
-    /// accumulated value stays below 2⁶⁴ (depth × log₂K bits); decodable on
-    /// acyclic call graphs.
-    Positional,
-    /// PCCE/DeltaPath-style additive encoding: `V = V + c` with constants
-    /// from a Ball–Larus numbering of the target-reaching sub-DAG, so CCIDs
-    /// are *dense* — context `i` of `N` encodes exactly as `i ∈ [0, N)` —
-    /// and decodable. Falls back to pseudo-random constants (PCC-grade
-    /// probabilistic identity, not decodable) when the target-reaching
-    /// subgraph is recursive, the restriction PCCE lifts with a push-down
-    /// escape mechanism the paper does not rely on.
+    /// PCCE/DeltaPath-style additive encoding, the one precise scheme:
+    /// `V = V + c` with constants from a Ball–Larus numbering of the
+    /// target-reaching sub-DAG, so CCIDs are *dense* — context `i` of `N`
+    /// encodes exactly as `i ∈ [0, N)` — and decodable. Like PCCE's
+    /// decoder it needs that subgraph acyclic: when it is recursive the
+    /// plan falls back to pseudo-random constants (PCC-grade probabilistic
+    /// identity, not decodable), the restriction PCCE lifts with a
+    /// push-down escape mechanism the paper does not rely on.
     Additive,
 }
 
 impl Scheme {
     /// All schemes.
-    pub const ALL: [Scheme; 3] = [Scheme::Pcc, Scheme::Positional, Scheme::Additive];
+    pub const ALL: [Scheme; 2] = [Scheme::Pcc, Scheme::Additive];
 
     /// Short lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             Scheme::Pcc => "pcc",
-            Scheme::Positional => "positional",
             Scheme::Additive => "additive",
         }
     }
 
     /// Applies the update rule for one instrumented call site.
-    ///
-    /// `radix` is only used by [`Scheme::Positional`].
     #[inline]
-    pub fn update(self, v: u64, c: u64, radix: u64) -> u64 {
+    pub fn update(self, v: u64, c: u64) -> u64 {
         match self {
             Scheme::Pcc => v.wrapping_mul(3).wrapping_add(c),
-            Scheme::Positional => v.wrapping_mul(radix).wrapping_add(c),
             Scheme::Additive => v.wrapping_add(c),
         }
     }
@@ -84,7 +75,7 @@ impl Scheme {
     /// [`InstrumentationPlan::is_precise`](crate::InstrumentationPlan::is_precise):
     /// an additive plan over a recursive graph degrades to probabilistic).
     pub fn is_decodable(self) -> bool {
-        matches!(self, Scheme::Positional | Scheme::Additive)
+        self == Scheme::Additive
     }
 }
 
@@ -113,20 +104,13 @@ mod tests {
 
     #[test]
     fn pcc_update_matches_paper_formula() {
-        assert_eq!(Scheme::Pcc.update(10, 7, 0), 37);
+        assert_eq!(Scheme::Pcc.update(10, 7), 37);
         // wrapping behaviour
         let big = u64::MAX;
         assert_eq!(
-            Scheme::Pcc.update(big, 5, 0),
+            Scheme::Pcc.update(big, 5),
             big.wrapping_mul(3).wrapping_add(5)
         );
-    }
-
-    #[test]
-    fn positional_update_is_base_k_append() {
-        assert_eq!(Scheme::Positional.update(0, 2, 10), 2);
-        assert_eq!(Scheme::Positional.update(2, 3, 10), 23);
-        assert_eq!(Scheme::Positional.update(23, 1, 10), 231);
     }
 
     #[test]
@@ -148,8 +132,8 @@ mod tests {
     #[test]
     fn scheme_names() {
         assert_eq!(Scheme::Pcc.name(), "pcc");
-        assert_eq!(Scheme::Positional.to_string(), "positional");
+        assert_eq!(Scheme::Additive.to_string(), "additive");
         assert!(!Scheme::Pcc.is_decodable());
-        assert!(Scheme::Positional.is_decodable());
+        assert!(Scheme::Additive.is_decodable());
     }
 }

@@ -827,7 +827,7 @@ mod tests {
             b.free(buf);
         });
         let prog = pb.build();
-        let plan = InstrumentationPlan::build(prog.graph(), Strategy::Slim, Scheme::Positional);
+        let plan = InstrumentationPlan::build(prog.graph(), Strategy::Slim, Scheme::Additive);
 
         // Benign input: in-bounds write → no patches.
         let mut i1 = Interpreter::new(&prog, &plan, ShadowBackend::new());
@@ -849,7 +849,7 @@ mod tests {
             ht_encoding::Ccid(patches[0].ccid),
             malloc,
         )
-        .expect("positional CCIDs decode");
+        .expect("additive CCIDs decode");
         assert_eq!(path.len(), 2, "main→parse→malloc");
     }
 }

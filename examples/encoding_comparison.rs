@@ -45,9 +45,6 @@ fn main() {
     let mut rows = Vec::new();
     for strategy in Strategy::ALL {
         for scheme in Scheme::ALL {
-            if scheme == Scheme::Positional && strategy != Strategy::Slim {
-                continue; // one decodable row is enough for the demo
-            }
             let plan = InstrumentationPlan::build(w.program.graph(), strategy, scheme);
             let ops = run_plain(&w.program, &plan, &input).encoder_ops;
             let rep = collision_report(w.program.graph(), &plan, 32, 4096);

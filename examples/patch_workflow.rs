@@ -1,8 +1,8 @@
 //! The operations view: patch files on disk, and decoding a patch's CCID
 //! back into a human-readable call chain.
 //!
-//! Uses the precise positional encoding (PCCE-flavoured) so the integer in
-//! the configuration file can be decoded into `main → … → malloc` for the
+//! Uses the precise additive encoding (PCCE-style) so the integer in the
+//! configuration file can be decoded into `main → … → malloc` for the
 //! incident report.
 //!
 //! ```sh
@@ -16,10 +16,10 @@ use heaptherapy_plus::patch::{from_config_text, to_config_text};
 use heaptherapy_plus::vulnapps;
 
 fn main() {
-    // Decodable encodings: switch the pipeline to the positional scheme.
+    // A decodable encoding: the pipeline's precise additive scheme.
     let ht = HeapTherapy::new(PipelineConfig {
         strategy: Strategy::Slim,
-        scheme: Scheme::Positional,
+        scheme: Scheme::Additive,
         ..PipelineConfig::default()
     });
 
@@ -50,7 +50,7 @@ fn main() {
             .func_by_name(p.alloc_fn.name())
             .expect("allocation API in graph");
         let path = decode(graph, &ip.plan, Ccid(p.ccid), target)
-            .expect("positional CCIDs decode on acyclic graphs");
+            .expect("additive CCIDs decode on acyclic graphs");
         let chain: Vec<&str> = std::iter::once("main")
             .chain(
                 path.iter()

@@ -14,8 +14,11 @@
 //!
 //! Every command but `list` and `instrument` also reads
 //! `--strategy fcs|tcs|slim|incremental` and
-//! `--scheme pcc|positional|additive`. An unknown flag, a flag the command
-//! does not read, a missing value or an extra argument exits 2.
+//! `--scheme pcc|additive`: the paper's probabilistic PCC, or the one
+//! precise scheme (the default), PCCE-style additive, whose CCIDs decode to
+//! call chains when the target-reaching call graph is acyclic. An unknown
+//! flag, a flag the command does not read, a missing value or an extra
+//! argument exits 2.
 
 use heaptherapy_plus::analysis::{render_report, render_verdict};
 use heaptherapy_plus::callgraph::Strategy;
@@ -46,7 +49,7 @@ const COMMANDS: [(&str, &[&str]); 8] = [
     ("lint", &["--scheme", "--strategy"]),
     ("instrument", &[]),
 ];
-const FLAGS: &str = "[--scheme pcc|positional|additive] [--strategy fcs|tcs|slim|incremental] \
+const FLAGS: &str = "[--scheme pcc|additive] [--strategy fcs|tcs|slim|incremental] \
                      [--out FILE] [--patches FILE] [--attack N] [--fun NAME] [--ccid HEX] \
                      [--json] [--iterative]";
 

@@ -8,8 +8,9 @@
 //!
 //! * [`callgraph`] — call graphs and targeted instrumentation-site selection
 //!   (FCS / TCS / Slim / Incremental).
-//! * [`encoding`] — calling-context encoding schemes (PCC, precise
-//!   positional) and the runtime encoder.
+//! * [`encoding`] — calling-context encoding schemes (the paper's PCC and
+//!   one precise one, PCCE-style additive, decodable on acyclic call
+//!   graphs as PCCE is) and the runtime encoder.
 //! * [`memsim`] — simulated paged virtual memory with page permissions and
 //!   underlying heap allocators.
 //! * [`patch`] — the `{FUN, CCID, T}` patch format, configuration files, and

@@ -130,7 +130,7 @@ fn lint_respects_strategy_and_scheme_flags() {
             "--strategy",
             "tcs",
             "--scheme",
-            "positional",
+            "additive",
         ])
         .output()
         .expect("runs");
@@ -144,7 +144,7 @@ fn lint_respects_strategy_and_scheme_flags() {
 fn unknown_scheme_or_strategy_is_a_usage_error() {
     let decode = ["decode", "heartbleed", "--fun", "malloc", "--ccid", "0x1"];
     for (flag, names) in [
-        ("--scheme", "pcc, positional, additive"),
+        ("--scheme", "pcc, additive"),
         ("--strategy", "fcs, tcs, slim, incremental"),
     ] {
         let out = bin()
@@ -157,6 +157,14 @@ fn unknown_scheme_or_strategy_is_a_usage_error() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(names), "{flag}: {stderr}");
     }
+    // A scheme the encoding crate no longer has is refused like any other.
+    let out = bin()
+        .args(decode)
+        .args(["--scheme", "positional"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "no chain printed");
 }
 
 #[test]

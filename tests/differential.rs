@@ -266,7 +266,7 @@ proptest! {
     #[test]
     fn analyzer_is_silent_on_legal_programs(ops in arb_ops()) {
         let prog = materialize(&ops);
-        let plan = InstrumentationPlan::build(prog.graph(), SiteStrategy::Slim, Scheme::Positional);
+        let plan = InstrumentationPlan::build(prog.graph(), SiteStrategy::Slim, Scheme::Additive);
         let (base, _) = observe(&prog, &plan, heaptherapy_plus::simprog::PlainBackend::new());
         let (r, shadow) = observe(&prog, &plan, ShadowBackend::new());
         prop_assert_eq!(&r.outcome, &base.outcome);

@@ -29,13 +29,13 @@ fn defense_is_allocator_agnostic_end_to_end() {
 }
 
 /// Patch CCIDs survive a configuration-file round trip and still decode to
-/// the culprit calling context under the positional scheme.
+/// the culprit calling context under the additive scheme.
 #[test]
 fn config_round_trip_and_decode() {
     let app = vulnapps::ghostxps();
     let ht = HeapTherapy::new(PipelineConfig {
         strategy: Strategy::Tcs,
-        scheme: Scheme::Positional,
+        scheme: Scheme::Additive,
         ..PipelineConfig::default()
     });
     let ip = ht.instrument(&app.program);

@@ -110,11 +110,37 @@ fn plan_verifier_passes_on_all_spec_models() {
                 bench.name
             );
         }
-        // The precise positional scheme must verify collision-free.
-        let plan = InstrumentationPlan::build(w.program.graph(), Strategy::Tcs, Scheme::Positional);
-        let v = verify_plan(w.program.graph(), &plan, &VerifierLimits::default());
-        assert!(v.is_ok(), "{}: {v:?}", bench.name);
-        assert_eq!(v.collisions.collisions, 0, "{}", bench.name);
+    }
+}
+
+/// The one precise scheme is precise on every model graph the repo has: each
+/// SPEC model, each Table II app and the multi-context case, under every
+/// strategy, verifies collision-free with every enumerated context decoding
+/// back to itself. A model whose target-reaching subgraph recursed would
+/// fall back to PCC constants and fail here.
+#[test]
+fn the_additive_plan_is_precise_on_every_model_graph() {
+    let spec = spec::spec_suite().into_iter().map(|bench| {
+        (
+            bench.name.to_string(),
+            spec::build_spec_workload(bench).program,
+        )
+    });
+    let apps = vulnapps::table2_suite()
+        .into_iter()
+        .chain([vulnapps::multi_context_overflow()])
+        .map(|app| (app.name.clone(), app.program));
+    let models: Vec<_> = spec.chain(apps).collect();
+    assert_eq!(models.len(), 12 + 30 + 1);
+    for (name, program) in &models {
+        for strategy in Strategy::ALL {
+            let plan = InstrumentationPlan::build(program.graph(), strategy, Scheme::Additive);
+            assert!(plan.is_precise(), "{name} {strategy}");
+            let v = verify_plan(program.graph(), &plan, &VerifierLimits::default());
+            assert!(v.is_ok(), "{name} {strategy}: {v:?}");
+            assert_eq!(v.collisions.collisions, 0, "{name} {strategy}");
+            assert_eq!(v.collisions.decode_failures, 0, "{name} {strategy}");
+        }
     }
 }
 

@@ -184,13 +184,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Every dynamic patch has a covering static candidate, under both an
-    /// imprecise (PCC) and a precise (Positional) plan.
+    /// imprecise (PCC) and a precise (Additive) plan.
     #[test]
     fn static_triage_over_approximates_the_shadow_analyzer(ops in arb_ops()) {
         let prog = materialize(&ops);
         for (strategy, scheme) in [
             (SiteStrategy::Incremental, Scheme::Pcc),
-            (SiteStrategy::Tcs, Scheme::Positional),
+            (SiteStrategy::Tcs, Scheme::Additive),
         ] {
             let plan = InstrumentationPlan::build(prog.graph(), strategy, scheme);
 
