@@ -702,34 +702,56 @@ mod tests {
 
     #[test]
     fn a_recycled_region_keeps_its_guard_and_reads_zero() {
-        let mut d = DefendedBackend::new(DefenseConfig::with_table(table(
-            AllocFn::Malloc,
-            VULN,
-            VulnFlags::OVERFLOW,
-        )));
-        let size = 5000;
-        let mut first = None;
-        for _ in 0..100 {
-            let p = d.alloc(&req(AllocFn::Malloc, size, VULN)).unwrap();
-            assert_eq!(p, *first.get_or_insert(p), "the retired region is reused");
-            // The body after the word reads zero, though the last buffer
-            // wrote all of it.
-            let end = (p + size).next_multiple_of(PAGE_SIZE);
-            let body = d.read(p, end - p, Sink::Discard);
-            assert_eq!(body.outcome, Ok(()));
-            assert!(body.data.iter().all(|&b| b == 0), "stale bytes leaked");
-            // A write one byte past the page-rounded end faults at the guard.
-            match d.write(p, end - p + 1, 0xEE) {
-                Err(StopCause::Segfault { addr, write: true }) => assert_eq!(addr, end),
-                other => panic!("expected a guard fault, got {other:?}"),
+        // (fun, size, align, body pages, resident pages after the first
+        // allocation and after each later one). Structure 4 puts the
+        // buffer `align` bytes into its region, so a tenant can write
+        // below it without touching the word. A reuse zeroes the whole
+        // body, so from then on every body page and the guard page are
+        // resident, whichever pages the zero fill could skip.
+        let cases = [
+            (AllocFn::Malloc, 5000, 16, 2, [3, 3]),
+            (AllocFn::Memalign, 3 * PAGE_SIZE, 512, 4, [3, 5]),
+        ];
+        for (fun, size, align, pages, resident) in cases {
+            let mut d = DefendedBackend::new(DefenseConfig::with_table(table(
+                fun,
+                VULN,
+                VulnFlags::OVERFLOW,
+            )));
+            let mut r = req(fun, size, VULN);
+            r.align = align;
+            let mut first = None;
+            for round in 0..100 {
+                let p = d.alloc(&r).unwrap();
+                assert_eq!(p, *first.get_or_insert(p), "the retired region is reused");
+                let (word, end) = (p - META_SIZE, (p + size).next_multiple_of(PAGE_SIZE));
+                let base = end - pages * PAGE_SIZE;
+                let rss = resident[usize::from(round > 0)] * PAGE_SIZE;
+                let st = d.mem_stats().unwrap().0;
+                assert_eq!((st.rss_bytes, st.peak_rss_bytes), (rss, rss), "{fun:?}");
+                // All of `[region, guard)` but the word reads zero, though
+                // the last tenant wrote all of it.
+                let body = d.read(base, end - base, Sink::Discard);
+                assert_eq!(body.outcome, Ok(()));
+                for (a, &b) in (base..).zip(&body.data) {
+                    let stale = b != 0 && !(word..p).contains(&a);
+                    assert!(!stale, "{fun:?}: stale byte at region + {}", a - base);
+                }
+                // An underflow no guard stops, then a write one byte past
+                // the page-rounded end, which faults at the guard.
+                d.write(base, word - base, 0xEE).unwrap();
+                match d.write(p, end - p + 1, 0xEE) {
+                    Err(StopCause::Segfault { addr, write: true }) => assert_eq!(addr, end),
+                    other => panic!("expected a guard fault, got {other:?}"),
+                }
+                d.free(p).unwrap();
+                assert!(guarded(&d, end), "a retired region keeps its guard");
             }
-            d.free(p).unwrap();
-            assert!(guarded(&d, end), "a retired region keeps its guard");
+            let (space, inner) = d.mem_stats().unwrap();
+            assert_eq!((space.maps, space.protects), (1, 1), "one region mapped");
+            assert_eq!(inner, AllocStats::default(), "no guarded buffer is inner");
+            assert_eq!(d.stats().guard_pages, 100);
         }
-        let (space, inner) = d.mem_stats().unwrap();
-        assert_eq!((space.maps, space.protects), (1, 1), "one region mapped");
-        assert_eq!(inner, AllocStats::default(), "no guarded buffer is inner");
-        assert_eq!(d.stats().guard_pages, 100);
     }
 
     #[test]

@@ -19,6 +19,14 @@
 //! mirroring the paper's observation that guard pages are virtual and do not
 //! increase resident memory.
 //!
+//! Each page also remembers whether it still reads zero: no store has
+//! reached it since it was mapped or last zeroed whole. A zero
+//! [`AddressSpace::fill_raw`] skips the `memset` on such a page, so the
+//! defense's re-zeroing of a reused guarded region costs only the pages its
+//! tenants wrote. The mark is a fact of the simulator with no real-memory
+//! analogue, and it changes no byte that reads back and no RSS figure: a
+//! skipped page is marked dirty as a filled one is.
+//!
 //! # Example
 //!
 //! ```

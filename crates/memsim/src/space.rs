@@ -1,4 +1,8 @@
 //! The sparse, permission-checked address space.
+//!
+//! Every page carries its permission, its bytes, whether it was ever
+//! written (the RSS proxy) and whether it still reads zero (the zero fill's
+//! shortcut; see [`AddressSpace::fill_raw`]).
 
 use crate::hash::FastMap;
 use std::fmt;
@@ -80,6 +84,11 @@ struct Page {
     perm: Perm,
     data: Box<[u8]>,
     dirty: bool,
+    /// Every byte of `data` is zero. `map` sets it, a zero fill of the
+    /// whole page sets it again, and every store of a byte clears it, so a
+    /// zero fill can skip a page that already reads zero. No statistic
+    /// reads it: RSS counts `dirty` alone.
+    reads_zero: bool,
 }
 
 impl Page {
@@ -91,6 +100,14 @@ impl Page {
             stats.rss_bytes += PAGE_SIZE;
             stats.peak_rss_bytes = stats.peak_rss_bytes.max(stats.rss_bytes);
         }
+    }
+
+    /// Marks the page dirty after a store that may have left a non-zero
+    /// byte in it.
+    #[inline]
+    fn mark_stored(&mut self, stats: &mut SpaceStats) {
+        self.reads_zero = false;
+        self.mark_dirty(stats);
     }
 }
 
@@ -154,6 +171,7 @@ impl AddressSpace {
                     perm,
                     data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
                     dirty: false,
+                    reads_zero: true,
                 },
             );
         }
@@ -275,13 +293,9 @@ impl AddressSpace {
                     })
                 }
             };
-            if !page.dirty {
-                page.dirty = true;
-                self.stats.rss_bytes += PAGE_SIZE;
-                self.stats.peak_rss_bytes = self.stats.peak_rss_bytes.max(self.stats.rss_bytes);
-            }
             let n = (PAGE_SIZE as usize - off).min(data.len() - done as usize);
             page.data[off..off + n].copy_from_slice(&data[done as usize..done as usize + n]);
+            page.mark_stored(&mut self.stats);
             done += n as u64;
         }
         Ok(())
@@ -311,6 +325,12 @@ impl AddressSpace {
     /// Privileged fill of `len` bytes with `byte`, ignoring permissions
     /// (kernel/analyzer view) — `memset` without materializing a buffer.
     ///
+    /// A zero fill skips the `memset` on a page that still reads zero (one
+    /// no store reached since it was mapped or last zeroed whole), so
+    /// re-zeroing a reused region costs only the pages its tenants wrote.
+    /// Every page in the range is marked dirty either way: what counts as
+    /// resident does not depend on the skip.
+    ///
     /// # Errors
     ///
     /// Same semantics as [`AddressSpace::write_raw`]: faults only on
@@ -322,20 +342,20 @@ impl AddressSpace {
             let pno = a / PAGE_SIZE;
             let off = (a % PAGE_SIZE) as usize;
             let n = (PAGE_SIZE - a % PAGE_SIZE).min(len - done) as usize;
-            let was_dirty = {
-                let page = self.pages.get_mut(&pno).ok_or(MemFault {
-                    addr: a,
-                    kind: FaultKind::Unmapped,
-                    completed: done,
-                })?;
+            let page = self.pages.get_mut(&pno).ok_or(MemFault {
+                addr: a,
+                kind: FaultKind::Unmapped,
+                completed: done,
+            })?;
+            if byte != 0 {
                 page.data[off..off + n].fill(byte);
-                let was = page.dirty;
-                page.dirty = true;
-                was
-            };
-            if !was_dirty {
-                self.stats.rss_bytes += PAGE_SIZE;
-                self.stats.peak_rss_bytes = self.stats.peak_rss_bytes.max(self.stats.rss_bytes);
+                page.mark_stored(&mut self.stats);
+            } else {
+                if !page.reads_zero {
+                    page.data[off..off + n].fill(0);
+                    page.reads_zero = n == PAGE_SIZE as usize;
+                }
+                page.mark_dirty(&mut self.stats);
             }
             done += n as u64;
         }
@@ -392,7 +412,7 @@ impl AddressSpace {
             })?;
             let n = (PAGE_SIZE as usize - off).min(data.len() - done as usize);
             page.data[off..off + n].copy_from_slice(&data[done as usize..done as usize + n]);
-            page.mark_dirty(&mut self.stats);
+            page.mark_stored(&mut self.stats);
             done += n as u64;
         }
         Ok(())
@@ -438,7 +458,7 @@ impl AddressSpace {
             completed: 0,
         })?;
         page.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        page.mark_dirty(&mut self.stats);
+        page.mark_stored(&mut self.stats);
         Ok(())
     }
 
@@ -497,17 +517,13 @@ impl AddressSpace {
             if spno == dpno {
                 let page = this.pages.get_mut(&spno).expect("validated");
                 page.data.copy_within(soff..soff + n, doff);
+                page.mark_stored(&mut this.stats);
             } else {
                 let spage = this.pages.get(&spno).expect("validated");
                 tmp[..n].copy_from_slice(&spage.data[soff..soff + n]);
                 let dpage = this.pages.get_mut(&dpno).expect("validated");
                 dpage.data[doff..doff + n].copy_from_slice(&tmp[..n]);
-            }
-            let dpage = this.pages.get_mut(&dpno).expect("validated");
-            if !dpage.dirty {
-                dpage.dirty = true;
-                this.stats.rss_bytes += PAGE_SIZE;
-                this.stats.peak_rss_bytes = this.stats.peak_rss_bytes.max(this.stats.rss_bytes);
+                dpage.mark_stored(&mut this.stats);
             }
         };
         if backward {
